@@ -89,12 +89,6 @@ inline void PrintEffectiveConfigOnce(const spark::SparkConfig& cfg) {
                 cfg.heap.pause_budget_ms,
                 spark::LifetimeSourceName(cfg.lifetime_source));
   }
-  if (cfg.arena_enabled()) {
-    std::printf("arena: chunk=%zuMB hugepages=%s numa=%s\n",
-                cfg.arena.chunk_bytes >> 20,
-                alloc::HugePageModeName(cfg.arena.huge_pages),
-                alloc::NumaPolicyName(cfg.arena.numa_policy));
-  }
 }
 
 /// Prints the effective stream plan once per process (effective-config
@@ -176,19 +170,6 @@ inline void PrintEffectiveStreamConfigOnce(const stream::StreamOptions& o) {
 ///                            profiled-calibration sampling period in
 ///                            allocated bytes (default 512)
 ///   DECA_PROFILE_SEED=N      profiler sampling seed (default 1)
-///
-/// Native arena page allocator (src/alloc; digests, GC counts and fault
-/// counters are bit-identical with the arena on or off):
-///   DECA_ARENA=0|1           1 backs heap buffers, T1 payloads and spill
-///                            staging with mmap'd slab arenas instead of
-///                            new[] (default 0)
-///   DECA_ARENA_CHUNK_MB=MB   arena chunk (mmap granule) size (default 16)
-///   DECA_ARENA_HUGEPAGES=0|1|2
-///                            0 = off, 1 = opportunistic MADV_HUGEPAGE
-///                            (default), 2 = MAP_HUGETLB with fallback to 1
-///   DECA_NUMA_POLICY=none|interleave|local
-///                            chunk placement hint (default none; a
-///                            documented no-op until mbind is wired)
 inline spark::SparkConfig DefaultSpark(size_t heap_mb = 64) {
   spark::SparkConfig cfg;
   cfg.partitions_per_executor = 2;
@@ -270,24 +251,6 @@ inline spark::SparkConfig DefaultSpark(size_t heap_mb = 64) {
                  "unknown DECA_LIFETIME_SOURCE '%s', using static\n",
                  lifetime.c_str());
   }
-  cfg.arena.enabled = EnvInt("DECA_ARENA", 0, /*min_value=*/0) > 0;
-  cfg.arena.chunk_bytes =
-      static_cast<size_t>(EnvU64("DECA_ARENA_CHUNK_MB",
-                                 cfg.arena.chunk_bytes >> 20))
-      << 20;
-  switch (EnvInt("DECA_ARENA_HUGEPAGES", 1, /*min_value=*/0)) {
-    case 0:
-      cfg.arena.huge_pages = alloc::HugePageMode::kOff;
-      break;
-    case 2:
-      cfg.arena.huge_pages = alloc::HugePageMode::kHugetlb;
-      break;
-    default:
-      cfg.arena.huge_pages = alloc::HugePageMode::kMadvise;
-      break;
-  }
-  cfg.arena.numa_policy =
-      alloc::ParseNumaPolicy(EnvStr("DECA_NUMA_POLICY", "none").c_str());
   cfg.spill_dir = "/tmp/deca_bench_spill";
   // Structured tracing: on when a report/trace file was requested
   // (BenchReport) or forced via DECA_TRACE=1. Off by default — the task
@@ -540,39 +503,15 @@ class BenchReport {
       time("pauses.slice_max_ms", r.pauses.slice_max_ms);
     }
     if (r.alloc_active) {
-      // Native-allocator plane (schema v5). The call/byte counters are
-      // deterministic — every engine consumer routes through the
-      // PageAllocator whether the arena is on or off — so they are exact
-      // and identical across DECA_ARENA=0|1. The slab/steal/chunk fields
-      // depend on thread interleaving and huge-page availability: typed
-      // aggregate + inexact flat metrics only (all zero with the arena
-      // off, so full diffs against DECA_ARENA=0 baselines compare 0==0).
+      // Native-buffer counters (schema v5): deterministic, so exact.
       run.alloc.present = true;
-      run.alloc.arena = r.alloc_arena;
       run.alloc.alloc_calls = r.alloc.alloc_calls;
       run.alloc.free_calls = r.alloc.free_calls;
       run.alloc.bytes_requested = r.alloc.bytes_requested;
-      run.alloc.slab_allocs = r.alloc.slab_allocs;
-      run.alloc.slab_reuses = r.alloc.slab_reuses;
-      run.alloc.freelist_steals = r.alloc.freelist_steals;
-      run.alloc.remote_frees = r.alloc.remote_frees;
-      run.alloc.direct_maps = r.alloc.direct_maps;
-      run.alloc.direct_unmaps = r.alloc.direct_unmaps;
-      run.alloc.chunks_mapped = r.alloc.chunks_mapped;
-      run.alloc.hugepage_chunks = r.alloc.hugepage_chunks;
-      run.alloc.arena_bytes_reserved = r.alloc.arena_bytes_reserved;
       exact("alloc.allocs", static_cast<double>(r.alloc.alloc_calls));
       exact("alloc.frees", static_cast<double>(r.alloc.free_calls));
       exact("alloc.bytes_requested",
             static_cast<double>(r.alloc.bytes_requested));
-      time("alloc.chunks_mapped",
-           static_cast<double>(r.alloc.chunks_mapped));
-      time("alloc.hugepage_chunks",
-           static_cast<double>(r.alloc.hugepage_chunks));
-      time("alloc.slab_reuses", static_cast<double>(r.alloc.slab_reuses));
-      time("alloc.freelist_steals",
-           static_cast<double>(r.alloc.freelist_steals));
-      time("alloc.direct_maps", static_cast<double>(r.alloc.direct_maps));
     }
     if (r.trace != nullptr) {
       exact("trace.dropped_events",

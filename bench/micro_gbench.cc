@@ -8,7 +8,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "alloc/page_allocator.h"
 #include "common/random.h"
 #include "core/page.h"
 #include "obs/trace.h"
@@ -463,123 +462,6 @@ void BM_EpochRegionBookkeeping(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EpochRegionBookkeeping);
-
-alloc::ArenaOptions BenchArenaOptions() {
-  alloc::ArenaOptions o;
-  o.enabled = true;
-  return o;
-}
-
-/// The block store's buffer traffic shape: a rotating batch of mixed-size
-/// packed payloads (48KB..1MB) held live together, then freed together.
-/// One "item" is one alloc+free round trip, first and last byte touched.
-constexpr size_t kMixedSizes[] = {48u << 10, 64u << 10,  96u << 10,
-                                  200u << 10, 256u << 10, 1u << 20,
-                                  512u << 10, 80u << 10};
-constexpr int kMixedBatch = 32;
-
-/// Arena slab alloc/free over the mixed-size batch. Every size maps to a
-/// power-of-two class whose slabs stay pooled on the thread's shard, so
-/// steady state is a pop-all + CAS push per block — no syscalls, no
-/// split/coalesce, pages stay mapped and faulted. Compare against
-/// BM_ArenaVsNewDelete (identical pattern) for the speedup the arena
-/// buys the T1/spill staging path.
-void BM_ArenaAllocFree(benchmark::State& state) {
-  alloc::ArenaAllocator arena(BenchArenaOptions());
-  alloc::PageAllocator pa(&arena, /*shards=*/1);
-  alloc::Block blocks[kMixedBatch];
-  int rot = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kMixedBatch; ++i) {
-      size_t bytes = kMixedSizes[(i + rot) % 8];
-      blocks[i] = pa.Allocate(bytes);
-      blocks[i].data[0] = 1;
-      blocks[i].data[bytes - 1] = 1;
-    }
-    benchmark::DoNotOptimize(blocks[0].data);
-    for (auto& b : blocks) pa.Free(&b);
-    ++rot;
-  }
-  state.SetItemsProcessed(state.iterations() * kMixedBatch);
-}
-BENCHMARK(BM_ArenaAllocFree);
-
-/// The new[]/delete[] baseline: identical mixed-size batch and touch
-/// pattern. The rotating large blocks defeat malloc's same-size fast
-/// paths — glibc re-splits and re-coalesces bins and, for the 1MB
-/// block, pays mmap/munmap plus page faults every round — exactly the
-/// churn the arena's size-class slabs amortize away.
-void BM_ArenaVsNewDelete(benchmark::State& state) {
-  uint8_t* blocks[kMixedBatch];
-  int rot = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kMixedBatch; ++i) {
-      size_t bytes = kMixedSizes[(i + rot) % 8];
-      blocks[i] = new uint8_t[bytes];
-      blocks[i][0] = 1;
-      blocks[i][bytes - 1] = 1;
-    }
-    benchmark::DoNotOptimize(blocks[0]);
-    for (auto* b : blocks) delete[] b;
-    ++rot;
-  }
-  state.SetItemsProcessed(state.iterations() * kMixedBatch);
-}
-BENCHMARK(BM_ArenaVsNewDelete);
-
-/// Contended shard traffic: more threads than shards on one allocator, so
-/// frees land on foreign shards (remote_frees) and empty shards raid
-/// their siblings under the steal mutex (freelist_steals). Measures the
-/// worst-case cross-shard path, not the thread-local fast path.
-void BM_FreelistStealContended(benchmark::State& state) {
-  static alloc::ArenaAllocator* arena = nullptr;
-  static alloc::PageAllocator* pa = nullptr;
-  if (state.thread_index() == 0) {
-    arena = new alloc::ArenaAllocator(BenchArenaOptions());
-    pa = new alloc::PageAllocator(arena, /*shards=*/2);
-  }
-  constexpr int kBatch = 64;
-  constexpr size_t kBytes = 64u << 10;
-  alloc::Block blocks[kBatch];
-  for (auto _ : state) {
-    for (auto& b : blocks) b = pa->Allocate(kBytes);
-    for (auto& b : blocks) pa->Free(&b);
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-  if (state.thread_index() == 0) {
-    alloc::AllocStats s = pa->Stats();
-    state.counters["steals"] = static_cast<double>(s.freelist_steals);
-    state.counters["remote_frees"] = static_cast<double>(s.remote_frees);
-    delete pa;
-    delete arena;
-    pa = nullptr;
-    arena = nullptr;
-  }
-}
-BENCHMARK(BM_FreelistStealContended)->Threads(4)->UseRealTime();
-
-/// PageGroup append throughput with the heap buffer carved from the arena
-/// (DECA_ARENA=1's backing for every managed page). Compare against
-/// BM_PageScanGradient-style appends on a standalone make_unique heap:
-/// the simulated allocation path is identical, so the delta isolates the
-/// physical backing (huge-page mapping vs plain new[]).
-void BM_PageGroupAppendArena(benchmark::State& state) {
-  alloc::ArenaAllocator arena(BenchArenaOptions());
-  alloc::PageAllocator pa(&arena, /*shards=*/1);
-  jvm::ClassRegistry registry;
-  jvm::HeapConfig cfg;
-  cfg.heap_bytes = 128u << 20;
-  cfg.page_allocator = &pa;
-  jvm::Heap heap(cfg, &registry);
-  const uint32_t rec = 88;
-  for (auto _ : state) {
-    core::PageGroup pages(&heap, 64u << 10);
-    for (int i = 0; i < 20000; ++i) pages.Append(rec);
-    benchmark::DoNotOptimize(pages.page_count());
-  }
-  state.SetItemsProcessed(state.iterations() * 20000);
-}
-BENCHMARK(BM_PageGroupAppendArena);
 
 /// Enabled span: two clock reads plus one slot write at destruction.
 void BM_TraceRecordSpan(benchmark::State& state) {

@@ -8,11 +8,8 @@
 # harmless (the gate's time threshold is loose).
 #
 # Reports are RunReport schema v5 (v4 files still parse): the `alloc`
-# aggregate records the allocator plane. alloc.allocs / alloc.frees /
-# alloc.bytes_requested are deterministic (identical under DECA_ARENA=0
-# and 1); the remaining alloc.* metrics are environment-dependent and
-# recorded as inexact. Baselines are generated arena-off — the CI arena
-# leg diffs DECA_ARENA=1 runs against them with --exact-only.
+# aggregate records the native-buffer counters, and alloc.allocs /
+# alloc.frees / alloc.bytes_requested are deterministic.
 #
 #   ./bench/update_baselines.sh [build-dir]
 set -euo pipefail

@@ -1,143 +1,58 @@
 #ifndef DECA_ALLOC_ARENA_H_
 #define DECA_ALLOC_ARENA_H_
 
+// The counting plane of native buffers: every buffer an executor takes
+// outside its simulated heap (the heap's own backing buffer, T1 payloads,
+// T2 swap reads, raw-page staging, spill-merge records) is a plain
+// `new[]` or an adopted serializer vector, and is counted here. The header
+// keeps its name from an earlier slab arena because the benchmark client
+// (perfbench/) includes it for AllocStats.
+
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <vector>
-
-#include "alloc/sys_mem.h"
 
 namespace deca::alloc {
 
-/// Knobs for the arena plane. Embedded in SparkConfig (plain values, so the
-/// job-spec codec can ship them to executor daemons) and parsed from the
-/// DECA_ARENA* environment knobs by the bench harness.
-struct ArenaOptions {
-  bool enabled = false;                              // DECA_ARENA
-  size_t chunk_bytes = 16u << 20;                    // DECA_ARENA_CHUNK_MB
-  HugePageMode huge_pages = HugePageMode::kMadvise;  // DECA_ARENA_HUGEPAGES
-  NumaPolicy numa_policy = NumaPolicy::kNone;        // DECA_NUMA_POLICY
-};
-
-/// Intrusive freelist node living in the first word of a free slab.
-struct FreeNode {
-  FreeNode* next = nullptr;
-};
-
-/// Point-in-time allocator counters. One struct serves three scopes —
-/// per-PageAllocator handles, per-executor snapshots, and the run-level
-/// aggregate — so `Add` must stay a plain field-wise sum.
-///
-/// The first three counters are *deterministic*: they are driven purely by
-/// engine call sites (every consumer routes through a PageAllocator in both
-/// DECA_ARENA modes), so they are bit-identical across arena on/off, thread
-/// counts, and local vs process runs, and are exact-compared by report_diff.
-/// Everything below the marker depends on timing, shard scheduling, or the
-/// host kernel (THP acceptance) and is reported as informational only.
+/// Native-buffer counters. One struct serves three scopes — per-executor
+/// counters, per-executor snapshots shipped by daemons, and the run-level
+/// sum — so `Add` stays a plain field-wise sum. All three are driven only
+/// by engine call sites, so they are bit-identical across thread counts
+/// and local vs process runs, and report_diff compares them exactly.
 struct AllocStats {
   uint64_t alloc_calls = 0;
   uint64_t free_calls = 0;
   uint64_t bytes_requested = 0;
 
-  // -- environment/timing dependent from here on --
-  uint64_t slab_allocs = 0;       // slabs carved fresh from a chunk
-  uint64_t slab_reuses = 0;       // allocs served from a freelist
-  uint64_t freelist_steals = 0;   // allocs served by raiding a sibling shard
-  uint64_t remote_frees = 0;      // frees pushed from a non-allocating thread
-  uint64_t direct_maps = 0;       // over-max-class allocations mapped 1:1
-  uint64_t direct_unmaps = 0;
-  uint64_t chunks_mapped = 0;     // global arena overlay (not per-handle)
-  uint64_t hugepage_chunks = 0;
-  uint64_t arena_bytes_reserved = 0;
-
-  void Add(const AllocStats& o);
+  void Add(const AllocStats& o) {
+    alloc_calls += o.alloc_calls;
+    free_calls += o.free_calls;
+    bytes_requested += o.bytes_requested;
+  }
 };
 
-/// Process-wide arena: maps chunk-sized anonymous regions (huge-page ladder
-/// per ArenaOptions), carves them into power-of-two size-class slabs, and
-/// keeps a mutex-protected central freelist per class so slabs outlive the
-/// sharded PageAllocator handles that pool them. Large requests bypass the
-/// classes entirely and get a dedicated mapping (unmapped on free, so every
-/// direct block comes back zero-filled).
-///
-/// Thread safety: all public methods are safe to call concurrently; the hot
-/// path is expected to go through PageAllocator shards, which only fall
-/// back here when their freelists and steal targets are empty.
-class ArenaAllocator {
+/// One executor's counter of native buffers. Worker threads share it, so
+/// the counts are relaxed atomics; their sums do not depend on ordering.
+class AllocCounter {
  public:
-  static constexpr size_t kMinClassBytes = 64;
-  static constexpr size_t kMaxClassBytes = 4u << 20;
-  static constexpr int kNumClasses = 17;  // 64B, 128B, ..., 4MB (pow2)
+  void CountAlloc(size_t bytes) {
+    alloc_calls_.fetch_add(1, std::memory_order_relaxed);
+    bytes_requested_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void CountFree() { free_calls_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Smallest class that fits `bytes`, or -1 when only a direct mapping
-  /// will do (bytes > kMaxClassBytes).
-  static int SizeClass(size_t bytes);
-  static size_t ClassBytes(int cls);
-
-  explicit ArenaAllocator(const ArenaOptions& options);
-  ~ArenaAllocator();  // unmaps every chunk
-
-  ArenaAllocator(const ArenaAllocator&) = delete;
-  ArenaAllocator& operator=(const ArenaAllocator&) = delete;
-
-  /// Pops up to `want` slabs of `cls`: central freelist first, then a fresh
-  /// carve from the current chunk (mapping a new chunk when exhausted).
-  /// Returns the head of a null-terminated chain and stores the count.
-  FreeNode* TakeSlabs(int cls, int want, int* taken);
-
-  /// Returns a chain of slabs to the central freelist (PageAllocator
-  /// destruction, or shard overflow). Large slabs get ReleaseRange so the
-  /// physical pages go back to the OS while the VA stays pooled.
-  void ReturnSlabs(int cls, FreeNode* head);
-
-  /// Dedicated zero-filled mapping for a request above kMaxClassBytes.
-  Mapping MapDirect(size_t bytes, int numa_node);
-  void UnmapDirect(const Mapping& m);
-
-  const ArenaOptions& options() const { return options_; }
-
-  /// Overlays the global (process-scope) fields onto `out`.
-  void AddGlobalStats(AllocStats* out) const;
-
-  /// True when every slab ever carved is back on a central freelist and all
-  /// direct mappings are unmapped — the zero-leak invariant the lifecycle
-  /// test asserts after tearing down executors.
-  bool AllSlabsReturned() const;
-
-  /// Process-global arena, created on first use with `options` (later
-  /// callers share the existing instance regardless of their options; one
-  /// process, one chunk geometry). Never destroyed: chunk mappings are
-  /// process-lifetime by design and freelists keep slabs warm across
-  /// SparkContext generations.
-  static ArenaAllocator* Global(const ArenaOptions& options);
-
-  /// The global arena if some earlier Global() call created it, else null.
-  /// Lets stats overlays stay a no-op in DECA_ARENA=0 runs.
-  static ArenaAllocator* GlobalIfCreated();
+  AllocStats Stats() const {
+    AllocStats s;
+    s.alloc_calls = alloc_calls_.load(std::memory_order_relaxed);
+    s.free_calls = free_calls_.load(std::memory_order_relaxed);
+    s.bytes_requested = bytes_requested_.load(std::memory_order_relaxed);
+    return s;
+  }
 
  private:
-  struct Chunk {
-    Mapping map;
-    size_t bump = 0;  // carve offset
-  };
-
-  /// Carves up to `want` slabs from the bump region (mutex held).
-  FreeNode* CarveLocked(int cls, int want, int* taken);
-
-  ArenaOptions options_;
-
-  mutable std::mutex mu_;
-  std::vector<Chunk> chunks_;
-  FreeNode* central_[kNumClasses] = {};
-  uint64_t central_count_[kNumClasses] = {};
-  uint64_t carved_count_[kNumClasses] = {};
-  uint64_t chunks_mapped_ = 0;
-  uint64_t hugepage_chunks_ = 0;
-  uint64_t bytes_reserved_ = 0;
-  uint64_t direct_maps_ = 0;
-  uint64_t direct_unmaps_ = 0;
-  uint64_t next_interleave_node_ = 0;  // NUMA seam bookkeeping
+  std::atomic<uint64_t> alloc_calls_{0};
+  std::atomic<uint64_t> free_calls_{0};
+  std::atomic<uint64_t> bytes_requested_{0};
 };
 
 }  // namespace deca::alloc

@@ -61,11 +61,6 @@ void EncodeSparkConfig(const spark::SparkConfig& c, ByteWriter* w) {
 
   w->Write<uint8_t>(c.trace_enabled ? 1 : 0);
   w->WriteVarU64(c.trace_ring_capacity);
-
-  w->Write<uint8_t>(c.arena.enabled ? 1 : 0);
-  w->WriteVarU64(c.arena.chunk_bytes);
-  w->Write<uint8_t>(static_cast<uint8_t>(c.arena.huge_pages));
-  w->Write<uint8_t>(static_cast<uint8_t>(c.arena.numa_policy));
 }
 
 spark::SparkConfig DecodeSparkConfig(ByteReader* r) {
@@ -129,11 +124,6 @@ spark::SparkConfig DecodeSparkConfig(ByteReader* r) {
 
   c.trace_enabled = r->Read<uint8_t>() != 0;
   c.trace_ring_capacity = static_cast<uint32_t>(r->ReadVarU64());
-
-  c.arena.enabled = r->Read<uint8_t>() != 0;
-  c.arena.chunk_bytes = static_cast<size_t>(r->ReadVarU64());
-  c.arena.huge_pages = static_cast<alloc::HugePageMode>(r->Read<uint8_t>());
-  c.arena.numa_policy = static_cast<alloc::NumaPolicy>(r->Read<uint8_t>());
   return c;
 }
 

@@ -101,7 +101,7 @@ class PageGroup : public memory::PageFootprintSource {
   /// shared by the off-heap tier (T1) and the swap files (T2).
   void EncodeRaw(ByteWriter* out) const;
   /// Direct-write variant of EncodeRaw into a caller-sized buffer of at
-  /// least encoded_raw_bytes() (the arena staging path: no intermediate
+  /// least encoded_raw_bytes() (the T1/T2 staging path: no intermediate
   /// growable vector). Returns the bytes written (== encoded_raw_bytes()).
   size_t EncodeRawTo(uint8_t* dst) const;
   /// Rebuilds a group from EncodeRaw bytes (allocating managed pages on

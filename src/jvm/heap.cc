@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "alloc/arena.h"
 #include "jvm/g1_collector.h"
 #include "jvm/gen_collector.h"
 #include "jvm/heap_profiler.h"
@@ -39,23 +40,17 @@ Heap::Heap(const HeapConfig& config, ClassRegistry* registry)
   // Reserve two leading words so ObjRef 0 and 1 are never valid objects,
   // plus one trailing word of guard slack.
   buffer_bytes_ = config.heap_bytes + 4 * kWordSize;
-  if (config_.page_allocator != nullptr) {
-    // Arena-backed buffer (a huge-page direct mapping under DECA_ARENA=1).
-    // Slab reuse can hand back dirty memory, so zero explicitly to match
-    // the value-initialized make_unique path bit for bit.
-    arena_buffer_ = config_.page_allocator->Allocate(buffer_bytes_);
-    base_ = arena_buffer_.data;
-    std::memset(base_, 0, buffer_bytes_);
-  } else {
-    buffer_ = std::make_unique<uint8_t[]>(buffer_bytes_);
-    base_ = buffer_.get();
+  buffer_ = std::make_unique<uint8_t[]>(buffer_bytes_);
+  base_ = buffer_.get();
+  if (config_.alloc_counter != nullptr) {
+    config_.alloc_counter->CountAlloc(buffer_bytes_);
   }
   DECA_CHECK_EQ(reinterpret_cast<uintptr_t>(base_) % alignof(uint64_t), 0u);
   collector_ = MakeCollector();
 }
 
 Heap::~Heap() {
-  if (arena_buffer_.valid()) config_.page_allocator->Free(&arena_buffer_);
+  if (config_.alloc_counter != nullptr) config_.alloc_counter->CountFree();
 }
 
 std::unique_ptr<Collector> Heap::MakeCollector() {

@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "alloc/page_allocator.h"
 #include "common/bytes.h"
 #include "common/histogram.h"
 #include "common/logging.h"
@@ -415,11 +414,9 @@ class Heap {
 
   uint8_t* base() const { return base_; }
   size_t buffer_bytes() const { return buffer_bytes_; }
-  /// The executor's native allocator (null for standalone heaps). Spill
-  /// and tier paths borrow it for their staging buffers.
-  alloc::PageAllocator* page_allocator() const {
-    return config_.page_allocator;
-  }
+  /// The executor's native-buffer counter (null for standalone heaps).
+  /// Spill and tier paths charge their staging buffers to it.
+  alloc::AllocCounter* alloc_counter() const { return config_.alloc_counter; }
   /// Advances and returns the mark epoch for a new collection cycle.
   uint64_t NextGcEpoch() { return ++gc_epoch_; }
   uint64_t gc_epoch() const { return gc_epoch_; }
@@ -450,8 +447,7 @@ class Heap {
 
   HeapConfig config_;
   ClassRegistry* registry_;
-  std::unique_ptr<uint8_t[]> buffer_;      // standalone heaps only
-  alloc::Block arena_buffer_;              // when config.page_allocator set
+  std::unique_ptr<uint8_t[]> buffer_;
   uint8_t* base_ = nullptr;
   size_t buffer_bytes_ = 0;
   std::unique_ptr<Collector> collector_;

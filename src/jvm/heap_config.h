@@ -5,7 +5,7 @@
 #include <cstdint>
 
 namespace deca::alloc {
-class PageAllocator;
+class AllocCounter;
 }  // namespace deca::alloc
 
 namespace deca::jvm {
@@ -77,13 +77,10 @@ struct HeapConfig {
   uint64_t profile_seed = 1;
 
   /// Runtime wiring (never serialized; set by the owning Executor): when
-  /// non-null the heap's backing buffer is carved from this allocator — a
-  /// huge-page arena mapping under DECA_ARENA=1, a counted `new[]`
-  /// otherwise — so every PageGroup page physically lives in arena memory
-  /// while the GC simulation stays byte-for-byte identical. Null (the
-  /// default, and every standalone test heap) keeps the plain
-  /// make_unique buffer.
-  alloc::PageAllocator* page_allocator = nullptr;
+  /// non-null the heap counts its backing buffer here, next to the
+  /// executor's other native buffers. Null (the default, and every
+  /// standalone test heap) leaves the buffer uncounted.
+  alloc::AllocCounter* alloc_counter = nullptr;
 };
 
 }  // namespace deca::jvm

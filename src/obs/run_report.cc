@@ -100,21 +100,11 @@ std::string ToJson(const RunReport& report) {
     }
     if (run.alloc.present) {
       const AllocAgg& a = run.alloc;
-      out += ",\n     \"alloc\": {\"arena\": ";
-      out += a.arena ? "true" : "false";
-      out += ", \"alloc_calls\": " + std::to_string(a.alloc_calls) +
+      out += ",\n     \"alloc\": {\"alloc_calls\": " +
+             std::to_string(a.alloc_calls) +
              ", \"free_calls\": " + std::to_string(a.free_calls) +
              ", \"bytes_requested\": " + std::to_string(a.bytes_requested) +
-             ", \"slab_allocs\": " + std::to_string(a.slab_allocs) +
-             ", \"slab_reuses\": " + std::to_string(a.slab_reuses) +
-             ", \"freelist_steals\": " + std::to_string(a.freelist_steals) +
-             ", \"remote_frees\": " + std::to_string(a.remote_frees) +
-             ", \"direct_maps\": " + std::to_string(a.direct_maps) +
-             ", \"direct_unmaps\": " + std::to_string(a.direct_unmaps) +
-             ", \"chunks_mapped\": " + std::to_string(a.chunks_mapped) +
-             ", \"hugepage_chunks\": " + std::to_string(a.hugepage_chunks) +
-             ", \"arena_bytes_reserved\": " +
-             std::to_string(a.arena_bytes_reserved) + "}";
+             "}";
     }
     out += "}";
   }
@@ -228,30 +218,11 @@ bool FromJson(std::string_view json, RunReport* out, std::string* err) {
     if (const JsonValue* alloc = jr.Find("alloc");
         alloc != nullptr && alloc->is(JsonValue::Type::kObject)) {
       run.alloc.present = true;
-      run.alloc.arena = alloc->Bool("arena");
       run.alloc.alloc_calls =
           static_cast<uint64_t>(alloc->Num("alloc_calls"));
       run.alloc.free_calls = static_cast<uint64_t>(alloc->Num("free_calls"));
       run.alloc.bytes_requested =
           static_cast<uint64_t>(alloc->Num("bytes_requested"));
-      run.alloc.slab_allocs =
-          static_cast<uint64_t>(alloc->Num("slab_allocs"));
-      run.alloc.slab_reuses =
-          static_cast<uint64_t>(alloc->Num("slab_reuses"));
-      run.alloc.freelist_steals =
-          static_cast<uint64_t>(alloc->Num("freelist_steals"));
-      run.alloc.remote_frees =
-          static_cast<uint64_t>(alloc->Num("remote_frees"));
-      run.alloc.direct_maps =
-          static_cast<uint64_t>(alloc->Num("direct_maps"));
-      run.alloc.direct_unmaps =
-          static_cast<uint64_t>(alloc->Num("direct_unmaps"));
-      run.alloc.chunks_mapped =
-          static_cast<uint64_t>(alloc->Num("chunks_mapped"));
-      run.alloc.hugepage_chunks =
-          static_cast<uint64_t>(alloc->Num("hugepage_chunks"));
-      run.alloc.arena_bytes_reserved =
-          static_cast<uint64_t>(alloc->Num("arena_bytes_reserved"));
     }
     out->runs.push_back(std::move(run));
   }
@@ -406,19 +377,9 @@ bool ReportsEqual(const RunReport& a, const RunReport& b) {
     }
     const AllocAgg& aa = ra.alloc;
     const AllocAgg& ab = rb.alloc;
-    if (aa.present != ab.present || aa.arena != ab.arena ||
-        aa.alloc_calls != ab.alloc_calls ||
+    if (aa.present != ab.present || aa.alloc_calls != ab.alloc_calls ||
         aa.free_calls != ab.free_calls ||
-        aa.bytes_requested != ab.bytes_requested ||
-        aa.slab_allocs != ab.slab_allocs ||
-        aa.slab_reuses != ab.slab_reuses ||
-        aa.freelist_steals != ab.freelist_steals ||
-        aa.remote_frees != ab.remote_frees ||
-        aa.direct_maps != ab.direct_maps ||
-        aa.direct_unmaps != ab.direct_unmaps ||
-        aa.chunks_mapped != ab.chunks_mapped ||
-        aa.hugepage_chunks != ab.hugepage_chunks ||
-        aa.arena_bytes_reserved != ab.arena_bytes_reserved) {
+        aa.bytes_requested != ab.bytes_requested) {
       return false;
     }
   }
@@ -626,10 +587,8 @@ DiffResult DiffReports(const RunReport& baseline, const RunReport& current,
              "report");
         continue;
       }
-      // Only the call/byte counters are part of the determinism contract
-      // (identical across DECA_ARENA=0|1, threads, and dist modes). The
-      // slab/steal/chunk fields depend on thread interleaving and
-      // huge-page availability and are never diffed.
+      // The counters are part of the determinism contract (identical
+      // across threads and dist modes).
       auto counter = [&](const char* name, uint64_t bv, uint64_t cv) {
         if (bv != cv) {
           fail(base_run.label + ": alloc counter '" + std::string(name) +

@@ -77,29 +77,15 @@ struct PauseAgg {
   double slice_max_ms = 0;
 };
 
-/// Native-allocator plane of a run (schema v5). Absent
-/// (`present == false`) for reports written before the arena subsystem
-/// or for standalone-heap runs that never touched a PageAllocator. The
-/// call/byte counters are deterministic — every engine consumer routes
-/// through the allocator in both DECA_ARENA modes, so they are
-/// bit-compared by report_diff. The slab/steal/chunk fields depend on
-/// thread timing and huge-page availability and are informational only
-/// (never bit-compared; zero when the arena is off).
+/// Native-buffer counters of a run (schema v5). Absent
+/// (`present == false`) for reports written before the counters existed
+/// or for standalone-heap runs that never counted a buffer. Every field is
+/// deterministic and bit-compared by report_diff.
 struct AllocAgg {
   bool present = false;
-  bool arena = false;  // DECA_ARENA=1 (mmap slabs) vs fallback new[]
   uint64_t alloc_calls = 0;
   uint64_t free_calls = 0;
   uint64_t bytes_requested = 0;
-  uint64_t slab_allocs = 0;
-  uint64_t slab_reuses = 0;
-  uint64_t freelist_steals = 0;
-  uint64_t remote_frees = 0;
-  uint64_t direct_maps = 0;
-  uint64_t direct_unmaps = 0;
-  uint64_t chunks_mapped = 0;
-  uint64_t hugepage_chunks = 0;
-  uint64_t arena_bytes_reserved = 0;
 };
 
 /// One workload run (one mode / configuration) inside a bench binary.

@@ -71,7 +71,7 @@ CacheManager::CacheManager(jvm::Heap* heap, const SparkConfig* config,
                                   ? heap->memory_manager()->total_bytes()
                                   : config->storage_budget_bytes()))),
       t1_(heap->memory_manager()),
-      t2_(config->spill_dir, executor_id, heap->page_allocator()) {
+      t2_(config->spill_dir, executor_id, heap->alloc_counter()) {
   heap_->AddRootProvider(this);
   std::error_code ec;
   std::filesystem::create_directories(cfg_->spill_dir, ec);
@@ -141,29 +141,29 @@ PackedBlock CacheManager::Pack(BlockKey key, const Entry& e,
   PackedBlock p;
   p.level = e.level;
   p.count = e.count;
-  alloc::PageAllocator* pa = heap_->page_allocator();
+  alloc::AllocCounter* counter = heap_->alloc_counter();
   switch (e.level) {
     case StorageLevel::kMemoryObjects: {
       const RecordOps* ops = ops_.at(key.rdd_id);
       ScopedTimerMs timer(&metrics->ser_ms);
       ByteWriter w;
       SerializeRecords(ops, e.data, e.count, &w);
-      p.bytes = alloc::Bytes::FromWriter(pa, w.TakeBuffer());
+      p.bytes = alloc::Bytes::FromWriter(counter, w.TakeBuffer());
       break;
     }
     case StorageLevel::kMemorySerialized: {
       // Already Kryo bytes; the packed form is the byte run itself.
-      p.bytes = alloc::Bytes::Copy(pa, heap_->ArrayData(e.data),
+      p.bytes = alloc::Bytes::Copy(counter, heap_->ArrayData(e.data),
                                    heap_->ArrayLength(e.data));
       break;
     }
     case StorageLevel::kDecaPages: {
       // Decomposed bytes pack as-is — no per-record serialization cost
       // (paper Appendix C). The staging buffer is sized exactly from
-      // encoded_raw_bytes() and written in place, so arena mode never
-      // round-trips through a growable vector.
+      // encoded_raw_bytes() and written in place, never round-tripping
+      // through a growable vector.
       const size_t n = e.pages->encoded_raw_bytes();
-      auto staged = alloc::Bytes::New(pa, n);
+      auto staged = alloc::Bytes::New(counter, n);
       const size_t written = e.pages->EncodeRawTo(staged->mutable_data());
       DECA_CHECK_EQ(written, n);
       p.bytes = std::move(staged);

@@ -36,8 +36,7 @@ struct LoadedBlock {
   /// kDecaPages: the block's page group.
   std::shared_ptr<core::PageGroup> pages;
   /// Packed T1/T2 payload (lazy reads): Kryo records, the serialized
-  /// byte run, or raw page bytes depending on `level`. Arena-backed under
-  /// DECA_ARENA=1 (same data()/size() surface as the old vector payload).
+  /// byte run, or raw page bytes depending on `level`.
   alloc::BytesPtr packed;
   bool temporary = false;
 

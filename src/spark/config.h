@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "alloc/arena.h"
 #include "fault/fault_config.h"
 #include "jvm/heap_config.h"
 #include "spark/dist.h"
@@ -138,16 +137,6 @@ struct SparkConfig {
 
   /// True when the serialized off-heap tier is active.
   bool t1_enabled() const { return storage_tiers >= 3; }
-
-  /// Native arena plane (src/alloc). With arena.enabled the executor heap
-  /// buffer, T1 packed payloads, EncodeRaw staging, and spill/tier I/O
-  /// buffers come from huge-page slab arenas; off (default) those paths
-  /// use plain `new[]`/vector storage. Digests, GC counts, and fault
-  /// counters are bit-identical either way — only placement and the
-  /// informational arena stats change.
-  alloc::ArenaOptions arena;
-
-  bool arena_enabled() const { return arena.enabled; }
 
   /// Shuffle transport seam (src/net). kLocal preserves the original
   /// in-memory path bit for bit; kLoopback/kTcp route every chunk through

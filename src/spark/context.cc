@@ -368,7 +368,7 @@ ExecutorSnapshot SparkContext::BuildLocalSnapshot() const {
     s.slice_p99_ms = sh.Percentile(99);
     s.slice_max_ms = sh.Max();
   }
-  s.alloc = e->page_allocator()->Stats();
+  s.alloc = e->alloc_counter().Stats();
   const int n = shuffle_->num_shuffles();
   s.shuffle_bytes.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -805,13 +805,9 @@ alloc::AllocStats SparkContext::TotalAllocStats() const {
     for (const auto& s : snapshots_) total.Add(s.alloc);
   } else {
     for (const auto& e : executors_) {
-      total.Add(e->page_allocator()->Stats());
+      total.Add(e->alloc_counter().Stats());
     }
   }
-  // The chunk-level fields live on the process-wide arena, not the
-  // per-executor handles; overlay them once (no-op when DECA_ARENA=0 and
-  // the global arena was never created).
-  alloc::AddGlobalArenaStats(&total);
   return total;
 }
 

@@ -206,11 +206,7 @@ class SparkContext {
   /// hit/miss counts, demote/promote transitions). Role-aware like the
   /// other getters.
   TierCounters TotalTierCounters() const;
-  /// Native-allocator plane summed across executors (role-aware), with
-  /// the process-wide arena chunk counters overlaid once. The alloc/free
-  /// call and bytes-requested counters are deterministic (identical under
-  /// DECA_ARENA=0 and 1); the slab/steal/chunk fields are
-  /// environment-dependent and informational only.
+  /// Native-buffer counters summed across executors (role-aware).
   alloc::AllocStats TotalAllocStats() const;
   /// Allocations rescued by eviction-under-pressure + full GC + retry.
   uint64_t TotalOomRecoveries() const;

@@ -62,12 +62,6 @@ void ExecutorSnapshot::Encode(ByteWriter* w) const {
   w->WriteVarU64(alloc.alloc_calls);
   w->WriteVarU64(alloc.free_calls);
   w->WriteVarU64(alloc.bytes_requested);
-  w->WriteVarU64(alloc.slab_allocs);
-  w->WriteVarU64(alloc.slab_reuses);
-  w->WriteVarU64(alloc.freelist_steals);
-  w->WriteVarU64(alloc.remote_frees);
-  w->WriteVarU64(alloc.direct_maps);
-  w->WriteVarU64(alloc.direct_unmaps);
   w->WriteVarU64(shuffle_bytes.size());
   for (uint64_t b : shuffle_bytes) w->WriteVarU64(b);
 }
@@ -123,12 +117,6 @@ ExecutorSnapshot ExecutorSnapshot::Decode(ByteReader* r) {
   s.alloc.alloc_calls = r->ReadVarU64();
   s.alloc.free_calls = r->ReadVarU64();
   s.alloc.bytes_requested = r->ReadVarU64();
-  s.alloc.slab_allocs = r->ReadVarU64();
-  s.alloc.slab_reuses = r->ReadVarU64();
-  s.alloc.freelist_steals = r->ReadVarU64();
-  s.alloc.remote_frees = r->ReadVarU64();
-  s.alloc.direct_maps = r->ReadVarU64();
-  s.alloc.direct_unmaps = r->ReadVarU64();
   s.shuffle_bytes.resize(r->ReadVarU64());
   for (auto& b : s.shuffle_bytes) b = r->ReadVarU64();
   return s;

@@ -124,9 +124,7 @@ struct ExecutorSnapshot {
   double slice_p50_ms = 0;
   double slice_p99_ms = 0;
   double slice_max_ms = 0;
-  /// Native-allocator plane: this executor's PageAllocator counters
-  /// (per-executor fields only; the process-wide arena fields stay zero
-  /// here — the driver overlays them once after summing snapshots).
+  /// This executor's native-buffer counters.
   alloc::AllocStats alloc;
   /// Local shuffle-payload bytes per shuffle id (this executor's
   /// deposits only; the driver sums across executors).

@@ -1,7 +1,5 @@
 #include "spark/executor.h"
 
-#include <algorithm>
-
 namespace deca::spark {
 
 Executor::Executor(int id, const SparkConfig& config,
@@ -11,13 +9,8 @@ Executor::Executor(int id, const SparkConfig& config,
   // with it, and every page group / cache block charges it from then on.
   memory_ = std::make_unique<memory::ExecutorMemoryManager>(
       config.executor_memory(), config.storage_fraction);
-  // Native allocation plane: one shard per worker thread plus one for the
-  // driver/mutator thread. In fallback mode (DECA_ARENA=0) the handle only
-  // counts calls, so the deterministic alloc counters match arena runs.
-  alloc_ = std::make_unique<alloc::PageAllocator>(
-      config.arena, std::max(1, config.num_worker_threads) + 1);
   jvm::HeapConfig heap_config = config.heap;
-  heap_config.page_allocator = alloc_.get();
+  heap_config.alloc_counter = &alloc_counter_;
   heap_ = std::make_unique<jvm::Heap>(heap_config, registry);
   heap_->SetMemoryManager(memory_.get());
   cache_ = std::make_unique<CacheManager>(heap_.get(), &config, id);

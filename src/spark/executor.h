@@ -3,7 +3,7 @@
 
 #include <memory>
 
-#include "alloc/page_allocator.h"
+#include "alloc/arena.h"
 #include "jvm/class_registry.h"
 #include "jvm/heap.h"
 #include "memory/memory_manager.h"
@@ -29,8 +29,7 @@ class Executor {
   const memory::ExecutorMemoryManager* memory() const {
     return memory_.get();
   }
-  alloc::PageAllocator* page_allocator() { return alloc_.get(); }
-  const alloc::PageAllocator* page_allocator() const { return alloc_.get(); }
+  const alloc::AllocCounter& alloc_counter() const { return alloc_counter_; }
 
   /// Simulated executor crash: drops all cached blocks and resets the
   /// heap to its freshly-constructed state (registered root providers are
@@ -45,9 +44,9 @@ class Executor {
  private:
   int id_;
   std::unique_ptr<memory::ExecutorMemoryManager> memory_;
-  // Declared before the heap/cache so every arena-backed buffer (heap
-  // backing, T1 payloads, spill scratch) is freed before its allocator.
-  std::unique_ptr<alloc::PageAllocator> alloc_;
+  // Declared before the heap/cache so every counted buffer (heap backing,
+  // T1 payloads, spill scratch) is freed before its counter.
+  alloc::AllocCounter alloc_counter_;
   std::unique_ptr<jvm::Heap> heap_;
   std::unique_ptr<CacheManager> cache_;
 };

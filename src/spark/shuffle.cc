@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "alloc/buffers.h"
 #include "common/clock.h"
-
 #include "common/logging.h"
 #include "obs/trace.h"
 
@@ -496,11 +496,15 @@ void DecaSortSpillWriter::SpillCurrentRun() {
                            << ": " << std::strerror(errno);
   for (const auto& [seg, bytes] : entries_) {
     // Decomposed bytes go to disk as-is, length-prefixed.
-    std::fwrite(&bytes, sizeof(bytes), 1, f);
-    std::fwrite(pages_->Resolve(seg), 1, bytes, f);
+    DECA_CHECK(std::fwrite(&bytes, sizeof(bytes), 1, f) == 1 &&
+               std::fwrite(pages_->Resolve(seg), 1, bytes, f) == bytes)
+        << "cannot write spill file " << path << ": " << std::strerror(errno);
     spilled_bytes_ += bytes + sizeof(bytes);
   }
-  std::fclose(f);
+  // fclose flushes the stdio buffer: a full disk can surface only here.
+  const int closed = std::fclose(f);
+  DECA_CHECK_EQ(closed, 0) << "cannot write spill file " << path << ": "
+                           << std::strerror(errno);
   files_.push_back(path);
   entries_.clear();
   pages_ = std::make_shared<core::PageGroup>(heap_, page_bytes_);
@@ -516,25 +520,33 @@ void DecaSortSpillWriter::Merge(
               return less_(pages_->Resolve(a.first),
                            pages_->Resolve(b.first));
             });
-  // One cursor per spilled run, each holding a single record in an
-  // allocator-backed scratch buffer (arena slabs under DECA_ARENA=1).
+  // One cursor per spilled run, each holding a single record in a counted
+  // scratch buffer.
   struct Run {
+    const char* path = nullptr;
     std::FILE* file = nullptr;
     alloc::ScratchBuffer record;
     uint32_t size = 0;
+    // False only at a clean end of run, EOF exactly at a length prefix;
+    // a short prefix or record means the file lost bytes.
     bool Next() {
       uint32_t bytes = 0;
-      if (std::fread(&bytes, sizeof(bytes), 1, file) != 1) return false;
+      const size_t got = std::fread(&bytes, 1, sizeof(bytes), file);
+      if (got == 0 && std::feof(file)) return false;
+      DECA_CHECK_EQ(got, sizeof(bytes))
+          << "short length prefix in spill file " << path;
       record.Reserve(bytes);
       size = bytes;
-      return std::fread(record.data(), 1, bytes, file) == bytes;
+      const size_t read = std::fread(record.data(), 1, bytes, file);
+      DECA_CHECK_EQ(read, bytes) << "short record in spill file " << path;
+      return true;
     }
   };
   std::vector<Run> runs;
   runs.reserve(files_.size());
   for (size_t i = 0; i < files_.size(); ++i) {
-    runs.push_back(Run{nullptr,
-                       alloc::ScratchBuffer(heap_->page_allocator()), 0});
+    runs.push_back(Run{files_[i].c_str(), nullptr,
+                       alloc::ScratchBuffer(heap_->alloc_counter()), 0});
     runs[i].file = std::fopen(files_[i].c_str(), "rb");
     DECA_CHECK(runs[i].file != nullptr)
         << "cannot open spill file for reading: " << files_[i] << ": "

@@ -20,25 +20,31 @@ void WriteFileBytes(const std::string& path, const uint8_t* data,
     size_t n = std::fwrite(data, 1, size, f);
     DECA_CHECK_EQ(n, size);
   }
-  std::fclose(f);
+  // fclose flushes the stdio buffer: a full disk can surface only here.
+  const int closed = std::fclose(f);
+  DECA_CHECK_EQ(closed, 0) << "cannot write swap file " << path << ": "
+                           << std::strerror(errno);
 }
 
-/// Reads a whole swap file into an allocator-backed buffer (arena slabs
-/// under DECA_ARENA=1, counted `new[]` otherwise).
+/// Reads a whole swap file into a counted `new[]` buffer.
 alloc::BytesPtr ReadFileBytes(const std::string& path,
-                              alloc::PageAllocator* pa) {
+                              alloc::AllocCounter* counter) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   DECA_CHECK(f != nullptr) << "cannot open swap file for reading: " << path
                            << ": " << std::strerror(errno);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  auto data = alloc::Bytes::New(pa, static_cast<size_t>(size));
+  DECA_CHECK(std::fseek(f, 0, SEEK_END) == 0)
+      << "cannot seek swap file " << path << ": " << std::strerror(errno);
+  const long size = std::ftell(f);
+  DECA_CHECK(size >= 0 && std::fseek(f, 0, SEEK_SET) == 0)
+      << "cannot size swap file " << path << ": " << std::strerror(errno);
+  auto data = alloc::Bytes::New(counter, static_cast<size_t>(size));
   if (size > 0) {
     size_t n = std::fread(data->mutable_data(), 1, data->size(), f);
     DECA_CHECK_EQ(n, data->size());
   }
-  std::fclose(f);
+  const int closed = std::fclose(f);
+  DECA_CHECK_EQ(closed, 0) << "cannot close swap file " << path << ": "
+                           << std::strerror(errno);
   return data;
 }
 
@@ -128,7 +134,7 @@ PackedBlock DiskTier::Load(BlockKey key, TaskMetrics* metrics) const {
   block.count = it->second.count;
   {
     ScopedTimerMs timer(&metrics->spill_ms);
-    block.bytes = ReadFileBytes(it->second.path, pa_);
+    block.bytes = ReadFileBytes(it->second.path, counter_);
   }
   return block;
 }

@@ -8,7 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "alloc/page_allocator.h"
+#include "alloc/buffers.h"
 #include "memory/memory_manager.h"
 #include "spark/config.h"
 #include "spark/metrics.h"
@@ -54,8 +54,6 @@ struct BlockKeyHash {
 struct PackedBlock {
   StorageLevel level = StorageLevel::kMemoryObjects;
   uint32_t count = 0;
-  // Arena-capable payload (alloc::Bytes keeps the vector's data()/size()
-  // shape); under DECA_ARENA=1 these live in huge-page slab memory.
   alloc::BytesPtr bytes;
 
   bool valid() const { return bytes != nullptr; }
@@ -145,10 +143,9 @@ class OffHeapTier : public TierBackend {
 /// keeps level/count in its entry.
 class DiskTier : public TierBackend {
  public:
-  /// `pa` (may be null) backs Load's read buffers: arena slabs under
-  /// DECA_ARENA=1, counted `new[]` otherwise.
-  DiskTier(std::string dir, int executor_id, alloc::PageAllocator* pa)
-      : dir_(std::move(dir)), executor_id_(executor_id), pa_(pa) {}
+  /// `counter` (may be null) counts Load's read buffers.
+  DiskTier(std::string dir, int executor_id, alloc::AllocCounter* counter)
+      : dir_(std::move(dir)), executor_id_(executor_id), counter_(counter) {}
   ~DiskTier() override;
 
   const char* name() const override { return "disk"; }
@@ -175,7 +172,7 @@ class DiskTier : public TierBackend {
 
   std::string dir_;
   int executor_id_;
-  alloc::PageAllocator* pa_;
+  alloc::AllocCounter* counter_;
   std::unordered_map<BlockKey, Slot, BlockKeyHash> blocks_;
 };
 

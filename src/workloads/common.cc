@@ -59,7 +59,6 @@ void FinalizeResult(spark::SparkContext* ctx, RunResult* result) {
   result->tier = ctx->TotalTierCounters();
   result->alloc = ctx->TotalAllocStats();
   result->alloc_active = result->alloc.alloc_calls > 0;
-  result->alloc_arena = ctx->config().arena_enabled();
   result->pauses = ctx->TotalGcPauses();
   if (ctx->net_stats() != nullptr) {
     result->net_active = true;

@@ -71,13 +71,9 @@ struct RunResult {
   bool dist_active = false;
   spark::ClusterCounters cluster;
 
-  // Native-allocator plane (src/alloc). alloc_active is true whenever the
-  // executors routed allocations through their PageAllocators (both arena
-  // and fallback modes count, so the call/byte counters are bit-identical
-  // across DECA_ARENA=0|1); alloc_arena records whether the mmap arena
-  // actually backed them.
+  // Native-buffer counters (src/alloc). alloc_active is true whenever the
+  // executors counted at least one buffer.
   bool alloc_active = false;
-  bool alloc_arena = false;
   alloc::AllocStats alloc;
 
   // Storage-tier plane (block store T0/T1/T2). tier_active is true when

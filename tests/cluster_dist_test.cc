@@ -1,8 +1,8 @@
 // Distributed control-plane equivalence matrix: every workload digest,
-// GC count, and fault counter must be bit-identical between the
-// in-process backend and the one-daemon-per-executor backend — across
-// seeds, worker-thread counts, and fault scripts, including a real
-// SIGKILL-and-respawn recovery per seed.
+// GC count, fault counter and native-buffer counter must be bit-identical
+// between the in-process backend and the one-daemon-per-executor backend
+// — across seeds, worker-thread counts, and fault scripts, including a
+// real SIGKILL-and-respawn recovery per seed.
 //
 // The injection seed can be varied from the outside (the CI fault matrix
 // sets DECA_FAULT_SEED); every test here must hold for any seed.
@@ -81,6 +81,11 @@ void ExpectSameRun(const workloads::RunResult& a,
   EXPECT_EQ(a.executor_wipes, b.executor_wipes);
   EXPECT_EQ(a.recomputed_blocks, b.recomputed_blocks);
   EXPECT_EQ(a.oom_recoveries, b.oom_recoveries);
+  // Native-buffer counters: which buffers an executor takes is engine
+  // behaviour too, so they hold across threads, backends and faults.
+  EXPECT_EQ(a.alloc.alloc_calls, b.alloc.alloc_calls);
+  EXPECT_EQ(a.alloc.free_calls, b.alloc.free_calls);
+  EXPECT_EQ(a.alloc.bytes_requested, b.alloc.bytes_requested);
 }
 
 TEST(ClusterDistTest, WordCountMatrixLocalEqualsProcess) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/random.h"
 #include "spark/context.h"
@@ -293,6 +295,39 @@ TEST_P(SortSpillTest, MergedStreamIsSortedAndComplete) {
   ASSERT_EQ(merged.size(), static_cast<size_t>(n));
   EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));
   EXPECT_EQ(std::multiset<int64_t>(merged.begin(), merged.end()), expected);
+}
+
+/// A spill run that lost bytes on disk must stop the merge instead of
+/// silently shortening the merged stream.
+TEST_P(SortSpillTest, TruncatedRunFailsLoudly) {
+  const std::string dir = "/tmp/deca_test_spill_trunc";
+  SparkConfig cfg;
+  cfg.num_executors = 1;
+  cfg.heap.heap_bytes = 24u << 20;
+  cfg.spill_dir = dir;
+  cfg.executor_memory_bytes = 32u << 10;
+  SparkContext ctx(cfg);
+  auto less = [](const uint8_t* a, const uint8_t* b) {
+    return LoadRaw<int64_t>(a) < LoadRaw<int64_t>(b);
+  };
+  DecaSortSpillWriter writer(ctx.executor(0)->heap(), 8 << 10, dir, less);
+  Rng rng(GetParam());
+  for (int i = 0; i < 4000; ++i) {
+    uint8_t rec[16];
+    StoreRaw<int64_t>(rec, static_cast<int64_t>(rng.NextBounded(1'000'000)));
+    StoreRaw<int64_t>(rec + 8, i);
+    writer.Append(rec, 16);
+  }
+  ASSERT_GT(writer.spill_count(), 0u);
+  // Runs are named sortspill_<run>_<writer address>. Cutting three bytes
+  // off the first run leaves its last record short.
+  const std::string run =
+      dir + "/sortspill_0_" +
+      std::to_string(reinterpret_cast<uintptr_t>(&writer));
+  ASSERT_TRUE(std::filesystem::exists(run));
+  std::filesystem::resize_file(run, std::filesystem::file_size(run) - 3);
+  EXPECT_DEATH(writer.Merge([](const uint8_t*, uint32_t) {}),
+               "short record in spill file");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SortSpillTest,
