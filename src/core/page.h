@@ -98,7 +98,7 @@ class PageGroup : public memory::PageFootprintSource {
   /// then per page (used bytes, raw data)`. Decomposed segments are
   /// already GC-free bytes, so demoting or swapping a kDecaPages block is
   /// a header plus memcpys — no per-record serialization. The format is
-  /// shared by the off-heap tier (T1) and the swap files (T2).
+  /// shared by the off-heap tier (T1) and the swap file (T2).
   void EncodeRaw(ByteWriter* out) const;
   /// Direct-write variant of EncodeRaw into a caller-sized buffer of at
   /// least encoded_raw_bytes() (the T1/T2 staging path: no intermediate

@@ -80,7 +80,7 @@ CacheManager::CacheManager(jvm::Heap* heap, const SparkConfig* config,
 }
 
 CacheManager::~CacheManager() {
-  // T2's swap files are removed by the DiskTier destructor.
+  // The DiskTier destructor closes and unlinks T2's swap file.
   heap_->RemoveRootProvider(this);
 }
 
@@ -339,7 +339,7 @@ LoadedBlock CacheManager::GetInternal(BlockKey key, bool lazy,
     return block;
   }
 
-  // T2: stream the block back from its swap file (it stays on disk —
+  // T2: read the block back from its swap-file extent (it stays on disk —
   // Spark's MEMORY_AND_DISK re-reads swapped blocks on every access —
   // unless the admission policy re-admits it into T1).
   t2_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -347,7 +347,7 @@ LoadedBlock CacheManager::GetInternal(BlockKey key, bool lazy,
                static_cast<double>(e.charged_bytes),
                static_cast<double>(key.partition));
   PackedBlock packed = t2_.Load(key, metrics);
-  DECA_CHECK(packed.valid()) << "T2 entry without swap file";
+  DECA_CHECK(packed.valid()) << "T2 entry without a swap-file extent";
   if (cfg_->t1_enabled()) {
     ++e.accesses_since_demote;
     if (ShouldAdmit(e.accesses_since_demote)) {
@@ -598,7 +598,10 @@ uint64_t CacheManager::EvictBytes(uint64_t need_bytes) {
   // `need_bytes` of managed memory has been unpinned.
   uint64_t freed = 0;
   uint64_t evicted = 0;
-  TaskMetrics scratch;  // disk time charged to the task via spill counters
+  // Memory-manager evictions run on behalf of no task: their disk and
+  // serialization time lands in this throwaway TaskMetrics, so no task's
+  // spill_ms or ser_ms is charged for it.
+  TaskMetrics scratch;
   while (freed < need_bytes) {
     uint64_t before = memory_bytes_.load(std::memory_order_relaxed);
     if (!SwapOutLru(&scratch, nullptr)) break;
@@ -637,7 +640,7 @@ uint64_t CacheManager::DemoteUnderPressure(uint64_t need_bytes,
   if (!cfg_->t1_enabled()) return 0;
   uint64_t freed = 0;
   uint64_t demoted = 0;
-  TaskMetrics scratch;
+  TaskMetrics scratch;  // charged to no task, as in EvictBytes
   while (freed < need_bytes) {
     uint64_t heap_bytes = DemoteLru(&scratch, nullptr);
     if (heap_bytes == 0) break;
@@ -657,7 +660,7 @@ uint64_t CacheManager::DemoteUnderPressure(uint64_t need_bytes,
 
 void CacheManager::DropAllForWipe() {
   // A crash-wipe loses everything the executor held: in-memory blocks,
-  // off-heap buffers, and swap files alike. Lineage recovery rebuilds
+  // off-heap buffers, and the swap file alike. Lineage recovery rebuilds
   // them on next access.
   blocks_.clear();  // releases T0 reservations and page groups
   t1_.DropAll();

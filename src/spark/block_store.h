@@ -53,7 +53,7 @@ struct LoadedBlock {
 ///       Deca page groups, exactly the pre-tier representations;
 ///   T1  compact serialized off-heap buffers (storage_tiers >= 3 only):
 ///       charged to the storage pool, invisible to GC root scans;
-///   T2  swap files on disk.
+///   T2  extents of one swap file per executor, on disk.
 ///
 /// Demotion (T0 -> T1 -> T2) is driven by the memory manager's two-stage
 /// eviction callbacks and the put-path budget loop: blocks compact into
@@ -131,7 +131,7 @@ class CacheManager : public jvm::RootProvider {
   uint64_t DemoteUnderPressure(uint64_t need_bytes, bool for_oom);
 
   /// Simulated executor crash: drops every block (all tiers, memory and
-  /// swap files) and zeroes the byte counters. Lost blocks are recomputed
+  /// the swap file) and zeroes the byte counters. Lost blocks are recomputed
   /// from lineage on the next access.
   void DropAllForWipe();
 
@@ -229,7 +229,7 @@ class CacheManager : public jvm::RootProvider {
   /// (cascading LRU T1 blocks to disk when over the t1_fraction cap) and
   /// releases the heap copy.
   void DemoteToT1(BlockKey key, Entry* e, TaskMetrics* metrics);
-  /// T0/T1 -> T2: writes the payload to the block's swap file.
+  /// T0/T1 -> T2: writes the payload to an extent of the swap file.
   void SpillToT2(BlockKey key, Entry* e, TaskMetrics* metrics);
   /// T1 -> T0: re-admits a heap representation built from `packed`.
   void PromoteToT0(BlockKey key, Entry* e, const PackedBlock& packed,

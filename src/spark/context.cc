@@ -58,7 +58,7 @@ SparkContext::SparkContext(const SparkConfig& config)
       injector_(config.fault, config.max_task_failures) {
   DECA_CHECK_GT(config.num_executors, 0);
   // Unique per-context spill directory so concurrent applications (or
-  // tests) sharing a configured spill_dir never collide on swap files.
+  // tests) sharing a configured spill_dir never collide on a swap file.
   config_.spill_dir += "/ctx_" + std::to_string(::getpid()) + "_" +
                        std::to_string(g_next_context_id.fetch_add(1));
   for (int i = 0; i < config.num_executors; ++i) {
@@ -105,7 +105,7 @@ SparkContext::SparkContext(const SparkConfig& config)
 }
 
 SparkContext::~SparkContext() {
-  // Cache managers delete their swap files first, then the (now empty)
+  // Each executor's DiskTier unlinks its swap file first, then the
   // per-context directory goes away. Best-effort: shuffle spill files of
   // crashed tasks may linger inside, remove_all sweeps those too.
   executors_.clear();

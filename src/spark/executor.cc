@@ -38,7 +38,7 @@ Executor::Executor(int id, const SparkConfig& config,
 }
 
 void Executor::Wipe() {
-  // Simulated crash: the cache (memory + swap files) and the entire heap
+  // Simulated crash: the cache (memory + swap file) and the entire heap
   // are lost. Root providers other than the cache survive (the driver
   // re-materializes their contents from lineage). Dropping the blocks
   // releases their reservations and page charges back to the pools.

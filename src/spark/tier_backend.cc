@@ -1,8 +1,11 @@
 #include "spark/tier_backend.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -11,41 +14,40 @@ namespace deca::spark {
 
 namespace {
 
-void WriteFileBytes(const std::string& path, const uint8_t* data,
-                    size_t size) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  DECA_CHECK(f != nullptr) << "cannot open swap file for writing: " << path
-                           << ": " << std::strerror(errno);
-  if (size > 0) {
-    size_t n = std::fwrite(data, 1, size, f);
-    DECA_CHECK_EQ(n, size);
+/// pwrite of all `size` bytes at `offset`, retrying on EINTR.
+void WriteAt(int fd, const std::string& path, const uint8_t* data,
+             uint64_t size, uint64_t offset) {
+  uint64_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pwrite(fd, data + done, size - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    const int err = n < 0 ? errno : 0;
+    DECA_CHECK(n > 0) << "cannot write swap file " << path << " at offset "
+                      << offset << " (" << done << " of " << size
+                      << " bytes written): "
+                      << (err != 0 ? std::strerror(err) : "no progress");
+    done += static_cast<uint64_t>(n);
   }
-  // fclose flushes the stdio buffer: a full disk can surface only here.
-  const int closed = std::fclose(f);
-  DECA_CHECK_EQ(closed, 0) << "cannot write swap file " << path << ": "
-                           << std::strerror(errno);
 }
 
-/// Reads a whole swap file into a counted `new[]` buffer.
-alloc::BytesPtr ReadFileBytes(const std::string& path,
-                              alloc::AllocCounter* counter) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  DECA_CHECK(f != nullptr) << "cannot open swap file for reading: " << path
-                           << ": " << std::strerror(errno);
-  DECA_CHECK(std::fseek(f, 0, SEEK_END) == 0)
-      << "cannot seek swap file " << path << ": " << std::strerror(errno);
-  const long size = std::ftell(f);
-  DECA_CHECK(size >= 0 && std::fseek(f, 0, SEEK_SET) == 0)
-      << "cannot size swap file " << path << ": " << std::strerror(errno);
-  auto data = alloc::Bytes::New(counter, static_cast<size_t>(size));
-  if (size > 0) {
-    size_t n = std::fread(data->mutable_data(), 1, data->size(), f);
-    DECA_CHECK_EQ(n, data->size());
+/// pread of exactly `size` bytes at `offset`, retrying on EINTR. A file
+/// that ends early (truncated under the tier) fails like an I/O error.
+void ReadAt(int fd, const std::string& path, uint8_t* data, uint64_t size,
+            uint64_t offset) {
+  uint64_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, data + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    const int err = n < 0 ? errno : 0;
+    DECA_CHECK(n > 0) << "cannot read swap file " << path << " at offset "
+                      << offset << " (" << done << " of " << size
+                      << " bytes read): "
+                      << (err != 0 ? std::strerror(err)
+                                   : "unexpected end of file");
+    done += static_cast<uint64_t>(n);
   }
-  const int closed = std::fclose(f);
-  DECA_CHECK_EQ(closed, 0) << "cannot close swap file " << path << ": "
-                           << std::strerror(errno);
-  return data;
 }
 
 }  // namespace
@@ -102,12 +104,9 @@ uint64_t OffHeapTier::reserved_bytes() const {
 // -- DiskTier ----------------------------------------------------------------
 
 DiskTier::~DiskTier() {
-  for (const auto& [key, slot] : blocks_) std::remove(slot.path.c_str());
-}
-
-std::string DiskTier::SwapPath(BlockKey key) const {
-  return dir_ + "/swap_e" + std::to_string(executor_id_) + "_r" +
-         std::to_string(key.rdd_id) + "_p" + std::to_string(key.partition);
+  if (fd_ < 0) return;
+  ::close(fd_);
+  ::unlink(path_.c_str());
 }
 
 void DiskTier::Store(BlockKey key, PackedBlock block, TaskMetrics* metrics) {
@@ -117,24 +116,34 @@ void DiskTier::Store(BlockKey key, PackedBlock block, TaskMetrics* metrics) {
   slot.level = block.level;
   slot.count = block.count;
   slot.bytes = block.size();
-  slot.path = SwapPath(key);
+  slot.offset = TakeExtent(slot.bytes);
   {
     ScopedTimerMs timer(&metrics->spill_ms);
-    WriteFileBytes(slot.path, block.bytes->data(), block.bytes->size());
+    if (fd_ < 0) {
+      // Close-on-exec: the driver forks executor daemons.
+      fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                   0600);
+      DECA_CHECK(fd_ >= 0) << "cannot open swap file " << path_ << ": "
+                           << std::strerror(errno);
+    }
+    WriteAt(fd_, path_, block.bytes->data(), slot.bytes, slot.offset);
   }
   AddResident(slot.bytes);
-  blocks_.emplace(key, std::move(slot));
+  blocks_.emplace(key, slot);
 }
 
 PackedBlock DiskTier::Load(BlockKey key, TaskMetrics* metrics) const {
   auto it = blocks_.find(key);
   if (it == blocks_.end()) return {};
+  const Slot& slot = it->second;
   PackedBlock block;
-  block.level = it->second.level;
-  block.count = it->second.count;
+  block.level = slot.level;
+  block.count = slot.count;
   {
     ScopedTimerMs timer(&metrics->spill_ms);
-    block.bytes = ReadFileBytes(it->second.path, counter_);
+    auto data = alloc::Bytes::New(counter_, slot.bytes);
+    ReadAt(fd_, path_, data->mutable_data(), slot.bytes, slot.offset);
+    block.bytes = std::move(data);
   }
   return block;
 }
@@ -146,15 +155,72 @@ bool DiskTier::Contains(BlockKey key) const {
 void DiskTier::Drop(BlockKey key) {
   auto it = blocks_.find(key);
   if (it == blocks_.end()) return;
-  std::remove(it->second.path.c_str());
   SubResident(it->second.bytes);
+  ReturnExtent(it->second.offset, it->second.bytes);
   blocks_.erase(it);
+  if (blocks_.empty()) Reset();
 }
 
 void DiskTier::DropAll() {
-  for (const auto& [key, slot] : blocks_) std::remove(slot.path.c_str());
   blocks_.clear();
   ZeroResident();
+  Reset();
+}
+
+uint64_t DiskTier::TakeExtent(uint64_t bytes) {
+  if (bytes == 0) return 0;  // empty payloads take no extent
+  auto fit = free_by_size_.lower_bound({bytes, 0});
+  if (fit == free_by_size_.end()) {
+    const uint64_t offset = end_;
+    end_ += bytes;
+    return offset;
+  }
+  const auto [size, offset] = *fit;
+  EraseFree(free_by_offset_.find(offset));
+  if (size > bytes) AddFree(offset + bytes, size - bytes);
+  return offset;
+}
+
+void DiskTier::ReturnExtent(uint64_t offset, uint64_t bytes) {
+  if (bytes == 0) return;
+  auto next = free_by_offset_.lower_bound(offset);
+  if (next != free_by_offset_.begin()) {
+    auto prev = std::prev(next);
+    if (prev->first + prev->second == offset) {
+      offset = prev->first;
+      bytes += prev->second;
+      EraseFree(prev);
+    }
+  }
+  if (next != free_by_offset_.end() && next->first == offset + bytes) {
+    bytes += next->second;
+    EraseFree(next);
+  }
+  if (offset + bytes == end_) {
+    end_ = offset;  // a free tail needs no entry: the next append reuses it
+  } else {
+    AddFree(offset, bytes);
+  }
+}
+
+void DiskTier::AddFree(uint64_t offset, uint64_t bytes) {
+  free_by_offset_.emplace(offset, bytes);
+  free_by_size_.emplace(bytes, offset);
+}
+
+void DiskTier::EraseFree(std::map<uint64_t, uint64_t>::iterator it) {
+  free_by_size_.erase(std::make_pair(it->second, it->first));
+  free_by_offset_.erase(it);
+}
+
+void DiskTier::Reset() {
+  free_by_offset_.clear();
+  free_by_size_.clear();
+  end_ = 0;
+  if (fd_ < 0) return;
+  const int rc = ::ftruncate(fd_, 0);
+  DECA_CHECK(rc == 0) << "cannot truncate swap file " << path_ << ": "
+                      << std::strerror(errno);
 }
 
 }  // namespace deca::spark

@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "alloc/buffers.h"
 #include "memory/memory_manager.h"
@@ -138,24 +140,38 @@ class OffHeapTier : public TierBackend {
   std::unordered_map<BlockKey, Slot, BlockKeyHash> blocks_;
 };
 
-/// T2: swap files on disk, one per block (Spark's MEMORY_AND_DISK spill
-/// half). Owns the file lifecycle; payload bytes only, the CacheManager
-/// keeps level/count in its entry.
+/// T2: one swap file per executor (`<dir>/swap_e<executor_id>`; Spark's
+/// MEMORY_AND_DISK spill half). Each block occupies one extent of the
+/// file, written with pwrite and read back with pread. A dropped extent
+/// returns to a free set that merges neighbours, and Store takes the
+/// best-fitting free extent (or appends), so a steady working set
+/// rewrites the same extents instead of creating and unlinking a file per
+/// block. Payload bytes only, the CacheManager keeps level/count in its
+/// entry.
 class DiskTier : public TierBackend {
  public:
-  /// `counter` (may be null) counts Load's read buffers.
-  DiskTier(std::string dir, int executor_id, alloc::AllocCounter* counter)
-      : dir_(std::move(dir)), executor_id_(executor_id), counter_(counter) {}
+  /// `counter` (may be null) counts Load's read buffers. The file is
+  /// opened on the first Store.
+  DiskTier(const std::string& dir, int executor_id,
+           alloc::AllocCounter* counter)
+      : path_(dir + "/swap_e" + std::to_string(executor_id)),
+        counter_(counter) {}
+  /// Closes and unlinks the swap file.
   ~DiskTier() override;
 
+  DiskTier(const DiskTier&) = delete;
+  DiskTier& operator=(const DiskTier&) = delete;
+
   const char* name() const override { return "disk"; }
-  /// Writes the payload to the block's swap file (disk time charged to
-  /// the task's spill bucket).
+  /// Writes the payload into a free extent of the swap file (disk time
+  /// charged to the task's spill bucket).
   void Store(BlockKey key, PackedBlock block, TaskMetrics* metrics) override;
-  /// Streams the payload back (spill time); the file stays on disk until
-  /// Drop.
+  /// Reads the payload back (spill time); the extent stays allocated
+  /// until Drop.
   PackedBlock Load(BlockKey key, TaskMetrics* metrics) const override;
   bool Contains(BlockKey key) const override;
+  /// Frees the block's extent; the file is cut to length zero when the
+  /// last block goes.
   void Drop(BlockKey key) override;
   void DropAll() override;
   uint64_t block_count() const override { return blocks_.size(); }
@@ -164,15 +180,27 @@ class DiskTier : public TierBackend {
   struct Slot {
     StorageLevel level;
     uint32_t count = 0;
+    uint64_t offset = 0;
     uint64_t bytes = 0;
-    std::string path;
   };
 
-  std::string SwapPath(BlockKey key) const;
+  /// Best-fitting free extent of `bytes` (the remainder stays free), or
+  /// the end of the used file when none fits.
+  uint64_t TakeExtent(uint64_t bytes);
+  /// Frees an extent, merged with its free neighbours; an extent that
+  /// ends the used file shortens it instead.
+  void ReturnExtent(uint64_t offset, uint64_t bytes);
+  void AddFree(uint64_t offset, uint64_t bytes);
+  void EraseFree(std::map<uint64_t, uint64_t>::iterator it);
+  /// Forgets every extent and cuts the file to length zero.
+  void Reset();
 
-  std::string dir_;
-  int executor_id_;
+  const std::string path_;
   alloc::AllocCounter* counter_;
+  int fd_ = -1;
+  uint64_t end_ = 0;  // end of the last allocated extent
+  std::map<uint64_t, uint64_t> free_by_offset_;           // offset -> bytes
+  std::set<std::pair<uint64_t, uint64_t>> free_by_size_;  // (bytes, offset)
   std::unordered_map<BlockKey, Slot, BlockKeyHash> blocks_;
 };
 

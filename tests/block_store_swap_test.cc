@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "spark/context.h"
+#include "spark/tier_backend.h"
 
 namespace deca::spark {
 namespace {
@@ -501,6 +509,244 @@ TEST(BlockStoreTierTest, ThrashDigestMatrixAcrossTiersAndThreads) {
   // Same config, same counters: the threaded runtime is bit-identical.
   EXPECT_EQ(threaded.demotes, second.demotes);
   EXPECT_EQ(threaded.swaps, second.swaps);
+}
+
+/// DiskTier driven directly: each test gets a directory of its own and
+/// finds the swap file as the only regular file in it.
+class DiskTierTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("deca_test_disk_tier_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::vector<std::filesystem::path> Files() const {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.is_regular_file()) files.push_back(entry.path());
+    }
+    return files;
+  }
+
+  /// Length of the swap file; 0 before the tier opens it.
+  uint64_t FileBytes() const {
+    std::vector<std::filesystem::path> files = Files();
+    EXPECT_LE(files.size(), 1u);
+    return files.empty() ? 0 : std::filesystem::file_size(files[0]);
+  }
+
+  std::filesystem::path dir_;
+  TaskMetrics metrics_;
+};
+
+/// A payload whose bytes identify `tag` (a fill byte plus a stamp every
+/// 4 KB), so a block overwritten by another cannot compare equal.
+PackedBlock Payload(uint64_t size, uint64_t tag) {
+  auto bytes = alloc::Bytes::New(nullptr, size);
+  if (size > 0) {
+    uint8_t* p = bytes->mutable_data();
+    std::memset(p, static_cast<int>(tag % 251 + 1), size);
+    for (uint64_t i = 0; i + 8 <= size; i += 4096) {
+      StoreRaw<uint64_t>(p + i, tag);
+    }
+  }
+  PackedBlock block;
+  block.level = StorageLevel::kDecaPages;
+  block.count = static_cast<uint32_t>(tag);
+  block.bytes = std::move(bytes);
+  return block;
+}
+
+bool SameBlock(const PackedBlock& got, const PackedBlock& want) {
+  return got.valid() && got.level == want.level &&
+         got.count == want.count && got.size() == want.size() &&
+         (want.size() == 0 ||
+          std::memcmp(got.bytes->data(), want.bytes->data(), want.size()) ==
+              0);
+}
+
+/// Blocks of mixed sizes, the empty payload included, round-trip while
+/// freed extents are split and refilled; a dropped key loads nothing.
+TEST_F(DiskTierTest, MixedSizesRoundTripWhileExtentsAreReused) {
+  DiskTier tier(dir_.string(), 0, nullptr);
+  std::map<int, PackedBlock> live;
+  uint64_t tag = 0;
+  auto store = [&](int k, uint64_t size) {
+    PackedBlock block = Payload(size, ++tag);
+    tier.Store({7, k}, block, &metrics_);
+    live[k] = std::move(block);
+  };
+  auto check = [&] {
+    for (const auto& [k, want] : live) {
+      EXPECT_TRUE(SameBlock(tier.Load({7, k}, &metrics_), want)) << k;
+    }
+  };
+
+  const uint64_t sizes[] = {136 << 10, 0,   4096,     1,
+                            300 << 10, 777, 64 << 10, 9000};
+  uint64_t total = 0;
+  for (int k = 0; k < 8; ++k) {
+    store(k, sizes[k]);
+    total += sizes[k];
+  }
+  check();
+  EXPECT_EQ(FileBytes(), total);
+  EXPECT_EQ(tier.resident_bytes(), total);
+
+  // Dropping an interior block leaves its extent in the file, free.
+  tier.Drop({7, 4});
+  live.erase(4);
+  EXPECT_FALSE(tier.Contains({7, 4}));
+  EXPECT_FALSE(tier.Load({7, 4}, &metrics_).valid());
+  EXPECT_EQ(FileBytes(), total);
+  // Two blocks and an empty one fit in the freed 300 KB, and the
+  // rewrite of key 0 fits in what they leave: the file does not grow.
+  store(8, 136 << 10);
+  store(9, 0);
+  store(10, 100 << 10);
+  store(0, 4096);
+  check();
+  EXPECT_EQ(FileBytes(), total);
+
+  // Rotate sizes across keys: every extent is freed and refilled by
+  // blocks of other sizes.
+  for (int round = 0; round < 20; ++round) {
+    for (int k = round % 2; k < 11; k += 2) {
+      if (k % 3 == 0) {
+        tier.Drop({7, k});
+        live.erase(k);
+        EXPECT_FALSE(tier.Load({7, k}, &metrics_).valid());
+      } else {
+        store(k, sizes[(k + round) % 8]);
+      }
+    }
+    check();
+  }
+  uint64_t resident = 0;
+  for (const auto& [k, block] : live) resident += block.size();
+  EXPECT_EQ(tier.resident_bytes(), resident);
+  EXPECT_EQ(tier.block_count(), live.size());
+}
+
+/// A steady working set of equal-size blocks, replaced one at a time,
+/// reuses its extents: the file never outgrows the first pass.
+TEST_F(DiskTierTest, SteadyWorkingSetNeverGrowsTheFile) {
+  DiskTier tier(dir_.string(), 0, nullptr);
+  const uint64_t size = 136 << 10;
+  std::map<int, PackedBlock> live;
+  int next_key = 0;
+  auto store_new = [&] {
+    PackedBlock block = Payload(size, static_cast<uint64_t>(next_key) + 1);
+    tier.Store({7, next_key}, block, &metrics_);
+    live[next_key++] = std::move(block);
+  };
+  for (int i = 0; i < 8; ++i) store_new();
+  const uint64_t first_pass = FileBytes();
+  EXPECT_EQ(first_pass, 8 * size);
+
+  Rng rng(1);
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    std::vector<int> keys;
+    for (const auto& [k, block] : live) keys.push_back(k);
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.NextBounded(i)]);
+    }
+    for (int k : keys) {
+      tier.Drop({7, k});
+      live.erase(k);
+      store_new();
+      ASSERT_LE(FileBytes(), first_pass) << "cycle " << cycle;
+    }
+  }
+  EXPECT_EQ(tier.block_count(), 8u);
+  for (const auto& [k, want] : live) {
+    EXPECT_TRUE(SameBlock(tier.Load({7, k}, &metrics_), want)) << k;
+  }
+}
+
+/// Seeded churn of mixed sizes: fragmentation keeps the file within twice
+/// the peak resident bytes, and every block still reads back intact.
+TEST_F(DiskTierTest, ChurnStaysWithinTwicePeakResident) {
+  DiskTier tier(dir_.string(), 0, nullptr);
+  std::map<int, PackedBlock> live;
+  Rng rng(42);
+  for (uint64_t op = 0; op < 4000; ++op) {
+    const int k = static_cast<int>(rng.NextBounded(100));
+    if (rng.NextBounded(4) == 0) {
+      tier.Drop({7, k});
+      live.erase(k);
+    } else {
+      PackedBlock block = Payload(rng.NextBounded((300 << 10) + 1), op + 1);
+      tier.Store({7, k}, block, &metrics_);
+      live[k] = std::move(block);
+    }
+    ASSERT_LE(FileBytes(), 2 * tier.peak_resident_bytes()) << "op " << op;
+    if (op % 8 == 0 && !live.empty()) {
+      auto it = std::next(live.begin(),
+                          static_cast<long>(rng.NextBounded(live.size())));
+      ASSERT_TRUE(SameBlock(tier.Load({7, it->first}, &metrics_), it->second))
+          << "op " << op;
+    }
+  }
+  for (const auto& [k, want] : live) {
+    EXPECT_TRUE(SameBlock(tier.Load({7, k}, &metrics_), want)) << k;
+  }
+}
+
+/// Dropping every block or DropAll cuts the file to length zero (it stays
+/// open for reuse); destroying the tier leaves the directory empty.
+TEST_F(DiskTierTest, EmptyingTheTierCutsTheFileAndDestructionRemovesIt) {
+  {
+    DiskTier tier(dir_.string(), 3, nullptr);
+    tier.DropAll();
+    EXPECT_TRUE(Files().empty());  // the file opens on the first Store
+
+    for (int k = 0; k < 6; ++k) {
+      tier.Store({7, k}, Payload((k + 1) * 10000, k + 1), &metrics_);
+    }
+    EXPECT_EQ(FileBytes(), 210000u);
+    for (int k : {2, 0, 4, 1, 5, 3}) tier.Drop({7, k});
+    EXPECT_EQ(Files().size(), 1u);
+    EXPECT_EQ(FileBytes(), 0u);
+    EXPECT_EQ(tier.resident_bytes(), 0u);
+
+    for (int k = 0; k < 4; ++k) {
+      tier.Store({7, k}, Payload(50000, k + 10), &metrics_);
+    }
+    EXPECT_EQ(FileBytes(), 200000u);
+    tier.DropAll();
+    EXPECT_EQ(FileBytes(), 0u);
+    EXPECT_EQ(tier.block_count(), 0u);
+    EXPECT_EQ(tier.resident_bytes(), 0u);
+    EXPECT_FALSE(tier.Load({7, 0}, &metrics_).valid());
+
+    // The emptied file takes new blocks from offset zero.
+    PackedBlock block = Payload(12345, 99);
+    tier.Store({7, 9}, block, &metrics_);
+    EXPECT_EQ(FileBytes(), 12345u);
+    EXPECT_TRUE(SameBlock(tier.Load({7, 9}, &metrics_), block));
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+/// A swap file cut short under a live tier must abort the Load that
+/// reaches past its end, naming the file and the block's offset, rather
+/// than hand back a short payload that the decoders would over-read.
+TEST_F(DiskTierTest, TruncatedSwapFileFailsLoudly) {
+  DiskTier tier(dir_.string(), 0, nullptr);
+  PackedBlock first = Payload(4096, 1);
+  tier.Store({7, 0}, first, &metrics_);
+  tier.Store({7, 1}, Payload(4096, 2), &metrics_);
+  ASSERT_EQ(Files().size(), 1u);
+  const std::filesystem::path file = Files()[0];
+  // Keep the first block and 100 bytes of the second.
+  std::filesystem::resize_file(file, 4096 + 100);
+  EXPECT_TRUE(SameBlock(tier.Load({7, 0}, &metrics_), first));
+  EXPECT_DEATH(tier.Load({7, 1}, &metrics_),
+               file.string() + " at offset 4096");
 }
 
 }  // namespace
