@@ -419,25 +419,15 @@ class BenchReport {
            static_cast<double>(r.cluster.rpc_messages));
     }
     if (r.tier_active) {
-      // Storage-tier plane (schema v3), present only when
-      // DECA_STORAGE_TIER=3 enabled the serialized off-heap tier. The
-      // resident/hit/demote counters are deterministic; promote
-      // percentiles are wall times.
-      run.tier.present = true;
-      run.tier.t0_resident_bytes = r.tier.t0_resident_bytes;
-      run.tier.t1_resident_bytes = r.tier.t1_resident_bytes;
-      run.tier.t2_resident_bytes = r.tier.t2_resident_bytes;
-      run.tier.t1_peak_bytes = r.tier.t1_peak_bytes;
-      run.tier.t0_hits = r.tier.t0_hits;
-      run.tier.t1_hits = r.tier.t1_hits;
-      run.tier.t2_hits = r.tier.t2_hits;
-      run.tier.misses = r.tier.misses;
-      run.tier.demotes_to_t1 = r.tier.demotes_to_t1;
-      run.tier.demotes_to_t2 = r.tier.demotes_to_t2;
-      run.tier.promotes = r.tier.promotes;
-      run.tier.admit_rejects = r.tier.admit_rejects;
-      run.tier.promote_p50_ms = r.tier.promote_p50_ms;
-      run.tier.promote_p99_ms = r.tier.promote_p99_ms;
+      // Storage-tier plane, present only when DECA_STORAGE_TIER=3 enabled
+      // the serialized off-heap tier. The resident/hit/demote counters are
+      // deterministic; promote percentiles are wall times.
+      exact("tier.t0_resident_bytes",
+            static_cast<double>(r.tier.t0_resident_bytes));
+      exact("tier.t1_resident_bytes",
+            static_cast<double>(r.tier.t1_resident_bytes));
+      exact("tier.t2_resident_bytes",
+            static_cast<double>(r.tier.t2_resident_bytes));
       exact("tier.t1_peak_bytes", static_cast<double>(r.tier.t1_peak_bytes));
       exact("tier.t0_hits", static_cast<double>(r.tier.t0_hits));
       exact("tier.t1_hits", static_cast<double>(r.tier.t1_hits));
@@ -454,15 +444,8 @@ class BenchReport {
       time("tier.promote_p99_ms", r.tier.promote_p99_ms);
     }
     if (r.epochs_run > 0) {
-      // Streaming plane (schema v2): typed epoch aggregate plus flat
-      // metrics. Like net.*, these are "extra" against batch baselines.
-      run.epochs.present = true;
-      run.epochs.epochs_run = r.epochs_run;
-      run.epochs.windows = r.windows_emitted;
-      run.epochs.reclaimed_bytes = r.epoch_reclaimed_bytes;
-      run.epochs.pause_p50_ms = r.epoch_pause_p50_ms;
-      run.epochs.pause_p99_ms = r.epoch_pause_p99_ms;
-      run.epochs.reclaim_p99_ms = r.epoch_reclaim_p99_ms;
+      // Streaming plane. Like net.*, these are "extra" against batch
+      // baselines.
       exact("epoch.epochs_run", static_cast<double>(r.epochs_run));
       exact("epoch.windows", static_cast<double>(r.windows_emitted));
       exact("epoch.reclaimed_bytes",
@@ -478,20 +461,11 @@ class BenchReport {
       time("epoch.reclaim_p99_ms", r.epoch_reclaim_p99_ms);
     }
     if (r.pauses.pause_events > 0 || r.pauses.mark_slices > 0) {
-      // GC pause plane (schema v4): typed aggregate plus flat metrics.
-      // mark_slices/pause_events are deterministic at the default
-      // DECA_PAUSE_BUDGET_MS=0 (one slice per monolithic mark); budgeted
-      // runs must be gated with report_diff --slo assertions rather than
-      // baseline diffs, since their slice counts are timing-dependent.
-      run.pauses.present = true;
-      run.pauses.mark_slices = r.pauses.mark_slices;
-      run.pauses.pause_events = r.pauses.pause_events;
-      run.pauses.pause_p50_ms = r.pauses.pause_p50_ms;
-      run.pauses.pause_p99_ms = r.pauses.pause_p99_ms;
-      run.pauses.pause_max_ms = r.pauses.pause_max_ms;
-      run.pauses.slice_p50_ms = r.pauses.slice_p50_ms;
-      run.pauses.slice_p99_ms = r.pauses.slice_p99_ms;
-      run.pauses.slice_max_ms = r.pauses.slice_max_ms;
+      // GC pause plane. mark_slices/events are deterministic at the
+      // default DECA_PAUSE_BUDGET_MS=0 (one slice per monolithic mark);
+      // budgeted runs must be gated with report_diff --slo assertions
+      // rather than baseline diffs, since their slice counts are
+      // timing-dependent.
       exact("pauses.mark_slices",
             static_cast<double>(r.pauses.mark_slices));
       exact("pauses.events", static_cast<double>(r.pauses.pause_events));
@@ -503,11 +477,7 @@ class BenchReport {
       time("pauses.slice_max_ms", r.pauses.slice_max_ms);
     }
     if (r.alloc_active) {
-      // Native-buffer counters (schema v5): deterministic, so exact.
-      run.alloc.present = true;
-      run.alloc.alloc_calls = r.alloc.alloc_calls;
-      run.alloc.free_calls = r.alloc.free_calls;
-      run.alloc.bytes_requested = r.alloc.bytes_requested;
+      // Native-buffer counters: deterministic, so exact.
       exact("alloc.allocs", static_cast<double>(r.alloc.alloc_calls));
       exact("alloc.frees", static_cast<double>(r.alloc.free_calls));
       exact("alloc.bytes_requested",
@@ -523,8 +493,8 @@ class BenchReport {
   }
 
   /// Appends one extra metric to the most recently added run — for
-  /// workload-specific values the RunResult doesn't carry (e.g. sustained
-  /// streaming throughput). No-op before the first AddRun.
+  /// workload-specific values the RunResult doesn't carry (e.g. a stream
+  /// or query digest). No-op before the first AddRun.
   void AddMetric(const char* name, double value, bool exact) {
     if (!report_.runs.empty()) report_.runs.back().Add(name, value, exact);
   }

@@ -1,14 +1,14 @@
 // Compares two RunReport JSON files (see src/obs/run_report.h) and exits
 // nonzero when the current report regresses from the baseline:
-//   - exact metrics (deterministic counters, byte peaks) must match
-//     bit-for-bit,
+//   - exact metrics (deterministic counters, byte peaks) must be equal
+//     (`==`; the writer's number text reads back bit-identically),
 //   - time metrics may grow by at most --time-threshold (relative) AND
 //     --time-floor-ms (absolute slack, so micro-benches don't flap),
 //   - span counts are exact, span totals follow the time rule,
-//   - with --exact-only, only exact metrics and deterministic epoch
-//     counters are compared (time metrics and spans skipped) — for
-//     diffing a DECA_DIST_MODE=process run against an in-process
-//     baseline, where timings and worker-side spans legitimately differ.
+//   - with --exact-only, only exact metrics are compared (time metrics
+//     and spans skipped) — for diffing a DECA_DIST_MODE=process run
+//     against an in-process baseline, where timings and worker-side spans
+//     legitimately differ.
 //
 // SLO assertions: each --slo gate is an absolute ceiling on a flat run
 // metric, checked against the CURRENT report (the only file in

@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
     if (digest == 0) digest = r.digest;
     digests_agree = digests_agree && r.digest == digest;
     report.AddRun(std::string("stream-sess/") + v.name, r.run);
-    report.AddMetric("throughput_rps", r.throughput_rps, /*exact=*/false);
     // 64-bit session digest in exact halves, mirroring stream_wordcount,
     // so reports from different configurations can be digest-compared.
     report.AddMetric("stream.digest_lo",

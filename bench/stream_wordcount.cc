@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
     if (digest == 0) digest = r.digest;
     digests_agree = digests_agree && r.digest == digest;
     report.AddRun(std::string("stream-wc/") + v.name, r.run);
-    report.AddMetric("throughput_rps", r.throughput_rps, /*exact=*/false);
     // The 64-bit window digest in exact halves (a double carries 53
     // bits), so budgeted and unbudgeted reports can be digest-compared.
     report.AddMetric("stream.digest_lo",

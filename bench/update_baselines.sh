@@ -7,9 +7,10 @@
 # behaviour intentionally changed; wall-time drift alone is expected and
 # harmless (the gate's time threshold is loose).
 #
-# Reports are RunReport schema v5 (v4 files still parse): the `alloc`
-# aggregate records the native-buffer counters, and alloc.allocs /
-# alloc.frees / alloc.bytes_requested are deterministic.
+# Reports are RunReport schema v5 (older files still parse): per run, one
+# flat metric list plus trace span aggregates. Every plane is a metric
+# prefix (epoch.*, tier.*, pauses.*, alloc.*, ...); its exact metrics are
+# deterministic and the CI diff requires them to be equal (`==`).
 #
 #   ./bench/update_baselines.sh [build-dir]
 set -euo pipefail

@@ -39,7 +39,11 @@ double Histogram::Percentile(double p) const {
   size_t lo = static_cast<size_t>(std::floor(rank));
   size_t hi = static_cast<size_t>(std::ceil(rank));
   double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // lo + (hi - lo) * frac is monotone in `p`, and the clamp stops rounding
+  // from carrying it past samples_[hi] when neighbours are equal, so
+  // p50 <= p99 <= Max() holds exactly (RunReport validation checks it).
+  return std::min(samples_[hi],
+                  samples_[lo] + (samples_[hi] - samples_[lo]) * frac);
 }
 
 }  // namespace deca

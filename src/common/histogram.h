@@ -18,7 +18,8 @@ class Histogram {
   double Mean() const;
   double Min() const;
   double Max() const;
-  /// Exact percentile (nearest-rank); `p` in [0, 100].
+  /// Percentile by linear interpolation between the two nearest ranks;
+  /// `p` in [0, 100]. Non-decreasing in `p` and never above Max().
   double Percentile(double p) const;
 
  private:

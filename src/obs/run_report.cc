@@ -1,7 +1,8 @@
 #include "obs/run_report.h"
 
-#include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "obs/json.h"
@@ -55,174 +56,118 @@ std::string ToJson(const RunReport& report) {
              "\", \"count\": " + std::to_string(sp.count) +
              ", \"total_ms\": " + JsonNumber(sp.total_ms) + "}";
     }
-    out += "\n     ]";
-    if (run.epochs.present) {
-      const EpochAgg& e = run.epochs;
-      out += ",\n     \"epochs\": {\"epochs_run\": " +
-             std::to_string(e.epochs_run) +
-             ", \"windows\": " + std::to_string(e.windows) +
-             ", \"reclaimed_bytes\": " + std::to_string(e.reclaimed_bytes) +
-             ", \"pause_p50_ms\": " + JsonNumber(e.pause_p50_ms) +
-             ", \"pause_p99_ms\": " + JsonNumber(e.pause_p99_ms) +
-             ", \"reclaim_p99_ms\": " + JsonNumber(e.reclaim_p99_ms) + "}";
-    }
-    if (run.tier.present) {
-      const TierAgg& t = run.tier;
-      out += ",\n     \"tier\": {\"t0_resident_bytes\": " +
-             std::to_string(t.t0_resident_bytes) +
-             ", \"t1_resident_bytes\": " +
-             std::to_string(t.t1_resident_bytes) +
-             ", \"t2_resident_bytes\": " +
-             std::to_string(t.t2_resident_bytes) +
-             ", \"t1_peak_bytes\": " + std::to_string(t.t1_peak_bytes) +
-             ", \"t0_hits\": " + std::to_string(t.t0_hits) +
-             ", \"t1_hits\": " + std::to_string(t.t1_hits) +
-             ", \"t2_hits\": " + std::to_string(t.t2_hits) +
-             ", \"misses\": " + std::to_string(t.misses) +
-             ", \"demotes_to_t1\": " + std::to_string(t.demotes_to_t1) +
-             ", \"demotes_to_t2\": " + std::to_string(t.demotes_to_t2) +
-             ", \"promotes\": " + std::to_string(t.promotes) +
-             ", \"admit_rejects\": " + std::to_string(t.admit_rejects) +
-             ", \"promote_p50_ms\": " + JsonNumber(t.promote_p50_ms) +
-             ", \"promote_p99_ms\": " + JsonNumber(t.promote_p99_ms) + "}";
-    }
-    if (run.pauses.present) {
-      const PauseAgg& p = run.pauses;
-      out += ",\n     \"pauses\": {\"mark_slices\": " +
-             std::to_string(p.mark_slices) +
-             ", \"pause_events\": " + std::to_string(p.pause_events) +
-             ", \"pause_p50_ms\": " + JsonNumber(p.pause_p50_ms) +
-             ", \"pause_p99_ms\": " + JsonNumber(p.pause_p99_ms) +
-             ", \"pause_max_ms\": " + JsonNumber(p.pause_max_ms) +
-             ", \"slice_p50_ms\": " + JsonNumber(p.slice_p50_ms) +
-             ", \"slice_p99_ms\": " + JsonNumber(p.slice_p99_ms) +
-             ", \"slice_max_ms\": " + JsonNumber(p.slice_max_ms) + "}";
-    }
-    if (run.alloc.present) {
-      const AllocAgg& a = run.alloc;
-      out += ",\n     \"alloc\": {\"alloc_calls\": " +
-             std::to_string(a.alloc_calls) +
-             ", \"free_calls\": " + std::to_string(a.free_calls) +
-             ", \"bytes_requested\": " + std::to_string(a.bytes_requested) +
-             "}";
-    }
-    out += "}";
+    out += "\n     ]}";
   }
   out += "\n  ]\n}\n";
   return out;
 }
 
+namespace {
+
+/// 2^53: every span count up to here is an exact double.
+constexpr double kMaxSpanCount = 9007199254740992.0;
+
+bool IsA(const JsonValue* v, JsonValue::Type t) {
+  return v != nullptr && v->is(t);
+}
+
+/// True when `v` is a number holding an integer in [lo, hi]. The range test
+/// runs on the double, so no out-of-range value reaches an integer cast.
+bool IsIntegerIn(const JsonValue* v, double lo, double hi) {
+  return IsA(v, JsonValue::Type::kNumber) && v->number >= lo &&
+         v->number <= hi && std::floor(v->number) == v->number;
+}
+
+/// Splits a percentile metric name "<p>_p50_ms" / "<p>_p99_ms" /
+/// "<p>_max_ms" into its prefix and rank (0, 1, 2); false otherwise.
+bool SplitPercentile(std::string_view name, std::string_view* prefix,
+                     size_t* rank) {
+  static constexpr std::array<std::string_view, 3> kSuffixes = {
+      "_p50_ms", "_p99_ms", "_max_ms"};
+  for (size_t r = 0; r < kSuffixes.size(); ++r) {
+    if (name.size() > kSuffixes[r].size() && name.ends_with(kSuffixes[r])) {
+      *prefix = name.substr(0, name.size() - kSuffixes[r].size());
+      *rank = r;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 bool FromJson(std::string_view json, RunReport* out, std::string* err) {
+  using Type = JsonValue::Type;
+  auto fail = [err](const std::string& what) {
+    if (err != nullptr) *err = what;
+    return false;
+  };
   JsonValue root;
   if (!ParseJson(json, &root, err)) return false;
-  if (!root.is(JsonValue::Type::kObject)) {
-    if (err != nullptr) *err = "report root is not an object";
-    return false;
-  }
+  if (!root.is(Type::kObject)) return fail("report root is not an object");
   if (root.Str("schema") != RunReport::kSchema) {
-    if (err != nullptr) *err = "schema is not '" +
-                               std::string(RunReport::kSchema) + "'";
-    return false;
+    return fail("schema is not '" + std::string(RunReport::kSchema) + "'");
   }
-  int version = static_cast<int>(root.Num("version", -1));
-  if (version < RunReport::kMinVersion || version > RunReport::kVersion) {
-    if (err != nullptr) *err = "unsupported report version";
-    return false;
+  if (!IsIntegerIn(root.Find("version"), RunReport::kMinVersion,
+                   RunReport::kVersion)) {
+    return fail("'version' is not an integer in [" +
+                std::to_string(RunReport::kMinVersion) + ", " +
+                std::to_string(RunReport::kVersion) + "]");
   }
   out->bench = root.Str("bench");
   out->runs.clear();
   const JsonValue* runs = root.Find("runs");
-  if (runs == nullptr || !runs->is(JsonValue::Type::kArray)) {
-    if (err != nullptr) *err = "missing 'runs' array";
-    return false;
-  }
+  if (!IsA(runs, Type::kArray)) return fail("missing 'runs' array");
   for (const JsonValue& jr : runs->arr) {
-    if (!jr.is(JsonValue::Type::kObject)) {
-      if (err != nullptr) *err = "run entry is not an object";
-      return false;
-    }
+    if (!jr.is(Type::kObject)) return fail("run entry is not an object");
     ReportRun run;
     run.label = jr.Str("label");
-    if (const JsonValue* metrics = jr.Find("metrics");
-        metrics != nullptr && metrics->is(JsonValue::Type::kArray)) {
+    const std::string where = "run '" + run.label + "': ";
+    // Older writers' "epochs"/"tier"/"pauses"/"alloc" blocks repeat flat
+    // metrics of the same run and are skipped.
+    if (const JsonValue* metrics = jr.Find("metrics"); metrics != nullptr) {
+      if (!metrics->is(Type::kArray)) {
+        return fail(where + "'metrics' is not an array");
+      }
       for (const JsonValue& jm : metrics->arr) {
         ReportMetric m;
         m.name = jm.Str("name");
-        m.value = jm.Num("value");
-        m.exact = jm.Bool("exact");
+        const JsonValue* value = jm.Find("value");
+        const JsonValue* exact = jm.Find("exact");
+        if (!IsA(value, Type::kNumber)) {
+          return fail(where + "metric '" + m.name +
+                      "': 'value' is not a number");
+        }
+        if (!IsA(exact, Type::kBool)) {
+          return fail(where + "metric '" + m.name +
+                      "': 'exact' is not a boolean");
+        }
+        m.value = value->number;
+        m.exact = exact->boolean;
         run.metrics.push_back(std::move(m));
       }
     }
-    if (const JsonValue* spans = jr.Find("spans");
-        spans != nullptr && spans->is(JsonValue::Type::kArray)) {
+    if (const JsonValue* spans = jr.Find("spans"); spans != nullptr) {
+      if (!spans->is(Type::kArray)) {
+        return fail(where + "'spans' is not an array");
+      }
       for (const JsonValue& js : spans->arr) {
         SpanAgg s;
         s.cat = js.Str("cat");
         s.name = js.Str("name");
-        s.count = static_cast<uint64_t>(js.Num("count"));
-        s.total_ms = js.Num("total_ms");
+        const JsonValue* count = js.Find("count");
+        const JsonValue* total = js.Find("total_ms");
+        const std::string span = where + "span '" + s.cat + "/" + s.name;
+        if (!IsIntegerIn(count, 0, kMaxSpanCount)) {
+          return fail(span + "': 'count' is not an integer in [0, 2^53]");
+        }
+        if (!IsA(total, Type::kNumber)) {
+          return fail(span + "': 'total_ms' is not a number");
+        }
+        s.count = static_cast<uint64_t>(count->number);
+        s.total_ms = total->number;
         run.spans.push_back(std::move(s));
       }
-    }
-    if (const JsonValue* epochs = jr.Find("epochs");
-        epochs != nullptr && epochs->is(JsonValue::Type::kObject)) {
-      run.epochs.present = true;
-      run.epochs.epochs_run =
-          static_cast<uint64_t>(epochs->Num("epochs_run"));
-      run.epochs.windows = static_cast<uint64_t>(epochs->Num("windows"));
-      run.epochs.reclaimed_bytes =
-          static_cast<uint64_t>(epochs->Num("reclaimed_bytes"));
-      run.epochs.pause_p50_ms = epochs->Num("pause_p50_ms");
-      run.epochs.pause_p99_ms = epochs->Num("pause_p99_ms");
-      run.epochs.reclaim_p99_ms = epochs->Num("reclaim_p99_ms");
-    }
-    if (const JsonValue* tier = jr.Find("tier");
-        tier != nullptr && tier->is(JsonValue::Type::kObject)) {
-      run.tier.present = true;
-      run.tier.t0_resident_bytes =
-          static_cast<uint64_t>(tier->Num("t0_resident_bytes"));
-      run.tier.t1_resident_bytes =
-          static_cast<uint64_t>(tier->Num("t1_resident_bytes"));
-      run.tier.t2_resident_bytes =
-          static_cast<uint64_t>(tier->Num("t2_resident_bytes"));
-      run.tier.t1_peak_bytes =
-          static_cast<uint64_t>(tier->Num("t1_peak_bytes"));
-      run.tier.t0_hits = static_cast<uint64_t>(tier->Num("t0_hits"));
-      run.tier.t1_hits = static_cast<uint64_t>(tier->Num("t1_hits"));
-      run.tier.t2_hits = static_cast<uint64_t>(tier->Num("t2_hits"));
-      run.tier.misses = static_cast<uint64_t>(tier->Num("misses"));
-      run.tier.demotes_to_t1 =
-          static_cast<uint64_t>(tier->Num("demotes_to_t1"));
-      run.tier.demotes_to_t2 =
-          static_cast<uint64_t>(tier->Num("demotes_to_t2"));
-      run.tier.promotes = static_cast<uint64_t>(tier->Num("promotes"));
-      run.tier.admit_rejects =
-          static_cast<uint64_t>(tier->Num("admit_rejects"));
-      run.tier.promote_p50_ms = tier->Num("promote_p50_ms");
-      run.tier.promote_p99_ms = tier->Num("promote_p99_ms");
-    }
-    if (const JsonValue* pauses = jr.Find("pauses");
-        pauses != nullptr && pauses->is(JsonValue::Type::kObject)) {
-      run.pauses.present = true;
-      run.pauses.mark_slices =
-          static_cast<uint64_t>(pauses->Num("mark_slices"));
-      run.pauses.pause_events =
-          static_cast<uint64_t>(pauses->Num("pause_events"));
-      run.pauses.pause_p50_ms = pauses->Num("pause_p50_ms");
-      run.pauses.pause_p99_ms = pauses->Num("pause_p99_ms");
-      run.pauses.pause_max_ms = pauses->Num("pause_max_ms");
-      run.pauses.slice_p50_ms = pauses->Num("slice_p50_ms");
-      run.pauses.slice_p99_ms = pauses->Num("slice_p99_ms");
-      run.pauses.slice_max_ms = pauses->Num("slice_max_ms");
-    }
-    if (const JsonValue* alloc = jr.Find("alloc");
-        alloc != nullptr && alloc->is(JsonValue::Type::kObject)) {
-      run.alloc.present = true;
-      run.alloc.alloc_calls =
-          static_cast<uint64_t>(alloc->Num("alloc_calls"));
-      run.alloc.free_calls = static_cast<uint64_t>(alloc->Num("free_calls"));
-      run.alloc.bytes_requested =
-          static_cast<uint64_t>(alloc->Num("bytes_requested"));
     }
     out->runs.push_back(std::move(run));
   }
@@ -243,6 +188,8 @@ bool Validate(const RunReport& report, std::string* err) {
       return fail("duplicate run label '" + run.label + "'");
     }
     std::set<std::string> names;
+    // Percentile metrics by prefix, indexed by rank (p50, p99, max).
+    std::map<std::string_view, std::array<const ReportMetric*, 3>> ranked;
     for (const ReportMetric& m : run.metrics) {
       if (m.name.empty()) return fail("metric with empty name in '" +
                                       run.label + "'");
@@ -254,6 +201,32 @@ bool Validate(const RunReport& report, std::string* err) {
         return fail("non-finite metric '" + m.name + "' in '" + run.label +
                     "'");
       }
+      std::string_view prefix;
+      size_t rank = 0;
+      if (SplitPercentile(m.name, &prefix, &rank)) {
+        if (m.value < 0) {
+          return fail("negative percentile '" + m.name + "' in '" +
+                      run.label + "'");
+        }
+        ranked[prefix][rank] = &m;
+      }
+    }
+    for (const auto& [prefix, ranks] : ranked) {
+      const ReportMetric* lower = nullptr;
+      for (const ReportMetric* m : ranks) {
+        if (m == nullptr) continue;
+        if (lower != nullptr && lower->value > m->value) {
+          return fail("percentile '" + lower->name + "' > '" + m->name +
+                      "' in '" + run.label + "'");
+        }
+        lower = m;
+      }
+    }
+    const ReportMetric* allocs = run.Find("alloc.allocs");
+    const ReportMetric* frees = run.Find("alloc.frees");
+    if (allocs != nullptr && frees != nullptr &&
+        frees->value > allocs->value) {
+      return fail("alloc.frees > alloc.allocs in '" + run.label + "'");
     }
     for (const SpanAgg& s : run.spans) {
       if (s.cat.empty() || s.name.empty()) {
@@ -263,49 +236,6 @@ bool Validate(const RunReport& report, std::string* err) {
       if (!std::isfinite(s.total_ms) || s.total_ms < 0) {
         return fail("bad span total_ms for '" + s.name + "' in '" +
                     run.label + "'");
-      }
-    }
-    if (run.epochs.present) {
-      const EpochAgg& e = run.epochs;
-      if (!std::isfinite(e.pause_p50_ms) || e.pause_p50_ms < 0 ||
-          !std::isfinite(e.pause_p99_ms) || e.pause_p99_ms < 0 ||
-          !std::isfinite(e.reclaim_p99_ms) || e.reclaim_p99_ms < 0) {
-        return fail("bad epoch pause aggregate in '" + run.label + "'");
-      }
-      if (e.pause_p50_ms > e.pause_p99_ms) {
-        return fail("epoch pause p50 > p99 in '" + run.label + "'");
-      }
-    }
-    if (run.tier.present) {
-      const TierAgg& t = run.tier;
-      if (!std::isfinite(t.promote_p50_ms) || t.promote_p50_ms < 0 ||
-          !std::isfinite(t.promote_p99_ms) || t.promote_p99_ms < 0) {
-        return fail("bad tier promote aggregate in '" + run.label + "'");
-      }
-      if (t.promote_p50_ms > t.promote_p99_ms) {
-        return fail("tier promote p50 > p99 in '" + run.label + "'");
-      }
-    }
-    if (run.pauses.present) {
-      const PauseAgg& p = run.pauses;
-      for (double v : {p.pause_p50_ms, p.pause_p99_ms, p.pause_max_ms,
-                       p.slice_p50_ms, p.slice_p99_ms, p.slice_max_ms}) {
-        if (!std::isfinite(v) || v < 0) {
-          return fail("bad pause aggregate in '" + run.label + "'");
-        }
-      }
-      if (p.pause_p50_ms > p.pause_p99_ms ||
-          p.pause_p99_ms > p.pause_max_ms ||
-          p.slice_p50_ms > p.slice_p99_ms ||
-          p.slice_p99_ms > p.slice_max_ms) {
-        return fail("pause percentiles out of order in '" + run.label +
-                    "'");
-      }
-    }
-    if (run.alloc.present) {
-      if (run.alloc.free_calls > run.alloc.alloc_calls) {
-        return fail("alloc free_calls > alloc_calls in '" + run.label +
-                    "'");
       }
     }
   }
@@ -336,64 +266,9 @@ bool ReportsEqual(const RunReport& a, const RunReport& b) {
         return false;
       }
     }
-    const EpochAgg& ea = ra.epochs;
-    const EpochAgg& eb = rb.epochs;
-    if (ea.present != eb.present || ea.epochs_run != eb.epochs_run ||
-        ea.windows != eb.windows ||
-        ea.reclaimed_bytes != eb.reclaimed_bytes ||
-        ea.pause_p50_ms != eb.pause_p50_ms ||
-        ea.pause_p99_ms != eb.pause_p99_ms ||
-        ea.reclaim_p99_ms != eb.reclaim_p99_ms) {
-      return false;
-    }
-    const TierAgg& ta = ra.tier;
-    const TierAgg& tb = rb.tier;
-    if (ta.present != tb.present ||
-        ta.t0_resident_bytes != tb.t0_resident_bytes ||
-        ta.t1_resident_bytes != tb.t1_resident_bytes ||
-        ta.t2_resident_bytes != tb.t2_resident_bytes ||
-        ta.t1_peak_bytes != tb.t1_peak_bytes ||
-        ta.t0_hits != tb.t0_hits || ta.t1_hits != tb.t1_hits ||
-        ta.t2_hits != tb.t2_hits || ta.misses != tb.misses ||
-        ta.demotes_to_t1 != tb.demotes_to_t1 ||
-        ta.demotes_to_t2 != tb.demotes_to_t2 ||
-        ta.promotes != tb.promotes ||
-        ta.admit_rejects != tb.admit_rejects ||
-        ta.promote_p50_ms != tb.promote_p50_ms ||
-        ta.promote_p99_ms != tb.promote_p99_ms) {
-      return false;
-    }
-    const PauseAgg& pa = ra.pauses;
-    const PauseAgg& pb = rb.pauses;
-    if (pa.present != pb.present || pa.mark_slices != pb.mark_slices ||
-        pa.pause_events != pb.pause_events ||
-        pa.pause_p50_ms != pb.pause_p50_ms ||
-        pa.pause_p99_ms != pb.pause_p99_ms ||
-        pa.pause_max_ms != pb.pause_max_ms ||
-        pa.slice_p50_ms != pb.slice_p50_ms ||
-        pa.slice_p99_ms != pb.slice_p99_ms ||
-        pa.slice_max_ms != pb.slice_max_ms) {
-      return false;
-    }
-    const AllocAgg& aa = ra.alloc;
-    const AllocAgg& ab = rb.alloc;
-    if (aa.present != ab.present || aa.alloc_calls != ab.alloc_calls ||
-        aa.free_calls != ab.free_calls ||
-        aa.bytes_requested != ab.bytes_requested) {
-      return false;
-    }
   }
   return true;
 }
-
-namespace {
-
-bool ExactEqual(double base, double cur, double rel_eps) {
-  double scale = std::max({1.0, std::fabs(base), std::fabs(cur)});
-  return std::fabs(base - cur) <= rel_eps * scale;
-}
-
-}  // namespace
 
 DiffResult DiffReports(const RunReport& baseline, const RunReport& current,
                        const DiffOptions& opt) {
@@ -421,7 +296,7 @@ DiffResult DiffReports(const RunReport& baseline, const RunReport& current,
         continue;
       }
       if (bm.exact) {
-        if (!ExactEqual(bm.value, cm->value, opt.exact_rel_eps)) {
+        if (cm->value != bm.value) {
           fail(base_run.label + ": exact metric '" + bm.name + "' changed " +
                JsonNumber(bm.value) + " -> " + JsonNumber(cm->value));
         }
@@ -461,144 +336,6 @@ DiffResult DiffReports(const RunReport& baseline, const RunReport& current,
              "' total_ms regressed " + JsonNumber(bs.total_ms) + " -> " +
              JsonNumber(cs->total_ms));
       }
-    }
-    if (base_run.epochs.present) {
-      const EpochAgg& be = base_run.epochs;
-      const EpochAgg& ce = cur_run->epochs;
-      if (!ce.present) {
-        fail(base_run.label + ": epoch aggregates missing from current "
-             "report");
-        continue;
-      }
-      // Deterministic epoch counters: bit-compare.
-      auto counter = [&](const char* name, uint64_t bv, uint64_t cv) {
-        if (bv != cv) {
-          fail(base_run.label + ": epoch counter '" + std::string(name) +
-               "' changed " + std::to_string(bv) + " -> " +
-               std::to_string(cv));
-        }
-      };
-      counter("epochs_run", be.epochs_run, ce.epochs_run);
-      counter("windows", be.windows, ce.windows);
-      counter("reclaimed_bytes", be.reclaimed_bytes, ce.reclaimed_bytes);
-      // Pause percentiles are wall times: regression threshold only.
-      auto pause = [&](const char* name, double bv, double cv) {
-        if (cv > bv * (1.0 + opt.time_threshold) &&
-            cv - bv > opt.time_floor_ms) {
-          fail(base_run.label + ": epoch pause '" + std::string(name) +
-               "' regressed " + JsonNumber(bv) + " -> " + JsonNumber(cv) +
-               " ms");
-        }
-      };
-      if (!opt.exact_only) {
-        pause("pause_p50_ms", be.pause_p50_ms, ce.pause_p50_ms);
-        pause("pause_p99_ms", be.pause_p99_ms, ce.pause_p99_ms);
-        pause("reclaim_p99_ms", be.reclaim_p99_ms, ce.reclaim_p99_ms);
-      }
-    }
-    if (base_run.tier.present) {
-      const TierAgg& bt = base_run.tier;
-      const TierAgg& ct = cur_run->tier;
-      if (!ct.present) {
-        fail(base_run.label + ": tier aggregates missing from current "
-             "report");
-        continue;
-      }
-      // Deterministic tier counters: bit-compare.
-      auto counter = [&](const char* name, uint64_t bv, uint64_t cv) {
-        if (bv != cv) {
-          fail(base_run.label + ": tier counter '" + std::string(name) +
-               "' changed " + std::to_string(bv) + " -> " +
-               std::to_string(cv));
-        }
-      };
-      counter("t0_resident_bytes", bt.t0_resident_bytes,
-              ct.t0_resident_bytes);
-      counter("t1_resident_bytes", bt.t1_resident_bytes,
-              ct.t1_resident_bytes);
-      counter("t2_resident_bytes", bt.t2_resident_bytes,
-              ct.t2_resident_bytes);
-      counter("t1_peak_bytes", bt.t1_peak_bytes, ct.t1_peak_bytes);
-      counter("t0_hits", bt.t0_hits, ct.t0_hits);
-      counter("t1_hits", bt.t1_hits, ct.t1_hits);
-      counter("t2_hits", bt.t2_hits, ct.t2_hits);
-      counter("misses", bt.misses, ct.misses);
-      counter("demotes_to_t1", bt.demotes_to_t1, ct.demotes_to_t1);
-      counter("demotes_to_t2", bt.demotes_to_t2, ct.demotes_to_t2);
-      counter("promotes", bt.promotes, ct.promotes);
-      counter("admit_rejects", bt.admit_rejects, ct.admit_rejects);
-      // Promote percentiles are wall times: regression threshold only.
-      auto promote = [&](const char* name, double bv, double cv) {
-        if (cv > bv * (1.0 + opt.time_threshold) &&
-            cv - bv > opt.time_floor_ms) {
-          fail(base_run.label + ": tier promote '" + std::string(name) +
-               "' regressed " + JsonNumber(bv) + " -> " + JsonNumber(cv) +
-               " ms");
-        }
-      };
-      if (!opt.exact_only) {
-        promote("promote_p50_ms", bt.promote_p50_ms, ct.promote_p50_ms);
-        promote("promote_p99_ms", bt.promote_p99_ms, ct.promote_p99_ms);
-      }
-    }
-    if (base_run.pauses.present) {
-      const PauseAgg& bp = base_run.pauses;
-      const PauseAgg& cp = cur_run->pauses;
-      if (!cp.present) {
-        fail(base_run.label + ": pause aggregates missing from current "
-             "report");
-        continue;
-      }
-      // Slice/pause event counts are deterministic at pause_budget_ms=0
-      // (one slice per mark): bit-compare. Budgeted runs must not be
-      // diffed against unbudgeted baselines (use --slo instead).
-      auto counter = [&](const char* name, uint64_t bv, uint64_t cv) {
-        if (bv != cv) {
-          fail(base_run.label + ": pause counter '" + std::string(name) +
-               "' changed " + std::to_string(bv) + " -> " +
-               std::to_string(cv));
-        }
-      };
-      counter("mark_slices", bp.mark_slices, cp.mark_slices);
-      counter("pause_events", bp.pause_events, cp.pause_events);
-      // Percentiles are wall times: regression threshold only.
-      auto pause_time = [&](const char* name, double bv, double cv) {
-        if (cv > bv * (1.0 + opt.time_threshold) &&
-            cv - bv > opt.time_floor_ms) {
-          fail(base_run.label + ": pause time '" + std::string(name) +
-               "' regressed " + JsonNumber(bv) + " -> " + JsonNumber(cv) +
-               " ms");
-        }
-      };
-      if (!opt.exact_only) {
-        pause_time("pause_p50_ms", bp.pause_p50_ms, cp.pause_p50_ms);
-        pause_time("pause_p99_ms", bp.pause_p99_ms, cp.pause_p99_ms);
-        pause_time("pause_max_ms", bp.pause_max_ms, cp.pause_max_ms);
-        pause_time("slice_p50_ms", bp.slice_p50_ms, cp.slice_p50_ms);
-        pause_time("slice_p99_ms", bp.slice_p99_ms, cp.slice_p99_ms);
-        pause_time("slice_max_ms", bp.slice_max_ms, cp.slice_max_ms);
-      }
-    }
-    if (base_run.alloc.present) {
-      const AllocAgg& ba = base_run.alloc;
-      const AllocAgg& ca = cur_run->alloc;
-      if (!ca.present) {
-        fail(base_run.label + ": alloc aggregates missing from current "
-             "report");
-        continue;
-      }
-      // The counters are part of the determinism contract (identical
-      // across threads and dist modes).
-      auto counter = [&](const char* name, uint64_t bv, uint64_t cv) {
-        if (bv != cv) {
-          fail(base_run.label + ": alloc counter '" + std::string(name) +
-               "' changed " + std::to_string(bv) + " -> " +
-               std::to_string(cv));
-        }
-      };
-      counter("alloc_calls", ba.alloc_calls, ca.alloc_calls);
-      counter("free_calls", ba.free_calls, ca.free_calls);
-      counter("bytes_requested", ba.bytes_requested, ca.bytes_requested);
     }
   }
   return result;

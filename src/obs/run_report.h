@@ -11,81 +11,18 @@ namespace deca::obs {
 
 /// One named measurement. `exact` partitions the diff rules:
 ///  - exact metrics are deterministic simulation counters (GC counts,
-///    spills, denials, byte peaks) and must match a baseline bit-for-bit;
+///    spills, denials, byte peaks) and must equal the baseline value
+///    (`==` on the double);
 ///  - inexact metrics are wall times and are compared against a relative
 ///    regression threshold only.
+/// Every plane (epochs, tiers, pauses, native buffers, ...) is a group of
+/// flat metrics sharing a name prefix ("epoch.", "tier.", "pauses.",
+/// "alloc."); percentiles are metrics named "<p>_p50_ms", "<p>_p99_ms"
+/// and "<p>_max_ms".
 struct ReportMetric {
   std::string name;
   double value = 0;
   bool exact = false;
-};
-
-/// Epoch plane of a micro-batch streaming run (schema v2). Absent
-/// (`present == false`) for batch runs. The counters are deterministic
-/// simulation results and are bit-compared by report_diff; the pause
-/// percentiles are wall times and are threshold-compared.
-struct EpochAgg {
-  bool present = false;
-  uint64_t epochs_run = 0;
-  uint64_t windows = 0;
-  uint64_t reclaimed_bytes = 0;
-  double pause_p50_ms = 0;
-  double pause_p99_ms = 0;
-  double reclaim_p99_ms = 0;
-};
-
-/// Storage-tier plane of a run with the serialized off-heap tier enabled
-/// (schema v3). Absent (`present == false`) when storage_tiers=2 (the
-/// legacy heap→disk store). Resident bytes and hit/demote/promote counters
-/// are deterministic simulation results and are bit-compared by
-/// report_diff; the promote percentiles are wall times and are
-/// threshold-compared.
-struct TierAgg {
-  bool present = false;
-  uint64_t t0_resident_bytes = 0;
-  uint64_t t1_resident_bytes = 0;
-  uint64_t t2_resident_bytes = 0;
-  uint64_t t1_peak_bytes = 0;
-  uint64_t t0_hits = 0;
-  uint64_t t1_hits = 0;
-  uint64_t t2_hits = 0;
-  uint64_t misses = 0;
-  uint64_t demotes_to_t1 = 0;
-  uint64_t demotes_to_t2 = 0;
-  uint64_t promotes = 0;
-  uint64_t admit_rejects = 0;
-  double promote_p50_ms = 0;
-  double promote_p99_ms = 0;
-};
-
-/// GC pause plane of a run (schema v4). `mark_slices` counts every
-/// recorded mark slice (monolithic marks count one each, so at
-/// pause_budget_ms=0 it is a deterministic counter; at budget > 0 the
-/// slice count is timing-dependent — budgeted runs are gated with
-/// report_diff --slo assertions, not baseline diffs). `pause_events`
-/// counts mutator-visible stop-the-world pauses. The percentiles are wall
-/// times over the pause/slice histograms and are threshold-compared.
-struct PauseAgg {
-  bool present = false;
-  uint64_t mark_slices = 0;
-  uint64_t pause_events = 0;
-  double pause_p50_ms = 0;
-  double pause_p99_ms = 0;
-  double pause_max_ms = 0;
-  double slice_p50_ms = 0;
-  double slice_p99_ms = 0;
-  double slice_max_ms = 0;
-};
-
-/// Native-buffer counters of a run (schema v5). Absent
-/// (`present == false`) for reports written before the counters existed
-/// or for standalone-heap runs that never counted a buffer. Every field is
-/// deterministic and bit-compared by report_diff.
-struct AllocAgg {
-  bool present = false;
-  uint64_t alloc_calls = 0;
-  uint64_t free_calls = 0;
-  uint64_t bytes_requested = 0;
 };
 
 /// One workload run (one mode / configuration) inside a bench binary.
@@ -93,21 +30,16 @@ struct ReportRun {
   std::string label;  // e.g. "LR-large/Deca"
   std::vector<ReportMetric> metrics;
   std::vector<SpanAgg> spans;  // per-(cat,name) trace aggregates
-  EpochAgg epochs;             // streaming runs only
-  TierAgg tier;                // tiered-store runs only
-  PauseAgg pauses;             // GC pause/mark-slice histograms
-  AllocAgg alloc;              // native page-allocator counters
 
   const ReportMetric* Find(std::string_view name) const;
   void Add(std::string_view name, double value, bool exact);
 };
 
 /// The machine-readable result of one bench binary execution
-/// (`--json-out=` / `DECA_JSON_OUT`). Schema "deca-run-report" v5
-/// (v2 added the optional per-run "epochs" aggregate, v3 the optional
-/// per-run "tier" aggregate, v4 the optional per-run "pauses" aggregate,
-/// v5 the optional per-run "alloc" aggregate; older reports are still
-/// parsed).
+/// (`--json-out=` / `DECA_JSON_OUT`). Schema "deca-run-report" v5: per
+/// run, one flat metric list plus span aggregates. Reports v1-v5 parse;
+/// the optional per-run "epochs", "tier", "pauses" and "alloc" blocks that
+/// v2-v5 writers added duplicated flat metrics and are ignored.
 struct RunReport {
   static constexpr const char* kSchema = "deca-run-report";
   static constexpr int kVersion = 5;
@@ -122,11 +54,18 @@ struct RunReport {
 /// Serializes with enough float precision that FromJson(ToJson(r)) == r.
 std::string ToJson(const RunReport& report);
 
-/// Parses a report; false + `err` on malformed input or schema mismatch.
+/// Parses a report; false + `err` naming the offending field on malformed
+/// input or schema mismatch. A present `metrics`/`spans` member must be
+/// an array, every metric needs a numeric `value` and a boolean `exact`,
+/// and every span a `count` that is an integer in [0, 2^53] and a numeric
+/// `total_ms`; nothing is defaulted.
 bool FromJson(std::string_view json, RunReport* out, std::string* err);
 
-/// Structural schema check: schema/version match, non-empty bench,
-/// unique non-empty run labels, finite metric values, sane span aggs.
+/// Structural schema check: non-empty bench, unique non-empty run labels,
+/// unique non-empty metric names, finite metric values, sane span aggs.
+/// Within a run, percentiles are non-negative and ordered
+/// (`<p>_p50_ms <= <p>_p99_ms <= <p>_max_ms` for the ones present), and
+/// `alloc.frees <= alloc.allocs`.
 bool Validate(const RunReport& report, std::string* err);
 
 /// Deep equality (used by the exporter round-trip test).
@@ -139,15 +78,10 @@ struct DiffOptions {
   /// sub-millisecond measurements).
   double time_threshold = 0.15;
   double time_floor_ms = 1.0;
-  /// Exact metrics compare with this relative epsilon (doubles that went
-  /// through decimal text).
-  double exact_rel_eps = 1e-9;
-  /// Compare exact metrics and deterministic epoch/tier counters only;
-  /// skip
-  /// wall-time metrics and trace spans entirely. Used to diff a
-  /// multi-process run against an in-process baseline: the determinism
-  /// contract covers counters, not timings, and executor daemons do not
-  /// record worker-side spans.
+  /// Compare exact metrics only; skip wall-time metrics and trace spans
+  /// entirely. Used to diff a multi-process run against an in-process
+  /// baseline: the determinism contract covers counters, not timings, and
+  /// executor daemons do not record worker-side spans.
   bool exact_only = false;
 };
 
@@ -157,7 +91,8 @@ struct DiffResult {
 };
 
 /// Compares `current` against `baseline`. Exact metrics and span counts
-/// must match; time metrics and span totals gate on the relative
+/// must be equal (`JsonNumber` text reads back bit-identically, so `==`
+/// holds across a file round trip); time metrics and span totals gate on the relative
 /// threshold (regressions only — improvements always pass). A run or
 /// metric present in the baseline but missing from `current` fails; extra
 /// runs/metrics in `current` are allowed (reports may grow).

@@ -702,8 +702,8 @@ uint64_t SparkContext::TotalFullGcs() const {
   return total;
 }
 
-GcPauseAggregate SparkContext::TotalGcPauses() const {
-  GcPauseAggregate agg;
+GcPauseSummary SparkContext::TotalGcPauses() const {
+  GcPauseSummary agg;
   auto fold_max = [&agg](uint64_t slices, uint64_t events, double pp50,
                          double pp99, double pmax, double sp50, double sp99,
                          double smax) {

@@ -195,7 +195,7 @@ class SparkContext {
   /// executors, latency percentiles composed by max (the job-level tail
   /// is bounded by the worst executor). Role-aware like the other
   /// getters.
-  GcPauseAggregate TotalGcPauses() const;
+  GcPauseSummary TotalGcPauses() const;
   /// Sum of current in-memory cached bytes across executors.
   uint64_t CachedMemoryBytes() const;
   uint64_t PeakCachedMemoryBytes() const;

@@ -82,14 +82,9 @@ struct ClusterCounters {
   uint64_t rpc_messages = 0;
 };
 
-/// One executor's observability plane, reported by its daemon in every
-/// stage-done acknowledgment. The driver serves the SparkContext Total*
-/// getters from the latest snapshots, so bench/report output is
-/// identical to the in-process run (each daemon reports only its own
-/// executor; the sum across daemons equals the in-process sum).
-/// Job-level GC pause aggregate (SparkContext::TotalGcPauses): counters
+/// Job-level GC pause summary (SparkContext::TotalGcPauses): counters
 /// summed across executor heaps, percentiles composed by max.
-struct GcPauseAggregate {
+struct GcPauseSummary {
   uint64_t mark_slices = 0;
   uint64_t pause_events = 0;
   double pause_p50_ms = 0;
@@ -100,6 +95,11 @@ struct GcPauseAggregate {
   double slice_max_ms = 0;
 };
 
+/// One executor's observability plane, reported by its daemon in every
+/// stage-done acknowledgment. The driver serves the SparkContext Total*
+/// getters from the latest snapshots, so bench/report output is
+/// identical to the in-process run (each daemon reports only its own
+/// executor; the sum across daemons equals the in-process sum).
 struct ExecutorSnapshot {
   double gc_pause_ms = 0;
   double concurrent_gc_ms = 0;

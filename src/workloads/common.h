@@ -87,7 +87,7 @@ struct RunResult {
   // across executors, pause and slice latency percentiles composed by
   // max. mark_slices is deterministic at pause_budget_ms=0 (monolithic
   // marks record exactly one slice each).
-  spark::GcPauseAggregate pauses;
+  spark::GcPauseSummary pauses;
 
   // Streaming plane (all zero unless the run was a micro-batch stream).
   // Pauses are per-epoch stop-the-world GC + region-reclaim stalls; the

@@ -128,6 +128,31 @@ TEST(HistogramTest, BasicStats) {
   EXPECT_NEAR(h.Percentile(99), 99, 1.1);
 }
 
+TEST(HistogramTest, PercentilesAreOrderedAndNeverAboveMax) {
+  // Ten equal samples: interpolating as lo * (1 - f) + hi * f put p99 at
+  // 0.007000000000000001, above Max(), which RunReport validation rejects.
+  Histogram same;
+  for (int i = 0; i < 10; ++i) same.Add(0.007);
+  EXPECT_EQ(same.Percentile(50), 0.007);
+  EXPECT_EQ(same.Percentile(99), 0.007);
+  Rng rng(7);
+  for (int round = 0; round < 200; ++round) {
+    Histogram h;
+    const uint64_t n = 1 + rng.NextBounded(50);
+    const double v = rng.NextDouble(0, 10);
+    for (uint64_t i = 0; i < n; ++i) {
+      h.Add(rng.NextBounded(3) == 0 ? rng.NextDouble(0, 10) : v);
+    }
+    double prev = h.Min();
+    for (int p = 0; p <= 100; ++p) {
+      const double q = h.Percentile(p);
+      EXPECT_LE(prev, q) << "round " << round << " p" << p;
+      EXPECT_LE(q, h.Max()) << "round " << round << " p" << p;
+      prev = q;
+    }
+  }
+}
+
 TEST(StopwatchTest, PauseExcludesTime) {
   Stopwatch sw;
   sw.Stop();

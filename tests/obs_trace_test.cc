@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/run_report.h"
@@ -232,13 +233,12 @@ RunReport SampleReport() {
   agg.count = 8;
   agg.total_ms = 39.5;
   run.spans.push_back(agg);
-  run.epochs.present = true;
-  run.epochs.epochs_run = 240;
-  run.epochs.windows = 60;
-  run.epochs.reclaimed_bytes = 987654321;
-  run.epochs.pause_p50_ms = 0.5;
-  run.epochs.pause_p99_ms = 2.25;
-  run.epochs.reclaim_p99_ms = 1.125;
+  run.Add("epoch.epochs_run", 240, true);
+  run.Add("epoch.windows", 60, true);
+  run.Add("epoch.reclaimed_bytes", 987654321, true);
+  run.Add("epoch.pause_p50_ms", 0.5, false);
+  run.Add("epoch.pause_p99_ms", 2.25, false);
+  run.Add("epoch.reclaim_p99_ms", 1.125, false);
   rep.runs.push_back(run);
 
   ReportRun run2;
@@ -248,6 +248,47 @@ RunReport SampleReport() {
   rep.runs.push_back(run2);
   return rep;
 }
+
+// Run 0's metric `name`, which the test put there.
+double& Value(RunReport* rep, std::string_view name) {
+  for (obs::ReportMetric& m : rep->runs[0].metrics) {
+    if (m.name == name) return m.value;
+  }
+  ADD_FAILURE() << "no metric " << name;
+  static double missing = 0;
+  return missing;
+}
+
+// Validate's verdict on SampleReport() with run 0's `name` set to `value`
+// (the metric is added when absent).
+bool ValidWith(std::string_view name, double value, std::string* err) {
+  RunReport rep = SampleReport();
+  if (rep.runs[0].Find(name) == nullptr) {
+    rep.runs[0].Add(name, value, false);
+  } else {
+    Value(&rep, name) = value;
+  }
+  return Validate(rep, err);
+}
+
+// A one-run report whose run object has the given extra members.
+std::string OneRunJson(std::string_view run_members,
+                       std::string_view version = "5") {
+  return std::string(R"({"schema": "deca-run-report", "version": )") +
+         std::string(version) + R"(, "bench": "b", "runs": [{"label": "r")" +
+         std::string(run_members) + "}]}";
+}
+
+// FromJson must reject `json` with an error that names `field`.
+void ExpectRejected(const std::string& json, const std::string& field) {
+  RunReport out;
+  std::string err;
+  EXPECT_FALSE(FromJson(json, &out, &err)) << json;
+  EXPECT_NE(err.find(field), std::string::npos) << err;
+}
+
+constexpr std::string_view kGoodSpan =
+    R"(, "spans": [{"cat": "c", "name": "s", "count": 3, "total_ms": 1.5}])";
 
 TEST(RunReportTest, JsonRoundTripPreservesEverything) {
   RunReport rep = SampleReport();
@@ -269,6 +310,133 @@ TEST(RunReportTest, FromJsonRejectsGarbageAndWrongSchema) {
   EXPECT_FALSE(FromJson(
       R"({"schema":"other","version":1,"bench":"x","runs":[]})", &out,
       &err));
+}
+
+TEST(RunReportTest, FromJsonAcceptsWellFormedEntriesAndOldBlocks) {
+  // The control for the rejection cases below, plus a v4 run carrying a
+  // per-plane block that older writers emitted: the block is ignored.
+  RunReport out;
+  std::string err;
+  ASSERT_TRUE(FromJson(
+      OneRunJson(R"(, "metrics": [{"name": "m", "value": 7, "exact": true}])" +
+                     std::string(kGoodSpan) +
+                     R"(, "alloc": {"alloc_calls": 2, "free_calls": 0})",
+                 "4"),
+      &out, &err))
+      << err;
+  ASSERT_EQ(out.runs.size(), 1u);
+  ASSERT_EQ(out.runs[0].metrics.size(), 1u);
+  EXPECT_EQ(out.runs[0].metrics[0].value, 7);
+  EXPECT_TRUE(out.runs[0].metrics[0].exact);
+  ASSERT_EQ(out.runs[0].spans.size(), 1u);
+  EXPECT_EQ(out.runs[0].spans[0].count, 3u);
+  EXPECT_EQ(out.runs[0].spans[0].total_ms, 1.5);
+}
+
+TEST(RunReportTest, FromJsonRejectsNonNumericMetricValue) {
+  for (const char* value : {"null", R"("7")", "true", "[]"}) {
+    ExpectRejected(OneRunJson(std::string(R"(, "metrics": [{"name": "m", )") +
+                              R"("value": )" + value + R"(, "exact": true}])"),
+                   "'value'");
+  }
+  ExpectRejected(OneRunJson(R"(, "metrics": [{"name": "m", "exact": true}])"),
+                 "'value'");
+}
+
+TEST(RunReportTest, FromJsonRejectsNonBooleanExact) {
+  // A missing flag must not turn an exact counter into a time metric.
+  ExpectRejected(OneRunJson(R"(, "metrics": [{"name": "m", "value": 7}])"),
+                 "'exact'");
+  for (const char* exact : {"1", R"("true")", "null"}) {
+    ExpectRejected(OneRunJson(std::string(R"(, "metrics": [{"name": "m", )") +
+                              R"("value": 7, "exact": )" + exact + "}]"),
+                   "'exact'");
+  }
+}
+
+TEST(RunReportTest, FromJsonRejectsSpanCountOutsideIntegerRange) {
+  for (const char* count :
+       {"-1", "1.5", "9007199254740994", "1e300", R"("3")", "null"}) {
+    ExpectRejected(
+        OneRunJson(std::string(R"(, "spans": [{"cat": "c", "name": "s", )") +
+                   R"("count": )" + count + R"(, "total_ms": 1.5}])"),
+        "'count'");
+  }
+  // 2^53 itself is the largest count accepted.
+  RunReport out;
+  std::string err;
+  EXPECT_TRUE(FromJson(OneRunJson(R"(, "spans": [{"cat": "c", "name": "s", )"
+                                  R"("count": 9007199254740992, )"
+                                  R"("total_ms": 1.5}])"),
+                       &out, &err))
+      << err;
+}
+
+TEST(RunReportTest, FromJsonRejectsNonNumericSpanTotal) {
+  for (const char* total : {"null", R"("1.5")", "false"}) {
+    ExpectRejected(
+        OneRunJson(std::string(R"(, "spans": [{"cat": "c", "name": "s", )") +
+                   R"("count": 3, "total_ms": )" + total + "}]"),
+        "'total_ms'");
+  }
+}
+
+TEST(RunReportTest, FromJsonRejectsNonArrayMetricsOrSpans) {
+  for (const char* member : {R"({})", R"("x")", "7", "null"}) {
+    ExpectRejected(OneRunJson(std::string(R"(, "metrics": )") + member),
+                   "'metrics'");
+    ExpectRejected(OneRunJson(std::string(R"(, "spans": )") + member),
+                   "'spans'");
+  }
+}
+
+TEST(RunReportTest, FromJsonRejectsVersionOutsideIntegerRange) {
+  for (const char* version :
+       {"0", "6", "-1", "4.5", "1e300", "-1e300", R"("5")", "null"}) {
+    ExpectRejected(OneRunJson(kGoodSpan, version), "'version'");
+  }
+  ExpectRejected(
+      R"({"schema": "deca-run-report", "bench": "b", "runs": []})",
+      "'version'");
+}
+
+TEST(RunReportTest, ValidateRejectsNegativePercentile) {
+  std::string err;
+  EXPECT_TRUE(ValidWith("epoch.pause_p50_ms", 0, &err)) << err;
+  EXPECT_FALSE(ValidWith("epoch.pause_p50_ms", -0.5, &err));
+  EXPECT_NE(err.find("epoch.pause_p50_ms"), std::string::npos) << err;
+  EXPECT_FALSE(ValidWith("serve.latency_max_ms", -1, &err));
+  EXPECT_NE(err.find("serve.latency_max_ms"), std::string::npos) << err;
+}
+
+TEST(RunReportTest, ValidateRejectsPercentilesOutOfOrder) {
+  std::string err;
+  // epoch.pause p50 = 0.5, p99 = 2.25 in SampleReport.
+  EXPECT_TRUE(ValidWith("epoch.pause_p50_ms", 2.25, &err)) << err;
+  EXPECT_FALSE(ValidWith("epoch.pause_p50_ms", 2.5, &err));
+  EXPECT_NE(err.find("epoch.pause_p50_ms"), std::string::npos) << err;
+  EXPECT_TRUE(ValidWith("epoch.pause_max_ms", 2.25, &err)) << err;
+  EXPECT_FALSE(ValidWith("epoch.pause_max_ms", 2.0, &err));
+  EXPECT_NE(err.find("epoch.pause_max_ms"), std::string::npos) << err;
+  // Only metrics sharing a prefix are ordered against each other.
+  EXPECT_TRUE(ValidWith("tier.promote_p50_ms", 99.0, &err)) << err;
+  // p50 <= max is checked when p99 is absent.
+  RunReport rep = SampleReport();
+  rep.runs[0].Add("serve.latency_p50_ms", 3, false);
+  rep.runs[0].Add("serve.latency_max_ms", 2, false);
+  EXPECT_FALSE(Validate(rep, &err));
+  EXPECT_NE(err.find("serve.latency_p50_ms"), std::string::npos) << err;
+}
+
+TEST(RunReportTest, ValidateRejectsMoreFreesThanAllocs) {
+  RunReport rep = SampleReport();
+  rep.runs[0].Add("alloc.allocs", 2, true);
+  rep.runs[0].Add("alloc.frees", 2, true);
+  std::string err;
+  EXPECT_TRUE(Validate(rep, &err)) << err;
+  Value(&rep, "alloc.frees") = 3;
+  EXPECT_FALSE(Validate(rep, &err));
+  EXPECT_NE(err.find("alloc.frees"), std::string::npos) << err;
 }
 
 TEST(RunReportTest, WorkloadReportValidatesAndRoundTrips) {
@@ -365,36 +533,58 @@ TEST(RunReportDiffTest, MissingRunOrMetricFailsExtrasPass) {
   EXPECT_TRUE(DiffReports(base, grown, DiffOptions{}).ok());
 }
 
+TEST(RunReportDiffTest, ExactMetricsCompareBitForBit) {
+  // A large exact counter (a 32-bit digest half) moving by 3 is a change,
+  // also after both reports went through JSON text.
+  RunReport base = SampleReport();
+  base.runs[0].Add("stream.digest_hi", 3695188925.0, true);
+  RunReport cur = base;
+  Value(&cur, "stream.digest_hi") = 3695188928.0;
+  RunReport base_back;
+  RunReport cur_back;
+  std::string err;
+  ASSERT_TRUE(FromJson(ToJson(base), &base_back, &err)) << err;
+  ASSERT_TRUE(FromJson(ToJson(cur), &cur_back, &err)) << err;
+  EXPECT_TRUE(DiffReports(base, base_back, DiffOptions{}).ok());
+  for (const RunReport* c : {&cur, &cur_back}) {
+    auto d = DiffReports(base_back, *c, DiffOptions{});
+    ASSERT_FALSE(d.ok());
+    EXPECT_NE(d.failures[0].find("stream.digest_hi"), std::string::npos);
+  }
+}
+
 TEST(RunReportDiffTest, EpochCountersExactPausesThresholded) {
   RunReport base = SampleReport();
 
   // Epoch counters are deterministic: any drift fails.
   RunReport bad_windows = base;
-  bad_windows.runs[0].epochs.windows += 1;
+  Value(&bad_windows, "epoch.windows") += 1;
   auto d = DiffReports(base, bad_windows, DiffOptions{});
   ASSERT_FALSE(d.ok());
   EXPECT_NE(d.failures[0].find("windows"), std::string::npos);
 
   RunReport bad_bytes = base;
-  bad_bytes.runs[0].epochs.reclaimed_bytes -= 1;
+  Value(&bad_bytes, "epoch.reclaimed_bytes") -= 1;
   EXPECT_FALSE(DiffReports(base, bad_bytes, DiffOptions{}).ok());
 
   // Pauses are wall times: gated by threshold + floor, regressions only.
   RunReport slow = base;
-  slow.runs[0].epochs.pause_p99_ms = 5.0;  // 2.25 -> 5.0 fails
+  Value(&slow, "epoch.pause_p99_ms") = 5.0;  // 2.25 -> 5.0 fails
   EXPECT_FALSE(DiffReports(base, slow, DiffOptions{}).ok());
 
   RunReport mild = base;
-  mild.runs[0].epochs.pause_p99_ms *= 1.05;  // within threshold/floor
+  Value(&mild, "epoch.pause_p99_ms") *= 1.05;  // within threshold/floor
   EXPECT_TRUE(DiffReports(base, mild, DiffOptions{}).ok());
 
   RunReport better = base;
-  better.runs[0].epochs.pause_p99_ms *= 0.5;
+  Value(&better, "epoch.pause_p99_ms") *= 0.5;
   EXPECT_TRUE(DiffReports(base, better, DiffOptions{}).ok());
 
   // A baseline with an epoch plane requires one in `current`.
   RunReport stripped = base;
-  stripped.runs[0].epochs = obs::EpochAgg{};
+  std::erase_if(stripped.runs[0].metrics, [](const obs::ReportMetric& m) {
+    return m.name.starts_with("epoch.");
+  });
   EXPECT_FALSE(DiffReports(base, stripped, DiffOptions{}).ok());
   // The reverse (baseline batch, current streaming) is growth: allowed.
   EXPECT_TRUE(DiffReports(stripped, base, DiffOptions{}).ok());
