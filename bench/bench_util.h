@@ -1,12 +1,20 @@
 #ifndef DECA_BENCH_BENCH_UTIL_H_
 #define DECA_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "common/table_printer.h"
 #include "obs/chrome_trace.h"
@@ -16,26 +24,123 @@
 
 namespace deca::bench {
 
-/// Typed DECA_* environment lookups — the one place bench knobs are
-/// parsed. Each returns `def` when the variable is unset (or, for the
-/// numeric guards, unparsable/non-positive where noted).
-inline int EnvInt(const char* name, int def, int min_value = 1) {
-  const char* e = std::getenv(name);
-  if (e == nullptr) return def;
-  int n = std::atoi(e);
-  return n >= min_value ? n : def;
+/// DECA_* variables the harness reads itself; with the field list's knobs
+/// (spark::ForEachSparkField) they are all that EXPERIMENTS.md documents.
+inline constexpr const char* kScaleEnv = "DECA_SCALE";
+inline constexpr const char* kStreamEpochsEnv = "DECA_STREAM_EPOCHS";
+inline constexpr const char* kStreamWindowEnv = "DECA_STREAM_WINDOW";
+inline constexpr const char* kStreamSlideEnv = "DECA_STREAM_SLIDE";
+inline constexpr const char* kJsonOutEnv = "DECA_JSON_OUT";
+inline constexpr const char* kTraceOutEnv = "DECA_TRACE_OUT";
+
+/// Every DECA_* name a bench accepts; any other one is an error.
+inline std::vector<std::string> KnownEnvNames() {
+  std::vector<std::string> names = {kScaleEnv,        kStreamEpochsEnv,
+                                    kStreamWindowEnv, kStreamSlideEnv,
+                                    kJsonOutEnv,      kTraceOutEnv};
+  const spark::SparkConfig defaults;
+  spark::ForEachSparkField(
+      defaults, [&names](const char*, auto env, uint64_t, const auto&) {
+        if constexpr (!std::is_null_pointer_v<decltype(env)>) {
+          names.emplace_back(env);
+        }
+      });
+  return names;
 }
-inline double EnvDouble(const char* name, double def) {
-  const char* e = std::getenv(name);
-  return e != nullptr ? std::atof(e) : def;
+
+/// Exits with status 2 after naming the offending `NAME=value`.
+[[noreturn]] inline void EnvError(const std::string& assignment,
+                                  const std::string& why) {
+  std::fprintf(stderr, "%s: %s\n", assignment.c_str(), why.c_str());
+  std::exit(2);
 }
-inline uint64_t EnvU64(const char* name, uint64_t def) {
-  const char* e = std::getenv(name);
-  return e != nullptr ? std::strtoull(e, nullptr, 10) : def;
+
+/// Parses `s` as one whole value of `*out`'s type, scaled by `unit`;
+/// false, leaving `*out` alone, when it is not one.
+template <typename T>
+bool ParseKnob(std::string_view s, uint64_t unit, T* out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    *out = s;
+    return true;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (s != "0" && s != "1") return false;
+    *out = s == "1";
+    return true;
+  } else if constexpr (std::is_enum_v<T>) {
+    // EXPERIMENTS.md documents "network" as the loopback transport's alias.
+    if (std::is_same_v<T, spark::ShuffleTransport> && s == "network") {
+      s = "loopback";
+    }
+    for (int i = 0;; ++i) {
+      const char* name = spark::EnumName(static_cast<T>(i));
+      if (std::strcmp(name, "?") == 0) return false;
+      if (s == name) {
+        *out = static_cast<T>(i);
+        return true;
+      }
+    }
+  } else {
+    T v{};
+    const T scale = static_cast<T>(unit);
+    auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc() || end != s.data() + s.size() ||
+        v > std::numeric_limits<T>::max() / scale) {
+      return false;
+    }
+    *out = v * scale;
+    return true;
+  }
 }
-inline std::string EnvStr(const char* name, const std::string& def) {
-  const char* e = std::getenv(name);
-  return e != nullptr ? std::string(e) : def;
+
+/// A field's value as its DECA_* knob spells it (the inverse of ParseKnob).
+template <typename T>
+std::string FormatKnob(const T& v, uint64_t unit) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return v ? "1" : "0";
+  } else if constexpr (std::is_enum_v<T>) {
+    return spark::EnumName(v);
+  } else {
+    char buf[32];
+    auto end = std::to_chars(buf, buf + sizeof(buf), v / static_cast<T>(unit));
+    return std::string(buf, end.ptr);
+  }
+}
+
+/// Rejects any DECA_* variable no bench reads, then sets each field of the
+/// list whose knob is set. A value ParseKnob refuses exits naming it.
+inline void ApplyEnv(spark::SparkConfig* cfg) {
+  const std::vector<std::string> known = KnownEnvNames();
+  for (char** e = environ; *e != nullptr; ++e) {
+    std::string_view name(*e, std::strcspn(*e, "="));
+    if (name.rfind("DECA_", 0) == 0 &&
+        std::find(known.begin(), known.end(), name) == known.end()) {
+      EnvError(*e, "no such knob (EXPERIMENTS.md lists them)");
+    }
+  }
+  spark::ForEachSparkField(
+      *cfg, [](const char* path, auto env, uint64_t unit, auto& v) {
+        if constexpr (!std::is_null_pointer_v<decltype(env)>) {
+          const char* s = std::getenv(env);
+          if (s != nullptr && !ParseKnob(s, unit, &v)) {
+            EnvError(std::string(env) + "=" + s,
+                     std::string("not a value of ") + path);
+          }
+        }
+      });
+}
+
+/// A harness DECA_* integer: `def` when unset. A value that is not a whole
+/// int, or is below `min_value`, exits naming the variable.
+inline int EnvAtLeast(const char* name, int def, int min_value) {
+  const char* s = std::getenv(name);
+  int v = def;
+  if (s != nullptr && (!ParseKnob(s, 1, &v) || v < min_value)) {
+    EnvError(std::string(name) + "=" + s,
+             "not an integer >= " + std::to_string(min_value));
+  }
+  return v;
 }
 
 /// Uniform workload down-scale divisor (DECA_SCALE, default 1). CI's
@@ -44,7 +149,7 @@ inline std::string EnvStr(const char* name, const std::string& def) {
 /// counters still compare exactly.
 inline uint64_t Scaled(uint64_t n) {
   static const uint64_t scale =
-      static_cast<uint64_t>(EnvInt("DECA_SCALE", 1));
+      static_cast<uint64_t>(EnvAtLeast(kScaleEnv, 1, 1));
   return std::max<uint64_t>(1, n / scale);
 }
 
@@ -56,43 +161,24 @@ inline bool& TraceRequested() {
   return v;
 }
 
-/// Prints the effective engine configuration once per process, so a bench
-/// log always records which knobs (env or default) produced its numbers.
-inline void PrintEffectiveConfigOnce(const spark::SparkConfig& cfg) {
+/// Prints, once per process, one line of DECA_* assignments that
+/// reproduces every knob (set or default) behind a bench log's numbers.
+inline void PrintConfigOnce(const spark::SparkConfig& cfg) {
   static bool printed = false;
   if (printed) return;
   printed = true;
-  std::printf(
-      "config: executors=%d threads=%d heap=%zuMB executor_memory=%zuMB "
-      "storage_fraction=%.2f page=%uKB transport=%s dist=%s\n",
-      cfg.num_executors, cfg.num_worker_threads, cfg.heap.heap_bytes >> 20,
-      cfg.executor_memory() >> 20, cfg.storage_fraction,
-      cfg.deca_page_bytes >> 10,
-      spark::ShuffleTransportName(cfg.shuffle_transport),
-      spark::DistModeName(cfg.dist_mode));
-  if (cfg.dist_mode == spark::DistMode::kProcess) {
-    std::printf(
-        "cluster: heartbeat=%dms miss_threshold=%d probes=%d "
-        "backoff=%dms rpc_deadline=%dms\n",
-        cfg.cluster.heartbeat_interval_ms, cfg.cluster.heartbeat_miss_threshold,
-        cfg.cluster.reconnect_probes, cfg.cluster.retry_backoff_base_ms,
-        cfg.cluster.rpc_deadline_ms);
-  }
-  if (cfg.t1_enabled()) {
-    std::printf("tiers: storage_tiers=%d t1_fraction=%.2f admit=%s\n",
-                cfg.storage_tiers, cfg.t1_fraction,
-                spark::AdmitPolicyName(cfg.admit_policy));
-  }
-  if (cfg.heap.pause_budget_ms > 0 ||
-      cfg.lifetime_source != spark::LifetimeSource::kStatic) {
-    std::printf("gc: pause_budget=%.2fms lifetime_source=%s\n",
-                cfg.heap.pause_budget_ms,
-                spark::LifetimeSourceName(cfg.lifetime_source));
-  }
+  std::string line = "config:";
+  spark::ForEachSparkField(
+      cfg, [&line](const char*, auto env, uint64_t unit, const auto& v) {
+        if constexpr (!std::is_null_pointer_v<decltype(env)>) {
+          line += std::string(" ") + env + "=" + FormatKnob(v, unit);
+        }
+      });
+  std::printf("%s\n", line.c_str());
 }
 
-/// Prints the effective stream plan once per process (effective-config
-/// banner companion of PrintEffectiveConfigOnce).
+/// Prints the effective stream plan once per process (the stream benches'
+/// companion of the config banner).
 inline void PrintEffectiveStreamConfigOnce(const stream::StreamOptions& o) {
   static bool printed = false;
   if (printed) return;
@@ -104,178 +190,31 @@ inline void PrintEffectiveStreamConfigOnce(const stream::StreamOptions& o) {
 
 /// Default executor sizing used across the reproduction benches: two
 /// executors with 64 MB heaps stand in for the paper's five 30 GB workers
-/// (a ~1000x uniform down-scale; all reported effects are ratios).
-///
-/// Environment overrides (results stay bit-identical across both):
-///   DECA_EXECUTORS=N        executor count (default 2)
-///   DECA_HEAP_MB=MB         per-executor simulated heap (default: the
-///                           bench's own sizing, usually 64) — shrink it
-///                           to force GC activity at CI scales, e.g. for
-///                           the pause-budget SLO leg
-///   DECA_WORKER_THREADS=N   parallel runtime threads (default 0 =
-///                           sequential driver loop)
-///   DECA_EXECUTOR_MEMORY=MB unified per-executor memory budget
-///                           (default 0 = heap * memory_fraction)
-///   DECA_STORAGE_FRACTION=F storage-pool floor share of the budget
-///                           (default 0.5)
-///
-/// Deterministic fault injection (default off; numbers are unchanged and
-/// no retry counters increment unless one of these is set):
-///   DECA_FAULT_SEED=N        injection seed (default 1)
-///   DECA_FAULT_TASK_PROB=P   per-attempt injected task-failure probability
-///   DECA_FAULT_FETCH_PROB=P  per-attempt shuffle-fetch failure probability
-///   DECA_FAULT_OOM_PROB=P    per-attempt forced allocation-failure prob.
-///   DECA_CRASH_WIPE_STAGE=N / DECA_CRASH_WIPE_EXECUTOR=E
-///                            crash-wipe executor E before stage N
-///
-/// Shuffle transport seam (src/net; results are bit-identical to local):
-///   DECA_SHUFFLE_TRANSPORT=local|network|loopback|tcp
-///                            "network" is an alias for "loopback", the
-///                            deterministic in-process wire (default local)
-///   DECA_NET_LATENCY_US=N    simulated per-message latency, virtual time
-///   DECA_NET_BANDWIDTH_MBPS=N simulated wire bandwidth (0 = infinite)
-///
-/// Distributed control plane (src/cluster; digests, GC counts and fault
-/// counters are bit-identical to the in-process run):
-///   DECA_DIST_MODE=local|process
-///                            "process" spawns one deca_executord daemon
-///                            per executor and drives stages over RPC
-///   DECA_HEARTBEAT_MS=N      driver liveness ping period (default 100)
-///   DECA_HEARTBEAT_MISSES=N  consecutive misses before reconnect probing
-///   DECA_RPC_DEADLINE_MS=N   control RPC response deadline
-///   DECA_RETRY_BACKOFF_MS=N  base of the exponential probe/retry backoff
-///   DECA_EXECUTORD=PATH      daemon binary (default: next to the bench)
-///
-/// Tiered block store (src/spark/block_store; with the default of 2 the
-/// legacy heap <-> disk store runs bit-identically):
-///   DECA_STORAGE_TIER=2|3    3 enables the serialized off-heap tier (T1)
-///                            between heap blocks (T0) and disk (T2)
-///   DECA_T1_FRACTION=F       T1 residency cap as a share of the unified
-///                            executor budget (default 0.5)
-///   DECA_ADMIT_POLICY=always|second_access|never
-///                            re-admission policy for Gets served from
-///                            T1/T2 (default second_access)
-///
-/// Incremental marking & online lifetime profiling (src/jvm; the defaults
-/// keep the historical monolithic mark phases bit-identical):
-///   DECA_PAUSE_BUDGET_MS=MS  split STW mark phases into resumable slices
-///                            of at most MS milliseconds (0 = monolithic);
-///                            workload digests are unchanged either way
-///   DECA_LIFETIME_SOURCE=static|profiled|oracle
-///                            source of the size/lifetime classification
-///                            gating the Deca path (default static; the
-///                            profiled/oracle verdicts are cross-checked
-///                            against static, so results are identical)
-///   DECA_PROFILE_SAMPLE_BYTES=N
-///                            profiled-calibration sampling period in
-///                            allocated bytes (default 512)
-///   DECA_PROFILE_SEED=N      profiler sampling seed (default 1)
+/// (a ~1000x uniform down-scale; all reported effects are ratios), with
+/// the DECA_* knobs (EXPERIMENTS.md, "Environment knobs") applied on top.
 inline spark::SparkConfig DefaultSpark(size_t heap_mb = 64) {
   spark::SparkConfig cfg;
-  cfg.partitions_per_executor = 2;
-  cfg.num_executors = EnvInt("DECA_EXECUTORS", 2);
-  cfg.num_worker_threads = EnvInt("DECA_WORKER_THREADS", 0);
-  cfg.fault.seed = EnvU64("DECA_FAULT_SEED", cfg.fault.seed);
-  cfg.fault.task_failure_prob =
-      EnvDouble("DECA_FAULT_TASK_PROB", cfg.fault.task_failure_prob);
-  cfg.fault.fetch_failure_prob =
-      EnvDouble("DECA_FAULT_FETCH_PROB", cfg.fault.fetch_failure_prob);
-  cfg.fault.oom_failure_prob =
-      EnvDouble("DECA_FAULT_OOM_PROB", cfg.fault.oom_failure_prob);
-  cfg.fault.crash_wipe_stage =
-      EnvInt("DECA_CRASH_WIPE_STAGE", cfg.fault.crash_wipe_stage, INT32_MIN);
-  cfg.fault.crash_wipe_executor = EnvInt("DECA_CRASH_WIPE_EXECUTOR",
-                                         cfg.fault.crash_wipe_executor,
-                                         INT32_MIN);
-  cfg.heap.heap_bytes =
-      static_cast<size_t>(EnvU64("DECA_HEAP_MB", heap_mb)) << 20;
+  cfg.heap.heap_bytes = heap_mb << 20;
   cfg.memory_fraction = 0.75;
-  cfg.executor_memory_bytes =
-      static_cast<size_t>(EnvU64("DECA_EXECUTOR_MEMORY", 0)) << 20;
-  cfg.storage_fraction =
-      EnvDouble("DECA_STORAGE_FRACTION", cfg.storage_fraction);
-  std::string transport = EnvStr("DECA_SHUFFLE_TRANSPORT", "local");
-  if (transport == "network" || transport == "loopback") {
-    cfg.shuffle_transport = spark::ShuffleTransport::kLoopback;
-  } else if (transport == "tcp") {
-    cfg.shuffle_transport = spark::ShuffleTransport::kTcp;
-  } else if (transport != "local") {
-    std::fprintf(stderr,
-                 "unknown DECA_SHUFFLE_TRANSPORT '%s', using local\n",
-                 transport.c_str());
-  }
-  cfg.net_latency_us = EnvU64("DECA_NET_LATENCY_US", cfg.net_latency_us);
-  cfg.net_bandwidth_mbps =
-      EnvU64("DECA_NET_BANDWIDTH_MBPS", cfg.net_bandwidth_mbps);
-  std::string dist = EnvStr("DECA_DIST_MODE", "local");
-  if (dist == "process") {
-    cfg.dist_mode = spark::DistMode::kProcess;
-  } else if (dist != "local" && dist != "inprocess") {
-    std::fprintf(stderr, "unknown DECA_DIST_MODE '%s', using local\n",
-                 dist.c_str());
-  }
-  cfg.cluster.heartbeat_interval_ms =
-      EnvInt("DECA_HEARTBEAT_MS", cfg.cluster.heartbeat_interval_ms);
-  cfg.cluster.heartbeat_miss_threshold =
-      EnvInt("DECA_HEARTBEAT_MISSES", cfg.cluster.heartbeat_miss_threshold);
-  cfg.cluster.rpc_deadline_ms =
-      EnvInt("DECA_RPC_DEADLINE_MS", cfg.cluster.rpc_deadline_ms);
-  cfg.cluster.retry_backoff_base_ms =
-      EnvInt("DECA_RETRY_BACKOFF_MS", cfg.cluster.retry_backoff_base_ms);
-  cfg.cluster.executord_path =
-      EnvStr("DECA_EXECUTORD", cfg.cluster.executord_path);
-  cfg.storage_tiers = EnvInt("DECA_STORAGE_TIER", cfg.storage_tiers);
-  cfg.t1_fraction = EnvDouble("DECA_T1_FRACTION", cfg.t1_fraction);
-  std::string admit = EnvStr("DECA_ADMIT_POLICY", "second_access");
-  if (admit == "always") {
-    cfg.admit_policy = spark::AdmitPolicy::kAlways;
-  } else if (admit == "never") {
-    cfg.admit_policy = spark::AdmitPolicy::kNever;
-  } else if (admit != "second_access") {
-    std::fprintf(stderr,
-                 "unknown DECA_ADMIT_POLICY '%s', using second_access\n",
-                 admit.c_str());
-  }
-  cfg.heap.pause_budget_ms =
-      EnvDouble("DECA_PAUSE_BUDGET_MS", cfg.heap.pause_budget_ms);
-  cfg.heap.profile_sample_bytes = static_cast<size_t>(
-      EnvU64("DECA_PROFILE_SAMPLE_BYTES", cfg.heap.profile_sample_bytes));
-  cfg.heap.profile_seed = EnvU64("DECA_PROFILE_SEED", cfg.heap.profile_seed);
-  std::string lifetime = EnvStr("DECA_LIFETIME_SOURCE", "static");
-  if (lifetime == "profiled") {
-    cfg.lifetime_source = spark::LifetimeSource::kProfiled;
-  } else if (lifetime == "oracle") {
-    cfg.lifetime_source = spark::LifetimeSource::kOracle;
-  } else if (lifetime != "static") {
-    std::fprintf(stderr,
-                 "unknown DECA_LIFETIME_SOURCE '%s', using static\n",
-                 lifetime.c_str());
-  }
   cfg.spill_dir = "/tmp/deca_bench_spill";
-  // Structured tracing: on when a report/trace file was requested
-  // (BenchReport) or forced via DECA_TRACE=1. Off by default — the task
-  // hot path then costs one thread-local load per hook.
-  cfg.trace_enabled = TraceRequested() || EnvInt("DECA_TRACE", 0, 1) > 0;
-  cfg.trace_ring_capacity =
-      static_cast<uint32_t>(EnvU64("DECA_TRACE_RING", 1u << 15));
-  PrintEffectiveConfigOnce(cfg);
+  ApplyEnv(&cfg);
+  // A report or trace file (BenchReport) turns tracing on too.
+  cfg.trace_enabled = cfg.trace_enabled || TraceRequested();
+  PrintConfigOnce(cfg);
   return cfg;
 }
 
-/// Windowing plan of the stream benches, with environment overrides:
-///   DECA_STREAM_EPOCHS=N  epochs to run (default per bench)
-///   DECA_STREAM_WINDOW=N  epochs per window
-///   DECA_STREAM_SLIDE=N   window start stride (0 = tumbling)
-/// Scaling note: epochs deliberately do NOT shrink with DECA_SCALE — a
+/// Windowing plan of the stream benches, which DECA_STREAM_EPOCHS,
+/// DECA_STREAM_WINDOW and DECA_STREAM_SLIDE override. Scaling note: epochs deliberately do NOT shrink with DECA_SCALE — a
 /// steady-state drift measurement needs its epoch count; per-epoch record
 /// volume is what Scaled() shrinks.
 inline stream::StreamOptions DefaultStreamOptions(int epochs_def,
                                                   int window_def,
                                                   int slide_def = 0) {
   stream::StreamOptions opts;
-  opts.epochs = EnvInt("DECA_STREAM_EPOCHS", epochs_def);
-  opts.window = EnvInt("DECA_STREAM_WINDOW", window_def);
-  opts.slide = EnvInt("DECA_STREAM_SLIDE", slide_def, /*min_value=*/0);
+  opts.epochs = EnvAtLeast(kStreamEpochsEnv, epochs_def, 1);
+  opts.window = EnvAtLeast(kStreamWindowEnv, window_def, 1);
+  opts.slide = EnvAtLeast(kStreamSlideEnv, slide_def, 0);
   PrintEffectiveStreamConfigOnce(opts);
   return opts;
 }
@@ -298,8 +237,8 @@ class BenchReport {
  public:
   BenchReport(const std::string& bench, int argc, char** argv) {
     report_.bench = bench;
-    const char* env_json = std::getenv("DECA_JSON_OUT");
-    const char* env_trace = std::getenv("DECA_TRACE_OUT");
+    const char* env_json = std::getenv(kJsonOutEnv);
+    const char* env_trace = std::getenv(kTraceOutEnv);
     if (env_json != nullptr) json_path_ = env_json;
     if (env_trace != nullptr) trace_path_ = env_trace;
     for (int i = 1; i < argc; ++i) {

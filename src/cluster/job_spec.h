@@ -14,9 +14,9 @@ namespace deca::cluster {
 /// driver's job: the full engine configuration, the registered workload
 /// to run, and that workload's encoded parameters. Shipped as the kSpec
 /// reply of the registration handshake. The SPMD contract depends on
-/// this codec being lossless for every field that influences results,
-/// GC decisions, or fault-injection decisions — a missed field here
-/// shows up as an equivalence-matrix digest mismatch, not a crash.
+/// the config codec being lossless for every field that influences
+/// results, GC or fault injection, so it is generated from the field list
+/// (spark::ForEachSparkField): a setting off that list never crosses.
 struct JobSpec {
   spark::SparkConfig config;  // runtime member is never serialized
   std::string workload;

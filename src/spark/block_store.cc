@@ -23,7 +23,7 @@ const char* StorageLevelName(StorageLevel s) {
   return "?";
 }
 
-const char* AdmitPolicyName(AdmitPolicy p) {
+const char* EnumName(AdmitPolicy p) {
   switch (p) {
     case AdmitPolicy::kAlways:
       return "always";
@@ -35,19 +35,17 @@ const char* AdmitPolicyName(AdmitPolicy p) {
   return "?";
 }
 
-const char* LifetimeSourceName(LifetimeSource s) {
+const char* EnumName(LifetimeSource s) {
   switch (s) {
     case LifetimeSource::kStatic:
       return "static";
     case LifetimeSource::kProfiled:
       return "profiled";
-    case LifetimeSource::kOracle:
-      return "oracle";
   }
   return "?";
 }
 
-const char* ShuffleTransportName(ShuffleTransport t) {
+const char* EnumName(ShuffleTransport t) {
   switch (t) {
     case ShuffleTransport::kLocal:
       return "local";

@@ -36,7 +36,9 @@ enum class AdmitPolicy {
   kNever,
 };
 
-const char* AdmitPolicyName(AdmitPolicy p);
+/// The value's spelling in a DECA_* knob, or "?" past the last value: one
+/// overload per enum a knob sets (DistMode's is in spark/dist.h).
+const char* EnumName(AdmitPolicy p);
 
 /// Where the size/lifetime classification that gates the Deca decomposed
 /// path comes from (paper Section 3 vs the online ROLP-style profile).
@@ -48,12 +50,9 @@ enum class LifetimeSource {
   /// analysis::ProfiledClassifier. Workloads cross-check the profiled
   /// verdict against the static one, so results stay bit-identical.
   kProfiled,
-  /// Ground truth asserted by the workload author (skips both analyses;
-  /// the workload still checks it against the static verdict).
-  kOracle,
 };
 
-const char* LifetimeSourceName(LifetimeSource s);
+const char* EnumName(LifetimeSource s);
 
 /// How shuffle chunks travel from map tasks to reducers.
 enum class ShuffleTransport {
@@ -68,7 +67,7 @@ enum class ShuffleTransport {
   kTcp,
 };
 
-const char* ShuffleTransportName(ShuffleTransport t);
+const char* EnumName(ShuffleTransport t);
 
 /// Wire codec for network shuffle chunks (see net::WireCodec).
 enum class ShuffleWireCodec {
@@ -214,6 +213,75 @@ struct SparkConfig {
                                (1.0 - storage_fraction));
   }
 };
+
+/// The field list: every SparkConfig setting that crosses the job-spec
+/// wire, once each, in wire order. Calls `f(path, env, unit, c.<path>)`
+/// where `env` is the DECA_* variable that sets the field, or nullptr (a
+/// std::nullptr_t, so visitors skip such rows at compile time), and `unit`
+/// scales an env value into it. The job-spec codec, the bench env parser
+/// and the bench config banner are generated from it; the initializers
+/// above stay the only defaults. Left off the wire: `runtime` and
+/// `heap.alloc_counter` (per-process wiring) and the driver-only
+/// `cluster.test_suppress_heartbeats_*` hooks.
+template <typename Config, typename F>
+void ForEachSparkField(Config& c, F&& f) {
+  constexpr uint64_t kMB = 1u << 20;
+#define DECA_FIELD(path, env) f(#path, env, 1, c.path)
+#define DECA_FIELD_MB(path, env) f(#path, env, kMB, c.path)
+  DECA_FIELD(num_executors, "DECA_EXECUTORS");
+  DECA_FIELD(partitions_per_executor, nullptr);
+  DECA_FIELD(num_worker_threads, "DECA_WORKER_THREADS");
+  DECA_FIELD_MB(heap.heap_bytes, "DECA_HEAP_MB");
+  DECA_FIELD(heap.young_fraction, nullptr);
+  DECA_FIELD(heap.survivor_fraction, nullptr);
+  DECA_FIELD(heap.tenure_threshold, nullptr);
+  DECA_FIELD(heap.large_object_bytes, nullptr);
+  DECA_FIELD(heap.algorithm, nullptr);
+  DECA_FIELD(heap.g1_region_bytes, nullptr);
+  DECA_FIELD(heap.g1_ihop, nullptr);
+  DECA_FIELD(heap.g1_live_threshold, nullptr);
+  DECA_FIELD(heap.concurrent_pause_share, nullptr);
+  DECA_FIELD(heap.pause_budget_ms, "DECA_PAUSE_BUDGET_MS");
+  DECA_FIELD(heap.profile_sample_bytes, "DECA_PROFILE_SAMPLE_BYTES");
+  DECA_FIELD(heap.profile_seed, "DECA_PROFILE_SEED");
+  DECA_FIELD_MB(executor_memory_bytes, "DECA_EXECUTOR_MEMORY");
+  DECA_FIELD(memory_fraction, nullptr);
+  DECA_FIELD(storage_fraction, "DECA_STORAGE_FRACTION");
+  DECA_FIELD(cache_level, nullptr);
+  DECA_FIELD(deca_shuffle, nullptr);
+  DECA_FIELD(deca_page_bytes, nullptr);
+  DECA_FIELD(storage_tiers, "DECA_STORAGE_TIER");
+  DECA_FIELD(t1_fraction, "DECA_T1_FRACTION");
+  DECA_FIELD(admit_policy, "DECA_ADMIT_POLICY");
+  DECA_FIELD(lifetime_source, "DECA_LIFETIME_SOURCE");
+  DECA_FIELD(shuffle_transport, "DECA_SHUFFLE_TRANSPORT");
+  DECA_FIELD(shuffle_wire_codec, nullptr);
+  DECA_FIELD(net_fetch_chunk_bytes, nullptr);
+  DECA_FIELD(net_max_inflight_bytes, nullptr);
+  DECA_FIELD(net_fetch_retries, nullptr);
+  DECA_FIELD(net_latency_us, "DECA_NET_LATENCY_US");
+  DECA_FIELD(net_bandwidth_mbps, "DECA_NET_BANDWIDTH_MBPS");
+  DECA_FIELD(spill_dir, nullptr);
+  DECA_FIELD(max_task_failures, nullptr);
+  DECA_FIELD(fault.seed, "DECA_FAULT_SEED");
+  DECA_FIELD(fault.task_failure_prob, "DECA_FAULT_TASK_PROB");
+  DECA_FIELD(fault.fetch_failure_prob, "DECA_FAULT_FETCH_PROB");
+  DECA_FIELD(fault.oom_failure_prob, "DECA_FAULT_OOM_PROB");
+  DECA_FIELD(fault.crash_wipe_stage, "DECA_CRASH_WIPE_STAGE");
+  DECA_FIELD(fault.crash_wipe_executor, "DECA_CRASH_WIPE_EXECUTOR");
+  DECA_FIELD(dist_mode, "DECA_DIST_MODE");
+  DECA_FIELD(cluster.heartbeat_interval_ms, "DECA_HEARTBEAT_MS");
+  DECA_FIELD(cluster.heartbeat_miss_threshold, "DECA_HEARTBEAT_MISSES");
+  DECA_FIELD(cluster.reconnect_probes, nullptr);
+  DECA_FIELD(cluster.retry_backoff_base_ms, "DECA_RETRY_BACKOFF_MS");
+  DECA_FIELD(cluster.rpc_deadline_ms, "DECA_RPC_DEADLINE_MS");
+  DECA_FIELD(cluster.connect_attempts, nullptr);
+  DECA_FIELD(cluster.executord_path, "DECA_EXECUTORD");
+  DECA_FIELD(trace_enabled, "DECA_TRACE");
+  DECA_FIELD(trace_ring_capacity, "DECA_TRACE_RING");
+#undef DECA_FIELD_MB
+#undef DECA_FIELD
+}
 
 }  // namespace deca::spark
 

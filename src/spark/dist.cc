@@ -2,10 +2,10 @@
 
 namespace deca::spark {
 
-const char* DistModeName(DistMode m) {
+const char* EnumName(DistMode m) {
   switch (m) {
     case DistMode::kInProcess:
-      return "in-process";
+      return "local";
     case DistMode::kProcess:
       return "process";
   }

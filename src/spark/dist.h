@@ -27,7 +27,7 @@ enum class DistMode {
   kProcess,
 };
 
-const char* DistModeName(DistMode m);
+const char* EnumName(DistMode m);
 
 /// This process's role in the SPMD program. C++ closures cannot ship
 /// over RPC, so every process runs the same workload program: the driver
@@ -62,7 +62,8 @@ struct ClusterKnobs {
 
   /// Test hook: the driver monitor pretends this executor's next
   /// `test_suppress_heartbeats_count` pings were lost (never sent), so
-  /// the miss -> probe path runs against a perfectly healthy daemon.
+  /// the miss -> probe path runs against a perfectly healthy daemon. Only
+  /// the driver reads it, so it stays off the job-spec wire.
   int test_suppress_heartbeats_executor = -1;
   int test_suppress_heartbeats_count = 0;
 };

@@ -17,6 +17,7 @@
 #include "spark/dist.h"
 #include "workloads/dist_entry.h"
 #include "workloads/lr.h"
+#include "workloads/serve_entry.h"
 #include "workloads/wordcount.h"
 
 namespace deca {
@@ -72,6 +73,23 @@ workloads::LrResult Lr(spark::DistMode mode, int threads,
   return workloads::RunLogisticRegression(p);
 }
 
+// The serve driver at storage_tiers = 3, with a T1 cap and an admission
+// policy off their defaults, on a table twice the unified budget (as in
+// bench/serve_cache) so the cold tail lives in T1 and on disk.
+workloads::ServeResult Serve(spark::DistMode mode) {
+  workloads::ServeParams p;
+  p.num_records = 12000;
+  p.record_doubles = 16;
+  p.queries_per_task = 64;
+  p.serve_stages = 4;
+  p.spark = Config(mode, 0);
+  p.spark.storage_tiers = 3;
+  p.spark.t1_fraction = 0.3;
+  p.spark.admit_policy = spark::AdmitPolicy::kAlways;
+  p.spark.executor_memory_bytes = (p.num_records / 2) * (8 + 8 * 16) / 2;
+  return workloads::RunServeCache(p);
+}
+
 void ExpectSameRun(const workloads::RunResult& a,
                    const workloads::RunResult& b) {
   EXPECT_EQ(a.minor_gcs, b.minor_gcs);
@@ -86,6 +104,20 @@ void ExpectSameRun(const workloads::RunResult& a,
   EXPECT_EQ(a.alloc.alloc_calls, b.alloc.alloc_calls);
   EXPECT_EQ(a.alloc.free_calls, b.alloc.free_calls);
   EXPECT_EQ(a.alloc.bytes_requested, b.alloc.bytes_requested);
+  // Tier plane: every deterministic counter (the promote percentiles are
+  // wall times).
+  EXPECT_EQ(a.tier.t0_resident_bytes, b.tier.t0_resident_bytes);
+  EXPECT_EQ(a.tier.t1_resident_bytes, b.tier.t1_resident_bytes);
+  EXPECT_EQ(a.tier.t2_resident_bytes, b.tier.t2_resident_bytes);
+  EXPECT_EQ(a.tier.t1_peak_bytes, b.tier.t1_peak_bytes);
+  EXPECT_EQ(a.tier.t0_hits, b.tier.t0_hits);
+  EXPECT_EQ(a.tier.t1_hits, b.tier.t1_hits);
+  EXPECT_EQ(a.tier.t2_hits, b.tier.t2_hits);
+  EXPECT_EQ(a.tier.misses, b.tier.misses);
+  EXPECT_EQ(a.tier.demotes_to_t1, b.tier.demotes_to_t1);
+  EXPECT_EQ(a.tier.demotes_to_t2, b.tier.demotes_to_t2);
+  EXPECT_EQ(a.tier.promotes, b.tier.promotes);
+  EXPECT_EQ(a.tier.admit_rejects, b.tier.admit_rejects);
 }
 
 TEST(ClusterDistTest, WordCountMatrixLocalEqualsProcess) {
@@ -151,6 +183,22 @@ TEST(ClusterDistTest, LrWeightsBitIdenticalAcrossBackends) {
       EXPECT_EQ(proc.run.cluster.executors_killed, 0u);
     }
   }
+}
+
+// The tier knobs ride the job spec: every executor daemon runs the same
+// 3-tier store, T1 cap and admission policy as the in-process run, so the
+// digest and every tier counter match and T1 really serves hits.
+TEST(ClusterDistTest, TierKnobsReachTheDaemons) {
+  workloads::ServeResult base = Serve(spark::DistMode::kInProcess);
+  EXPECT_FALSE(base.run.dist_active);
+  EXPECT_TRUE(base.run.tier_active);
+
+  workloads::ServeResult proc = Serve(spark::DistMode::kProcess);
+  ASSERT_TRUE(proc.run.dist_active);
+  EXPECT_EQ(proc.queries, base.queries);
+  EXPECT_EQ(proc.digest, base.digest);
+  ExpectSameRun(proc.run, base.run);
+  EXPECT_GT(proc.run.tier.t1_hits, 0u);
 }
 
 // The tentpole recovery claim: in process mode a scripted crash-wipe is a
