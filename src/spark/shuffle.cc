@@ -1,6 +1,7 @@
 #include "spark/shuffle.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -205,7 +206,8 @@ DecaHashShuffleBuffer::DecaHashShuffleBuffer(jvm::Heap* heap,
     : heap_(heap),
       ops_(ops),
       pages_(std::make_shared<core::PageGroup>(heap, page_bytes)),
-      slots_(initial_capacity, kEmpty),
+      slots_(std::bit_ceil(size_t{initial_capacity}), Slot{kEmpty, 0}),
+      mask_(slots_.size() - 1),
       entry_bytes_(ops->deca_key_bytes + ops->deca_value_bytes) {
   DECA_CHECK_GT(ops->deca_key_bytes, 0u)
       << "Deca shuffle requires SFST keys/values";
@@ -214,18 +216,20 @@ DecaHashShuffleBuffer::DecaHashShuffleBuffer(jvm::Heap* heap,
 void DecaHashShuffleBuffer::Insert(const uint8_t* key, const uint8_t* value) {
   if ((size_ + 1) * 10 > slots_.size() * 7) Grow();
   uint64_t h = ops_->deca_key_hash(key);
-  for (size_t probe = 0;; ++probe) {
-    size_t i = (h + probe) % slots_.size();
-    if (slots_[i] == kEmpty) {
+  uint32_t tag = static_cast<uint32_t>(h);
+  for (size_t i = h & mask_;; i = (i + 1) & mask_) {
+    Slot& slot = slots_[i];
+    if (slot.seg == kEmpty) {
       core::SegPtr seg = pages_->Append(entry_bytes_);
       uint8_t* p = pages_->Resolve(seg);
       std::memcpy(p, key, ops_->deca_key_bytes);
       std::memcpy(p + ops_->deca_key_bytes, value, ops_->deca_value_bytes);
-      slots_[i] = seg;
+      slot = {seg, tag};
       ++size_;
       return;
     }
-    uint8_t* p = pages_->Resolve(slots_[i]);
+    if (slot.tag != tag) continue;
+    uint8_t* p = pages_->Resolve(slot.seg);
     if (std::memcmp(p, key, ops_->deca_key_bytes) == 0) {
       // In-place combining: the aggregate's page segment is reused
       // (paper Section 4.3.2) — no allocation, nothing for the GC.
@@ -236,32 +240,34 @@ void DecaHashShuffleBuffer::Insert(const uint8_t* key, const uint8_t* value) {
 }
 
 void DecaHashShuffleBuffer::Grow() {
-  std::vector<core::SegPtr> fresh(slots_.size() * 2, kEmpty);
-  for (core::SegPtr s : slots_) {
-    if (s == kEmpty) continue;
-    uint64_t h = ops_->deca_key_hash(pages_->Resolve(s));
-    for (size_t probe = 0;; ++probe) {
-      size_t j = (h + probe) % fresh.size();
-      if (fresh[j] == kEmpty) {
-        fresh[j] = s;
-        break;
-      }
-    }
+  // The home slot is the hash's low bits, which the tag holds only while
+  // the table has at most 2^32 slots.
+  DECA_CHECK_LE(slots_.size() * 2, size_t{1} << 32)
+      << "hash shuffle buffer outgrew its 32-bit slot tags";
+  std::vector<Slot> fresh(slots_.size() * 2, Slot{kEmpty, 0});
+  size_t mask = fresh.size() - 1;
+  for (const Slot& s : slots_) {
+    if (s.seg == kEmpty) continue;
+    size_t j = s.tag & mask;
+    while (fresh[j].seg != kEmpty) j = (j + 1) & mask;
+    fresh[j] = s;
   }
   slots_.swap(fresh);
+  mask_ = mask;
 }
 
 void DecaHashShuffleBuffer::ForEach(
     const std::function<void(const uint8_t*)>& fn) const {
-  for (core::SegPtr s : slots_) {
-    if (s == kEmpty) continue;
-    fn(pages_->Resolve(s));
+  for (const Slot& s : slots_) {
+    if (s.seg == kEmpty) continue;
+    fn(pages_->Resolve(s.seg));
   }
 }
 
 void DecaHashShuffleBuffer::Clear() {
   pages_ = std::make_shared<core::PageGroup>(heap_, pages_->page_bytes());
-  slots_.assign(64, kEmpty);
+  slots_.assign(64, Slot{kEmpty, 0});
+  mask_ = slots_.size() - 1;
   size_ = 0;
 }
 

@@ -155,6 +155,13 @@ class ObjectHashShuffleBuffer {
 /// values live as fixed-size segments in a page group; a native pointer
 /// array indexes them (paper Figure 6b). Combining reuses the aggregate's
 /// page segment in place — no allocation, no dead value objects.
+///
+/// Each pointer-array slot carries the low 32 bits of its key's hash, so
+/// a probe that meets another key moves on without resolving a page, and
+/// a doubling rehashes from the slots alone. The table size is a power of
+/// two; from the default 64 slots it probes, grows and rehashes exactly
+/// like ObjectHashShuffleBuffer, so given the same hash ForEach visits
+/// entries in the object buffer's order.
 class DecaHashShuffleBuffer {
  public:
   DecaHashShuffleBuffer(jvm::Heap* heap, const ShuffleOps* ops,
@@ -175,13 +182,18 @@ class DecaHashShuffleBuffer {
   void Clear();
 
  private:
+  struct Slot {
+    core::SegPtr seg;
+    uint32_t tag;  // low 32 bits of the key's hash
+  };
   static constexpr core::SegPtr kEmpty{UINT32_MAX, UINT32_MAX};
   void Grow();
 
   jvm::Heap* heap_;
   const ShuffleOps* ops_;
   std::shared_ptr<core::PageGroup> pages_;
-  std::vector<core::SegPtr> slots_;  // native pointer array
+  std::vector<Slot> slots_;  // native pointer array, power-of-two size
+  size_t mask_;              // slots_.size() - 1
   uint32_t size_ = 0;
   uint32_t entry_bytes_;
 };

@@ -166,7 +166,10 @@ TEST(ClusterDistTest, LrWeightsBitIdenticalAcrossBackends) {
     workloads::LrResult base = Lr(spark::DistMode::kInProcess, 0, fc);
     ASSERT_EQ(base.weights.size(), 10u);
 
-    fc.task_failure_prob = 0.3;
+    // Every attempt but a task's last fails, so each task retries
+    // max_task_failures - 1 times whatever the seed. A lower probability
+    // can leave this job's few tasks untouched (0.3 does at seeds 7 and 8).
+    fc.task_failure_prob = 1.0;
     workloads::LrResult flaky = Lr(spark::DistMode::kInProcess, 0, fc);
     EXPECT_GT(flaky.run.task_retries, 0u);
 

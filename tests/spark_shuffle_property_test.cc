@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "spark/context.h"
@@ -99,6 +101,71 @@ TEST_P(BufferEquivalenceTest, ObjectAndDecaBuffersMatchReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferEquivalenceTest,
+                         ::testing::Range<uint64_t>(1, 11));
+
+/// Order contract: under the same hash, the Deca buffer's tagged pointer
+/// array visits entries in exactly the object buffer's slot order, across
+/// many doublings and after a Clear. Keys k and k + 2^32 share the low 32
+/// bits of SumOps' multiplicative hash, so they carry the same slot tag
+/// and home slot; only the key compare keeps their sums apart.
+class BufferOrderTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BufferOrderTest, DecaVisitsEntriesInObjectBufferOrder) {
+  SparkConfig cfg;
+  cfg.num_executors = 1;
+  cfg.heap.heap_bytes = 32u << 20;
+  cfg.spill_dir = "/tmp/deca_test_spill_prop";
+  SparkContext ctx(cfg);
+  jvm::Heap* h = ctx.executor(0)->heap();
+  ShuffleOps ops = SumOps();
+  ObjectHashShuffleBuffer obj_buf(h, &ops);
+  DecaHashShuffleBuffer deca_buf(h, &ops, 16 << 10);
+
+  Rng rng(GetParam() * 31 + 7);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    // 4,100 to 9,800 distinct keys: the 64-slot table doubles 7-8 times.
+    uint64_t key_space = 2000 + rng.NextBounded(4000);
+    std::map<int64_t, int64_t> reference;
+    for (int i = 0; i < 20000; ++i) {
+      int64_t key = static_cast<int64_t>(rng.NextBounded(key_space));
+      if (rng.NextBounded(2) == 0) key += int64_t{1} << 32;
+      int64_t value = static_cast<int64_t>(rng.NextBounded(100)) - 50;
+      reference[key] += value;
+      {
+        jvm::HandleScope scope(h);
+        jvm::Handle k = scope.Make(
+            h->AllocateInstance(h->registry()->boxed_long_class()));
+        h->SetField<int64_t>(k.get(), 0, key);
+        jvm::Handle v = scope.Make(
+            h->AllocateInstance(h->registry()->boxed_long_class()));
+        h->SetField<int64_t>(v.get(), 0, value);
+        obj_buf.Insert(k.get(), v.get());
+      }
+      deca_buf.Insert(reinterpret_cast<const uint8_t*>(&key),
+                      reinterpret_cast<const uint8_t*>(&value));
+    }
+
+    std::vector<std::pair<int64_t, int64_t>> from_obj;
+    obj_buf.ForEach([&](jvm::ObjRef k, jvm::ObjRef v) {
+      from_obj.emplace_back(h->GetField<int64_t>(k, 0),
+                            h->GetField<int64_t>(v, 0));
+    });
+    std::vector<std::pair<int64_t, int64_t>> from_deca;
+    deca_buf.ForEach([&](const uint8_t* e) {
+      from_deca.emplace_back(LoadRaw<int64_t>(e), LoadRaw<int64_t>(e + 8));
+    });
+    EXPECT_EQ(from_deca, from_obj);
+    std::map<int64_t, int64_t> sums(from_deca.begin(), from_deca.end());
+    EXPECT_EQ(sums, reference);
+    EXPECT_EQ(deca_buf.size(), reference.size());
+
+    obj_buf.Clear();
+    deca_buf.Clear();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BufferOrderTest,
                          ::testing::Range<uint64_t>(1, 11));
 
 TEST(GroupByBufferStressTest, ManyGroupsManyValues) {

@@ -48,12 +48,12 @@ TEST(SqlTest, EnginesAgreeExactly) {
   SqlResult deca = RunSqlQueries(SmallSql(SqlEngine::kDeca));
   EXPECT_EQ(spark.q1_matches, sql.q1_matches);
   EXPECT_EQ(spark.q1_matches, deca.q1_matches);
-  EXPECT_DOUBLE_EQ(spark.q1_rank_sum, sql.q1_rank_sum);
-  EXPECT_DOUBLE_EQ(spark.q1_rank_sum, deca.q1_rank_sum);
+  EXPECT_EQ(spark.q1_rank_sum, sql.q1_rank_sum);
+  EXPECT_EQ(spark.q1_rank_sum, deca.q1_rank_sum);
   EXPECT_EQ(spark.q2_groups, sql.q2_groups);
   EXPECT_EQ(spark.q2_groups, deca.q2_groups);
-  EXPECT_NEAR(spark.q2_revenue_sum, sql.q2_revenue_sum, 1e-6);
-  EXPECT_NEAR(spark.q2_revenue_sum, deca.q2_revenue_sum, 1e-6);
+  EXPECT_EQ(spark.q2_revenue_sum, sql.q2_revenue_sum);
+  EXPECT_EQ(spark.q2_revenue_sum, deca.q2_revenue_sum);
 }
 
 TEST(SqlTest, ColumnarAndDecaCacheLessThanObjects) {
