@@ -6,7 +6,6 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "jvm/heap.h"
-#include "jvm/heap_profiler.h"
 #include "obs/trace.h"
 
 namespace deca::jvm {
@@ -607,14 +606,6 @@ void G1Collector::EvacuateSlot(ObjRef* slot, EvacTargets* t) {
   ObjRef nr = heap_->RefOf(dst);
   uint32_t nmeta = MetaWithAge(meta & ~(kInRemsetBit | kSlack8Bit),
                                promoted ? 0 : age);
-  if ((meta & kSampledBit) != 0) {
-    // First evacuation of a sampled object: report the survival
-    // observation and drop the tag (each sample is observed once).
-    nmeta &= ~kSampledBit;
-    if (auto* prof = heap_->alloc_profiler()) {
-      prof->OnSurvive(MetaClassId(meta), promoted);
-    }
-  }
   heap_->MetaOf(nr) = nmeta;
   heap_->GcWordOf(nr) = 0;
   heap_->GcWordOf(r) = GcMakeForward(nr, /*keep_mark=*/false);

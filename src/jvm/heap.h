@@ -23,7 +23,6 @@
 
 namespace deca::jvm {
 
-class AllocationSiteProfiler;
 class Heap;
 class IncrementalMarker;
 
@@ -305,13 +304,6 @@ class Heap {
   void set_active_marker(IncrementalMarker* m) { active_marker_ = m; }
   IncrementalMarker* active_marker() const { return active_marker_; }
 
-  // -- Allocation profiling -------------------------------------------------
-
-  /// Attaches (or detaches, with nullptr) a sampling allocation profiler.
-  /// Not owned; the caller must detach it before destroying it.
-  void SetAllocProfiler(AllocationSiteProfiler* p) { alloc_profiler_ = p; }
-  AllocationSiteProfiler* alloc_profiler() const { return alloc_profiler_; }
-
   // -- OOM policy & fault tolerance ----------------------------------------
 
   /// Last-resort memory-pressure valve, invoked on the mutator thread when
@@ -429,11 +421,10 @@ class Heap {
   ObjRef AllocateImpl(uint32_t class_id, uint32_t length, bool die_on_oom);
   std::unique_ptr<Collector> MakeCollector();
 
-  /// Out-of-line marker/profiler hooks (keep heap.h free of their
-  /// definitions; the null checks stay inline at the call sites).
+  /// Out-of-line marker hooks (keep heap.h free of their definitions;
+  /// the null checks stay inline at the call sites).
   void SatbLogOverwrite(ObjRef old_value);
   void MarkerOnAllocate(ObjRef r);
-  void ProfilerOnAllocate(ObjRef r, uint32_t bytes);
   void MaybeIncrementalTick(uint32_t bytes);
 
   /// Reports occupancy to the memory manager when a collection has run
@@ -456,7 +447,6 @@ class Heap {
   Histogram pause_hist_;
   Histogram slice_hist_;
   IncrementalMarker* active_marker_ = nullptr;  // owned by the collector
-  AllocationSiteProfiler* alloc_profiler_ = nullptr;  // externally owned
   uint32_t tick_bytes_ = 0;  // allocated bytes since the last mark tick
 
   std::vector<ObjRef> handle_slots_;

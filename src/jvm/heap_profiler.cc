@@ -13,61 +13,4 @@ void HeapProfiler::Sample(double t_ms) {
   gc_time_ms_.Add(t_ms, heap_->stats().TotalPauseMs());
 }
 
-namespace {
-// splitmix64 finalizer: spreads the seed over the first sampling interval
-// so co-seeded heaps do not sample in lockstep.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
-AllocationSiteProfiler::AllocationSiteProfiler(size_t sample_bytes,
-                                               uint64_t seed)
-    : sample_bytes_(sample_bytes) {
-  DECA_CHECK_GT(sample_bytes, 0u);
-  bytes_until_sample_ =
-      static_cast<int64_t>(Mix64(seed) % static_cast<uint64_t>(sample_bytes)) +
-      1;
-}
-
-bool AllocationSiteProfiler::OnAllocate(Heap* heap, ObjRef r,
-                                        uint32_t bytes) {
-  bytes_until_sample_ -= static_cast<int64_t>(bytes);
-  if (bytes_until_sample_ > 0) return false;
-  bytes_until_sample_ += static_cast<int64_t>(sample_bytes_);
-  // Giant allocations may overshoot a whole interval; sample once and
-  // realign rather than multi-sampling one object.
-  if (bytes_until_sample_ <= 0) {
-    bytes_until_sample_ = static_cast<int64_t>(sample_bytes_);
-  }
-  heap->MetaOf(r) |= kSampledBit;
-  SiteStats& s = sites_[heap->ClassIdOf(r)];
-  if (s.sampled == 0 || bytes < s.size_min) s.size_min = bytes;
-  if (bytes > s.size_max) s.size_max = bytes;
-  s.sampled += 1;
-  s.bytes += bytes;
-  total_sampled_ += 1;
-  return true;
-}
-
-void AllocationSiteProfiler::OnSurvive(uint32_t class_id, bool promoted) {
-  SiteStats& s = sites_[class_id];
-  s.observed += 1;
-  if (promoted) {
-    s.promoted += 1;
-  } else {
-    s.survived += 1;
-  }
-}
-
-double AllocationSiteProfiler::SurvivalRate(uint32_t class_id) const {
-  auto it = sites_.find(class_id);
-  if (it == sites_.end() || it->second.sampled == 0) return 0.0;
-  return static_cast<double>(it->second.observed) /
-         static_cast<double>(it->second.sampled);
-}
-
 }  // namespace deca::jvm

@@ -2,12 +2,8 @@
 #define DECA_JVM_HEAP_PROFILER_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "common/histogram.h"
-#include "jvm/object_model.h"
 
 namespace deca::jvm {
 
@@ -34,57 +30,6 @@ class HeapProfiler {
   uint32_t class_id_;
   TimeSeries object_counts_;
   TimeSeries gc_time_ms_;
-};
-
-/// ROLP-style sampling allocation profiler: picks one allocation every
-/// `sample_bytes` allocated bytes (deterministic byte countdown; the first
-/// sample point is derived from `seed`), tags it with kSampledBit, and
-/// observes what happens to it at its first evacuation — survived into a
-/// survivor space or tenured straight to the old generation. The per-class
-/// site table feeds analysis::ProfiledClassifier so lifetime and size
-/// classification can be made online instead of only from static UDT
-/// analysis.
-///
-/// Attach with Heap::SetAllocProfiler; a heap without a profiler pays one
-/// null-pointer check per allocation and nothing on the GC paths.
-class AllocationSiteProfiler {
- public:
-  struct SiteStats {
-    uint64_t sampled = 0;         // sampled allocations of this class
-    uint64_t observed = 0;        // samples seen at their first evacuation
-    uint64_t survived = 0;        // ... of which stayed in the young gen
-    uint64_t promoted = 0;        // ... of which tenured to the old gen
-    uint64_t bytes = 0;           // total sampled bytes
-    uint32_t size_min = 0;        // smallest sampled object (bytes)
-    uint32_t size_max = 0;        // largest sampled object (bytes)
-  };
-
-  AllocationSiteProfiler(size_t sample_bytes, uint64_t seed);
-
-  /// Allocation-path hook (called by the heap): advances the byte
-  /// countdown and samples `r` when it expires. Returns true when the
-  /// object was sampled (its kSampledBit is set).
-  bool OnAllocate(Heap* heap, ObjRef r, uint32_t bytes);
-
-  /// Evacuation-path hook: a sampled object of `class_id` was just copied;
-  /// `promoted` says it went to the old generation.
-  void OnSurvive(uint32_t class_id, bool promoted);
-
-  /// Deterministically ordered per-class site table.
-  const std::map<uint32_t, SiteStats>& sites() const { return sites_; }
-
-  uint64_t total_sampled() const { return total_sampled_; }
-
-  /// Fraction of sampled objects of `class_id` observed surviving an
-  /// evacuation. Samples that die before their first minor collection are
-  /// never evacuated, so sampled - observed estimates the die-young count.
-  double SurvivalRate(uint32_t class_id) const;
-
- private:
-  size_t sample_bytes_;
-  int64_t bytes_until_sample_;
-  uint64_t total_sampled_ = 0;
-  std::map<uint32_t, SiteStats> sites_;
 };
 
 }  // namespace deca::jvm

@@ -35,16 +35,6 @@ const char* EnumName(AdmitPolicy p) {
   return "?";
 }
 
-const char* EnumName(LifetimeSource s) {
-  switch (s) {
-    case LifetimeSource::kStatic:
-      return "static";
-    case LifetimeSource::kProfiled:
-      return "profiled";
-  }
-  return "?";
-}
-
 const char* EnumName(ShuffleTransport t) {
   switch (t) {
     case ShuffleTransport::kLocal:
@@ -64,11 +54,8 @@ CacheManager::CacheManager(jvm::Heap* heap, const SparkConfig* config,
       mm_(heap->memory_manager()),
       executor_id_(executor_id),
       t1_cap_bytes_(static_cast<uint64_t>(
-          config->t1_fraction *
-          static_cast<double>(heap->memory_manager() != nullptr
-                                  ? heap->memory_manager()->total_bytes()
-                                  : config->storage_budget_bytes()))),
-      t1_(heap->memory_manager()),
+          config->t1_fraction * static_cast<double>(mm_->total_bytes()))),
+      t1_(mm_),
       t2_(config->spill_dir, executor_id, heap->alloc_counter()) {
   heap_->AddRootProvider(this);
   std::error_code ec;
@@ -229,9 +216,7 @@ void CacheManager::PutObjects(BlockKey key, jvm::ObjRef records,
   Evict(key);
   // The put itself never fails (MEMORY_AND_DISK semantics): overcommit is
   // granted, then EnforceBudget sheds LRU blocks until the pool fits.
-  if (mm_ != nullptr) {
-    e.reservation = mm_->Reserve(memory::Pool::kStorage, e.bytes);
-  }
+  e.reservation = mm_->Reserve(memory::Pool::kStorage, e.bytes);
   uint64_t charged = e.bytes;
   blocks_.emplace(key, std::move(e));
   uint64_t now = memory_bytes_ += charged;
@@ -458,7 +443,7 @@ void CacheManager::PromoteToT0(BlockKey key, Entry* e,
       e->pages->SetChargePool(memory::Pool::kStorage);
       break;
   }
-  if (mm_ != nullptr && e->level != StorageLevel::kDecaPages) {
+  if (e->level != StorageLevel::kDecaPages) {
     e->reservation = mm_->Reserve(memory::Pool::kStorage, e->bytes);
   }
   uint64_t now = memory_bytes_ += e->bytes;
@@ -530,21 +515,12 @@ void CacheManager::EnsureT1Room(uint64_t incoming, TaskMetrics* metrics) {
 
 void CacheManager::EnforceBudget(TaskMetrics* metrics,
                                  const BlockKey* exclude) {
-  if (mm_ != nullptr) {
-    // The storage pool's limit is whatever the execution pool is not
-    // using (Spark 1.6 borrowing); shed LRU blocks until it fits. A
-    // page-group block shared with a live container keeps its charge
-    // until the last reference drops, so the loop is bounded by the
-    // in-memory block count, not by the charge reaching the limit.
-    while (mm_->StorageOverLimit()) {
-      if (cfg_->t1_enabled() && DemoteLru(metrics, exclude) > 0) continue;
-      if (!SwapOutLru(metrics, exclude)) return;  // nothing left to evict
-    }
-    return;
-  }
-  // No manager (standalone cache in tests): legacy fixed budget.
-  size_t budget = cfg_->storage_budget_bytes();
-  while (memory_bytes_ > budget) {
+  // The storage pool's limit is whatever the execution pool is not using
+  // (Spark 1.6 borrowing); shed LRU blocks until it fits. A page-group
+  // block shared with a live container keeps its charge until the last
+  // reference drops, so the loop is bounded by the in-memory block count,
+  // not by the charge reaching the limit.
+  while (mm_->StorageOverLimit()) {
     if (cfg_->t1_enabled() && DemoteLru(metrics, exclude) > 0) continue;
     if (!SwapOutLru(metrics, exclude)) return;  // nothing left to evict
   }
@@ -683,15 +659,13 @@ void CacheManager::VerifyAccounting() const {
       << "cache memory meter diverged from per-entry charges";
   DECA_CHECK_EQ(disk, disk_bytes())
       << "cache disk meter diverged from per-entry charges";
-  if (mm_ != nullptr) {
-    // The cache plane is the only storage-pool reserver, so its per-entry
-    // grants plus the off-heap tier's per-slot grants must equal the
-    // pool's reserved bytes exactly. A `temporary` block that charged the
-    // pool (a double charge — the entry still holds the canonical grant)
-    // breaks this identity immediately.
-    DECA_CHECK_EQ(reserved + t1_.reserved_bytes(), mm_->storage_reserved())
-        << "storage-pool reservations diverged from cache-held grants";
-  }
+  // The cache plane is the only storage-pool reserver, so its per-entry
+  // grants plus the off-heap tier's per-slot grants must equal the pool's
+  // reserved bytes exactly. A `temporary` block that charged the pool (a
+  // double charge — the entry still holds the canonical grant) breaks this
+  // identity immediately.
+  DECA_CHECK_EQ(reserved + t1_.reserved_bytes(), mm_->storage_reserved())
+      << "storage-pool reservations diverged from cache-held grants";
 }
 
 TierCounters CacheManager::tier_counters() const {

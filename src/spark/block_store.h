@@ -80,6 +80,8 @@ struct LoadedBlock {
 /// progress/metric queries), so they are atomics.
 class CacheManager : public jvm::RootProvider {
  public:
+  /// `heap` must already have its executor's memory manager attached
+  /// (Executor builds the manager first): every block charges its pool.
   CacheManager(jvm::Heap* heap, const SparkConfig* config, int executor_id);
   ~CacheManager() override;
 
@@ -266,7 +268,7 @@ class CacheManager : public jvm::RootProvider {
 
   jvm::Heap* heap_;
   const SparkConfig* cfg_;
-  memory::ExecutorMemoryManager* mm_;  // may be null (standalone tests)
+  memory::ExecutorMemoryManager* mm_;  // the heap's; never null
   int executor_id_;
   uint64_t t1_cap_bytes_ = 0;
   std::unordered_map<BlockKey, Entry, BlockKeyHash> blocks_;

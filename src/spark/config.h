@@ -40,20 +40,6 @@ enum class AdmitPolicy {
 /// overload per enum a knob sets (DistMode's is in spark/dist.h).
 const char* EnumName(AdmitPolicy p);
 
-/// Where the size/lifetime classification that gates the Deca decomposed
-/// path comes from (paper Section 3 vs the online ROLP-style profile).
-enum class LifetimeSource {
-  /// Static analysis over the workload's annotated UDT model + call graph
-  /// (analysis::GlobalClassifier) — the paper's approach and the default.
-  kStatic,
-  /// Online calibration: a scratch-heap profiling run summarized by
-  /// analysis::ProfiledClassifier. Workloads cross-check the profiled
-  /// verdict against the static one, so results stay bit-identical.
-  kProfiled,
-};
-
-const char* EnumName(LifetimeSource s);
-
 /// How shuffle chunks travel from map tasks to reducers.
 enum class ShuffleTransport {
   /// Direct in-memory deposit/fetch (the original single-process path).
@@ -131,9 +117,6 @@ struct SparkConfig {
   /// Re-admission policy for Gets that land on T1/T2 blocks.
   AdmitPolicy admit_policy = AdmitPolicy::kOnSecondAccess;
 
-  /// Source of the size/lifetime classification gating the Deca path.
-  LifetimeSource lifetime_source = LifetimeSource::kStatic;
-
   /// True when the serialized off-heap tier is active.
   bool t1_enabled() const { return storage_tiers >= 3; }
 
@@ -198,16 +181,8 @@ struct SparkConfig {
                                memory_fraction);
   }
 
-  /// Deprecated alias: the storage pool's floor within executor_memory().
-  /// Pre-unification this was a hard cache budget; it now only bounds how
-  /// far the execution pool can evict storage. Kept for callers that sized
-  /// flush thresholds off it (same default numerics).
-  size_t storage_budget_bytes() const {
-    return static_cast<size_t>(static_cast<double>(executor_memory()) *
-                               storage_fraction);
-  }
-  /// Deprecated alias: the execution region (executor_memory() minus the
-  /// storage floor). Pre-unification this was a hard shuffle budget.
+  /// The execution region: executor_memory() minus the storage floor.
+  /// Shuffle writers size their flush thresholds off it.
   size_t shuffle_budget_bytes() const {
     return static_cast<size_t>(static_cast<double>(executor_memory()) *
                                (1.0 - storage_fraction));
@@ -242,8 +217,6 @@ void ForEachSparkField(Config& c, F&& f) {
   DECA_FIELD(heap.g1_live_threshold, nullptr);
   DECA_FIELD(heap.concurrent_pause_share, nullptr);
   DECA_FIELD(heap.pause_budget_ms, "DECA_PAUSE_BUDGET_MS");
-  DECA_FIELD(heap.profile_sample_bytes, "DECA_PROFILE_SAMPLE_BYTES");
-  DECA_FIELD(heap.profile_seed, "DECA_PROFILE_SEED");
   DECA_FIELD_MB(executor_memory_bytes, "DECA_EXECUTOR_MEMORY");
   DECA_FIELD(memory_fraction, nullptr);
   DECA_FIELD(storage_fraction, "DECA_STORAGE_FRACTION");
@@ -253,7 +226,6 @@ void ForEachSparkField(Config& c, F&& f) {
   DECA_FIELD(storage_tiers, "DECA_STORAGE_TIER");
   DECA_FIELD(t1_fraction, "DECA_T1_FRACTION");
   DECA_FIELD(admit_policy, "DECA_ADMIT_POLICY");
-  DECA_FIELD(lifetime_source, "DECA_LIFETIME_SOURCE");
   DECA_FIELD(shuffle_transport, "DECA_SHUFFLE_TRANSPORT");
   DECA_FIELD(shuffle_wire_codec, nullptr);
   DECA_FIELD(net_fetch_chunk_bytes, nullptr);

@@ -62,12 +62,10 @@ void OffHeapTier::Store(BlockKey key, PackedBlock block,
   Slot slot;
   uint64_t bytes = block.size();
   slot.block = std::move(block);
-  if (mm_ != nullptr) {
-    // Overcommit is allowed (counting a denial when the pool is full) —
-    // the CacheManager sheds overflow right after, same contract as heap
-    // block puts.
-    slot.reservation = mm_->Reserve(memory::Pool::kStorage, bytes);
-  }
+  // Overcommit is allowed (counting a denial when the pool is full) — the
+  // CacheManager sheds overflow right after, same contract as heap block
+  // puts.
+  slot.reservation = mm_->Reserve(memory::Pool::kStorage, bytes);
   blocks_.emplace(key, std::move(slot));
   AddResident(bytes);
 }

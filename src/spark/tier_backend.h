@@ -114,8 +114,7 @@ class TierBackend {
 /// into this tier no matter how many blocks it holds.
 class OffHeapTier : public TierBackend {
  public:
-  /// `mm` may be null (standalone caches in tests): blocks are then held
-  /// without pool accounting.
+  /// Every held block reserves its bytes from `mm`'s storage pool.
   explicit OffHeapTier(memory::ExecutorMemoryManager* mm) : mm_(mm) {}
 
   const char* name() const override { return "offheap"; }

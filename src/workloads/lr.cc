@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "analysis/profiled_classifier.h"
 #include "cluster/scoped_job.h"
 #include "common/clock.h"
 #include "common/logging.h"
@@ -316,29 +315,6 @@ LrResult RunLogisticRegression(const MlParams& params) {
     // paper's code transformation does for safely decomposable UDTs.
     DECA_CHECK(types.classified() == SizeType::kStaticFixed)
         << "LR LabeledPoint must classify as SFST";
-    if (cfg.lifetime_source == spark::LifetimeSource::kProfiled) {
-      // Online calibration: allocate the same LabeledPoint graph the
-      // object path builds in a scratch heap and require the profiled
-      // verdict to agree with the static proof before it gates anything
-      // (executor heaps and digests stay bit-identical across sources).
-      analysis::CalibrationOptions opts;
-      opts.heap_bytes = 8u << 20;  // dims-sized feature arrays need room
-      opts.records = 512;
-      opts.retain_every = 8;
-      if (cfg.heap.profile_sample_bytes > 0) {
-        opts.sample_bytes = cfg.heap.profile_sample_bytes;
-      }
-      opts.seed = cfg.heap.profile_seed;
-      std::vector<double> feats(static_cast<size_t>(params.dims), 0.5);
-      analysis::ProfiledClassifier prof = analysis::CalibrateProfile(
-          ctx.registry(), opts, [&types, &feats](jvm::Heap* h) {
-            return types.NewLabeledPoint(h, 1.0, feats.data());
-          });
-      SizeType online = prof.Classify(types.labeled_point_cls());
-      DECA_CHECK(online == SizeType::kStaticFixed)
-          << "profiled LabeledPoint verdict "
-          << analysis::SizeTypeName(online) << " disagrees with static SFST";
-    }
   }
 
   LrResult result;

@@ -134,8 +134,8 @@ TEST(BenchEnvDeathTest, MalformedValueExitsNamingTheVariable) {
 TEST(BenchEnvDeathTest, UnknownEnumNameExitsNamingTheVariable) {
   EXPECT_EXIT(ParseWith("DECA_SHUFFLE_TRANSPORT", "lopback"),
               testing::ExitedWithCode(2), "DECA_SHUFFLE_TRANSPORT=lopback");
-  EXPECT_EXIT(ParseWith("DECA_LIFETIME_SOURCE", "oracle"),
-              testing::ExitedWithCode(2), "DECA_LIFETIME_SOURCE=oracle");
+  EXPECT_EXIT(ParseWith("DECA_ADMIT_POLICY", "sometimes"),
+              testing::ExitedWithCode(2), "DECA_ADMIT_POLICY=sometimes");
 }
 
 TEST(BenchEnvDeathTest, UnknownVariableExitsNamingIt) {
@@ -143,6 +143,13 @@ TEST(BenchEnvDeathTest, UnknownVariableExitsNamingIt) {
               testing::ExitedWithCode(2), "DECA_STORAGE_TIERS=3");
   EXPECT_EXIT(ParseWith("DECA_ARENA", "1"), testing::ExitedWithCode(2),
               "DECA_ARENA=1");
+  // Retired knobs: a script that still sets one exits naming it.
+  EXPECT_EXIT(ParseWith("DECA_LIFETIME_SOURCE", "static"),
+              testing::ExitedWithCode(2), "DECA_LIFETIME_SOURCE=static");
+  EXPECT_EXIT(ParseWith("DECA_PROFILE_SAMPLE_BYTES", "512"),
+              testing::ExitedWithCode(2), "DECA_PROFILE_SAMPLE_BYTES=512");
+  EXPECT_EXIT(ParseWith("DECA_PROFILE_SEED", "1"),
+              testing::ExitedWithCode(2), "DECA_PROFILE_SEED=1");
 }
 
 // EXPERIMENTS.md's "Environment knobs" table is the knob documentation:

@@ -179,6 +179,7 @@ TEST_F(LayoutTest, PaperLabeledPointSfstLayout) {
   EXPECT_EQ(layout.field("label").offset, 0u);
   EXPECT_EQ(layout.field("features.data").offset, 8u);
   EXPECT_EQ(layout.field("features.data").count, 10u);
+  EXPECT_EQ(layout.field("features.data").kind, FieldKind::kDouble);
 }
 
 TEST_F(LayoutTest, RfstLayoutHasVariableTail) {
