@@ -65,10 +65,10 @@ void ClusterManager::Start() {
           config_.cluster.test_suppress_heartbeats_count;
     }
   }
-  reg_server_ = std::make_unique<net::RpcServer>(
-      [this](const std::vector<uint8_t>& frame) {
-        return HandleRegistration(frame);
-      });
+  reg_server_ = std::make_unique<net::RpcServer>();
+  reg_server_->Serve([this](const std::vector<uint8_t>& frame) {
+    return HandleRegistration(frame);
+  });
   for (int e = 0; e < config_.num_executors; ++e) Spawn(e);
   for (int e = 0; e < config_.num_executors; ++e) WaitReady(e);
   for (int e = 0; e < config_.num_executors; ++e) CreateClients(e);

@@ -36,10 +36,10 @@ DaemonRuntime::DaemonRuntime(uint16_t driver_port, int executor,
 DaemonRuntime::~DaemonRuntime() { g_current = nullptr; }
 
 int DaemonRuntime::Run() {
-  control_ = std::make_unique<net::RpcServer>(
-      [this](const std::vector<uint8_t>& frame) {
-        return HandleControl(frame);
-      });
+  control_ = std::make_unique<net::RpcServer>();
+  control_->Serve([this](const std::vector<uint8_t>& frame) {
+    return HandleControl(frame);
+  });
 
   // Registration handshake on the driver's registration port. The Spec
   // reply carries the whole job; the daemon does not trust its argv for
@@ -81,7 +81,7 @@ int DaemonRuntime::Run() {
     ReadyMsg ready;
     ready.executor = executor_;
     ready.generation = generation_;
-    ready.data_port = mesh_->local_port();
+    ready.data_port = mesh_->port(executor_);
     ByteWriter w;
     w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kReady));
     EncodeReady(ready, &w);

@@ -11,8 +11,10 @@
 
 namespace deca::net {
 
-RpcServer::RpcServer(Handler handler) : handler_(std::move(handler)) {
-  listen_fd_ = ListenLoopback(&port_);
+RpcServer::RpcServer() { listen_fd_ = ListenLoopback(&port_); }
+
+void RpcServer::Serve(Handler handler) {
+  handler_ = std::move(handler);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 

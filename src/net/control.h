@@ -54,24 +54,30 @@ class RpcError : public std::runtime_error {
   bool timed_out_;
 };
 
-/// Framed request->response server for the control plane: an accept
-/// thread plus one serving thread per inbound connection. The handler is
-/// invoked on the connection's thread — heartbeats are therefore answered
-/// even while the daemon's main thread is busy running a task; handlers
-/// that need the main thread hand the frame off and block on the reply.
+/// The framed request->response socket server, for the control plane and
+/// the shuffle mesh alike: an accept thread plus one serving thread per
+/// inbound connection. The handler is invoked on the connection's thread
+/// — heartbeats are therefore answered even while the daemon's main
+/// thread is busy running a task; handlers that need the main thread hand
+/// the frame off and block on the reply.
 class RpcServer {
  public:
   /// Takes one framed request, returns the framed response.
   using Handler =
       std::function<std::vector<uint8_t>(const std::vector<uint8_t>&)>;
 
-  /// Binds an ephemeral loopback port and starts accepting. Throws
-  /// std::runtime_error if the socket can't be created.
-  explicit RpcServer(Handler handler);
+  /// Binds an ephemeral loopback port, so the port can be advertised
+  /// before there is a handler. Throws std::runtime_error if the socket
+  /// can't be created.
+  RpcServer();
   ~RpcServer();
 
   RpcServer(const RpcServer&) = delete;
   RpcServer& operator=(const RpcServer&) = delete;
+
+  /// Installs `handler` and starts accepting; call once. Peers that
+  /// connect earlier wait in the listen backlog.
+  void Serve(Handler handler);
 
   uint16_t port() const { return port_; }
 
@@ -93,9 +99,10 @@ class RpcServer {
   std::vector<std::thread> conn_threads_;
 };
 
-/// One control-plane connection to an RpcServer, used by exactly one
-/// thread at a time (callers serialize; the driver keeps separate clients
-/// for dispatch and heartbeats so the two never contend).
+/// One connection to an RpcServer, used by exactly one thread at a time
+/// (callers serialize: the driver keeps separate clients for dispatch and
+/// heartbeats so the two never contend, and the mesh holds each link's
+/// client under that link's mutex).
 ///
 /// Retry semantics: connect failures retry with exponential backoff (the
 /// peer may still be binding its port). Once a request has been written
@@ -117,6 +124,8 @@ class RpcClient {
                             int deadline_ms);
 
   void Close();
+
+  uint16_t port() const { return port_; }
 
  private:
   uint16_t port_;

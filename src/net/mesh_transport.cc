@@ -1,12 +1,8 @@
 #include "net/mesh_transport.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <stdexcept>
+#include <string>
 
 #include "common/logging.h"
 #include "net/socket_io.h"
@@ -18,143 +14,76 @@ MeshTransport::MeshTransport(int num_endpoints, int local_endpoint,
     : num_endpoints_(num_endpoints),
       local_endpoint_(local_endpoint),
       options_(options),
-      stats_(stats) {
-  DECA_CHECK(local_endpoint >= 0 && local_endpoint < num_endpoints);
-  listen_fd_ = ListenLoopback(&local_port_);
-}
-
-MeshTransport::~MeshTransport() {
-  // Same two-phase teardown as TcpTransport: shutdown() unblocks every
-  // thread, joins happen before any close().
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    stopping_ = true;
-    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+      stats_(stats),
+      servers_(static_cast<size_t>(num_endpoints)),
+      handlers_(static_cast<size_t>(num_endpoints)),
+      ports_(static_cast<size_t>(num_endpoints), 0) {
+  DECA_CHECK(local_endpoint >= -1 && local_endpoint < num_endpoints);
+  links_.reserve(static_cast<size_t>(num_endpoints) * num_endpoints);
+  for (int i = 0; i < num_endpoints * num_endpoints; ++i) {
+    links_.push_back(std::make_unique<Link>());
   }
-  {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    for (auto& [ep, conn] : peer_conns_) {
-      std::lock_guard<std::mutex> conn_lock(conn->mu);
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::vector<std::thread> threads;
-  std::vector<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-    fds.swap(conn_fds_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  for (int fd : fds) ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    for (auto& [ep, conn] : peer_conns_) {
-      std::lock_guard<std::mutex> conn_lock(conn->mu);
-      if (conn->fd >= 0) {
-        ::close(conn->fd);
-        conn->fd = -1;
-      }
-    }
+  for (int e = 0; e < num_endpoints; ++e) {
+    if (!Hosts(e)) continue;
+    auto& server = servers_[static_cast<size_t>(e)];
+    server = std::make_unique<RpcServer>();
+    ports_[static_cast<size_t>(e)] = server->port();
   }
 }
 
 void MeshTransport::Bind(int endpoint, MessageHandler handler) {
-  DECA_CHECK_EQ(endpoint, local_endpoint_);
-  handler_ = std::move(handler);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  DECA_CHECK(endpoint >= 0 && endpoint < num_endpoints_ && Hosts(endpoint))
+      << "endpoint " << endpoint << " is not hosted in this process";
+  handlers_[static_cast<size_t>(endpoint)] = handler;
+  servers_[static_cast<size_t>(endpoint)]->Serve(std::move(handler));
 }
 
-void MeshTransport::AcceptLoop() {
-  while (true) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket shut down
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
-    }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
-  }
-}
-
-void MeshTransport::ServeConnection(int fd) {
-  std::vector<uint8_t> request;
-  while (ReadFramed(fd, &request)) {
-    std::vector<uint8_t> response = handler_(request);
-    if (!WriteAll(fd, response.data(), response.size())) break;
-  }
+uint16_t MeshTransport::port(int endpoint) const {
+  DECA_CHECK(endpoint >= 0 && endpoint < num_endpoints_ && Hosts(endpoint));
+  return servers_[static_cast<size_t>(endpoint)]->port();
 }
 
 void MeshTransport::UpdatePeers(
     const std::vector<std::pair<int, uint16_t>>& peers) {
-  std::lock_guard<std::mutex> lock(peers_mu_);
+  std::lock_guard<std::mutex> lock(ports_mu_);
   for (const auto& [endpoint, port] : peers) {
-    auto it = peer_ports_.find(endpoint);
-    if (it != peer_ports_.end() && it->second == port) continue;
-    peer_ports_[endpoint] = port;
-    // A respawned peer listens on a new port: the cached connection (if
-    // any) points at the dead process, so drop it.
-    auto conn_it = peer_conns_.find(endpoint);
-    if (conn_it != peer_conns_.end()) {
-      std::lock_guard<std::mutex> conn_lock(conn_it->second->mu);
-      if (conn_it->second->fd >= 0) {
-        ::close(conn_it->second->fd);
-        conn_it->second->fd = -1;
-      }
-    }
+    DECA_CHECK(endpoint >= 0 && endpoint < num_endpoints_)
+        << "peer endpoint " << endpoint << " out of range";
+    ports_[static_cast<size_t>(endpoint)] = port;
   }
 }
 
 std::vector<uint8_t> MeshTransport::Call(int from, int to,
                                          const std::vector<uint8_t>& request) {
-  DECA_CHECK_EQ(from, local_endpoint_);
+  DECA_CHECK(from >= 0 && from < num_endpoints_ && Hosts(from));
+  DECA_CHECK(to >= 0 && to < num_endpoints_);
   std::vector<uint8_t> response;
-  if (to == local_endpoint_) {
-    response = handler_(request);
+  if (to == from) {
+    response = handlers_[static_cast<size_t>(to)](request);
   } else {
-    uint16_t port = 0;
-    PeerConn* conn = nullptr;
+    Link& link = *links_[static_cast<size_t>(from) * num_endpoints_ + to];
+    std::lock_guard<std::mutex> link_lock(link.mu);
+    uint16_t port;
     {
-      std::lock_guard<std::mutex> lock(peers_mu_);
-      auto it = peer_ports_.find(to);
-      if (it == peer_ports_.end()) {
-        throw std::runtime_error("mesh: no peer address for endpoint " +
-                                 std::to_string(to));
-      }
-      port = it->second;
-      auto& slot = peer_conns_[to];
-      if (!slot) slot = std::make_unique<PeerConn>();
-      conn = slot.get();
+      std::lock_guard<std::mutex> lock(ports_mu_);
+      port = ports_[static_cast<size_t>(to)];
     }
-    std::lock_guard<std::mutex> conn_lock(conn->mu);
-    if (conn->fd < 0) {
-      conn->fd = DialLoopbackRetry(port, options_.connect_attempts,
-                                   options_.backoff_base_ms);
+    if (port == 0) {
+      throw std::runtime_error("mesh: no peer address for endpoint " +
+                               std::to_string(to));
     }
-    bool timed_out = false;
-    if (!WriteAll(conn->fd, request.data(), request.size()) ||
-        !ReadFramedDeadline(conn->fd, &response, options_.deadline_ms,
-                            &timed_out)) {
-      ::close(conn->fd);
-      conn->fd = -1;
+    // A respawned peer listens on a new port: the cached connection (if
+    // any) points at the dead process, so replace it.
+    if (link.client == nullptr || link.client->port() != port) {
+      link.client = std::make_unique<RpcClient>(
+          port, options_.connect_attempts, options_.backoff_base_ms);
+    }
+    try {
+      response = link.client->Call(request, options_.deadline_ms);
+    } catch (const RpcError& e) {
       // Surface as the typed retryable error: the peer likely died and
       // the shuffle layer turns this into a bounded-retry fetch failure.
-      throw ConnectError(port, timed_out ? ETIMEDOUT : ECONNRESET);
+      throw ConnectError(port, e.timed_out() ? ETIMEDOUT : ECONNRESET);
     }
   }
   if (stats_ != nullptr) {

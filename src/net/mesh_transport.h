@@ -2,13 +2,12 @@
 #define DECA_NET_MESH_TRANSPORT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "net/control.h"
 #include "net/net_stats.h"
 #include "net/transport.h"
 
@@ -23,63 +22,62 @@ struct MeshOptions {
   int deadline_ms = 20000;
 };
 
-/// The multi-process data plane: a Transport where exactly one endpoint
-/// (`local_endpoint`) is hosted in this process and every other endpoint
-/// is a peer daemon reachable over 127.0.0.1. The local endpoint listens
-/// on an ephemeral port immediately (its port is advertised to the driver
-/// during registration); peer addresses arrive later via UpdatePeers and
-/// may change when the driver respawns a crashed executor — stale cached
-/// connections are dropped on update.
+/// The real-socket Transport: every hosted endpoint is an RpcServer on an
+/// ephemeral 127.0.0.1 port, and each (from, to) link is one RpcClient
+/// whose mutex provides the contract's FIFO ordering. Frames on the
+/// socket are the exact bytes FrameMessage produces, so message and byte
+/// counts match loopback; only wall time differs.
 ///
-/// Call(from == local, to == local) dispatches the bound handler
-/// directly; remote calls move the exact framed bytes. Failures toward a
-/// dead peer throw ConnectError (typed, retryable) so the shuffle layer
-/// can convert them into a retryable fetch failure instead of aborting.
+/// With `local_endpoint >= 0` (a daemon) this process hosts that one
+/// endpoint and every other is a peer daemon. Its port is bound at
+/// construction (advertised to the driver during registration); peer
+/// addresses arrive later via UpdatePeers and change when the driver
+/// respawns a crashed executor. With `local_endpoint == -1` every
+/// endpoint is hosted here (the in-process `tcp` shuffle).
+///
+/// A call to the caller's own endpoint runs its handler directly; other
+/// calls cross a socket. A failed call throws ConnectError (typed,
+/// retryable) so the shuffle layer can convert it into a retryable fetch
+/// failure instead of aborting.
 class MeshTransport : public Transport {
  public:
   MeshTransport(int num_endpoints, int local_endpoint,
                 const MeshOptions& options, NetStats* stats);
-  ~MeshTransport() override;
 
-  /// Only `local_endpoint` may be bound in this process.
+  /// Only hosted endpoints may be bound in this process.
   void Bind(int endpoint, MessageHandler handler) override;
   std::vector<uint8_t> Call(int from, int to,
                             const std::vector<uint8_t>& request) override;
   int num_endpoints() const override { return num_endpoints_; }
 
-  uint16_t local_port() const { return local_port_; }
-  int local_endpoint() const { return local_endpoint_; }
+  /// The port a hosted endpoint listens on.
+  uint16_t port(int endpoint) const;
 
-  /// Installs/refreshes the peer table: (endpoint, port) pairs. A changed
-  /// port closes any cached connection to that endpoint. Thread-safe.
+  /// Installs/refreshes the peer table: (endpoint, port) pairs. A link
+  /// whose peer changed port reconnects on its next call. Thread-safe.
   void UpdatePeers(const std::vector<std::pair<int, uint16_t>>& peers);
 
  private:
-  struct PeerConn {
+  struct Link {
     std::mutex mu;
-    int fd = -1;
+    std::unique_ptr<RpcClient> client;
   };
 
-  void AcceptLoop();
-  void ServeConnection(int fd);
+  bool Hosts(int endpoint) const {
+    return local_endpoint_ < 0 || endpoint == local_endpoint_;
+  }
 
   int num_endpoints_;
   int local_endpoint_;
   MeshOptions options_;
   NetStats* stats_;
 
-  MessageHandler handler_;
-  int listen_fd_ = -1;
-  uint16_t local_port_ = 0;
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  bool stopping_ = false;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-
-  std::mutex peers_mu_;
-  std::map<int, uint16_t> peer_ports_;
-  std::map<int, std::unique_ptr<PeerConn>> peer_conns_;
+  // Indexed by endpoint, set for hosted endpoints only.
+  std::vector<std::unique_ptr<RpcServer>> servers_;
+  std::vector<MessageHandler> handlers_;
+  std::vector<std::unique_ptr<Link>> links_;  // [from * n + to]
+  std::mutex ports_mu_;
+  std::vector<uint16_t> ports_;  // [endpoint], 0 = unknown
 };
 
 }  // namespace deca::net

@@ -29,11 +29,11 @@ class ConnectError : public std::runtime_error {
   int error_code_;
 };
 
-// EINTR-hardened socket helpers shared by every wire user (TcpTransport,
-// the control-plane RPC layer, the executor mesh). All writes use
-// MSG_NOSIGNAL so a dead peer surfaces as an error, never as SIGPIPE;
-// every fd is opened close-on-exec so spawned daemons don't inherit the
-// driver's sockets.
+// EINTR-hardened socket helpers behind RpcServer and RpcClient, the one
+// server and the one client link of every wire user (the control plane
+// and the shuffle mesh). All writes use MSG_NOSIGNAL so a dead peer
+// surfaces as an error, never as SIGPIPE; every fd is opened
+// close-on-exec so spawned daemons don't inherit the driver's sockets.
 
 /// Writes exactly `size` bytes, retrying EINTR and short writes.
 bool WriteAll(int fd, const uint8_t* data, size_t size);

@@ -10,8 +10,8 @@
 #include "common/logging.h"
 #include "fault/task_failure.h"
 #include "net/loopback_transport.h"
+#include "net/mesh_transport.h"
 #include "net/socket_io.h"
-#include "net/tcp_transport.h"
 #include "spark/network_shuffle.h"
 
 namespace deca::spark {
@@ -92,8 +92,9 @@ SparkContext::SparkContext(const SparkConfig& config)
       transport_ = std::make_unique<net::LoopbackTransport>(
           config_.num_executors, opts, net_stats_.get());
     } else {
-      transport_ = std::make_unique<net::TcpTransport>(config_.num_executors,
-                                                       net_stats_.get());
+      transport_ = std::make_unique<net::MeshTransport>(
+          config_.num_executors, /*local_endpoint=*/-1, net::MeshOptions{},
+          net_stats_.get());
     }
     auto service = std::make_unique<NetworkShuffleService>(
         config_, transport_.get(), net_stats_.get());
@@ -466,7 +467,7 @@ void SparkContext::RunStageInternal(
     if (remote) {
       // Stage barrier broadcast: every daemon leaves its serve loop,
       // folds the same collect blobs, and acks with its stats snapshot
-      // (which the Total* getters below read).
+      // (which the Total* getters read).
       static const std::vector<std::vector<uint8_t>> kNoBlobs;
       snapshots_ = config_.runtime.driver->StageDone(
           stage, collect != nullptr, results != nullptr ? *results : kNoBlobs);
@@ -479,10 +480,6 @@ void SparkContext::RunStageInternal(
     metrics_.injected_faults +=
         remote ? remote_fired_.exchange(0) : injector_.TakeFired();
     metrics_.recomputed_blocks += recomputed_blocks_.exchange(0);
-    metrics_.exec_pool_peak_bytes = TotalExecPoolPeakBytes();
-    metrics_.storage_pool_peak_bytes = TotalStoragePoolPeakBytes();
-    metrics_.borrowed_bytes = TotalBorrowedBytes();
-    metrics_.denied_reservations = TotalDeniedReservations();
     // Every byte must be charged to exactly one manager — checked at every
     // stage barrier, in sequential and parallel runs alike.
     for (auto& e : executors_) e->VerifyMemoryAccounting();
@@ -824,17 +821,6 @@ uint64_t SparkContext::TotalOomRecoveries() const {
   return total;
 }
 
-uint64_t SparkContext::TotalExecPoolPeakBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.memory.exec_peak;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) total += e->memory()->exec_peak();
-  return total;
-}
-
 uint64_t SparkContext::TotalStoragePoolPeakBytes() const {
   if (config_.runtime.role == DistRole::kDriver) {
     uint64_t total = 0;
@@ -843,17 +829,6 @@ uint64_t SparkContext::TotalStoragePoolPeakBytes() const {
   }
   uint64_t total = 0;
   for (const auto& e : executors_) total += e->memory()->storage_peak();
-  return total;
-}
-
-uint64_t SparkContext::TotalBorrowedBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.memory.borrowed_peak;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) total += e->memory()->borrowed_peak();
   return total;
 }
 

@@ -210,11 +210,9 @@ class SparkContext {
   alloc::AllocStats TotalAllocStats() const;
   /// Allocations rescued by eviction-under-pressure + full GC + retry.
   uint64_t TotalOomRecoveries() const;
-  /// Unified memory-manager plane, summed across executors (peaks are
-  /// per-executor high-water marks).
-  uint64_t TotalExecPoolPeakBytes() const;
+  /// Unified memory-manager plane, summed across executors (the peak is
+  /// a sum of per-executor high-water marks).
   uint64_t TotalStoragePoolPeakBytes() const;
-  uint64_t TotalBorrowedBytes() const;
   uint64_t TotalDeniedReservations() const;
   /// One memory-manager snapshot per executor, in executor-id order.
   std::vector<memory::MemoryStats> ExecutorMemorySnapshots() const;

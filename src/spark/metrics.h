@@ -98,18 +98,6 @@ struct JobMetrics {
   double wall_ms = 0;           // end-to-end driver wall clock
   TaskMetrics tasks;            // sum over all tasks
   TaskMetrics slowest_task;     // task with the largest total_ms
-  uint64_t minor_gcs = 0;
-  uint64_t full_gcs = 0;
-  double concurrent_gc_ms = 0;
-  uint64_t cached_bytes = 0;    // peak cached data across executors
-  uint64_t spilled_bytes = 0;
-
-  // Unified memory-manager plane, summed across executors at each stage
-  // barrier (peaks are per-executor high-water marks).
-  uint64_t exec_pool_peak_bytes = 0;
-  uint64_t storage_pool_peak_bytes = 0;
-  uint64_t borrowed_bytes = 0;
-  uint64_t denied_reservations = 0;
 
   // Fault-tolerance counters. All stay zero when injection is disabled
   // and no real fault occurs.

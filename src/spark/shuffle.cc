@@ -598,31 +598,4 @@ void DecaSortSpillWriter::Merge(
   if (spill_ms != nullptr) *spill_ms += sw.ElapsedMillis();
 }
 
-// -- DecaSortShuffleBuffer ----------------------------------------------------
-
-DecaSortShuffleBuffer::DecaSortShuffleBuffer(jvm::Heap* heap,
-                                             uint32_t page_bytes)
-    : pages_(std::make_shared<core::PageGroup>(heap, page_bytes)) {}
-
-core::SegPtr DecaSortShuffleBuffer::Append(const uint8_t* data,
-                                           uint32_t bytes) {
-  core::SegPtr seg = pages_->Append(bytes);
-  std::memcpy(pages_->Resolve(seg), data, bytes);
-  entries_.emplace_back(seg, bytes);
-  return seg;
-}
-
-void DecaSortShuffleBuffer::SortAndVisit(
-    const std::function<bool(const uint8_t*, const uint8_t*)>& less,
-    const std::function<void(const uint8_t*, uint32_t)>& fn) {
-  std::sort(entries_.begin(), entries_.end(),
-            [&](const auto& a, const auto& b) {
-              return less(pages_->Resolve(a.first),
-                          pages_->Resolve(b.first));
-            });
-  for (const auto& [seg, bytes] : entries_) {
-    fn(pages_->Resolve(seg), bytes);
-  }
-}
-
 }  // namespace deca::spark

@@ -315,30 +315,6 @@ class DecaSortSpillWriter {
   uint64_t spilled_bytes_ = 0;
 };
 
-/// Sort-based shuffle buffer, Deca mode: records append to a page group
-/// and a native pointer array is sorted by key (paper Section 4.2 case
-/// (1) — references die only when the buffer is released).
-class DecaSortShuffleBuffer {
- public:
-  DecaSortShuffleBuffer(jvm::Heap* heap, uint32_t page_bytes);
-
-  /// Appends a record segment; `bytes` must embed everything needed
-  /// downstream.
-  core::SegPtr Append(const uint8_t* data, uint32_t bytes);
-
-  /// Sorts the pointer array by `less` over the segment bytes and iterates
-  /// in order.
-  void SortAndVisit(
-      const std::function<bool(const uint8_t*, const uint8_t*)>& less,
-      const std::function<void(const uint8_t*, uint32_t bytes)>& fn);
-
-  uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
-
- private:
-  std::shared_ptr<core::PageGroup> pages_;
-  std::vector<std::pair<core::SegPtr, uint32_t>> entries_;  // (seg, bytes)
-};
-
 }  // namespace deca::spark
 
 #endif  // DECA_SPARK_SHUFFLE_H_

@@ -1,6 +1,6 @@
 // src/net unit tests: message framing, the two chunk wire codecs, the
-// loopback transport's ordering/accounting, the TCP transport, and the
-// BlockServer side of the shuffle wire protocol.
+// loopback transport's ordering/accounting, the socket mesh (all-local and
+// peered daemons), and the BlockServer side of the shuffle wire protocol.
 
 #include <gtest/gtest.h>
 
@@ -10,14 +10,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "net/block_server.h"
 #include "net/control.h"
 #include "net/loopback_transport.h"
+#include "net/mesh_transport.h"
 #include "net/socket_io.h"
-#include "net/tcp_transport.h"
 #include "net/wire.h"
 
 namespace deca::net {
@@ -198,11 +199,11 @@ TEST(LoopbackTransport, ConcurrentCallsAreSerialized) {
   // is that every call returned its own response under contention.
 }
 
-// -- TCP transport ------------------------------------------------------------
+// -- mesh transport -----------------------------------------------------------
 
-TEST(TcpTransport, EchoOverRealSockets) {
+TEST(MeshTransport, EchoOverRealSockets) {
   NetStats stats;
-  TcpTransport t(2, &stats);
+  MeshTransport t(2, /*local_endpoint=*/-1, MeshOptions{}, &stats);
   t.Bind(0, EchoHandler);
   t.Bind(1, EchoHandler);
   ByteWriter body;
@@ -216,14 +217,57 @@ TEST(TcpTransport, EchoOverRealSockets) {
   EXPECT_EQ(stats.wire_bytes.load(), 40 * wire.size());
 }
 
-TEST(TcpTransport, LargeMessage) {
-  TcpTransport t(1, nullptr);
+TEST(MeshTransport, LargeMessage) {
+  MeshTransport t(2, /*local_endpoint=*/-1, MeshOptions{}, nullptr);
   t.Bind(0, EchoHandler);
+  t.Bind(1, EchoHandler);
   ByteWriter body;
   std::vector<uint8_t> blob = Payload(1 << 20);
   body.WriteBytes(blob.data(), blob.size());
   std::vector<uint8_t> wire = FrameMessage(body);
-  EXPECT_EQ(t.Call(0, 0, wire), wire);
+  // A call to the caller's own endpoint skips the socket; this one
+  // crosses the 0 -> 1 link.
+  EXPECT_EQ(t.Call(0, 1, wire), wire);
+}
+
+TEST(MeshTransport, PeeredDaemonsReconnectAfterRespawnAndFailTyped) {
+  MeshOptions opts;
+  opts.connect_attempts = 2;
+  opts.backoff_base_ms = 1;
+  MeshTransport a(2, /*local_endpoint=*/0, opts, nullptr);
+  auto b = std::make_unique<MeshTransport>(2, /*local_endpoint=*/1, opts,
+                                           nullptr);
+  a.Bind(0, EchoHandler);
+  b->Bind(1, EchoHandler);
+  a.UpdatePeers({{0, a.port(0)}, {1, b->port(1)}});
+  b->UpdatePeers({{0, a.port(0)}, {1, b->port(1)}});
+  ByteWriter body;
+  body.WriteString("peer to peer");
+  std::vector<uint8_t> wire = FrameMessage(body);
+  EXPECT_EQ(a.Call(0, 1, wire), wire);
+  EXPECT_EQ(b->Call(1, 0, wire), wire);
+  EXPECT_EQ(a.Call(0, 0, wire), wire);  // own endpoint: handler runs inline
+
+  // Respawn: endpoint 1 comes back on a new port (the replacement binds
+  // before the old one closes, so the ports differ). a's cached link
+  // still points at the dead process until UpdatePeers names the new one.
+  uint16_t old_port = b->port(1);
+  b = std::make_unique<MeshTransport>(2, /*local_endpoint=*/1, opts, nullptr);
+  ASSERT_NE(b->port(1), old_port);
+  b->Bind(1, EchoHandler);
+  a.UpdatePeers({{1, b->port(1)}});
+  EXPECT_EQ(a.Call(0, 1, wire), wire);
+
+  // A peer that is gone fails with the typed retryable error naming it.
+  uint16_t gone = b->port(1);
+  b.reset();
+  try {
+    a.Call(0, 1, wire);
+    FAIL() << "a call to a dead peer should throw";
+  } catch (const ConnectError& e) {
+    EXPECT_EQ(e.port(), gone);
+    EXPECT_TRUE(e.retryable());
+  }
 }
 
 // -- block server -------------------------------------------------------------
@@ -365,7 +409,8 @@ TEST(SocketIo, WriteAllAndReadAllMoveExactBytes) {
 
 TEST(RpcControl, RoundTripAndDeadline) {
   std::atomic<int> slow{0};
-  RpcServer server([&](const std::vector<uint8_t>& req) {
+  RpcServer server;
+  server.Serve([&](const std::vector<uint8_t>& req) {
     if (slow.load() != 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(300));
     }
@@ -399,7 +444,8 @@ TEST(RpcControl, RoundTripAndDeadline) {
 TEST(RpcControl, StoppedServerRefusesWithConnectError) {
   uint16_t port;
   {
-    RpcServer server([](const std::vector<uint8_t>& req) { return req; });
+    RpcServer server;
+    server.Serve([](const std::vector<uint8_t>& req) { return req; });
     port = server.port();
   }
   RpcClient client(port, /*connect_attempts=*/2, /*backoff_base_ms=*/1);

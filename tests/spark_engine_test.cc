@@ -403,7 +403,11 @@ TEST(GroupByBufferTest, GroupsAllValues) {
 TEST(DecaSortBufferTest, SortsByKey) {
   SparkContext ctx(SmallConfig());
   jvm::Heap* h = ctx.executor(0)->heap();
-  DecaSortShuffleBuffer buf(h, 4096);
+  DecaSortSpillWriter writer(
+      h, 4096, ctx.config().spill_dir,
+      [](const uint8_t* a, const uint8_t* b) {
+        return LoadRaw<int64_t>(a) < LoadRaw<int64_t>(b);
+      });
   Rng rng(11);
   std::vector<int64_t> keys;
   for (int i = 0; i < 500; ++i) {
@@ -411,17 +415,16 @@ TEST(DecaSortBufferTest, SortsByKey) {
     keys.push_back(k);
     uint8_t rec[8];
     StoreRaw<int64_t>(rec, k);
-    buf.Append(rec, 8);
+    writer.Append(rec, 8);
   }
   std::sort(keys.begin(), keys.end());
   std::vector<int64_t> sorted;
-  buf.SortAndVisit(
-      [](const uint8_t* a, const uint8_t* b) {
-        return LoadRaw<int64_t>(a) < LoadRaw<int64_t>(b);
-      },
-      [&](const uint8_t* rec, uint32_t) {
-        sorted.push_back(LoadRaw<int64_t>(rec));
-      });
+  writer.Merge([&](const uint8_t* rec, uint32_t) {
+    sorted.push_back(LoadRaw<int64_t>(rec));
+  });
+  // The whole run stays in memory: Merge sorts the pointer array and
+  // visits it, with no spill file on the way.
+  EXPECT_EQ(writer.spill_count(), 0u);
   EXPECT_EQ(sorted, keys);
 }
 
