@@ -179,28 +179,6 @@ void BM_DecaHashCombine(benchmark::State& state) {
 }
 BENCHMARK(BM_DecaHashCombine)->Arg(1000)->Arg(20000);
 
-/// Ablation: the static-offset hash table (paper Section 4.3.2 — no
-/// pointer array, slots addressed arithmetically within the pages) vs the
-/// pointer-array variant measured above.
-void BM_DecaStaticHashCombine(benchmark::State& state) {
-  HeapFixture f;
-  spark::ShuffleOps ops = SumOps(&f.registry);
-  const uint64_t keys = static_cast<uint64_t>(state.range(0));
-  Rng rng(3);
-  for (auto _ : state) {
-    spark::DecaStaticHashShuffleBuffer buf(f.heap.get(), &ops, 64u << 10);
-    for (int i = 0; i < 50000; ++i) {
-      int64_t k = static_cast<int64_t>(rng.NextBounded(keys));
-      int64_t one = 1;
-      buf.Insert(reinterpret_cast<const uint8_t*>(&k),
-                 reinterpret_cast<const uint8_t*>(&one));
-    }
-    benchmark::DoNotOptimize(buf.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 50000);
-}
-BENCHMARK(BM_DecaStaticHashCombine)->Arg(1000)->Arg(20000);
-
 /// Full-GC pause as a function of the number of live objects — the core
 /// cost Deca eliminates by replacing millions of objects with a few pages.
 void BM_FullGcPauseVsLiveObjects(benchmark::State& state) {

@@ -39,6 +39,15 @@ std::shared_ptr<const Bytes> Bytes::FromWriter(AllocCounter* counter,
   return b;
 }
 
+std::shared_ptr<const Bytes> Bytes::View(const uint8_t* data, size_t n,
+                                         std::shared_ptr<const void> owner) {
+  auto b = std::shared_ptr<Bytes>(new Bytes());
+  b->owner_ = std::move(owner);
+  b->data_ = data;
+  b->size_ = n;
+  return b;
+}
+
 Bytes::~Bytes() {
   if (counter_ != nullptr) counter_->CountFree();
 }

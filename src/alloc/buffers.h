@@ -13,7 +13,9 @@ namespace deca::alloc {
 /// Immutable shared byte buffer: the block store's T1/T2 payloads and lazy
 /// reads. It owns either a `new[]` buffer or a serializer's adopted
 /// vector, and charges either one to `counter` (when set) on creation and
-/// destruction, from whichever thread drops the last reference.
+/// destruction, from whichever thread drops the last reference. A view
+/// owns no bytes and is never counted: it holds a reference that keeps
+/// the memory it points into valid (T2's mapped swap-file extents).
 class Bytes {
  public:
   /// Uninitialized buffer of `n` bytes; fill via mutable_data() before
@@ -28,13 +30,20 @@ class Bytes {
   static std::shared_ptr<const Bytes> FromWriter(AllocCounter* counter,
                                                  std::vector<uint8_t> buf);
 
+  /// Uncounted view of `[data, data+n)`, valid while `owner` lives; the
+  /// view holds `owner` until its own last reference drops, on whichever
+  /// thread that happens.
+  static std::shared_ptr<const Bytes> View(const uint8_t* data, size_t n,
+                                           std::shared_ptr<const void> owner);
+
   ~Bytes();
 
   Bytes(const Bytes&) = delete;
   Bytes& operator=(const Bytes&) = delete;
 
   const uint8_t* data() const { return data_; }
-  uint8_t* mutable_data() { return data_; }
+  /// The storage of a New buffer (only New hands out a non-const one).
+  uint8_t* mutable_data() { return raw_.get(); }
   size_t size() const { return size_; }
 
  private:
@@ -43,7 +52,8 @@ class Bytes {
   AllocCounter* counter_ = nullptr;  // set when this buffer was counted
   std::unique_ptr<uint8_t[]> raw_;   // New/Copy storage
   std::vector<uint8_t> adopted_;     // FromWriter storage
-  uint8_t* data_ = nullptr;
+  std::shared_ptr<const void> owner_;  // keeps a View's memory valid
+  const uint8_t* data_ = nullptr;
   size_t size_ = 0;
 };
 

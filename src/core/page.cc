@@ -62,13 +62,19 @@ size_t PageGroup::EncodeRawTo(uint8_t* dst) const {
 
 std::shared_ptr<PageGroup> PageGroup::DecodeRaw(jvm::Heap* heap,
                                                 uint32_t page_bytes,
-                                                ByteReader* in) {
+                                                const uint8_t* data,
+                                                size_t size) {
   auto group = std::make_shared<PageGroup>(heap, page_bytes);
-  uint32_t pages = in->Read<uint32_t>();
-  for (uint32_t i = 0; i < pages; ++i) {
-    uint32_t used = in->Read<uint32_t>();
+  RawPageCursor cursor(data, size);
+  const uint8_t* page = nullptr;
+  uint32_t used = 0;
+  while (cursor.Next(&page, &used)) {
+    DECA_CHECK(used <= page_bytes)
+        << "raw page payload: page at offset "
+        << static_cast<size_t>(page - data) - sizeof(uint32_t) << " claims "
+        << used << " bytes, more than a " << page_bytes << "-byte page";
     SegPtr seg = group->Append(used);
-    in->ReadBytes(group->Resolve(seg), used);
+    std::memcpy(group->Resolve(seg), page, used);
   }
   return group;
 }

@@ -104,11 +104,14 @@ class PageGroup : public memory::PageFootprintSource {
   /// least encoded_raw_bytes() (the T1/T2 staging path: no intermediate
   /// growable vector). Returns the bytes written (== encoded_raw_bytes()).
   size_t EncodeRawTo(uint8_t* dst) const;
-  /// Rebuilds a group from EncodeRaw bytes (allocating managed pages on
-  /// `heap`; charges the execution pool like any fresh group).
+  /// Rebuilds a group from the EncodeRaw bytes `[data, data+size)`
+  /// (allocating managed pages on `heap`; charges the execution pool like
+  /// any fresh group). Aborts, naming the offset, on a page header that
+  /// claims more than `page_bytes` or than the payload holds.
   static std::shared_ptr<PageGroup> DecodeRaw(jvm::Heap* heap,
                                               uint32_t page_bytes,
-                                              ByteReader* in);
+                                              const uint8_t* data,
+                                              size_t size);
   /// Size EncodeRaw will produce, without materializing it.
   uint64_t encoded_raw_bytes() const;
 
@@ -180,20 +183,36 @@ class PageScanner {
 /// group: yields each encoded page's (data pointer, used bytes). This is
 /// the zero-copy serving path for demoted kDecaPages blocks — a query
 /// walks fixed-size decomposed records straight out of the packed T1
-/// buffer, allocating nothing on the managed heap.
+/// buffer or the mapped T2 extent, allocating nothing on the managed
+/// heap. The payload may be corrupt, so a header that claims more bytes
+/// than the payload holds aborts, naming its offset, instead of reading
+/// past the payload.
 class RawPageCursor {
  public:
   RawPageCursor(const uint8_t* data, size_t size) : reader_(data, size) {
+    DECA_CHECK(size >= sizeof(uint32_t))
+        << "raw page payload of " << size << " bytes has no page count";
     page_count_ = reader_.Read<uint32_t>();
+    // Every page header must fit; Next keeps that true for the headers
+    // still to come, so it reads each one in bounds.
+    DECA_CHECK(page_count_ <= reader_.remaining() / sizeof(uint32_t))
+        << "raw page payload at offset 0 claims " << page_count_
+        << " pages, but only " << reader_.remaining() << " bytes follow";
   }
 
   /// Advances to the next encoded page; false once all pages are read.
   bool Next(const uint8_t** page_data, uint32_t* used) {
     if (index_ >= page_count_) return false;
+    const size_t offset = reader_.position();
     uint32_t u = reader_.Read<uint32_t>();
+    ++index_;
+    const size_t later_headers = (page_count_ - index_) * sizeof(uint32_t);
+    DECA_CHECK(u <= reader_.remaining() - later_headers)
+        << "raw page payload: page " << index_ - 1 << " at offset " << offset
+        << " claims " << u << " bytes, but only "
+        << reader_.remaining() - later_headers << " are left for it";
     *used = u;
     *page_data = reader_.Skip(u);
-    ++index_;
     return true;
   }
 

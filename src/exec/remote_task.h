@@ -91,7 +91,6 @@ struct RemoteTaskOutcome {
     w->Write<double>(metrics.spill_ms);
     w->WriteVarU64(metrics.exec_pool_peak_bytes);
     w->WriteVarU64(metrics.storage_pool_peak_bytes);
-    w->WriteVarU64(metrics.borrowed_bytes);
     w->WriteVarU64(metrics.denied_reservations);
     w->WriteString(message);
     w->WriteString(heap_dump);
@@ -111,7 +110,6 @@ struct RemoteTaskOutcome {
     o.metrics.spill_ms = r->Read<double>();
     o.metrics.exec_pool_peak_bytes = r->ReadVarU64();
     o.metrics.storage_pool_peak_bytes = r->ReadVarU64();
-    o.metrics.borrowed_bytes = r->ReadVarU64();
     o.metrics.denied_reservations = r->ReadVarU64();
     o.message = r->ReadString();
     o.heap_dump = r->ReadString();

@@ -56,7 +56,7 @@ CacheManager::CacheManager(jvm::Heap* heap, const SparkConfig* config,
       t1_cap_bytes_(static_cast<uint64_t>(
           config->t1_fraction * static_cast<double>(mm_->total_bytes()))),
       t1_(mm_),
-      t2_(config->spill_dir, executor_id, heap->alloc_counter()) {
+      t2_(config->spill_dir, executor_id) {
   heap_->AddRootProvider(this);
   std::error_code ec;
   std::filesystem::create_directories(cfg_->spill_dir, ec);
@@ -178,9 +178,8 @@ void CacheManager::Unpack(BlockKey key, const PackedBlock& packed,
     }
     case StorageLevel::kDecaPages: {
       // Raw page reload: no deserialization (paper Appendix C).
-      ByteReader r(data.data(), data.size());
       block->pages = core::PageGroup::DecodeRaw(heap_, cfg_->deca_page_bytes,
-                                                &r);
+                                                data.data(), data.size());
       break;
     }
   }
@@ -322,7 +321,7 @@ LoadedBlock CacheManager::GetInternal(BlockKey key, bool lazy,
     return block;
   }
 
-  // T2: read the block back from its swap-file extent (it stays on disk —
+  // T2: a view of the block's swap-file extent (it stays on disk —
   // Spark's MEMORY_AND_DISK re-reads swapped blocks on every access —
   // unless the admission policy re-admits it into T1).
   t2_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -337,7 +336,7 @@ LoadedBlock CacheManager::GetInternal(BlockKey key, bool lazy,
       double ms = 0;
       {
         ScopedTimerMs timer(&ms);
-        PromoteToT1(key, &e, packed, metrics);
+        PromoteToT1(key, &e, &packed, metrics);
       }
       promote_ms_.Add(ms);
       promote_count_.fetch_add(1, std::memory_order_relaxed);
@@ -456,14 +455,18 @@ void CacheManager::PromoteToT0(BlockKey key, Entry* e,
   e->accesses_since_demote = 0;
 }
 
-void CacheManager::PromoteToT1(BlockKey key, Entry* e, PackedBlock packed,
+void CacheManager::PromoteToT1(BlockKey key, Entry* e, PackedBlock* packed,
                                TaskMetrics* metrics) {
   DECA_CHECK(e->tier == Tier::kT2);
-  uint64_t psize = packed.size();
+  // Replacing the view with an owned copy releases the view, so the Drop
+  // below frees the extent at once.
+  packed->bytes = alloc::Bytes::Copy(heap_->alloc_counter(),
+                                     packed->bytes->data(), packed->size());
+  uint64_t psize = packed->size();
   EnsureT1Room(psize, metrics);
   t2_.Drop(key);
   disk_bytes_ -= e->charged_bytes;
-  t1_.Store(key, std::move(packed), metrics);
+  t1_.Store(key, *packed, metrics);
   uint64_t now = memory_bytes_ += psize;
   if (now > peak_memory_bytes_.load(std::memory_order_relaxed)) {
     peak_memory_bytes_.store(now, std::memory_order_relaxed);

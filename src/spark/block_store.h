@@ -36,7 +36,8 @@ struct LoadedBlock {
   /// kDecaPages: the block's page group.
   std::shared_ptr<core::PageGroup> pages;
   /// Packed T1/T2 payload (lazy reads): Kryo records, the serialized
-  /// byte run, or raw page bytes depending on `level`.
+  /// byte run, or raw page bytes depending on `level`. A T2 payload is a
+  /// view of the swap file's mapping that pins its extent while held.
   alloc::BytesPtr packed;
   bool temporary = false;
 
@@ -237,7 +238,9 @@ class CacheManager : public jvm::RootProvider {
   void PromoteToT0(BlockKey key, Entry* e, const PackedBlock& packed,
                    LoadedBlock* block, TaskMetrics* metrics);
   /// T2 -> T1: re-admits the packed payload off-heap (storage_tiers >= 3).
-  void PromoteToT1(BlockKey key, Entry* e, PackedBlock packed,
+  /// T1 owns its bytes, so `*packed`'s swap-file view is first replaced
+  /// by a counted copy, which T1 then shares with the caller.
+  void PromoteToT1(BlockKey key, Entry* e, PackedBlock* packed,
                    TaskMetrics* metrics);
 
   /// The admission policy's verdict for an access to a demoted block

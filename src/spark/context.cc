@@ -166,7 +166,6 @@ void SparkContext::RunTaskAttempts(
     const memory::ExecutorMemoryManager* mm = e->memory();
     tc.metrics().exec_pool_peak_bytes = mm->exec_peak();
     tc.metrics().storage_pool_peak_bytes = mm->storage_peak();
-    tc.metrics().borrowed_bytes = mm->borrowed_peak();
     tc.metrics().denied_reservations = mm->denied_reservations() - denied0;
     task_span.set_args(
         static_cast<double>(e->heap()->stats().minor_count +
@@ -314,7 +313,6 @@ exec::RemoteTaskOutcome SparkContext::ExecuteRemoteAttempt(
     const memory::ExecutorMemoryManager* mm = e->memory();
     tc.metrics().exec_pool_peak_bytes = mm->exec_peak();
     tc.metrics().storage_pool_peak_bytes = mm->storage_peak();
-    tc.metrics().borrowed_bytes = mm->borrowed_peak();
     tc.metrics().denied_reservations = mm->denied_reservations() - denied0;
     out.metrics = tc.metrics();
   } else {

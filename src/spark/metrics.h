@@ -24,7 +24,6 @@ struct TaskMetrics {
   // denied_reservations is the task's own delta (folded with +).
   uint64_t exec_pool_peak_bytes = 0;
   uint64_t storage_pool_peak_bytes = 0;
-  uint64_t borrowed_bytes = 0;         // peak bytes across the pool split
   uint64_t denied_reservations = 0;
 
   double compute_ms() const {
@@ -48,7 +47,6 @@ struct TaskMetrics {
     if (t.storage_pool_peak_bytes > storage_pool_peak_bytes) {
       storage_pool_peak_bytes = t.storage_pool_peak_bytes;
     }
-    if (t.borrowed_bytes > borrowed_bytes) borrowed_bytes = t.borrowed_bytes;
     denied_reservations += t.denied_reservations;
   }
 };

@@ -379,85 +379,6 @@ void ObjectGroupByBuffer::ForEach(
   }
 }
 
-// -- DecaStaticHashShuffleBuffer ----------------------------------------------
-
-DecaStaticHashShuffleBuffer::DecaStaticHashShuffleBuffer(
-    jvm::Heap* heap, const ShuffleOps* ops, uint32_t page_bytes,
-    uint32_t initial_capacity)
-    : heap_(heap), ops_(ops), page_bytes_(page_bytes) {
-  DECA_CHECK_GT(ops->deca_key_bytes, 0u);
-  slot_bytes_ = static_cast<uint32_t>(
-      AlignUp(1 + ops->deca_key_bytes + ops->deca_value_bytes, 8));
-  slots_per_page_ = page_bytes_ / slot_bytes_;
-  DECA_CHECK_GT(slots_per_page_, 0u);
-  capacity_ = initial_capacity;
-  pages_ = MakeTable(capacity_);
-}
-
-std::shared_ptr<core::PageGroup> DecaStaticHashShuffleBuffer::MakeTable(
-    uint32_t capacity) {
-  auto table = std::make_shared<core::PageGroup>(heap_, page_bytes_);
-  uint32_t pages = (capacity + slots_per_page_ - 1) / slots_per_page_;
-  for (uint32_t i = 0; i < pages; ++i) {
-    // Materialize full pages so any slot offset resolves; fresh pages are
-    // zeroed by the allocator (occupancy tag 0 = empty).
-    table->Append(slots_per_page_ * slot_bytes_);
-  }
-  return table;
-}
-
-void DecaStaticHashShuffleBuffer::Insert(const uint8_t* key,
-                                         const uint8_t* value) {
-  if ((size_ + 1) * 10 > capacity_ * 7) Grow();
-  uint64_t h = ops_->deca_key_hash(key);
-  for (uint32_t probe = 0;; ++probe) {
-    uint32_t i = static_cast<uint32_t>((h + probe) % capacity_);
-    uint8_t* slot = Slot(i);
-    if (slot[0] == 0) {
-      slot[0] = 1;
-      std::memcpy(slot + 1, key, ops_->deca_key_bytes);
-      std::memcpy(slot + 1 + ops_->deca_key_bytes, value,
-                  ops_->deca_value_bytes);
-      ++size_;
-      return;
-    }
-    if (std::memcmp(slot + 1, key, ops_->deca_key_bytes) == 0) {
-      ops_->deca_combine(slot + 1 + ops_->deca_key_bytes, value);
-      return;
-    }
-  }
-}
-
-void DecaStaticHashShuffleBuffer::Grow() {
-  uint32_t old_capacity = capacity_;
-  auto old_pages = pages_;
-  uint32_t old_spp = slots_per_page_;
-  capacity_ = old_capacity * 2;
-  pages_ = MakeTable(capacity_);
-  for (uint32_t i = 0; i < old_capacity; ++i) {
-    uint8_t* slot =
-        old_pages->Resolve({i / old_spp, (i % old_spp) * slot_bytes_});
-    if (slot[0] == 0) continue;
-    uint64_t h = ops_->deca_key_hash(slot + 1);
-    for (uint32_t probe = 0;; ++probe) {
-      uint32_t j = static_cast<uint32_t>((h + probe) % capacity_);
-      uint8_t* dst = Slot(j);
-      if (dst[0] == 0) {
-        std::memcpy(dst, slot, slot_bytes_);
-        break;
-      }
-    }
-  }
-}
-
-void DecaStaticHashShuffleBuffer::ForEach(
-    const std::function<void(const uint8_t*)>& fn) const {
-  for (uint32_t i = 0; i < capacity_; ++i) {
-    uint8_t* slot = Slot(i);
-    if (slot[0] != 0) fn(slot + 1);
-  }
-}
-
 // -- DecaSortSpillWriter --------------------------------------------------------
 
 DecaSortSpillWriter::DecaSortSpillWriter(jvm::Heap* heap, uint32_t page_bytes,

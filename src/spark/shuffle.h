@@ -235,45 +235,6 @@ class ObjectGroupByBuffer {
   jvm::ObjRef vals() const { return roots_.refs()[1]; }
 };
 
-/// The static-offset variant of the Deca hash shuffle buffer (paper
-/// Section 4.3.2): when both Key and Value are SFSTs, the pointer array is
-/// unnecessary — the hash table *is* the page group, with slot addresses
-/// computed arithmetically (slot i lives at page i / slots_per_page,
-/// offset (i % slots_per_page) * slot_bytes). Each slot carries a one-byte
-/// occupancy tag.
-class DecaStaticHashShuffleBuffer {
- public:
-  DecaStaticHashShuffleBuffer(jvm::Heap* heap, const ShuffleOps* ops,
-                              uint32_t page_bytes,
-                              uint32_t initial_capacity = 64);
-
-  void Insert(const uint8_t* key, const uint8_t* value);
-
-  /// Iterates entries as (key | value) byte spans.
-  void ForEach(const std::function<void(const uint8_t* entry)>& fn) const;
-
-  uint32_t size() const { return size_; }
-  uint64_t footprint_bytes() const { return pages_->footprint_bytes(); }
-
- private:
-  uint8_t* Slot(uint32_t i) const {
-    return pages_->Resolve(
-        {i / slots_per_page_, (i % slots_per_page_) * slot_bytes_});
-  }
-  /// Builds a fully-materialized page group of `capacity` zeroed slots.
-  std::shared_ptr<core::PageGroup> MakeTable(uint32_t capacity);
-  void Grow();
-
-  jvm::Heap* heap_;
-  const ShuffleOps* ops_;
-  uint32_t page_bytes_;
-  uint32_t slot_bytes_;       // 1 (occupancy) + key + value, 8-aligned
-  uint32_t slots_per_page_;
-  uint32_t capacity_;
-  uint32_t size_ = 0;
-  std::shared_ptr<core::PageGroup> pages_;
-};
-
 /// Sort-based shuffle with disk spilling (paper Appendix C): records
 /// accumulate in a page group charged to the execution pool; when the
 /// executor's memory manager denies the next page (no execution room even

@@ -3,12 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "alloc/buffers.h"
 #include "memory/memory_manager.h"
@@ -140,37 +137,44 @@ class OffHeapTier : public TierBackend {
 };
 
 /// T2: one swap file per executor (`<dir>/swap_e<executor_id>`; Spark's
-/// MEMORY_AND_DISK spill half). Each block occupies one extent of the
-/// file, written with pwrite and read back with pread. A dropped extent
+/// MEMORY_AND_DISK spill half), mapped once MAP_SHARED into a fixed
+/// address window. Each block occupies one extent of the file: Store
+/// copies the payload into it through the mapping and Load returns an
+/// uncounted view of it, so a T2 read copies nothing. A dropped extent
 /// returns to a free set that merges neighbours, and Store takes the
-/// best-fitting free extent (or appends), so a steady working set
-/// rewrites the same extents instead of creating and unlinking a file per
-/// block. Payload bytes only, the CacheManager keeps level/count in its
-/// entry.
+/// best-fitting free extent (or appends, growing the file by exactly
+/// that extent), so a steady working set rewrites the same extents
+/// instead of creating and unlinking a file per block. A live view pins
+/// its extent: Drop defers freeing it, and the cut to length zero, until
+/// the view's last reference is released. Payload bytes only, the
+/// CacheManager keeps level/count in its entry.
 class DiskTier : public TierBackend {
  public:
-  /// `counter` (may be null) counts Load's read buffers. The file is
-  /// opened on the first Store.
-  DiskTier(const std::string& dir, int executor_id,
-           alloc::AllocCounter* counter)
-      : path_(dir + "/swap_e" + std::to_string(executor_id)),
-        counter_(counter) {}
-  /// Closes and unlinks the swap file.
+  /// Address space reserved for the mapping: the most bytes the swap file
+  /// can hold. A Store past it fails loudly.
+  static constexpr uint64_t kWindowBytes = 64ull << 30;
+
+  /// The file is opened, and kWindowBytes of address space mapped for it,
+  /// on the first Store.
+  DiskTier(const std::string& dir, int executor_id)
+      : path_(dir + "/swap_e" + std::to_string(executor_id)) {}
+  /// Unlinks the swap file. Views still alive keep the mapping (and so
+  /// their bytes) until they are released.
   ~DiskTier() override;
 
   DiskTier(const DiskTier&) = delete;
   DiskTier& operator=(const DiskTier&) = delete;
 
   const char* name() const override { return "disk"; }
-  /// Writes the payload into a free extent of the swap file (disk time
+  /// Copies the payload into a free extent of the swap file (disk time
   /// charged to the task's spill bucket).
   void Store(BlockKey key, PackedBlock block, TaskMetrics* metrics) override;
-  /// Reads the payload back (spill time); the extent stays allocated
-  /// until Drop.
+  /// A view of the block's extent, after checking the file still covers
+  /// it; the extent stays allocated until Drop and its last view.
   PackedBlock Load(BlockKey key, TaskMetrics* metrics) const override;
   bool Contains(BlockKey key) const override;
-  /// Frees the block's extent; the file is cut to length zero when the
-  /// last block goes.
+  /// Frees the block's extent once no view pins it; the file is cut to
+  /// length zero when no extent is left.
   void Drop(BlockKey key) override;
   void DropAll() override;
   uint64_t block_count() const override { return blocks_.size(); }
@@ -182,24 +186,12 @@ class DiskTier : public TierBackend {
     uint64_t offset = 0;
     uint64_t bytes = 0;
   };
-
-  /// Best-fitting free extent of `bytes` (the remainder stays free), or
-  /// the end of the used file when none fits.
-  uint64_t TakeExtent(uint64_t bytes);
-  /// Frees an extent, merged with its free neighbours; an extent that
-  /// ends the used file shortens it instead.
-  void ReturnExtent(uint64_t offset, uint64_t bytes);
-  void AddFree(uint64_t offset, uint64_t bytes);
-  void EraseFree(std::map<uint64_t, uint64_t>::iterator it);
-  /// Forgets every extent and cuts the file to length zero.
-  void Reset();
+  /// The open file, its mapping and its extent map, shared with the views
+  /// that pin extents of it.
+  class SwapFile;
 
   const std::string path_;
-  alloc::AllocCounter* counter_;
-  int fd_ = -1;
-  uint64_t end_ = 0;  // end of the last allocated extent
-  std::map<uint64_t, uint64_t> free_by_offset_;           // offset -> bytes
-  std::set<std::pair<uint64_t, uint64_t>> free_by_size_;  // (bytes, offset)
+  std::shared_ptr<SwapFile> file_;  // null until the first Store
   std::unordered_map<BlockKey, Slot, BlockKeyHash> blocks_;
 };
 

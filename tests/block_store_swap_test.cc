@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -571,7 +572,7 @@ bool SameBlock(const PackedBlock& got, const PackedBlock& want) {
 /// Blocks of mixed sizes, the empty payload included, round-trip while
 /// freed extents are split and refilled; a dropped key loads nothing.
 TEST_F(DiskTierTest, MixedSizesRoundTripWhileExtentsAreReused) {
-  DiskTier tier(dir_.string(), 0, nullptr);
+  DiskTier tier(dir_.string(), 0);
   std::map<int, PackedBlock> live;
   uint64_t tag = 0;
   auto store = [&](int k, uint64_t size) {
@@ -634,7 +635,7 @@ TEST_F(DiskTierTest, MixedSizesRoundTripWhileExtentsAreReused) {
 /// A steady working set of equal-size blocks, replaced one at a time,
 /// reuses its extents: the file never outgrows the first pass.
 TEST_F(DiskTierTest, SteadyWorkingSetNeverGrowsTheFile) {
-  DiskTier tier(dir_.string(), 0, nullptr);
+  DiskTier tier(dir_.string(), 0);
   const uint64_t size = 136 << 10;
   std::map<int, PackedBlock> live;
   int next_key = 0;
@@ -670,7 +671,7 @@ TEST_F(DiskTierTest, SteadyWorkingSetNeverGrowsTheFile) {
 /// Seeded churn of mixed sizes: fragmentation keeps the file within twice
 /// the peak resident bytes, and every block still reads back intact.
 TEST_F(DiskTierTest, ChurnStaysWithinTwicePeakResident) {
-  DiskTier tier(dir_.string(), 0, nullptr);
+  DiskTier tier(dir_.string(), 0);
   std::map<int, PackedBlock> live;
   Rng rng(42);
   for (uint64_t op = 0; op < 4000; ++op) {
@@ -700,7 +701,7 @@ TEST_F(DiskTierTest, ChurnStaysWithinTwicePeakResident) {
 /// open for reuse); destroying the tier leaves the directory empty.
 TEST_F(DiskTierTest, EmptyingTheTierCutsTheFileAndDestructionRemovesIt) {
   {
-    DiskTier tier(dir_.string(), 3, nullptr);
+    DiskTier tier(dir_.string(), 3);
     tier.DropAll();
     EXPECT_TRUE(Files().empty());  // the file opens on the first Store
 
@@ -736,7 +737,7 @@ TEST_F(DiskTierTest, EmptyingTheTierCutsTheFileAndDestructionRemovesIt) {
 /// reaches past its end, naming the file and the block's offset, rather
 /// than hand back a short payload that the decoders would over-read.
 TEST_F(DiskTierTest, TruncatedSwapFileFailsLoudly) {
-  DiskTier tier(dir_.string(), 0, nullptr);
+  DiskTier tier(dir_.string(), 0);
   PackedBlock first = Payload(4096, 1);
   tier.Store({7, 0}, first, &metrics_);
   tier.Store({7, 1}, Payload(4096, 2), &metrics_);
@@ -747,6 +748,191 @@ TEST_F(DiskTierTest, TruncatedSwapFileFailsLoudly) {
   EXPECT_TRUE(SameBlock(tier.Load({7, 0}, &metrics_), first));
   EXPECT_DEATH(tier.Load({7, 1}, &metrics_),
                file.string() + " at offset 4096");
+}
+
+/// A store that would run past the mapped window fails loudly instead of
+/// writing outside the mapping. The oversized payload is a view of a small
+/// buffer: the size check aborts before anything is copied or allocated.
+TEST_F(DiskTierTest, StorePastTheWindowFailsLoudly) {
+  DiskTier tier(dir_.string(), 0);
+  PackedBlock first = Payload(48 << 10, 1);
+  tier.Store({7, 0}, first, &metrics_);
+  EXPECT_TRUE(SameBlock(tier.Load({7, 0}, &metrics_), first));
+  const uint8_t buf[8] = {};
+  PackedBlock oversized;
+  oversized.level = StorageLevel::kDecaPages;
+  oversized.bytes =
+      alloc::Bytes::View(buf, DiskTier::kWindowBytes - (48 << 10) + 1, nullptr);
+  EXPECT_DEATH(tier.Store({7, 1}, oversized, &metrics_),
+               "at offset 49152 runs past its " +
+                   std::to_string(DiskTier::kWindowBytes) + "-byte mapping");
+}
+
+// -- Views of the mapping -----------------------------------------------------
+//
+// Load hands out views into the swap file's mapping, so a view must pin
+// its extent (and the mapping) for as long as it lives.
+
+/// A view held across Drop of its block and a same-size Store keeps its
+/// bytes; the extent is reused once the view is released.
+TEST_F(DiskTierTest, ViewKeepsItsBytesUntilReleased) {
+  DiskTier tier(dir_.string(), 0);
+  const uint64_t size = 136 << 10;
+  PackedBlock a = Payload(size, 1);
+  tier.Store({7, 0}, a, &metrics_);
+  PackedBlock view = tier.Load({7, 0}, &metrics_);
+  tier.Drop({7, 0});
+  PackedBlock b = Payload(size, 2);
+  tier.Store({7, 1}, b, &metrics_);
+  EXPECT_TRUE(SameBlock(view, a));
+  EXPECT_TRUE(SameBlock(tier.Load({7, 1}, &metrics_), b));
+  EXPECT_EQ(FileBytes(), 2 * size);
+
+  view = {};
+  PackedBlock c = Payload(size, 3);
+  tier.Store({7, 2}, c, &metrics_);
+  EXPECT_EQ(FileBytes(), 2 * size);  // c took the released extent
+  EXPECT_TRUE(SameBlock(tier.Load({7, 1}, &metrics_), b));
+  EXPECT_TRUE(SameBlock(tier.Load({7, 2}, &metrics_), c));
+}
+
+/// Emptying the tier, block by block or with DropAll, cuts the file to
+/// length zero only once the last view of it is gone.
+TEST_F(DiskTierTest, EmptyTierIsCutOnlyAfterItsLastView) {
+  DiskTier tier(dir_.string(), 0);
+  const uint64_t size = 40000;
+  PackedBlock a = Payload(size, 1);
+  tier.Store({7, 0}, a, &metrics_);
+  tier.Store({7, 1}, Payload(size, 2), &metrics_);
+  PackedBlock view = tier.Load({7, 0}, &metrics_);
+  tier.Drop({7, 0});
+  tier.Drop({7, 1});
+  EXPECT_EQ(tier.block_count(), 0u);
+  EXPECT_EQ(tier.resident_bytes(), 0u);
+  ASSERT_EQ(FileBytes(), 2 * size);  // the view still reads its extent
+  EXPECT_TRUE(SameBlock(view, a));
+  view = {};
+  EXPECT_EQ(FileBytes(), 0u);
+
+  PackedBlock c = Payload(size, 3);
+  tier.Store({7, 2}, Payload(size, 4), &metrics_);
+  tier.Store({7, 3}, c, &metrics_);
+  view = tier.Load({7, 3}, &metrics_);
+  tier.DropAll();
+  EXPECT_EQ(tier.block_count(), 0u);
+  ASSERT_EQ(FileBytes(), 2 * size);
+  EXPECT_TRUE(SameBlock(view, c));
+  view = {};
+  EXPECT_EQ(FileBytes(), 0u);
+}
+
+/// A view that outlives its tier still reads its bytes; the swap file is
+/// unlinked with the tier all the same.
+TEST_F(DiskTierTest, ViewOutlivesItsTier) {
+  PackedBlock a = Payload(100000, 1);
+  PackedBlock view;
+  {
+    DiskTier tier(dir_.string(), 0);
+    tier.Store({7, 0}, a, &metrics_);
+    tier.Store({7, 1}, Payload(5000, 2), &metrics_);
+    view = tier.Load({7, 0}, &metrics_);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+  EXPECT_TRUE(SameBlock(view, a));
+  view = {};
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+/// Views released on another thread while the tier keeps storing: each
+/// extent is reused only after its view is gone (the TSan exercise for
+/// the pin bookkeeping).
+TEST_F(DiskTierTest, ViewsReleasedOnAnotherThread) {
+  DiskTier tier(dir_.string(), 0);
+  constexpr int kBlocks = 8;
+  const uint64_t size = 64 << 10;
+  std::vector<PackedBlock> first;
+  std::vector<PackedBlock> views;
+  for (int k = 0; k < kBlocks; ++k) {
+    first.push_back(Payload(size, k + 1));
+    tier.Store({7, k}, first.back(), &metrics_);
+    views.push_back(tier.Load({7, k}, &metrics_));
+    tier.Drop({7, k});
+  }
+  // Same-size stores while every first-round extent is pinned.
+  std::map<int, PackedBlock> live;
+  for (int k = kBlocks; k < 2 * kBlocks; ++k) {
+    live[k] = Payload(size, k + 1);
+    tier.Store({7, k}, live[k], &metrics_);
+  }
+  EXPECT_EQ(FileBytes(), 2 * kBlocks * size);
+
+  std::thread reader([&] {
+    for (int k = 0; k < kBlocks; ++k) {
+      EXPECT_TRUE(SameBlock(views[k], first[k])) << k;
+      views[k] = {};
+    }
+  });
+  for (int k = 2 * kBlocks; k < 3 * kBlocks; ++k) {
+    live[k] = Payload(size, k + 1);
+    tier.Store({7, k}, live[k], &metrics_);
+    tier.Drop({7, k - kBlocks});
+    live.erase(k - kBlocks);
+  }
+  reader.join();
+  for (const auto& [k, want] : live) {
+    EXPECT_TRUE(SameBlock(tier.Load({7, k}, &metrics_), want)) << k;
+  }
+  EXPECT_LE(FileBytes(), 3 * kBlocks * size);
+  tier.DropAll();
+  EXPECT_EQ(FileBytes(), 0u);
+}
+
+/// At CacheManager level: a lazy view of a T2 block stays byte-identical
+/// while that block is promoted to T1 and other blocks are swapped into
+/// the space it freed.
+TEST(BlockStoreTierTest, LazyT2ViewSurvivesPromotionAndReuse) {
+  SparkConfig cfg = TieredConfig();
+  cfg.admit_policy = AdmitPolicy::kOnSecondAccess;
+  cfg.cache_level = StorageLevel::kDecaPages;
+  cfg.deca_page_bytes = 4096;
+  SparkContext ctx(cfg);
+  constexpr int kRecs = 1000;  // 16 KB of records: equal-size payloads
+  auto put = [&](int first, int last) {
+    ctx.RunStage("put", [&](TaskContext& tc) {
+      for (int b = first; b < last; ++b) {
+        auto pages = std::make_shared<core::PageGroup>(tc.heap(), 4096);
+        for (int i = 0; i < kRecs; ++i) {
+          uint8_t* p = pages->Resolve(pages->Append(16));
+          StoreRaw<int64_t>(p, b * 100000 + i);
+          StoreRaw<double>(p + 8, b + i * 0.5);
+        }
+        tc.cache()->PutPages({9, b}, std::move(pages), kRecs, &tc.metrics());
+      }
+    });
+  };
+  CacheManager* cache = ctx.executor(0)->cache();
+  put(0, 3);
+  ASSERT_EQ(cache->EvictUnderPressure(UINT64_MAX), 3u);
+
+  TaskMetrics metrics;
+  LoadedBlock lazy = cache->GetLazy({9, 1}, &metrics);
+  ASSERT_NE(lazy.packed, nullptr);
+  EXPECT_TRUE(lazy.temporary);
+  const std::vector<uint8_t> before(lazy.packed->data(),
+                                    lazy.packed->data() + lazy.packed->size());
+  LoadedBlock second = cache->GetLazy({9, 1}, &metrics);
+  EXPECT_EQ(cache->promote_count(), 1u);
+  EXPECT_GT(cache->t1_resident_bytes(), 0u);
+
+  put(3, 6);
+  // A T1 hit makes block 1 the most recently used, so block 3 swaps out
+  // first and would take the extent block 1 freed, were it not pinned.
+  cache->GetLazy({9, 1}, &metrics);
+  ASSERT_EQ(cache->EvictUnderPressure(UINT64_MAX), 4u);  // 3..5 and T1's 1
+  EXPECT_EQ(cache->swap_out_count(), 7u);
+  ASSERT_EQ(lazy.packed->size(), before.size());
+  EXPECT_EQ(std::memcmp(lazy.packed->data(), before.data(), before.size()), 0);
+  cache->VerifyAccounting();
 }
 
 }  // namespace

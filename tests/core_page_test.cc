@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bytes.h"
 #include "core/page.h"
 #include "core/planner.h"
@@ -150,6 +152,88 @@ TEST_F(PageTest, ClearDropsPages) {
   EXPECT_EQ(g.used_bytes(), 0u);
   PageScanner scan(&g);
   EXPECT_TRUE(scan.AtEnd());
+}
+
+/// Raw page bytes of a group of three 128-byte pages holding 16-byte
+/// records (the last page half full).
+std::vector<uint8_t> RawPayload(jvm::Heap* heap) {
+  PageGroup g(heap, 128);
+  for (int i = 0; i < 20; ++i) {
+    uint8_t* p = g.Resolve(g.Append(16));
+    StoreRaw<int64_t>(p, i);
+    StoreRaw<double>(p + 8, i * 0.5);
+  }
+  std::vector<uint8_t> raw(g.encoded_raw_bytes());
+  EXPECT_EQ(g.EncodeRawTo(raw.data()), raw.size());
+  return raw;
+}
+
+TEST_F(PageTest, RawPayloadRoundTrips) {
+  const std::vector<uint8_t> raw = RawPayload(heap_.get());
+  ASSERT_EQ(raw.size(), 4 + 3 * 4 + 20 * 16u);
+  RawPageCursor cur(raw.data(), raw.size());
+  EXPECT_EQ(cur.page_count(), 3u);
+  const uint8_t* page = nullptr;
+  uint32_t used = 0;
+  int64_t next = 0;
+  while (cur.Next(&page, &used)) {
+    for (uint32_t off = 0; off < used; off += 16) {
+      EXPECT_EQ(LoadRaw<int64_t>(page + off), next++);
+    }
+  }
+  EXPECT_EQ(next, 20);
+
+  auto g = PageGroup::DecodeRaw(heap_.get(), 128, raw.data(), raw.size());
+  EXPECT_EQ(g->page_count(), 3u);
+  EXPECT_EQ(g->used_bytes(), 20 * 16u);
+  PageScanner scan(g.get());
+  for (int i = 0; i < 20; ++i, scan.Advance(16)) {
+    ASSERT_FALSE(scan.AtEnd());
+    EXPECT_EQ(LoadRaw<double>(scan.Cur() + 8), i * 0.5);
+  }
+  EXPECT_TRUE(scan.AtEnd());
+}
+
+/// Walks every page of a raw payload, as a query would.
+void WalkRaw(const uint8_t* data, size_t size) {
+  RawPageCursor cur(data, size);
+  const uint8_t* page = nullptr;
+  uint32_t used = 0;
+  while (cur.Next(&page, &used)) {
+  }
+}
+
+/// A payload cut short aborts both decoders at the page header whose
+/// bytes are missing, instead of reading past the payload.
+TEST_F(PageTest, TruncatedRawPayloadFailsLoudly) {
+  const std::vector<uint8_t> raw = RawPayload(heap_.get());
+  // Keep the page count, page 0 and page 1's header plus 10 bytes: page 1
+  // (header at offset 4 + 4 + 128 = 136) claims 128 bytes; 10 are left
+  // beyond the 4 that page 2's header needs.
+  const size_t cut = 136 + 4 + 14;
+  EXPECT_DEATH(WalkRaw(raw.data(), cut),
+               "page 1 at offset 136 claims 128 bytes, but only 10 are left");
+  EXPECT_DEATH(PageGroup::DecodeRaw(heap_.get(), 128, raw.data(), cut),
+               "page 1 at offset 136 claims 128 bytes");
+  // Too short for even the page headers it announces.
+  EXPECT_DEATH(WalkRaw(raw.data(), 10), "claims 3 pages, but only 6 bytes");
+  EXPECT_DEATH(WalkRaw(raw.data(), 3), "has no page count");
+}
+
+/// A page header claiming more than the payload holds, or more than one
+/// page, aborts with its offset.
+TEST_F(PageTest, InflatedPageUsedFailsLoudly) {
+  std::vector<uint8_t> raw = RawPayload(heap_.get());
+  // Page 0's header sits at offset 4.
+  StoreRaw<uint32_t>(raw.data() + 4, 100000);
+  EXPECT_DEATH(WalkRaw(raw.data(), raw.size()),
+               "page 0 at offset 4 claims 100000 bytes");
+  EXPECT_DEATH(PageGroup::DecodeRaw(heap_.get(), 128, raw.data(), raw.size()),
+               "page 0 at offset 4 claims 100000 bytes");
+  // 200 bytes fit in the payload, but not in a 128-byte page.
+  StoreRaw<uint32_t>(raw.data() + 4, 200);
+  EXPECT_DEATH(PageGroup::DecodeRaw(heap_.get(), 128, raw.data(), raw.size()),
+               "page at offset 4 claims 200 bytes, more than a 128-byte page");
 }
 
 // -- SUDT layout ------------------------------------------------------------

@@ -282,43 +282,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheEvictionPropertyTest,
                          ::testing::Range<uint64_t>(1, 6));
 
 
-/// The static-offset hash table (paper Section 4.3.2, "the pointer array
-/// can be avoided") must agree with the pointer-array variant.
-class StaticOffsetBufferTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(StaticOffsetBufferTest, MatchesPointerArrayVariant) {
-  SparkConfig cfg;
-  cfg.num_executors = 1;
-  cfg.heap.heap_bytes = 24u << 20;
-  cfg.spill_dir = "/tmp/deca_test_spill_prop";
-  SparkContext ctx(cfg);
-  jvm::Heap* h = ctx.executor(0)->heap();
-  ShuffleOps ops = SumOps();
-  DecaHashShuffleBuffer ptr_buf(h, &ops, 16 << 10);
-  DecaStaticHashShuffleBuffer static_buf(h, &ops, 16 << 10);
-  Rng rng(GetParam() * 11 + 5);
-  for (int i = 0; i < 8000; ++i) {
-    int64_t key = static_cast<int64_t>(rng.NextBounded(900));
-    int64_t value = static_cast<int64_t>(rng.NextBounded(50));
-    ptr_buf.Insert(reinterpret_cast<const uint8_t*>(&key),
-                   reinterpret_cast<const uint8_t*>(&value));
-    static_buf.Insert(reinterpret_cast<const uint8_t*>(&key),
-                      reinterpret_cast<const uint8_t*>(&value));
-  }
-  std::map<int64_t, int64_t> from_ptr, from_static;
-  ptr_buf.ForEach([&](const uint8_t* e) {
-    from_ptr[LoadRaw<int64_t>(e)] = LoadRaw<int64_t>(e + 8);
-  });
-  static_buf.ForEach([&](const uint8_t* e) {
-    from_static[LoadRaw<int64_t>(e)] = LoadRaw<int64_t>(e + 8);
-  });
-  EXPECT_EQ(from_ptr, from_static);
-  EXPECT_EQ(ptr_buf.size(), static_buf.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StaticOffsetBufferTest,
-                         ::testing::Range<uint64_t>(1, 6));
-
 /// Appendix C: the sort-spill writer must emit a globally sorted stream
 /// regardless of how many runs were spilled.
 class SortSpillTest : public ::testing::TestWithParam<uint64_t> {};
