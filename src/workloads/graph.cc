@@ -8,7 +8,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "analysis/global_classifier.h"
-#include "spark/shuffle.h"
+#include "spark/keyed_shuffle.h"
 #include "workloads/lr.h"
 
 namespace deca::workloads {
@@ -95,6 +95,10 @@ struct GraphTypes {
     edge_ops.serialize_value = ser_long;
     edge_ops.deserialize_key = deser_long;
     edge_ops.deserialize_value = deser_long;
+    // Deca's edge chunks hold raw (src, dst) longs; the widths give the
+    // groupBy stage's reader its stride.
+    edge_ops.deca_key_bytes = 8;
+    edge_ops.deca_value_bytes = 8;
 
     // -- (vertex, contribution) sum shuffle for PageRank.
     contrib_ops.key_hash = long_hash;
@@ -262,26 +266,40 @@ uint64_t BuildAdjacency(spark::SparkContext* ctx, const GraphParams& params,
   const spark::SparkConfig& cfg = ctx->config();
 
   ctx->RunStage("edges", [&](spark::TaskContext& tc) {
+    // The one hand-written map side: edges are emitted uncombined, with
+    // no buffer and no allocation, so KeyedShuffleWriter does not fit.
+    // Its chunks still carry their record boundaries.
     Rng rng(params.seed + 1000 + static_cast<uint64_t>(tc.partition()));
     std::vector<ByteWriter> outs(static_cast<size_t>(parts));
+    std::vector<net::ChunkMeta> metas(static_cast<size_t>(parts));
+    if (deca) {
+      for (auto& meta : metas) meta.fixed_record_bytes = 16;
+    }
     for (uint64_t i = 0; i < per_part; ++i) {
       auto [src, dst] = RmatEdge(&rng, scale);
       if (src == dst) continue;  // drop self loops
-      ByteWriter& w = outs[MixHash(src) % static_cast<uint64_t>(parts)];
+      size_t r = MixHash(src) % static_cast<uint64_t>(parts);
+      ByteWriter& w = outs[r];
       if (deca) {
         // SFST pair: raw 16-byte segments, no serialization.
         w.Write<int64_t>(static_cast<int64_t>(src));
         w.Write<int64_t>(static_cast<int64_t>(dst));
       } else {
-        ScopedTimerMs t(&tc.metrics().ser_ms);
-        w.WriteVarI64(static_cast<int64_t>(src));
-        w.WriteVarI64(static_cast<int64_t>(dst));
+        size_t before = w.size();
+        {
+          ScopedTimerMs t(&tc.metrics().ser_ms);
+          w.WriteVarI64(static_cast<int64_t>(src));
+          w.WriteVarI64(static_cast<int64_t>(dst));
+        }
+        metas[r].record_lens.push_back(
+            static_cast<uint32_t>(w.size() - before));
       }
     }
     ScopedTimerMs t(&tc.metrics().shuffle_write_ms);
     for (int r = 0; r < parts; ++r) {
       ctx->shuffle()->PutChunk(edge_shuffle, r, tc.partition(),
-                               outs[static_cast<size_t>(r)].TakeBuffer());
+                               outs[static_cast<size_t>(r)].TakeBuffer(),
+                               metas[static_cast<size_t>(r)]);
     }
   });
 
@@ -292,35 +310,20 @@ uint64_t BuildAdjacency(spark::SparkContext* ctx, const GraphParams& params,
     // The grouping buffer holds managed objects in BOTH modes: its value
     // arrays are VSTs while being built (paper Section 4.3.3).
     spark::ObjectGroupByBuffer groups(h, &types.edge_ops);
-    const auto& chunks =
-        ctx->shuffle()->GetChunks(edge_shuffle, tc.partition());
-    for (const auto& chunk : chunks) {
-      if (deca) {
-        for (size_t off = 0; off < chunk.size(); off += 16) {
-          HandleScope scope(h);
-          jvm::Handle k = scope.Make(
-              h->AllocateInstance(h->registry()->boxed_long_class()));
-          h->SetField<int64_t>(k.get(), 0,
-                               LoadRaw<int64_t>(chunk.data() + off));
-          jvm::Handle v = scope.Make(
-              h->AllocateInstance(h->registry()->boxed_long_class()));
-          h->SetField<int64_t>(v.get(), 0,
-                               LoadRaw<int64_t>(chunk.data() + off + 8));
-          groups.Insert(k.get(), v.get());
-        }
-      } else {
-        ByteReader r(chunk.data(), chunk.size());
-        while (!r.AtEnd()) {
-          HandleScope scope(h);
-          jvm::Handle k, v;
-          {
-            ScopedTimerMs t(&tc.metrics().deser_ms);
-            k = scope.Make(types.edge_ops.deserialize_key(h, &r));
-            v = scope.Make(types.edge_ops.deserialize_value(h, &r));
-          }
-          groups.Insert(k.get(), v.get());
-        }
-      }
+    spark::KeyedShuffleReader in(tc, edge_shuffle, &types.edge_ops);
+    if (deca) {
+      in.ForEachEntry([&](const uint8_t* src, const uint8_t* dst) {
+        HandleScope scope(h);
+        jvm::Handle k = scope.Make(
+            h->AllocateInstance(h->registry()->boxed_long_class()));
+        h->SetField<int64_t>(k.get(), 0, LoadRaw<int64_t>(src));
+        jvm::Handle v = scope.Make(
+            h->AllocateInstance(h->registry()->boxed_long_class()));
+        h->SetField<int64_t>(v.get(), 0, LoadRaw<int64_t>(dst));
+        groups.Insert(k.get(), v.get());
+      });
+    } else {
+      in.ForEachRecord([&](ObjRef k, ObjRef v) { groups.Insert(k, v); });
     }
     uint32_t count = 0;
     if (deca) {
@@ -443,6 +446,8 @@ PageRankResult RunPageRank(const GraphParams& params) {
   GraphTypes types(ctx.registry());
   ctx.RegisterCachedRdd(kLinksRddId, &types.links_ops);
   bool deca = params.mode == Mode::kDeca;
+  spark::ShuffleLayout layout = deca ? spark::ShuffleLayout::kDecomposed
+                                     : spark::ShuffleLayout::kObjects;
 
   PageRankResult result;
   result.run.mode = params.mode;
@@ -463,36 +468,20 @@ PageRankResult RunPageRank(const GraphParams& params) {
       //    partition's rank table.
       std::unordered_map<int64_t, double> ranks;
       if (prev_shuffle >= 0) {
-        const auto& chunks =
-            ctx.shuffle()->GetChunks(prev_shuffle, tc.partition());
+        spark::KeyedShuffleReader in(tc, prev_shuffle, &types.contrib_ops);
         if (deca) {
           spark::DecaHashShuffleBuffer buf(h, &types.contrib_ops,
                                            cfg.deca_page_bytes);
-          for (const auto& chunk : chunks) {
-            ScopedTimerMs t(&tc.metrics().shuffle_read_ms);
-            for (size_t off = 0; off < chunk.size(); off += 16) {
-              buf.Insert(chunk.data() + off, chunk.data() + off + 8);
-            }
-          }
+          in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
+            buf.Insert(k, v);
+          });
           buf.ForEach([&](const uint8_t* e) {
             ranks[LoadRaw<int64_t>(e)] =
                 0.15 + 0.85 * LoadRaw<double>(e + 8);
           });
         } else {
           spark::ObjectHashShuffleBuffer buf(h, &types.contrib_ops);
-          for (const auto& chunk : chunks) {
-            ByteReader r(chunk.data(), chunk.size());
-            while (!r.AtEnd()) {
-              HandleScope scope(h);
-              jvm::Handle k, v;
-              {
-                ScopedTimerMs t(&tc.metrics().deser_ms);
-                k = scope.Make(types.contrib_ops.deserialize_key(h, &r));
-                v = scope.Make(types.contrib_ops.deserialize_value(h, &r));
-              }
-              buf.Insert(k.get(), v.get());
-            }
-          }
+          in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
           buf.ForEach([&](ObjRef k, ObjRef v) {
             ranks[h->GetField<int64_t>(k, 0)] =
                 0.15 + 0.85 * h->GetField<double>(v, 0);
@@ -506,10 +495,9 @@ PageRankResult RunPageRank(const GraphParams& params) {
       };
 
       // 2. Scan the cached adjacency sub-blocks and emit contributions.
-      std::vector<ByteWriter> outs(static_cast<size_t>(parts));
+      spark::KeyedShuffleWriter out(tc, next_shuffle, &types.contrib_ops,
+                                    layout);
       if (deca) {
-        spark::DecaHashShuffleBuffer buf(h, &types.contrib_ops,
-                                         cfg.deca_page_bytes);
         ForEachPointBlock(tc, kLinksRddId,
                           [&](const spark::LoadedBlock& block) {
           core::PageScanner scan(block.pages.get());
@@ -521,18 +509,13 @@ PageRankResult RunPageRank(const GraphParams& params) {
             double contrib = rank_of(id) / degree;
             for (uint32_t j = 0; j < n; ++j) {
               int64_t dst = LoadRaw<int64_t>(p + kAdjHeaderBytes + 8ull * j);
-              buf.Insert(reinterpret_cast<const uint8_t*>(&dst),
+              out.Insert(reinterpret_cast<const uint8_t*>(&dst),
                          reinterpret_cast<const uint8_t*>(&contrib));
             }
             scan.Advance(kAdjHeaderBytes + 8 * n);
           }
         });
-        buf.ForEach([&](const uint8_t* e) {
-          uint64_t hash = types.contrib_ops.deca_key_hash(e);
-          outs[hash % static_cast<uint64_t>(parts)].WriteBytes(e, 16);
-        });
       } else {
-        spark::ObjectHashShuffleBuffer buf(h, &types.contrib_ops);
         auto process_links = [&](ObjRef links) {
           HandleScope inner(h);
           jvm::Handle hl = inner.Make(links);
@@ -554,7 +537,7 @@ PageRankResult RunPageRank(const GraphParams& params) {
             jvm::Handle v = pair_scope.Make(
                 h->AllocateInstance(h->registry()->boxed_double_class()));
             h->SetField<double>(v.get(), 0, contrib);
-            buf.Insert(k.get(), v.get());
+            out.Insert(k.get(), v.get());
           }
         };
         ForEachPointBlock(tc, kLinksRddId,
@@ -582,21 +565,8 @@ PageRankResult RunPageRank(const GraphParams& params) {
             }
           }
         });
-        buf.ForEach([&](ObjRef k, ObjRef v) {
-          uint64_t hash = types.contrib_ops.key_hash(h, k);
-          ByteWriter& w = outs[hash % static_cast<uint64_t>(parts)];
-          ScopedTimerMs t(&tc.metrics().ser_ms);
-          types.contrib_ops.serialize_key(h, k, &w);
-          types.contrib_ops.serialize_value(h, v, &w);
-        });
       }
-      {
-        ScopedTimerMs t(&tc.metrics().shuffle_write_ms);
-        for (int r = 0; r < parts; ++r) {
-          ctx.shuffle()->PutChunk(next_shuffle, r, tc.partition(),
-                                  outs[static_cast<size_t>(r)].TakeBuffer());
-        }
-      }
+      out.Finish();
     });
     if (prev_shuffle >= 0) ctx.shuffle()->Release(prev_shuffle);
     prev_shuffle = next_shuffle;
@@ -611,32 +581,20 @@ PageRankResult RunPageRank(const GraphParams& params) {
     double& rank_sum = part_rank_sum[static_cast<size_t>(tc.partition())];
     uint64_t& ranked = part_ranked[static_cast<size_t>(tc.partition())];
     jvm::Heap* h = tc.heap();
-    const auto& chunks =
-        ctx.shuffle()->GetChunks(prev_shuffle, tc.partition());
+    spark::KeyedShuffleReader in(tc, prev_shuffle, &types.contrib_ops);
     if (deca) {
       spark::DecaHashShuffleBuffer buf(h, &types.contrib_ops,
                                        cfg.deca_page_bytes);
-      for (const auto& chunk : chunks) {
-        for (size_t off = 0; off < chunk.size(); off += 16) {
-          buf.Insert(chunk.data() + off, chunk.data() + off + 8);
-        }
-      }
+      in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
+        buf.Insert(k, v);
+      });
       buf.ForEach([&](const uint8_t* e) {
         rank_sum += 0.15 + 0.85 * LoadRaw<double>(e + 8);
         ++ranked;
       });
     } else {
       spark::ObjectHashShuffleBuffer buf(h, &types.contrib_ops);
-      for (const auto& chunk : chunks) {
-        ByteReader r(chunk.data(), chunk.size());
-        while (!r.AtEnd()) {
-          HandleScope scope(h);
-          jvm::Handle k = scope.Make(types.contrib_ops.deserialize_key(h, &r));
-          jvm::Handle v =
-              scope.Make(types.contrib_ops.deserialize_value(h, &r));
-          buf.Insert(k.get(), v.get());
-        }
-      }
+      in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
       buf.ForEach([&](ObjRef, ObjRef v) {
         rank_sum += 0.15 + 0.85 * h->GetField<double>(v, 0);
         ++ranked;
@@ -665,6 +623,8 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
   GraphTypes types(ctx.registry());
   ctx.RegisterCachedRdd(kLinksRddId, &types.links_ops);
   bool deca = params.mode == Mode::kDeca;
+  spark::ShuffleLayout layout = deca ? spark::ShuffleLayout::kDecomposed
+                                     : spark::ShuffleLayout::kObjects;
 
   ConnectedComponentsResult result;
   result.run.mode = params.mode;
@@ -697,7 +657,7 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
       uint64_t& updates = part_updates[static_cast<size_t>(p)];
       // 1. Apply incoming label minima.
       if (prev_shuffle >= 0) {
-        const auto& chunks = ctx.shuffle()->GetChunks(prev_shuffle, p);
+        spark::KeyedShuffleReader in(tc, prev_shuffle, &types.label_ops);
         auto apply = [&](int64_t v, int64_t l) {
           int64_t cur = label_of(p, v);
           if (l < cur) {
@@ -708,40 +668,24 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
         if (deca) {
           spark::DecaHashShuffleBuffer buf(h, &types.label_ops,
                                            cfg.deca_page_bytes);
-          for (const auto& chunk : chunks) {
-            ScopedTimerMs t(&tc.metrics().shuffle_read_ms);
-            for (size_t off = 0; off < chunk.size(); off += 16) {
-              buf.Insert(chunk.data() + off, chunk.data() + off + 8);
-            }
-          }
+          in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
+            buf.Insert(k, v);
+          });
           buf.ForEach([&](const uint8_t* e) {
             apply(LoadRaw<int64_t>(e), LoadRaw<int64_t>(e + 8));
           });
         } else {
           spark::ObjectHashShuffleBuffer buf(h, &types.label_ops);
-          for (const auto& chunk : chunks) {
-            ByteReader r(chunk.data(), chunk.size());
-            while (!r.AtEnd()) {
-              HandleScope scope(h);
-              jvm::Handle k, v;
-              {
-                ScopedTimerMs t(&tc.metrics().deser_ms);
-                k = scope.Make(types.label_ops.deserialize_key(h, &r));
-                v = scope.Make(types.label_ops.deserialize_value(h, &r));
-              }
-              buf.Insert(k.get(), v.get());
-            }
-          }
+          in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
           buf.ForEach([&](ObjRef k, ObjRef v) {
             apply(h->GetField<int64_t>(k, 0), h->GetField<int64_t>(v, 0));
           });
         }
       }
       // 2. Propagate labels along edges (over all adjacency sub-blocks).
-      std::vector<ByteWriter> outs(static_cast<size_t>(parts));
+      spark::KeyedShuffleWriter out(tc, next_shuffle, &types.label_ops,
+                                    layout);
       if (deca) {
-        spark::DecaHashShuffleBuffer buf(h, &types.label_ops,
-                                         cfg.deca_page_bytes);
         ForEachPointBlock(tc, kLinksRddId,
                           [&](const spark::LoadedBlock& block) {
           core::PageScanner scan(block.pages.get());
@@ -753,18 +697,13 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
             for (uint32_t j = 0; j < n; ++j) {
               int64_t dst =
                   LoadRaw<int64_t>(rec + kAdjHeaderBytes + 8ull * j);
-              buf.Insert(reinterpret_cast<const uint8_t*>(&dst),
+              out.Insert(reinterpret_cast<const uint8_t*>(&dst),
                          reinterpret_cast<const uint8_t*>(&l));
             }
             scan.Advance(kAdjHeaderBytes + 8 * n);
           }
         });
-        buf.ForEach([&](const uint8_t* e) {
-          uint64_t hash = types.label_ops.deca_key_hash(e);
-          outs[hash % static_cast<uint64_t>(parts)].WriteBytes(e, 16);
-        });
       } else {
-        spark::ObjectHashShuffleBuffer buf(h, &types.label_ops);
         auto process_links = [&](ObjRef links) {
           HandleScope inner(h);
           jvm::Handle hl = inner.Make(links);
@@ -782,7 +721,7 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
             jvm::Handle v = pair_scope.Make(
                 h->AllocateInstance(h->registry()->boxed_long_class()));
             h->SetField<int64_t>(v.get(), 0, l);
-            buf.Insert(k.get(), v.get());
+            out.Insert(k.get(), v.get());
           }
         };
         ForEachPointBlock(tc, kLinksRddId,
@@ -809,21 +748,8 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
             }
           }
         });
-        buf.ForEach([&](ObjRef k, ObjRef v) {
-          uint64_t hash = types.label_ops.key_hash(h, k);
-          ByteWriter& w = outs[hash % static_cast<uint64_t>(parts)];
-          ScopedTimerMs t(&tc.metrics().ser_ms);
-          types.label_ops.serialize_key(h, k, &w);
-          types.label_ops.serialize_value(h, v, &w);
-        });
       }
-      {
-        ScopedTimerMs t(&tc.metrics().shuffle_write_ms);
-        for (int r = 0; r < parts; ++r) {
-          ctx.shuffle()->PutChunk(next_shuffle, r, tc.partition(),
-                                  outs[static_cast<size_t>(r)].TakeBuffer());
-        }
-      }
+      out.Finish();
     });
     if (prev_shuffle >= 0) ctx.shuffle()->Release(prev_shuffle);
     prev_shuffle = next_shuffle;
@@ -838,7 +764,7 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
   ctx.RunStage("cc-final", [&](spark::TaskContext& tc) {
     jvm::Heap* h = tc.heap();
     int p = tc.partition();
-    const auto& chunks = ctx.shuffle()->GetChunks(prev_shuffle, p);
+    spark::KeyedShuffleReader in(tc, prev_shuffle, &types.label_ops);
     auto apply = [&](int64_t v, int64_t l) {
       if (l < label_of(p, v)) {
         labels[static_cast<size_t>(p)][v] = l;
@@ -846,24 +772,13 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
       }
     };
     if (deca) {
-      for (const auto& chunk : chunks) {
-        for (size_t off = 0; off < chunk.size(); off += 16) {
-          apply(LoadRaw<int64_t>(chunk.data() + off),
-                LoadRaw<int64_t>(chunk.data() + off + 8));
-        }
-      }
+      in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
+        apply(LoadRaw<int64_t>(k), LoadRaw<int64_t>(v));
+      });
     } else {
-      for (const auto& chunk : chunks) {
-        ByteReader r(chunk.data(), chunk.size());
-        while (!r.AtEnd()) {
-          HandleScope scope(h);
-          jvm::Handle k = scope.Make(types.label_ops.deserialize_key(h, &r));
-          jvm::Handle v =
-              scope.Make(types.label_ops.deserialize_value(h, &r));
-          apply(h->GetField<int64_t>(k.get(), 0),
-                h->GetField<int64_t>(v.get(), 0));
-        }
-      }
+      in.ForEachRecord([&](ObjRef k, ObjRef v) {
+        apply(h->GetField<int64_t>(k, 0), h->GetField<int64_t>(v, 0));
+      });
     }
   });
   ctx.shuffle()->Release(prev_shuffle);

@@ -7,6 +7,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "spark/keyed_shuffle.h"
 
 namespace deca::workloads {
 
@@ -187,10 +188,10 @@ KMeansResult RunKMeans(const MlParams& params) {
     // Map: assign points to centers, eagerly combining per-cluster sums.
     ctx.RunStage("assign", [&](spark::TaskContext& tc) {
       jvm::Heap* h = tc.heap();
-      std::vector<ByteWriter> outs(static_cast<size_t>(parts));
+      spark::KeyedShuffleWriter out(tc, shuffle_id, &shuffle.ops,
+                                    deca ? spark::ShuffleLayout::kDecomposed
+                                         : spark::ShuffleLayout::kObjects);
       if (deca) {
-        spark::DecaHashShuffleBuffer buf(h, &shuffle.ops,
-                                         cfg.deca_page_bytes);
         std::vector<uint8_t> value(8 + 8 * static_cast<size_t>(dims));
         uint32_t rec = 8 + 8 * static_cast<uint32_t>(dims);
         ForEachPointBlock(tc, kPointsRddId,
@@ -203,18 +204,11 @@ KMeansResult RunKMeans(const MlParams& params) {
             StoreRaw<int64_t>(value.data(), 1);
             std::memcpy(value.data() + 8, feats,
                         8 * static_cast<size_t>(dims));
-            buf.Insert(reinterpret_cast<const uint8_t*>(&c), value.data());
+            out.Insert(reinterpret_cast<const uint8_t*>(&c), value.data());
             scan.Advance(rec);
           }
         });
-        uint32_t entry = 8 + shuffle.ops.deca_value_bytes;
-        buf.ForEach([&](const uint8_t* e) {
-          uint64_t hash = shuffle.ops.deca_key_hash(e);
-          ScopedTimerMs t(&tc.metrics().shuffle_write_ms);
-          outs[hash % static_cast<uint64_t>(parts)].WriteBytes(e, entry);
-        });
       } else {
-        spark::ObjectHashShuffleBuffer buf(h, &shuffle.ops);
         std::vector<double> feats(static_cast<size_t>(dims));
         // Emits one fresh (key, ClusterStat) pair per point — Spark's map
         // output objects.
@@ -233,7 +227,7 @@ KMeansResult RunKMeans(const MlParams& params) {
               inner.Make(h->AllocateInstance(shuffle.stat_cls));
           h->SetField<int64_t>(stat.get(), shuffle.count_off, 1);
           h->SetRefField(stat.get(), shuffle.sums_off, sums.get());
-          buf.Insert(key.get(), stat.get());
+          out.Insert(key.get(), stat.get());
         };
         ForEachPointBlock(tc, kPointsRddId,
                           [&](const spark::LoadedBlock& block) {
@@ -275,21 +269,8 @@ KMeansResult RunKMeans(const MlParams& params) {
             }
           }
         });
-        buf.ForEach([&](ObjRef kk, ObjRef vv) {
-          uint64_t hash = shuffle.ops.key_hash(h, kk);
-          ByteWriter& w = outs[hash % static_cast<uint64_t>(parts)];
-          ScopedTimerMs t(&tc.metrics().ser_ms);
-          shuffle.ops.serialize_key(h, kk, &w);
-          shuffle.ops.serialize_value(h, vv, &w);
-        });
       }
-      {
-        ScopedTimerMs t(&tc.metrics().shuffle_write_ms);
-        for (int r = 0; r < parts; ++r) {
-          ctx.shuffle()->PutChunk(shuffle_id, r, tc.partition(),
-                                  outs[static_cast<size_t>(r)].TakeBuffer());
-        }
-      }
+      out.Finish();
     });
 
     // Reduce: merge partial aggregates, emit new centers. Each cluster
@@ -303,18 +284,13 @@ KMeansResult RunKMeans(const MlParams& params) {
     std::vector<int64_t> counts(static_cast<size_t>(k), 0);
     ctx.RunStage("update", [&](spark::TaskContext& tc) {
       jvm::Heap* h = tc.heap();
-      const auto& chunks =
-          ctx.shuffle()->GetChunks(shuffle_id, tc.partition());
+      spark::KeyedShuffleReader in(tc, shuffle_id, &shuffle.ops);
       if (deca) {
         spark::DecaHashShuffleBuffer buf(h, &shuffle.ops,
                                          cfg.deca_page_bytes);
-        uint32_t entry = 8 + shuffle.ops.deca_value_bytes;
-        for (const auto& chunk : chunks) {
-          ScopedTimerMs t(&tc.metrics().shuffle_read_ms);
-          for (size_t off = 0; off < chunk.size(); off += entry) {
-            buf.Insert(chunk.data() + off, chunk.data() + off + 8);
-          }
-        }
+        in.ForEachEntry([&](const uint8_t* kk, const uint8_t* vv) {
+          buf.Insert(kk, vv);
+        });
         buf.ForEach([&](const uint8_t* e) {
           int64_t c = LoadRaw<int64_t>(e);
           counts[static_cast<size_t>(c)] += LoadRaw<int64_t>(e + 8);
@@ -325,19 +301,7 @@ KMeansResult RunKMeans(const MlParams& params) {
         });
       } else {
         spark::ObjectHashShuffleBuffer buf(h, &shuffle.ops);
-        for (const auto& chunk : chunks) {
-          ByteReader r(chunk.data(), chunk.size());
-          while (!r.AtEnd()) {
-            HandleScope inner(h);
-            jvm::Handle kk, vv;
-            {
-              ScopedTimerMs t(&tc.metrics().deser_ms);
-              kk = inner.Make(shuffle.ops.deserialize_key(h, &r));
-              vv = inner.Make(shuffle.ops.deserialize_value(h, &r));
-            }
-            buf.Insert(kk.get(), vv.get());
-          }
-        }
+        in.ForEachRecord([&](ObjRef kk, ObjRef vv) { buf.Insert(kk, vv); });
         buf.ForEach([&](ObjRef kk, ObjRef vv) {
           int64_t c = h->GetField<int64_t>(kk, 0);
           counts[static_cast<size_t>(c)] +=

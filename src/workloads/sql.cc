@@ -5,7 +5,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "spark/shuffle.h"
+#include "spark/keyed_shuffle.h"
 
 namespace deca::workloads {
 
@@ -240,9 +240,12 @@ const char* SqlEngineName(SqlEngine e) {
 
 SqlResult RunSqlQueries(const SqlParams& params) {
   spark::SparkConfig cfg = params.spark;
-  cfg.cache_level = params.engine == SqlEngine::kDeca
-                        ? spark::StorageLevel::kDecaPages
-                        : spark::StorageLevel::kMemoryObjects;
+  // Only the Deca engine ships decomposed pages: SparkSQL's byte-form
+  // aggregate still crosses a wire as Kryo-like records.
+  const bool deca = params.engine == SqlEngine::kDeca;
+  cfg.cache_level = deca ? spark::StorageLevel::kDecaPages
+                         : spark::StorageLevel::kMemoryObjects;
+  cfg.deca_shuffle = deca;
   spark::SparkContext ctx(cfg);
   SqlTypes types(ctx.registry());
   ctx.RegisterCachedRdd(kRankingsRddId, &types.rankings_ops);
@@ -483,51 +486,42 @@ SqlResult RunSqlQueries(const SqlParams& params) {
   gc0 = ctx.TotalGcPauseMs();
   Stopwatch q2_sw;
   int shuffle_id = ctx.shuffle()->RegisterShuffle(parts);
+  // Spark SQL (Tungsten) and Deca both aggregate over serialized /
+  // decomposed bytes.
   bool byte_shuffle = params.engine != SqlEngine::kSparkRdd;
   ctx.RunStage("q2-map", [&](spark::TaskContext& tc) {
     jvm::Heap* h = tc.heap();
-    std::vector<ByteWriter> outs(static_cast<size_t>(parts));
-    auto emit_deca = [&](spark::DecaHashShuffleBuffer& buf) {
-      buf.ForEach([&](const uint8_t* e) {
-        uint64_t hash = types.agg_ops.deca_key_hash(e);
-        outs[hash % static_cast<uint64_t>(parts)].WriteBytes(e, 16);
-      });
+    spark::KeyedShuffleWriter out(tc, shuffle_id, &types.agg_ops,
+                                  byte_shuffle
+                                      ? spark::ShuffleLayout::kDecomposed
+                                      : spark::ShuffleLayout::kObjects);
+    auto insert = [&](int64_t key, double rev) {
+      out.Insert(reinterpret_cast<const uint8_t*>(&key),
+                 reinterpret_cast<const uint8_t*>(&rev));
     };
-    if (byte_shuffle) {
-      // Spark SQL (Tungsten) and Deca both aggregate over serialized /
-      // decomposed bytes.
-      spark::DecaHashShuffleBuffer buf(h, &types.agg_ops,
-                                       cfg.deca_page_bytes);
-      auto insert = [&](int64_t key, double rev) {
-        buf.Insert(reinterpret_cast<const uint8_t*>(&key),
-                   reinterpret_cast<const uint8_t*>(&rev));
-      };
-      if (params.engine == SqlEngine::kSparkSql) {
-        size_t p = static_cast<size_t>(tc.partition());
-        size_t base = columnar.visits_base[p];
-        std::vector<ObjRef>& refs = columnar.refs_for(&tc);
-        uint32_t n = columnar.visits_counts[p];
-        for (uint32_t i = 0; i < n; ++i) {
-          // Re-resolve the column arrays every row: page-group inserts may
-          // trigger GC and move them (the provider keeps refs updated).
-          ObjRef revs = refs[base + 1];
-          ObjRef ips = refs[base + 2];
-          insert(IpPrefixKey(h->ArrayData(ips) + i * kIpBytes),
-                 h->GetElem<double>(revs, i));
-        }
-      } else {
-        spark::LoadedBlock block =
-            tc.cache()->Get({kVisitsRddId, tc.partition()}, &tc.metrics());
-        core::PageScanner scan(block.pages.get());
-        while (!scan.AtEnd()) {
-          const uint8_t* p = scan.Cur();
-          insert(IpPrefixKey(p + 16), LoadRaw<double>(p + 8));
-          scan.Advance(kVisitRowBytes);
-        }
+    if (params.engine == SqlEngine::kSparkSql) {
+      size_t p = static_cast<size_t>(tc.partition());
+      size_t base = columnar.visits_base[p];
+      std::vector<ObjRef>& refs = columnar.refs_for(&tc);
+      uint32_t n = columnar.visits_counts[p];
+      for (uint32_t i = 0; i < n; ++i) {
+        // Re-resolve the column arrays every row: page-group inserts may
+        // trigger GC and move them (the provider keeps refs updated).
+        ObjRef revs = refs[base + 1];
+        ObjRef ips = refs[base + 2];
+        insert(IpPrefixKey(h->ArrayData(ips) + i * kIpBytes),
+               h->GetElem<double>(revs, i));
       }
-      emit_deca(buf);
+    } else if (params.engine == SqlEngine::kDeca) {
+      spark::LoadedBlock block =
+          tc.cache()->Get({kVisitsRddId, tc.partition()}, &tc.metrics());
+      core::PageScanner scan(block.pages.get());
+      while (!scan.AtEnd()) {
+        const uint8_t* p = scan.Cur();
+        insert(IpPrefixKey(p + 16), LoadRaw<double>(p + 8));
+        scan.Advance(kVisitRowBytes);
+      }
     } else {
-      spark::ObjectHashShuffleBuffer buf(h, &types.agg_ops);
       HandleScope scope(h);
       spark::LoadedBlock block =
           tc.cache()->Get({kVisitsRddId, tc.partition()}, &tc.metrics());
@@ -544,21 +538,10 @@ SqlResult RunSqlQueries(const SqlParams& params) {
         jvm::Handle v = inner.Make(
             h->AllocateInstance(h->registry()->boxed_double_class()));
         h->SetField<double>(v.get(), 0, rev);
-        buf.Insert(k.get(), v.get());
+        out.Insert(k.get(), v.get());
       }
-      buf.ForEach([&](ObjRef k, ObjRef v) {
-        uint64_t hash = types.agg_ops.key_hash(h, k);
-        ByteWriter& w = outs[hash % static_cast<uint64_t>(parts)];
-        ScopedTimerMs t(&tc.metrics().ser_ms);
-        types.agg_ops.serialize_key(h, k, &w);
-        types.agg_ops.serialize_value(h, v, &w);
-      });
     }
-    ScopedTimerMs t(&tc.metrics().shuffle_write_ms);
-    for (int r = 0; r < parts; ++r) {
-      ctx.shuffle()->PutChunk(shuffle_id, r, tc.partition(),
-                              outs[static_cast<size_t>(r)].TakeBuffer());
-    }
+    out.Finish();
   });
 
   std::vector<uint64_t> part_groups(static_cast<size_t>(parts), 0);
@@ -567,35 +550,20 @@ SqlResult RunSqlQueries(const SqlParams& params) {
     uint64_t& groups = part_groups[static_cast<size_t>(tc.partition())];
     double& revenue = part_revenue[static_cast<size_t>(tc.partition())];
     jvm::Heap* h = tc.heap();
-    const auto& chunks = ctx.shuffle()->GetChunks(shuffle_id, tc.partition());
+    spark::KeyedShuffleReader in(tc, shuffle_id, &types.agg_ops);
     if (byte_shuffle) {
       spark::DecaHashShuffleBuffer buf(h, &types.agg_ops,
                                        cfg.deca_page_bytes);
-      for (const auto& chunk : chunks) {
-        ScopedTimerMs t(&tc.metrics().shuffle_read_ms);
-        for (size_t off = 0; off < chunk.size(); off += 16) {
-          buf.Insert(chunk.data() + off, chunk.data() + off + 8);
-        }
-      }
+      in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
+        buf.Insert(k, v);
+      });
       buf.ForEach([&](const uint8_t* e) {
         ++groups;
         revenue += LoadRaw<double>(e + 8);
       });
     } else {
       spark::ObjectHashShuffleBuffer buf(h, &types.agg_ops);
-      for (const auto& chunk : chunks) {
-        ByteReader r(chunk.data(), chunk.size());
-        while (!r.AtEnd()) {
-          HandleScope scope(h);
-          jvm::Handle k, v;
-          {
-            ScopedTimerMs t(&tc.metrics().deser_ms);
-            k = scope.Make(types.agg_ops.deserialize_key(h, &r));
-            v = scope.Make(types.agg_ops.deserialize_value(h, &r));
-          }
-          buf.Insert(k.get(), v.get());
-        }
-      }
+      in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
       buf.ForEach([&](ObjRef, ObjRef v) {
         ++groups;
         revenue += h->GetField<double>(v, 0);

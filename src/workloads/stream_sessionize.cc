@@ -7,7 +7,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/page.h"
-#include "spark/shuffle.h"
+#include "spark/keyed_shuffle.h"
 #include "workloads/stream_common.h"
 
 namespace deca::workloads {
@@ -176,7 +176,6 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
   const uint64_t per_part =
       std::max<uint64_t>(1, params.records_per_epoch /
                                 static_cast<uint64_t>(parts));
-  const size_t shuffle_budget = cfg.shuffle_budget_bytes();
   DECA_CHECK_LE(params.stream.window, kStreamRddSlots);
 
   StreamResult result;
@@ -191,19 +190,13 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
     // -- map: per-user visit partials for this epoch. Each epoch spans
     // 1000 time units; the active-user subset rotates each epoch so users
     // naturally go quiet and reappear, splitting sessions at the gap.
-    auto map_fn = [&ctx, &types, &params, deca, parts, per_part,
-                   shuffle_budget, e, sid,
-                   page_bytes = cfg.deca_page_bytes](spark::TaskContext& tc) {
+    auto map_fn = [&types, &params, deca, per_part, e,
+                   sid](spark::TaskContext& tc) {
       jvm::Heap* h = tc.heap();
       Rng rng(Mix64(params.seed ^ (0x5e55ULL + static_cast<uint64_t>(e))) +
               static_cast<uint64_t>(tc.partition()));
       const uint64_t keys = std::max<uint64_t>(2, params.distinct_keys);
       const uint64_t rotate = e * std::max<uint64_t>(1, keys / 8);
-      std::vector<ByteWriter> outs(static_cast<size_t>(parts));
-      std::vector<net::ChunkMeta> metas(static_cast<size_t>(parts));
-      if (deca) {
-        for (auto& meta : metas) meta.fixed_record_bytes = kEntryBytes;
-      }
       auto next_visit = [&](int64_t i) -> Partial {
         Partial p;
         p.ip = static_cast<int64_t>((rotate + rng.NextBounded(keys / 2)) %
@@ -215,47 +208,19 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
         p.cents = static_cast<int64_t>(rng.NextBounded(10000));
         return p;
       };
-      auto flush_deca = [&](spark::DecaHashShuffleBuffer& buf) {
-        buf.ForEach([&](const uint8_t* entry) {
-          uint64_t hash = types.ops.deca_key_hash(entry);
-          outs[hash % static_cast<uint64_t>(parts)].WriteBytes(entry,
-                                                               kEntryBytes);
-        });
-        buf.Clear();
-      };
-      auto flush_object = [&](spark::ObjectHashShuffleBuffer& buf) {
-        buf.ForEach([&](ObjRef k, ObjRef v) {
-          uint64_t hash = types.ops.key_hash(h, k);
-          size_t r = hash % static_cast<uint64_t>(parts);
-          ByteWriter& w = outs[r];
-          size_t before = w.size();
-          {
-            ScopedTimerMs t(&tc.metrics().ser_ms);
-            types.ops.serialize_key(h, k, &w);
-            types.ops.serialize_value(h, v, &w);
-          }
-          metas[r].record_lens.push_back(
-              static_cast<uint32_t>(w.size() - before));
-        });
-        buf.Clear();
-      };
-      if (deca) {
-        spark::DecaHashShuffleBuffer buf(h, &types.ops, page_bytes);
-        for (uint64_t i = 0; i < per_part; ++i) {
-          Partial p = next_visit(static_cast<int64_t>(i));
+      spark::KeyedShuffleWriter out(tc, sid, &types.ops,
+                                    deca ? spark::ShuffleLayout::kDecomposed
+                                         : spark::ShuffleLayout::kObjects);
+      for (uint64_t i = 0; i < per_part; ++i) {
+        Partial p = next_visit(static_cast<int64_t>(i));
+        if (deca) {
           uint8_t value[kValueBytes];
           StoreRaw<int64_t>(value, p.first);
           StoreRaw<int64_t>(value + 8, p.last);
           StoreRaw<int64_t>(value + 16, p.visits);
           StoreRaw<int64_t>(value + 24, p.cents);
-          buf.Insert(reinterpret_cast<const uint8_t*>(&p.ip), value);
-          if (buf.estimated_bytes() > shuffle_budget) flush_deca(buf);
-        }
-        flush_deca(buf);
-      } else {
-        spark::ObjectHashShuffleBuffer buf(h, &types.ops);
-        for (uint64_t i = 0; i < per_part; ++i) {
-          Partial p = next_visit(static_cast<int64_t>(i));
+          out.Insert(reinterpret_cast<const uint8_t*>(&p.ip), value);
+        } else {
           HandleScope scope(h);
           jvm::Handle key = scope.Make(
               h->AllocateInstance(h->registry()->boxed_long_class()));
@@ -265,17 +230,10 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
           h->SetField<int64_t>(val.get(), types.last_off, p.last);
           h->SetField<int64_t>(val.get(), types.visits_off, p.visits);
           h->SetField<int64_t>(val.get(), types.cents_off, p.cents);
-          buf.Insert(key.get(), val.get());
-          if (buf.estimated_bytes() > shuffle_budget) flush_object(buf);
+          out.Insert(key.get(), val.get());
         }
-        flush_object(buf);
       }
-      ScopedTimerMs t(&tc.metrics().shuffle_write_ms);
-      for (int r = 0; r < parts; ++r) {
-        ctx.shuffle()->PutChunk(sid, r, tc.partition(),
-                                outs[static_cast<size_t>(r)].TakeBuffer(),
-                                metas[static_cast<size_t>(r)]);
-      }
+      out.Finish();
     };
     region.AdoptLineage(ctx.RunMapStage("sess-map", sid, map_fn));
 
@@ -283,21 +241,18 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
     // block. An ip hashes to one reducer, so a user's whole window history
     // lives in one partition — the stitcher never needs cross-partition
     // state.
-    auto reduce_fn = [&ctx, &types, &stream, deca, e, sid,
+    auto reduce_fn = [&types, &stream, deca, e, sid,
                       page_bytes =
                           cfg.deca_page_bytes](spark::TaskContext& tc) {
       jvm::Heap* h = tc.heap();
       int p = tc.partition();
-      const auto& chunks = ctx.shuffle()->GetChunks(sid, p);
+      spark::KeyedShuffleReader in(tc, sid, &types.ops);
       spark::BlockKey key{StreamRdd(e), p};
       if (deca) {
         spark::DecaHashShuffleBuffer buf(h, &types.ops, page_bytes);
-        for (const auto& chunk : chunks) {
-          ScopedTimerMs t(&tc.metrics().shuffle_read_ms);
-          for (size_t off = 0; off < chunk.size(); off += kEntryBytes) {
-            buf.Insert(chunk.data() + off, chunk.data() + off + 8);
-          }
-        }
+        in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
+          buf.Insert(k, v);
+        });
         std::vector<uint8_t> entries;
         entries.reserve(static_cast<size_t>(buf.size()) * kEntryBytes);
         buf.ForEach([&](const uint8_t* entry) {
@@ -313,19 +268,7 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
             &tc.metrics());
       } else {
         spark::ObjectHashShuffleBuffer buf(h, &types.ops);
-        for (const auto& chunk : chunks) {
-          ByteReader r(chunk.data(), chunk.size());
-          while (!r.AtEnd()) {
-            HandleScope scope(h);
-            jvm::Handle k, v;
-            {
-              ScopedTimerMs t(&tc.metrics().deser_ms);
-              k = scope.Make(types.ops.deserialize_key(h, &r));
-              v = scope.Make(types.ops.deserialize_value(h, &r));
-            }
-            buf.Insert(k.get(), v.get());
-          }
-        }
+        in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
         std::vector<Partial> rows;
         rows.reserve(buf.size());
         buf.ForEach([&](ObjRef k, ObjRef v) {

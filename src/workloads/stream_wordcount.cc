@@ -6,7 +6,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/page.h"
-#include "spark/shuffle.h"
+#include "spark/keyed_shuffle.h"
 #include "workloads/stream_common.h"
 
 namespace deca::workloads {
@@ -112,7 +112,6 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
   const uint64_t per_part =
       std::max<uint64_t>(1, params.records_per_epoch /
                                 static_cast<uint64_t>(parts));
-  const size_t shuffle_budget = cfg.shuffle_budget_bytes();
   DECA_CHECK_LE(params.stream.window, kStreamRddSlots);
 
   StreamResult result;
@@ -125,56 +124,22 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
     region.AdoptShuffle(sid);
 
     // -- map: hash-combine this epoch's words, deposit per-reducer chunks.
-    auto map_fn = [&ctx, &types, &params, deca, parts, per_part,
-                   shuffle_budget, e, sid,
-                   page_bytes = cfg.deca_page_bytes](spark::TaskContext& tc) {
+    auto map_fn = [&types, &params, deca, per_part, e,
+                   sid](spark::TaskContext& tc) {
       jvm::Heap* h = tc.heap();
       Rng rng(Mix64(params.seed ^ static_cast<uint64_t>(e)) +
               static_cast<uint64_t>(tc.partition()));
-      std::vector<ByteWriter> outs(static_cast<size_t>(parts));
-      std::vector<net::ChunkMeta> metas(static_cast<size_t>(parts));
-      if (deca) {
-        for (auto& meta : metas) meta.fixed_record_bytes = 16;
-      }
-      auto flush_deca = [&](spark::DecaHashShuffleBuffer& buf) {
-        buf.ForEach([&](const uint8_t* entry) {
-          uint64_t hash = types.ops.deca_key_hash(entry);
-          outs[hash % static_cast<uint64_t>(parts)].WriteBytes(entry, 16);
-        });
-        buf.Clear();
-      };
-      auto flush_object = [&](spark::ObjectHashShuffleBuffer& buf) {
-        buf.ForEach([&](ObjRef k, ObjRef v) {
-          uint64_t hash = types.ops.key_hash(h, k);
-          size_t r = hash % static_cast<uint64_t>(parts);
-          ByteWriter& w = outs[r];
-          size_t before = w.size();
-          {
-            ScopedTimerMs t(&tc.metrics().ser_ms);
-            types.ops.serialize_key(h, k, &w);
-            types.ops.serialize_value(h, v, &w);
-          }
-          metas[r].record_lens.push_back(
-              static_cast<uint32_t>(w.size() - before));
-        });
-        buf.Clear();
-      };
-      if (deca) {
-        spark::DecaHashShuffleBuffer buf(h, &types.ops, page_bytes);
-        for (uint64_t i = 0; i < per_part; ++i) {
-          int64_t word =
-              static_cast<int64_t>(rng.NextBounded(params.distinct_keys));
+      spark::KeyedShuffleWriter out(tc, sid, &types.ops,
+                                    deca ? spark::ShuffleLayout::kDecomposed
+                                         : spark::ShuffleLayout::kObjects);
+      for (uint64_t i = 0; i < per_part; ++i) {
+        int64_t word =
+            static_cast<int64_t>(rng.NextBounded(params.distinct_keys));
+        if (deca) {
           int64_t one = 1;
-          buf.Insert(reinterpret_cast<const uint8_t*>(&word),
+          out.Insert(reinterpret_cast<const uint8_t*>(&word),
                      reinterpret_cast<const uint8_t*>(&one));
-          if (buf.estimated_bytes() > shuffle_budget) flush_deca(buf);
-        }
-        flush_deca(buf);
-      } else {
-        spark::ObjectHashShuffleBuffer buf(h, &types.ops);
-        for (uint64_t i = 0; i < per_part; ++i) {
-          int64_t word =
-              static_cast<int64_t>(rng.NextBounded(params.distinct_keys));
+        } else {
           HandleScope scope(h);
           // Per-record Tuple2 + boxed key/value churn, exactly as the
           // batch workload models the Scala UDF.
@@ -188,18 +153,11 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
               scope.Make(h->AllocateInstance(types.tuple2_cls));
           h->SetRefField(tuple.get(), types.t1_off, key.get());
           h->SetRefField(tuple.get(), types.t2_off, one.get());
-          buf.Insert(h->GetRefField(tuple.get(), types.t1_off),
+          out.Insert(h->GetRefField(tuple.get(), types.t1_off),
                      h->GetRefField(tuple.get(), types.t2_off));
-          if (buf.estimated_bytes() > shuffle_budget) flush_object(buf);
         }
-        flush_object(buf);
       }
-      ScopedTimerMs t(&tc.metrics().shuffle_write_ms);
-      for (int r = 0; r < parts; ++r) {
-        ctx.shuffle()->PutChunk(sid, r, tc.partition(),
-                                outs[static_cast<size_t>(r)].TakeBuffer(),
-                                metas[static_cast<size_t>(r)]);
-      }
+      out.Finish();
     };
     region.AdoptLineage(ctx.RunMapStage("stream-map", sid, map_fn));
 
@@ -207,21 +165,18 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
     // table, cached as the epoch's block (and adopted by the region).
     // Doubles as the block's lineage: chunks outlive the block (both are
     // region-owned), so a replay re-reads them deterministically.
-    auto reduce_fn = [&ctx, &types, &stream, deca, e, sid,
+    auto reduce_fn = [&types, &stream, deca, e, sid,
                       page_bytes =
                           cfg.deca_page_bytes](spark::TaskContext& tc) {
       jvm::Heap* h = tc.heap();
       int p = tc.partition();
-      const auto& chunks = ctx.shuffle()->GetChunks(sid, p);
+      spark::KeyedShuffleReader in(tc, sid, &types.ops);
       spark::BlockKey key{StreamRdd(e), p};
       if (deca) {
         spark::DecaHashShuffleBuffer buf(h, &types.ops, page_bytes);
-        for (const auto& chunk : chunks) {
-          ScopedTimerMs t(&tc.metrics().shuffle_read_ms);
-          for (size_t off = 0; off < chunk.size(); off += 16) {
-            buf.Insert(chunk.data() + off, chunk.data() + off + 8);
-          }
-        }
+        in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
+          buf.Insert(k, v);
+        });
         // Stage to native bytes first: page appends may GC, which would
         // invalidate the entry pointers a live ForEach hands out.
         std::vector<uint8_t> entries;
@@ -239,19 +194,7 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
                              &tc.metrics());
       } else {
         spark::ObjectHashShuffleBuffer buf(h, &types.ops);
-        for (const auto& chunk : chunks) {
-          ByteReader r(chunk.data(), chunk.size());
-          while (!r.AtEnd()) {
-            HandleScope scope(h);
-            jvm::Handle k, v;
-            {
-              ScopedTimerMs t(&tc.metrics().deser_ms);
-              k = scope.Make(types.ops.deserialize_key(h, &r));
-              v = scope.Make(types.ops.deserialize_value(h, &r));
-            }
-            buf.Insert(k.get(), v.get());
-          }
-        }
+        in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
         std::vector<std::pair<int64_t, int64_t>> rows;
         rows.reserve(buf.size());
         buf.ForEach([&](ObjRef k, ObjRef v) {

@@ -8,7 +8,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "jvm/heap_profiler.h"
-#include "spark/shuffle.h"
+#include "spark/keyed_shuffle.h"
 #include "workloads/dist_entry.h"
 
 namespace deca::workloads {
@@ -135,7 +135,6 @@ WordCountResult RunWordCount(const WordCountParams& params) {
   int parts = ctx.num_partitions();
   uint64_t per_part = params.total_words / static_cast<uint64_t>(parts);
   int shuffle_id = ctx.shuffle()->RegisterShuffle(parts);
-  size_t shuffle_budget = cfg.shuffle_budget_bytes();
 
   std::unique_ptr<jvm::HeapProfiler> profiler;
   if (profile) {
@@ -164,54 +163,16 @@ WordCountResult RunWordCount(const WordCountParams& params) {
       return static_cast<int64_t>(
           zipf ? zipf->Next() : word_rng->NextBounded(params.distinct_keys));
     };
-    std::vector<ByteWriter> outs(static_cast<size_t>(parts));
-    // Record boundaries for the network shuffle's record-serialized wire
-    // codec: Deca chunks are a uniform 16-byte stride, object chunks log
-    // each serialized pair's length. Unused under the local shuffle.
-    std::vector<net::ChunkMeta> metas(static_cast<size_t>(parts));
-    if (deca) {
-      for (auto& meta : metas) meta.fixed_record_bytes = 16;
-    }
-    auto flush_deca = [&](spark::DecaHashShuffleBuffer& buf) {
-      buf.ForEach([&](const uint8_t* entry) {
-        uint64_t hash = types.ops.deca_key_hash(entry);
-        outs[hash % static_cast<uint64_t>(parts)].WriteBytes(entry, 16);
-      });
-      buf.Clear();
-    };
-    auto flush_object = [&](spark::ObjectHashShuffleBuffer& buf) {
-      buf.ForEach([&](ObjRef k, ObjRef v) {
-        uint64_t hash = types.ops.key_hash(h, k);
-        size_t r = hash % static_cast<uint64_t>(parts);
-        ByteWriter& w = outs[r];
-        size_t before = w.size();
-        {
-          ScopedTimerMs t(&tc.metrics().ser_ms);
-          types.ops.serialize_key(h, k, &w);
-          types.ops.serialize_value(h, v, &w);
-        }
-        metas[r].record_lens.push_back(
-            static_cast<uint32_t>(w.size() - before));
-      });
-      buf.Clear();
-    };
-    if (deca) {
-      spark::DecaHashShuffleBuffer buf(h, &types.ops, cfg.deca_page_bytes);
-      for (uint64_t i = 0; i < per_part; ++i) {
-        int64_t word = next_word();
+    spark::KeyedShuffleWriter out(tc, shuffle_id, &types.ops,
+                                  deca ? spark::ShuffleLayout::kDecomposed
+                                       : spark::ShuffleLayout::kObjects);
+    for (uint64_t i = 0; i < per_part; ++i) {
+      int64_t word = next_word();
+      if (deca) {
         int64_t one = 1;
-        buf.Insert(reinterpret_cast<const uint8_t*>(&word),
+        out.Insert(reinterpret_cast<const uint8_t*>(&word),
                    reinterpret_cast<const uint8_t*>(&one));
-        if (buf.estimated_bytes() > shuffle_budget) flush_deca(buf);
-        if (profiled && (i + 1) % params.profile_every == 0) {
-          profiler->Sample(run_sw.ElapsedMillis());
-        }
-      }
-      flush_deca(buf);
-    } else {
-      spark::ObjectHashShuffleBuffer buf(h, &types.ops);
-      for (uint64_t i = 0; i < per_part; ++i) {
-        int64_t word = next_word();
+      } else {
         HandleScope scope(h);
         // The map UDF emits a Tuple2 per word (paper Figure 8a tracks
         // these); the buffer then keeps only key/value.
@@ -224,21 +185,14 @@ WordCountResult RunWordCount(const WordCountParams& params) {
         jvm::Handle tuple = scope.Make(h->AllocateInstance(types.tuple2_cls));
         h->SetRefField(tuple.get(), 0, key.get());
         h->SetRefField(tuple.get(), 4, one.get());
-        buf.Insert(h->GetRefField(tuple.get(), 0),
+        out.Insert(h->GetRefField(tuple.get(), 0),
                    h->GetRefField(tuple.get(), 4));
-        if (buf.estimated_bytes() > shuffle_budget) flush_object(buf);
-        if (profiled && (i + 1) % params.profile_every == 0) {
-          profiler->Sample(run_sw.ElapsedMillis());
-        }
       }
-      flush_object(buf);
+      if (profiled && (i + 1) % params.profile_every == 0) {
+        profiler->Sample(run_sw.ElapsedMillis());
+      }
     }
-    ScopedTimerMs t(&tc.metrics().shuffle_write_ms);
-    for (int r = 0; r < parts; ++r) {
-      ctx.shuffle()->PutChunk(shuffle_id, r, tc.partition(),
-                              outs[static_cast<size_t>(r)].TakeBuffer(),
-                              metas[static_cast<size_t>(r)]);
-    }
+    out.Finish();
   });
 
   result.shuffle_bytes = ctx.ShuffleTotalBytes(shuffle_id);
@@ -253,34 +207,19 @@ WordCountResult RunWordCount(const WordCountParams& params) {
     uint64_t total = 0;
     uint64_t distinct = 0;
     jvm::Heap* h = tc.heap();
-    const auto& chunks = ctx.shuffle()->GetChunks(shuffle_id, tc.partition());
+    spark::KeyedShuffleReader in(tc, shuffle_id, &types.ops);
     if (deca) {
       spark::DecaHashShuffleBuffer buf(h, &types.ops, cfg.deca_page_bytes);
-      for (const auto& chunk : chunks) {
-        ScopedTimerMs t(&tc.metrics().shuffle_read_ms);
-        for (size_t off = 0; off < chunk.size(); off += 16) {
-          buf.Insert(chunk.data() + off, chunk.data() + off + 8);
-        }
-      }
+      in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
+        buf.Insert(k, v);
+      });
       buf.ForEach([&](const uint8_t* entry) {
         total += static_cast<uint64_t>(LoadRaw<int64_t>(entry + 8));
         ++distinct;
       });
     } else {
       spark::ObjectHashShuffleBuffer buf(h, &types.ops);
-      for (const auto& chunk : chunks) {
-        ByteReader r(chunk.data(), chunk.size());
-        while (!r.AtEnd()) {
-          HandleScope scope(h);
-          jvm::Handle k, v;
-          {
-            ScopedTimerMs t(&tc.metrics().deser_ms);
-            k = scope.Make(types.ops.deserialize_key(h, &r));
-            v = scope.Make(types.ops.deserialize_value(h, &r));
-          }
-          buf.Insert(k.get(), v.get());
-        }
-      }
+      in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
       buf.ForEach([&](ObjRef, ObjRef v) {
         total += static_cast<uint64_t>(h->GetField<int64_t>(v, 0));
         ++distinct;

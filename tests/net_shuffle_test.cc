@@ -13,7 +13,9 @@
 
 #include "fault/fault_config.h"
 #include "spark/config.h"
+#include "workloads/graph.h"
 #include "workloads/lr.h"
+#include "workloads/sql.h"
 #include "workloads/wordcount.h"
 
 namespace deca {
@@ -206,6 +208,45 @@ TEST(NetShuffleCodec, AutoFollowsWorkloadMode) {
       RunWc(cfg, workloads::Mode::kSpark, 0);
   EXPECT_GT(jvm.run.net.records_encoded, 0u);
   EXPECT_EQ(jvm.run.net.records_decoded, jvm.run.net.records_encoded);
+}
+
+// Every object chunk carries its record boundaries, so the record codec
+// frames each serialized pair, not each chunk: PageRank's contribution
+// shuffle alone ships one record per ranked vertex and map task that
+// reaches it. Results stay those of the local shuffle.
+TEST(NetShuffleCodec, ObjectChunksFrameEveryRecord) {
+  workloads::GraphParams p;  // GraphModeTest's size
+  p.num_vertices = 1 << 12;
+  p.num_edges = 1 << 15;
+  p.iterations = 3;
+  p.mode = workloads::Mode::kSpark;
+  p.spark = SmallConfig();
+  workloads::PageRankResult local = workloads::RunPageRank(p);
+  p.spark.shuffle_transport = spark::ShuffleTransport::kLoopback;
+  workloads::PageRankResult net = workloads::RunPageRank(p);
+  EXPECT_EQ(net.vertices_ranked, local.vertices_ranked);
+  EXPECT_EQ(net.rank_sum, local.rank_sum);
+  EXPECT_EQ(net.run.minor_gcs, local.run.minor_gcs);
+  EXPECT_GE(net.run.net.records_encoded, net.vertices_ranked);
+  EXPECT_EQ(net.run.net.records_decoded, net.run.net.records_encoded);
+}
+
+// SQL's Deca engine shuffles decomposed entries, so under kAuto it ships
+// pages like every other Deca workload: no record is encoded.
+TEST(NetShuffleCodec, SqlDecaEngineShipsPages) {
+  workloads::SqlParams p;  // SqlEngineTest's size
+  p.rankings_rows = 40000;
+  p.uservisits_rows = 80000;
+  p.engine = workloads::SqlEngine::kDeca;
+  p.spark = SmallConfig();
+  p.spark.heap.heap_bytes = 64u << 20;
+  workloads::SqlResult local = workloads::RunSqlQueries(p);
+  p.spark.shuffle_transport = spark::ShuffleTransport::kLoopback;
+  workloads::SqlResult net = workloads::RunSqlQueries(p);
+  EXPECT_EQ(net.q2_groups, local.q2_groups);
+  EXPECT_EQ(net.q2_revenue_sum, local.q2_revenue_sum);
+  EXPECT_GT(net.run.net.wire_bytes, 0u);
+  EXPECT_EQ(net.run.net.records_encoded, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "spark/context.h"
+#include "spark/keyed_shuffle.h"
 #include "workloads/lr.h"
 #include "workloads/wordcount.h"
 
@@ -428,17 +429,18 @@ TEST(DecaSortBufferTest, SortsByKey) {
   EXPECT_EQ(sorted, keys);
 }
 
-/// End-to-end two-stage word count through the shuffle service. Factored
-/// into a helper so the parallel-equivalence tests below can run the same
-/// job with different worker-thread counts and compare outcomes bitwise.
+/// End-to-end two-stage word count through the keyed-shuffle operator.
+/// Factored into a helper so the tests below can run the same job with
+/// different worker-thread counts or budgets and compare outcomes bitwise.
 struct MiniWcOutcome {
   std::map<int64_t, int64_t> totals;
   // (minor, full) GC counts per executor heap.
   std::vector<std::pair<uint64_t, uint64_t>> gc_per_executor;
+  uint64_t shuffle_bytes = 0;
 };
 
-MiniWcOutcome RunMiniWordCount(bool deca, int worker_threads) {
-  SparkConfig cfg = SmallConfig();
+MiniWcOutcome RunMiniWordCount(bool deca, int worker_threads,
+                               SparkConfig cfg = SmallConfig()) {
   cfg.deca_shuffle = deca;
   cfg.num_worker_threads = worker_threads;
   SparkContext ctx(cfg);
@@ -448,30 +450,21 @@ MiniWcOutcome RunMiniWordCount(bool deca, int worker_threads) {
   const int kWordsPerTask = 20000;
   const int kDistinct = 500;
 
-  // Map stage: count words with eager combining, then write per-reducer
-  // chunks of (key, count) pairs.
+  // Map stage: count words with eager combining; the writer drains its
+  // buffer into per-reducer chunks.
   ctx.RunStage("map", [&](TaskContext& tc) {
     jvm::Heap* h = tc.heap();
     Rng rng(100 + static_cast<uint64_t>(tc.partition()));
-    std::vector<ByteWriter> outs(static_cast<size_t>(reducers));
-    if (deca) {
-      DecaHashShuffleBuffer buf(h, &model.ops, cfg.deca_page_bytes);
-      for (int i = 0; i < kWordsPerTask; ++i) {
-        int64_t word = static_cast<int64_t>(rng.NextBounded(kDistinct));
+    KeyedShuffleWriter out(
+        tc, shuffle_id, &model.ops,
+        deca ? ShuffleLayout::kDecomposed : ShuffleLayout::kObjects);
+    for (int i = 0; i < kWordsPerTask; ++i) {
+      int64_t word = static_cast<int64_t>(rng.NextBounded(kDistinct));
+      if (deca) {
         int64_t one = 1;
-        buf.Insert(reinterpret_cast<const uint8_t*>(&word),
+        out.Insert(reinterpret_cast<const uint8_t*>(&word),
                    reinterpret_cast<const uint8_t*>(&one));
-      }
-      buf.ForEach([&](const uint8_t* entry) {
-        uint64_t hash = model.ops.deca_key_hash(entry);
-        ByteWriter& w = outs[hash % static_cast<uint64_t>(reducers)];
-        // Raw decomposed bytes: no serialization.
-        w.WriteBytes(entry, 16);
-      });
-    } else {
-      ObjectHashShuffleBuffer buf(h, &model.ops);
-      for (int i = 0; i < kWordsPerTask; ++i) {
-        int64_t word = static_cast<int64_t>(rng.NextBounded(kDistinct));
+      } else {
         jvm::HandleScope scope(h);
         jvm::Handle k = scope.Make(
             h->AllocateInstance(h->registry()->boxed_long_class()));
@@ -479,19 +472,10 @@ MiniWcOutcome RunMiniWordCount(bool deca, int worker_threads) {
         jvm::Handle v = scope.Make(
             h->AllocateInstance(h->registry()->boxed_long_class()));
         h->SetField<int64_t>(v.get(), 0, 1);
-        buf.Insert(k.get(), v.get());
+        out.Insert(k.get(), v.get());
       }
-      buf.ForEach([&](jvm::ObjRef k, jvm::ObjRef v) {
-        uint64_t hash = model.ops.key_hash(h, k);
-        ByteWriter& w = outs[hash % static_cast<uint64_t>(reducers)];
-        model.ops.serialize_key(h, k, &w);
-        model.ops.serialize_value(h, v, &w);
-      });
     }
-    for (int r = 0; r < reducers; ++r) {
-      ctx.shuffle()->PutChunk(shuffle_id, r, tc.partition(),
-                              outs[static_cast<size_t>(r)].TakeBuffer());
-    }
+    out.Finish();
   });
 
   // Reduce stage: merge chunks into per-partition maps (disjoint slots;
@@ -502,29 +486,17 @@ MiniWcOutcome RunMiniWordCount(bool deca, int worker_threads) {
     jvm::Heap* h = tc.heap();
     std::map<int64_t, int64_t>& totals =
         part_totals[static_cast<size_t>(tc.partition())];
-    const auto& chunks =
-        ctx.shuffle()->GetChunks(shuffle_id, tc.partition());
+    KeyedShuffleReader in(tc, shuffle_id, &model.ops);
     if (deca) {
       DecaHashShuffleBuffer buf(h, &model.ops, cfg.deca_page_bytes);
-      for (const auto& chunk : chunks) {
-        for (size_t off = 0; off < chunk.size(); off += 16) {
-          buf.Insert(chunk.data() + off, chunk.data() + off + 8);
-        }
-      }
+      in.ForEachEntry(
+          [&](const uint8_t* k, const uint8_t* v) { buf.Insert(k, v); });
       buf.ForEach([&](const uint8_t* entry) {
         totals[LoadRaw<int64_t>(entry)] += LoadRaw<int64_t>(entry + 8);
       });
     } else {
       ObjectHashShuffleBuffer buf(h, &model.ops);
-      for (const auto& chunk : chunks) {
-        ByteReader r(chunk.data(), chunk.size());
-        while (!r.AtEnd()) {
-          jvm::HandleScope scope(h);
-          jvm::Handle k = scope.Make(model.ops.deserialize_key(h, &r));
-          jvm::Handle v = scope.Make(model.ops.deserialize_value(h, &r));
-          buf.Insert(k.get(), v.get());
-        }
-      }
+      in.ForEachRecord([&](jvm::ObjRef k, jvm::ObjRef v) { buf.Insert(k, v); });
       buf.ForEach([&](jvm::ObjRef k, jvm::ObjRef v) {
         totals[h->GetField<int64_t>(k, 0)] += h->GetField<int64_t>(v, 0);
       });
@@ -539,6 +511,7 @@ MiniWcOutcome RunMiniWordCount(bool deca, int worker_threads) {
     const auto& stats = ctx.executor(e)->heap()->stats();
     outcome.gc_per_executor.emplace_back(stats.minor_count, stats.full_count);
   }
+  outcome.shuffle_bytes = ctx.ShuffleTotalBytes(shuffle_id);
   return outcome;
 }
 
@@ -565,6 +538,41 @@ TEST_P(MiniWordCountTest, ParallelMatchesSequential) {
     EXPECT_EQ(par.gc_per_executor, seq.gc_per_executor)
         << threads << " threads";
   }
+}
+
+// A buffer that outgrows the shuffle budget is drained mid-task: the
+// partial aggregates of every drain ship separately, so more bytes cross
+// the shuffle, and the reducers still count every word once.
+TEST_P(MiniWordCountTest, BudgetedDrainsKeepTotals) {
+  MiniWcOutcome roomy = RunMiniWordCount(GetParam(), /*worker_threads=*/0);
+  SparkConfig tight = SmallConfig();
+  tight.executor_memory_bytes = 16u << 10;  // an 8 KB shuffle budget
+  tight.deca_page_bytes = 4u << 10;
+  MiniWcOutcome drained = RunMiniWordCount(GetParam(), 0, tight);
+  EXPECT_EQ(drained.totals, roomy.totals);
+  EXPECT_GT(drained.shuffle_bytes, roomy.shuffle_bytes);
+}
+
+/// A decomposed chunk that lost bytes on its way (15 of a 16-byte entry)
+/// aborts the reader, naming the shuffle, reducer and sizes, instead of
+/// reading past the chunk's end; so does an entry width of zero.
+TEST(KeyedShuffleReaderTest, PartialEntryFailsLoudly) {
+  SparkContext ctx(SmallConfig());
+  SumShuffleModel model(ctx.registry());
+  int shuffle_id = ctx.shuffle()->RegisterShuffle(ctx.num_partitions());
+  ctx.shuffle()->PutChunk(shuffle_id, 1, 0, std::vector<uint8_t>(15, 0));
+  TaskContext tc(&ctx, ctx.executor_for_partition(1), 1,
+                 ctx.num_partitions());
+  KeyedShuffleReader in(tc, shuffle_id, &model.ops);
+  auto visit = [](const uint8_t*, const uint8_t*) {};
+  EXPECT_DEATH(in.ForEachEntry(visit),
+               "shuffle 0 reducer 1: a 15-byte chunk does not hold whole "
+               "16-byte entries");
+  ShuffleOps widthless = model.ops;
+  widthless.deca_key_bytes = 0;
+  widthless.deca_value_bytes = 0;
+  KeyedShuffleReader blind(tc, shuffle_id, &widthless);
+  EXPECT_DEATH(blind.ForEachEntry(visit), "does not hold whole 0-byte");
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MiniWordCountTest, ::testing::Bool(),
