@@ -359,28 +359,20 @@ class BenchReport {
     }
     if (r.tier_active) {
       // Storage-tier plane, present only when DECA_STORAGE_TIER=3 enabled
-      // the serialized off-heap tier. The resident/hit/demote counters are
-      // deterministic; promote percentiles are wall times.
-      exact("tier.t0_resident_bytes",
-            static_cast<double>(r.tier.t0_resident_bytes));
-      exact("tier.t1_resident_bytes",
-            static_cast<double>(r.tier.t1_resident_bytes));
-      exact("tier.t2_resident_bytes",
-            static_cast<double>(r.tier.t2_resident_bytes));
-      exact("tier.t1_peak_bytes", static_cast<double>(r.tier.t1_peak_bytes));
-      exact("tier.t0_hits", static_cast<double>(r.tier.t0_hits));
-      exact("tier.t1_hits", static_cast<double>(r.tier.t1_hits));
-      exact("tier.t2_hits", static_cast<double>(r.tier.t2_hits));
-      exact("tier.misses", static_cast<double>(r.tier.misses));
-      exact("tier.demotes_to_t1",
-            static_cast<double>(r.tier.demotes_to_t1));
-      exact("tier.demotes_to_t2",
-            static_cast<double>(r.tier.demotes_to_t2));
-      exact("tier.promotes", static_cast<double>(r.tier.promotes));
-      exact("tier.admit_rejects",
-            static_cast<double>(r.tier.admit_rejects));
-      time("tier.promote_p50_ms", r.tier.promote_p50_ms);
-      time("tier.promote_p99_ms", r.tier.promote_p99_ms);
+      // the serialized off-heap tier: one tier.<member> metric per listed
+      // TierCounters member. The resident/hit/transition counters are
+      // deterministic; the double entries (promote percentiles) are wall
+      // times.
+      spark::TierCounters::ForEachField([&](const char* name, auto member,
+                                            Fold) {
+        const std::string key = std::string("tier.") + name;
+        const auto v = r.tier.*member;
+        if constexpr (std::is_floating_point_v<decltype(v)>) {
+          time(key.c_str(), v);
+        } else {
+          exact(key.c_str(), static_cast<double>(v));
+        }
+      });
     }
     if (r.epochs_run > 0) {
       // Streaming plane. Like net.*, these are "extra" against batch

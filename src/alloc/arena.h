@@ -12,6 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/field_codec.h"
+
 namespace deca::alloc {
 
 /// Native-buffer counters. One struct serves three scopes — per-executor
@@ -24,12 +26,22 @@ struct AllocStats {
   uint64_t free_calls = 0;
   uint64_t bytes_requested = 0;
 
-  void Add(const AllocStats& o) {
-    alloc_calls += o.alloc_calls;
-    free_calls += o.free_calls;
-    bytes_requested += o.bytes_requested;
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = AllocStats;
+    DECA_SUM(alloc_calls);
+    DECA_SUM(free_calls);
+    DECA_SUM(bytes_requested);
   }
+
+  void Add(const AllocStats& o) { FoldFields(this, o); }
 };
+
+// Tripwire: a new member breaks this binding until it is listed.
+inline void CheckAllocStatsList(AllocStats& s) {
+  [[maybe_unused]] auto& [m0, m1, m2] = s;
+  static_assert(FieldCount<AllocStats>() == 3);
+}
 
 /// One executor's counter of native buffers. Worker threads share it, so
 /// the counts are relaxed atomics; their sums do not depend on ordering.

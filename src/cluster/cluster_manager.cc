@@ -14,17 +14,10 @@
 #include "common/logging.h"
 #include "fault/task_failure.h"
 #include "net/socket_io.h"
-#include "net/wire.h"
 
 namespace deca::cluster {
 
 namespace {
-
-std::vector<uint8_t> HeartbeatFrame() {
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kHeartbeat));
-  return net::FrameMessage(w);
-}
 
 /// Directory of the running binary, via /proc/self/exe.
 std::string SelfDir() {
@@ -86,9 +79,7 @@ void ClusterManager::Shutdown() {
   monitor_cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
 
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kShutdown));
-  std::vector<uint8_t> frame = net::FrameMessage(w);
+  std::vector<uint8_t> frame = net::CtrlFrame(net::CtrlType::kShutdown);
   for (int e = 0; e < config_.num_executors; ++e) {
     Daemon* d = daemons_[static_cast<size_t>(e)].get();
     if (d == nullptr || d->pid < 0) continue;
@@ -121,11 +112,10 @@ void ClusterManager::Shutdown() {
 
 std::vector<uint8_t> ClusterManager::HandleRegistration(
     const std::vector<uint8_t>& frame) {
-  ByteReader r(nullptr, 0);
-  DECA_CHECK(net::UnframeMessage(frame, &r)) << "malformed registration frame";
-  auto type = static_cast<net::CtrlType>(r.Read<uint8_t>());
+  net::CtrlType type = net::CtrlTypeOf(frame);
   if (type == net::CtrlType::kHello) {
-    HelloMsg hello = DecodeHello(&r);
+    HelloMsg hello;
+    net::ReadCtrl(frame, net::CtrlType::kHello, &hello);
     DECA_CHECK(hello.executor >= 0 && hello.executor < config_.num_executors);
     Daemon* d = daemons_[static_cast<size_t>(hello.executor)].get();
     {
@@ -138,14 +128,10 @@ std::vector<uint8_t> ClusterManager::HandleRegistration(
     spec.config = config_;
     spec.workload = workload_;
     spec.params = params_;
-    ByteWriter w;
-    w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kSpec));
-    EncodeJobSpec(spec, &w);
-    return net::FrameMessage(w);
+    return net::CtrlFrame(net::CtrlType::kSpec, spec);
   }
-  DECA_CHECK(type == net::CtrlType::kReady)
-      << "unexpected registration type " << static_cast<int>(type);
-  ReadyMsg ready = DecodeReady(&r);
+  ReadyMsg ready;
+  net::ReadCtrl(frame, net::CtrlType::kReady, &ready);
   DECA_CHECK(ready.executor >= 0 && ready.executor < config_.num_executors);
   Daemon* d = daemons_[static_cast<size_t>(ready.executor)].get();
   {
@@ -155,9 +141,7 @@ std::vector<uint8_t> ClusterManager::HandleRegistration(
     d->ready = true;
   }
   reg_cv_.notify_all();
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kReadyAck));
-  return net::FrameMessage(w);
+  return net::CtrlFrame(net::CtrlType::kReadyAck);
 }
 
 std::string ClusterManager::FindExecutord() const {
@@ -243,8 +227,6 @@ void ClusterManager::CreateClients(int executor) {
 }
 
 void ClusterManager::BroadcastPeers() {
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kUpdatePeers));
   std::vector<std::pair<int, uint16_t>> peers;
   {
     std::lock_guard<std::mutex> lock(reg_mu_);
@@ -253,18 +235,10 @@ void ClusterManager::BroadcastPeers() {
       if (d->ready) peers.emplace_back(e, d->data_port);
     }
   }
-  w.WriteVarU64(peers.size());
+  std::vector<uint8_t> frame =
+      net::CtrlFrame(net::CtrlType::kUpdatePeers, peers);
   for (const auto& [e, port] : peers) {
-    w.WriteVarI64(e);
-    w.WriteVarU64(port);
-  }
-  std::vector<uint8_t> frame = net::FrameMessage(w);
-  for (const auto& [e, port] : peers) {
-    std::vector<uint8_t> resp = SendOnDispatch(e, -1, frame);
-    ByteReader r(nullptr, 0);
-    DECA_CHECK(net::UnframeMessage(resp, &r));
-    DECA_CHECK_EQ(r.Read<uint8_t>(),
-                  static_cast<uint8_t>(net::CtrlType::kPeersAck));
+    net::ReadCtrl(SendOnDispatch(e, -1, frame), net::CtrlType::kPeersAck);
   }
 }
 
@@ -289,37 +263,25 @@ exec::RemoteTaskOutcome ClusterManager::RunTask(
     throw fault::ExecutorLostError(executor, env.stage,
                                    "executor marked dead");
   }
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kLaunchTask));
-  env.Encode(&w);
-  std::vector<uint8_t> resp = SendOnDispatch(executor, env.stage,
-                                             net::FrameMessage(w));
-  ByteReader r(nullptr, 0);
-  DECA_CHECK(net::UnframeMessage(resp, &r));
-  DECA_CHECK_EQ(r.Read<uint8_t>(),
-                static_cast<uint8_t>(net::CtrlType::kTaskResult));
-  return exec::RemoteTaskOutcome::Decode(&r);
+  exec::RemoteTaskOutcome outcome;
+  net::ReadCtrl(SendOnDispatch(executor, env.stage,
+                               net::CtrlFrame(net::CtrlType::kLaunchTask, env)),
+                net::CtrlType::kTaskResult, &outcome);
+  return outcome;
 }
 
-spark::ExecutorSnapshot ClusterManager::SendStageDone(int executor,
-                                                      const LogEntry& entry) {
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kStageDone));
-  w.WriteVarI64(entry.stage);
-  w.WriteVarU64(entry.blobs.size());
-  for (const auto& blob : entry.blobs) exec::WriteBlob(&w, blob);
-  std::vector<uint8_t> resp = SendOnDispatch(executor, entry.stage,
-                                             net::FrameMessage(w));
-  ByteReader r(nullptr, 0);
-  DECA_CHECK(net::UnframeMessage(resp, &r));
-  DECA_CHECK_EQ(r.Read<uint8_t>(),
-                static_cast<uint8_t>(net::CtrlType::kStageAck));
-  return spark::ExecutorSnapshot::Decode(&r);
+spark::ExecutorSnapshot ClusterManager::SendStageDone(
+    int executor, const StageDoneMsg& msg) {
+  spark::ExecutorSnapshot snapshot;
+  net::ReadCtrl(SendOnDispatch(executor, msg.stage,
+                               net::CtrlFrame(net::CtrlType::kStageDone, msg)),
+                net::CtrlType::kStageAck, &snapshot);
+  return snapshot;
 }
 
 std::vector<spark::ExecutorSnapshot> ClusterManager::StageDone(
-    int stage, bool collect, const std::vector<std::vector<uint8_t>>& blobs) {
-  log_.push_back(LogEntry{stage, collect, blobs});
+    int stage, const std::vector<std::vector<uint8_t>>& blobs) {
+  log_.push_back(StageDoneMsg{stage, blobs});
   // A stage-barrier failure is a job failure (ExecutorLostError
   // propagates): the stage completed but its results can't be
   // broadcast, so no daemon may advance.
@@ -367,7 +329,7 @@ void ClusterManager::RecoverExecutor(int executor) {
   // Fast-forward: replay every stage barrier so the daemon's program
   // arrives at the current stage with identical driver-side state; the
   // SparkContext then replays lost lineage on top of it.
-  for (const LogEntry& entry : log_) SendStageDone(executor, entry);
+  for (const StageDoneMsg& msg : log_) SendStageDone(executor, msg);
   BroadcastPeers();
   {
     std::lock_guard<std::mutex> lock(monitor_mu_);
@@ -402,13 +364,11 @@ bool ClusterManager::IsDead(Daemon* d) {
 }
 
 bool ClusterManager::PingOnce(net::RpcClient* client, int deadline_ms) {
-  static const std::vector<uint8_t> kPing = HeartbeatFrame();
+  static const std::vector<uint8_t> kPing =
+      net::CtrlFrame(net::CtrlType::kHeartbeat);
   try {
-    std::vector<uint8_t> resp = client->Call(kPing, deadline_ms);
-    ByteReader r(nullptr, 0);
-    if (!net::UnframeMessage(resp, &r)) return false;
-    return r.Read<uint8_t>() ==
-           static_cast<uint8_t>(net::CtrlType::kHeartbeatAck);
+    return net::CtrlTypeOf(client->Call(kPing, deadline_ms)) ==
+           net::CtrlType::kHeartbeatAck;
   } catch (const std::exception&) {
     return false;
   }

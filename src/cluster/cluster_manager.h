@@ -56,8 +56,7 @@ class ClusterManager : public spark::DistDriver {
   exec::RemoteTaskOutcome RunTask(
       int executor, const exec::RemoteTaskEnvelope& env) override;
   std::vector<spark::ExecutorSnapshot> StageDone(
-      int stage, bool collect,
-      const std::vector<std::vector<uint8_t>>& blobs) override;
+      int stage, const std::vector<std::vector<uint8_t>>& blobs) override;
   void KillExecutor(int executor) override;
   void RecoverExecutor(int executor) override;
   void NoteStageQuarantine() override;
@@ -87,12 +86,6 @@ class ClusterManager : public spark::DistDriver {
     std::mutex dispatch_mu;  // serializes dispatch-client use
   };
 
-  struct LogEntry {
-    int stage = -1;
-    bool collect = false;
-    std::vector<std::vector<uint8_t>> blobs;
-  };
-
   std::vector<uint8_t> HandleRegistration(const std::vector<uint8_t>& frame);
   std::string FindExecutord() const;
   void Spawn(int executor);
@@ -103,7 +96,7 @@ class ClusterManager : public spark::DistDriver {
   /// fault::ExecutorLostError(executor, stage).
   std::vector<uint8_t> SendOnDispatch(int executor, int stage,
                                       const std::vector<uint8_t>& frame);
-  spark::ExecutorSnapshot SendStageDone(int executor, const LogEntry& entry);
+  spark::ExecutorSnapshot SendStageDone(int executor, const StageDoneMsg& msg);
 
   void MonitorLoop();
   bool IsDead(Daemon* d);
@@ -128,7 +121,7 @@ class ClusterManager : public spark::DistDriver {
 
   /// Every stage barrier in program order, for fast-forwarding
   /// respawned daemons (driver thread only).
-  std::vector<LogEntry> log_;
+  std::vector<StageDoneMsg> log_;
 
   bool started_ = false;
   bool shut_down_ = false;

@@ -8,19 +8,12 @@
 
 #include "cluster/workload_registry.h"
 #include "common/logging.h"
-#include "net/wire.h"
 
 namespace deca::cluster {
 
 namespace {
 
 DaemonRuntime* g_current = nullptr;
-
-std::vector<uint8_t> AckFrame(net::CtrlType type) {
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(type));
-  return net::FrameMessage(w);
-}
 
 }  // namespace
 
@@ -52,15 +45,8 @@ int DaemonRuntime::Run() {
     hello.generation = generation_;
     hello.pid = static_cast<int64_t>(getpid());
     hello.control_port = control_->port();
-    ByteWriter w;
-    w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kHello));
-    EncodeHello(hello, &w);
-    std::vector<uint8_t> resp = reg.Call(net::FrameMessage(w), 20000);
-    ByteReader r(nullptr, 0);
-    DECA_CHECK(net::UnframeMessage(resp, &r));
-    DECA_CHECK_EQ(r.Read<uint8_t>(),
-                  static_cast<uint8_t>(net::CtrlType::kSpec));
-    spec_ = DecodeJobSpec(&r);
+    net::ReadCtrl(reg.Call(net::CtrlFrame(net::CtrlType::kHello, hello), 20000),
+                  net::CtrlType::kSpec, &spec_);
   }
   DECA_CHECK(executor_ >= 0 && executor_ < spec_.config.num_executors);
 
@@ -82,14 +68,8 @@ int DaemonRuntime::Run() {
     ready.executor = executor_;
     ready.generation = generation_;
     ready.data_port = mesh_->port(executor_);
-    ByteWriter w;
-    w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kReady));
-    EncodeReady(ready, &w);
-    std::vector<uint8_t> resp = reg.Call(net::FrameMessage(w), 20000);
-    ByteReader r(nullptr, 0);
-    DECA_CHECK(net::UnframeMessage(resp, &r));
-    DECA_CHECK_EQ(r.Read<uint8_t>(),
-                  static_cast<uint8_t>(net::CtrlType::kReadyAck));
+    net::ReadCtrl(reg.Call(net::CtrlFrame(net::CtrlType::kReady, ready), 20000),
+                  net::CtrlType::kReadyAck);
   }
   reg.Close();
 
@@ -117,45 +97,35 @@ void DaemonRuntime::WireConfig(spark::SparkConfig* config) {
 
 std::vector<uint8_t> DaemonRuntime::HandleControl(
     const std::vector<uint8_t>& frame) {
-  ByteReader r(nullptr, 0);
-  DECA_CHECK(net::UnframeMessage(frame, &r)) << "malformed control frame";
-  auto type = static_cast<net::CtrlType>(r.Read<uint8_t>());
+  const net::CtrlType type = net::CtrlTypeOf(frame);
   switch (type) {
     case net::CtrlType::kHeartbeat:
       // Answered on this connection thread, even mid-task.
-      return AckFrame(net::CtrlType::kHeartbeatAck);
+      return net::CtrlFrame(net::CtrlType::kHeartbeatAck);
     case net::CtrlType::kUpdatePeers: {
-      uint64_t n = r.ReadVarU64();
       std::vector<std::pair<int, uint16_t>> peers;
-      peers.reserve(static_cast<size_t>(n));
-      for (uint64_t i = 0; i < n; ++i) {
-        int endpoint = static_cast<int>(r.ReadVarI64());
-        auto port = static_cast<uint16_t>(r.ReadVarU64());
-        peers.emplace_back(endpoint, port);
-      }
+      net::ReadCtrl(frame, type, &peers);
       {
         std::lock_guard<std::mutex> lock(mesh_mu_);
         DECA_CHECK(mesh_ != nullptr) << "peers before Ready";
         mesh_->UpdatePeers(peers);
       }
-      return AckFrame(net::CtrlType::kPeersAck);
+      return net::CtrlFrame(net::CtrlType::kPeersAck);
     }
     case net::CtrlType::kLaunchTask: {
       auto pending = std::make_unique<Pending>();
       pending->cmd.kind = Command::Kind::kTask;
-      pending->cmd.env = exec::RemoteTaskEnvelope::Decode(&r);
+      net::ReadCtrl(frame, type, &pending->cmd.env);
       pending->wants_reply = true;
       return EnqueueAndWait(std::move(pending));
     }
     case net::CtrlType::kStageDone: {
+      StageDoneMsg msg;
+      net::ReadCtrl(frame, type, &msg);
       auto pending = std::make_unique<Pending>();
       pending->cmd.kind = Command::Kind::kStageDone;
-      pending->cmd.stage = static_cast<int>(r.ReadVarI64());
-      uint64_t n = r.ReadVarU64();
-      pending->cmd.blobs.reserve(static_cast<size_t>(n));
-      for (uint64_t i = 0; i < n; ++i) {
-        pending->cmd.blobs.push_back(exec::ReadBlob(&r));
-      }
+      pending->cmd.stage = msg.stage;
+      pending->cmd.blobs = std::move(msg.blobs);
       pending->wants_reply = true;
       return EnqueueAndWait(std::move(pending));
     }
@@ -169,7 +139,7 @@ std::vector<uint8_t> DaemonRuntime::HandleControl(
       qcv_.notify_all();
       // Acked immediately: the driver reaps the process, it does not wait
       // for the main thread to unwind.
-      return AckFrame(net::CtrlType::kShutdownAck);
+      return net::CtrlFrame(net::CtrlType::kShutdownAck);
     }
     default:
       DECA_CHECK(false) << "unexpected control type "
@@ -205,19 +175,15 @@ spark::DistWorker::Command DaemonRuntime::NextCommand() {
 
 void DaemonRuntime::Reply(const exec::RemoteTaskOutcome& outcome) {
   DECA_CHECK(current_ != nullptr && current_->wants_reply);
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kTaskResult));
-  outcome.Encode(&w);
-  current_->reply.set_value(net::FrameMessage(w));
+  current_->reply.set_value(
+      net::CtrlFrame(net::CtrlType::kTaskResult, outcome));
   current_.reset();
 }
 
 void DaemonRuntime::StageAck(const spark::ExecutorSnapshot& snapshot) {
   DECA_CHECK(current_ != nullptr && current_->wants_reply);
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(net::CtrlType::kStageAck));
-  snapshot.Encode(&w);
-  current_->reply.set_value(net::FrameMessage(w));
+  current_->reply.set_value(
+      net::CtrlFrame(net::CtrlType::kStageAck, snapshot));
   current_.reset();
 }
 

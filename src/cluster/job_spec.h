@@ -5,22 +5,38 @@
 #include <string>
 #include <vector>
 
-#include "common/bytes.h"
+#include "common/field_codec.h"
 #include "spark/config.h"
+
+namespace deca {
+
+/// The SparkConfig's wire codec, generated from spark::ForEachSparkField:
+/// a setting off that list never crosses. The SPMD contract depends on it
+/// being lossless for every field that influences results, GC or fault
+/// injection.
+void Put(ByteWriter* w, const spark::SparkConfig& config);
+void Get(ByteReader* r, spark::SparkConfig* config);
+
+}  // namespace deca
 
 namespace deca::cluster {
 
 /// Everything a freshly exec'd deca_executord needs to reconstruct the
 /// driver's job: the full engine configuration, the registered workload
 /// to run, and that workload's encoded parameters. Shipped as the kSpec
-/// reply of the registration handshake. The SPMD contract depends on
-/// the config codec being lossless for every field that influences
-/// results, GC or fault injection, so it is generated from the field list
-/// (spark::ForEachSparkField): a setting off that list never crosses.
+/// reply of the registration handshake.
 struct JobSpec {
   spark::SparkConfig config;  // runtime member is never serialized
   std::string workload;
   std::vector<uint8_t> params;
+
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = JobSpec;
+    DECA_WIRE(config);
+    DECA_WIRE(workload);
+    DECA_WIRE(params);
+  }
 };
 
 /// Registration handshake, daemon -> driver (reply: kSpec + JobSpec).
@@ -29,6 +45,15 @@ struct HelloMsg {
   int32_t generation = 0;
   int64_t pid = -1;
   uint16_t control_port = 0;
+
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = HelloMsg;
+    DECA_WIRE(executor);
+    DECA_WIRE(generation);
+    DECA_WIRE(pid);
+    DECA_WIRE(control_port);
+  }
 };
 
 /// Second handshake round trip, daemon -> driver once its data-plane
@@ -37,19 +62,30 @@ struct ReadyMsg {
   int32_t executor = -1;
   int32_t generation = 0;
   uint16_t data_port = 0;
+
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = ReadyMsg;
+    DECA_WIRE(executor);
+    DECA_WIRE(generation);
+    DECA_WIRE(data_port);
+  }
 };
 
-void EncodeSparkConfig(const spark::SparkConfig& config, ByteWriter* w);
-spark::SparkConfig DecodeSparkConfig(ByteReader* r);
+/// Stage barrier, driver -> daemon (reply: kStageAck + the executor's
+/// snapshot): the stage seq and the collect blobs every daemon folds. The
+/// driver keeps each one it sent, to fast-forward respawned daemons.
+struct StageDoneMsg {
+  int32_t stage = -1;
+  std::vector<std::vector<uint8_t>> blobs;
 
-void EncodeJobSpec(const JobSpec& spec, ByteWriter* w);
-JobSpec DecodeJobSpec(ByteReader* r);
-
-void EncodeHello(const HelloMsg& msg, ByteWriter* w);
-HelloMsg DecodeHello(ByteReader* r);
-
-void EncodeReady(const ReadyMsg& msg, ByteWriter* w);
-ReadyMsg DecodeReady(ByteReader* r);
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = StageDoneMsg;
+    DECA_WIRE(stage);
+    DECA_WIRE(blobs);
+  }
+};
 
 }  // namespace deca::cluster
 

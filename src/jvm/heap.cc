@@ -85,21 +85,11 @@ void Heap::Reset() {
   handle_slots_.clear();
   handle_top_ = 0;
   forced_alloc_failures_ = 0;
-  if (mm_ != nullptr) ReportOccupancyNow();
 }
 
 void Heap::SetMemoryManager(memory::ExecutorMemoryManager* mm) {
   mm_ = mm;
-  if (mm_ != nullptr) {
-    mm_->RegisterHeapCapacity(capacity_bytes());
-    ReportOccupancyNow();
-  }
-}
-
-void Heap::ReportOccupancyNow() {
-  if (mm_ == nullptr) return;
-  last_reported_gc_ = stats_.minor_count + stats_.full_count;
-  mm_->ReportHeapOccupancy(used_bytes(), old_used_bytes());
+  if (mm_ != nullptr) mm_->RegisterHeapCapacity(capacity_bytes());
 }
 
 std::string Heap::DumpState() const {
@@ -190,7 +180,6 @@ ObjRef Heap::AllocateImpl(uint32_t class_id, uint32_t length,
       DECA_LOG(Fatal) << "managed heap OOM allocating " << total
                       << " bytes of " << ci.name() << "; " << dump;
     }
-    MaybeReportOccupancy();
     return kNullRef;
   }
   std::memset(p, 0, total);
@@ -202,7 +191,6 @@ ObjRef Heap::AllocateImpl(uint32_t class_id, uint32_t length,
   if (active_marker_ != nullptr) MarkerOnAllocate(r);
   stats_.objects_allocated += 1;
   stats_.bytes_allocated += total;
-  MaybeReportOccupancy();
   return r;
 }
 

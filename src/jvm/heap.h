@@ -267,12 +267,10 @@ class Heap {
   void CollectMinor() {
     AssertMutator();
     collector_->CollectMinor();
-    MaybeReportOccupancy();
   }
   void CollectFull() {
     AssertMutator();
     collector_->CollectFull();
-    MaybeReportOccupancy();
   }
 
   const GcStats& stats() const { return stats_; }
@@ -345,15 +343,10 @@ class Heap {
   // -- Memory accounting ---------------------------------------------------
 
   /// Attaches the executor's unified memory manager: the heap registers
-  /// its committed capacity immediately and reports live/old occupancy to
-  /// it after every collection. Page groups on this heap pick the manager
-  /// up from here to charge their footprint.
+  /// its committed capacity with it. Page groups on this heap pick the
+  /// manager up from here to charge their footprint.
   void SetMemoryManager(memory::ExecutorMemoryManager* mm);
   memory::ExecutorMemoryManager* memory_manager() const { return mm_; }
-
-  /// Pushes the current occupancy to the manager unconditionally (stage
-  /// barriers sync accounting before verification).
-  void ReportOccupancyNow();
 
   ClassRegistry* registry() const { return registry_; }
   const HeapConfig& config() const { return config_; }
@@ -427,15 +420,6 @@ class Heap {
   void MarkerOnAllocate(ObjRef r);
   void MaybeIncrementalTick(uint32_t bytes);
 
-  /// Reports occupancy to the memory manager when a collection has run
-  /// since the last report (one counter compare on the allocation path).
-  void MaybeReportOccupancy() {
-    if (mm_ != nullptr &&
-        stats_.minor_count + stats_.full_count != last_reported_gc_) {
-      ReportOccupancyNow();
-    }
-  }
-
   HeapConfig config_;
   ClassRegistry* registry_;
   std::unique_ptr<uint8_t[]> buffer_;
@@ -460,7 +444,6 @@ class Heap {
   uint32_t forced_alloc_failures_ = 0;
 
   memory::ExecutorMemoryManager* mm_ = nullptr;
-  uint64_t last_reported_gc_ = 0;  // minor+full count at the last report
 };
 
 /// RAII scope for handles: releases every handle created after its

@@ -53,14 +53,8 @@ uint64_t ExecutorMemoryManager::EvictStorageForOom(uint64_t need_bytes) {
   // left to demote does stage 2 swap blocks out to disk.
   uint64_t demoted = evictor_(need_bytes, EvictStage::kDemote,
                               /*for_oom=*/true);
-  if (demoted > 0) {
-    demotions_.fetch_add(demoted, std::memory_order_relaxed);
-    return demoted;
-  }
-  uint64_t spilled = evictor_(need_bytes, EvictStage::kSpill,
-                              /*for_oom=*/true);
-  spills_.fetch_add(spilled, std::memory_order_relaxed);
-  return spilled;
+  if (demoted > 0) return demoted;
+  return evictor_(need_bytes, EvictStage::kSpill, /*for_oom=*/true);
 }
 
 bool ExecutorMemoryManager::EnsureExecutionRoom(uint64_t bytes) {
@@ -79,15 +73,11 @@ bool ExecutorMemoryManager::EnsureExecutionRoom(uint64_t bytes) {
   // delta while keeping blocks resident; stage 2 (spill) sheds whatever
   // is still short after compaction. With the off-heap tier disabled the
   // demote call is a no-op and this is the old single-stage path.
-  uint64_t demoted = evictor_(shortfall, EvictStage::kDemote,
-                              /*for_oom=*/false);
-  demotions_.fetch_add(demoted, std::memory_order_relaxed);
+  evictor_(shortfall, EvictStage::kDemote, /*for_oom=*/false);
   uint64_t committed_now = exec_used() + storage_used();
   uint64_t free_now = committed_now < total_ ? total_ - committed_now : 0;
   if (bytes > free_now) {
-    uint64_t spilled = evictor_(bytes - free_now, EvictStage::kSpill,
-                                /*for_oom=*/false);
-    spills_.fetch_add(spilled, std::memory_order_relaxed);
+    evictor_(bytes - free_now, EvictStage::kSpill, /*for_oom=*/false);
   }
   uint64_t now = exec_used() + storage_used();
   return now < total_ && bytes <= total_ - now;
@@ -207,13 +197,8 @@ MemoryStats ExecutorMemoryManager::Snapshot() const {
   s.storage_peak = storage_peak();
   s.borrowed_peak = borrowed_peak();
   s.denied_reservations = denied_reservations();
-  s.storage_reserved = storage_reserved();
-  s.demoted_blocks = demoted_blocks();
-  s.spilled_blocks = spilled_blocks();
   s.page_bytes = page_bytes();
   s.heap_capacity = heap_capacity_.load(std::memory_order_relaxed);
-  s.heap_used = heap_used_.load(std::memory_order_relaxed);
-  s.heap_old_used = heap_old_used_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/field_codec.h"
 #include "common/logging.h"
 
 namespace deca::memory {
@@ -85,14 +86,30 @@ struct MemoryStats {
   uint64_t storage_peak = 0;
   uint64_t borrowed_peak = 0;        // peak bytes held across the pool split
   uint64_t denied_reservations = 0;  // requests that found no room
-  uint64_t storage_reserved = 0;     // live storage-pool reservation bytes
-  uint64_t demoted_blocks = 0;       // evictor demote-stage blocks compacted
-  uint64_t spilled_blocks = 0;       // evictor spill-stage blocks to disk
   uint64_t page_bytes = 0;           // charged native-page footprint
   uint64_t heap_capacity = 0;        // committed managed-heap capacity
-  uint64_t heap_used = 0;            // live bytes at the last reported GC
-  uint64_t heap_old_used = 0;
+
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = MemoryStats;
+    DECA_WIRE(total_bytes);
+    DECA_WIRE(storage_floor_bytes);
+    DECA_WIRE(exec_used);
+    DECA_WIRE(exec_peak);
+    DECA_WIRE(storage_used);
+    DECA_WIRE(storage_peak);
+    DECA_WIRE(borrowed_peak);
+    DECA_WIRE(denied_reservations);
+    DECA_WIRE(page_bytes);
+    DECA_WIRE(heap_capacity);
+  }
 };
+
+// Tripwire: a new member breaks this binding until it is listed.
+inline void CheckMemoryStatsList(MemoryStats& s) {
+  [[maybe_unused]] auto& [m0, m1, m2, m3, m4, m5, m6, m7, m8, m9] = s;
+  static_assert(FieldCount<MemoryStats>() == 10);
+}
 
 /// One executor's memory-accounting plane: a single byte budget split into
 /// an execution pool and a storage pool with Spark-1.6-style borrowing.
@@ -100,9 +117,8 @@ struct MemoryStats {
 /// execution is not using); execution may reclaim borrowed storage memory
 /// by evicting blocks, but never below the storage floor
 /// (total * storage_fraction). The managed heap additionally registers its
-/// committed capacity and reports live occupancy after each GC, so the
-/// manager can answer "how much memory does this executor really have
-/// left" across both planes.
+/// committed capacity, which the accounting check compares with the live
+/// heap.
 ///
 /// Concurrency contract (mirrors jvm::Heap): every charge, reservation and
 /// eviction decision happens on the executor's single mutator thread and
@@ -182,10 +198,6 @@ class ExecutorMemoryManager {
   void RegisterHeapCapacity(uint64_t capacity_bytes) {
     heap_capacity_.store(capacity_bytes, std::memory_order_relaxed);
   }
-  void ReportHeapOccupancy(uint64_t used_bytes, uint64_t old_used_bytes) {
-    heap_used_.store(used_bytes, std::memory_order_relaxed);
-    heap_old_used_.store(old_used_bytes, std::memory_order_relaxed);
-  }
 
   // -- Introspection --------------------------------------------------------
 
@@ -228,14 +240,6 @@ class ExecutorMemoryManager {
   uint64_t storage_reserved() const {
     return storage_reserved_.load(std::memory_order_relaxed);
   }
-  /// Blocks the evictor compacted heap -> off-heap in the demote stage.
-  uint64_t demoted_blocks() const {
-    return demotions_.load(std::memory_order_relaxed);
-  }
-  /// Blocks the evictor swapped to disk in the spill stage.
-  uint64_t spilled_blocks() const {
-    return spills_.load(std::memory_order_relaxed);
-  }
   uint64_t heap_capacity_bytes() const {
     return heap_capacity_.load(std::memory_order_relaxed);
   }
@@ -274,11 +278,7 @@ class ExecutorMemoryManager {
   std::atomic<uint64_t> storage_peak_{0};
   std::atomic<uint64_t> borrowed_peak_{0};
   std::atomic<uint64_t> denied_{0};
-  std::atomic<uint64_t> demotions_{0};
-  std::atomic<uint64_t> spills_{0};
   std::atomic<uint64_t> heap_capacity_{0};
-  std::atomic<uint64_t> heap_used_{0};
-  std::atomic<uint64_t> heap_old_used_{0};
 
   StorageEvictor evictor_;
   std::vector<const PageFootprintSource*> sources_;

@@ -9,7 +9,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/bytes.h"
+#include "common/field_codec.h"
+#include "common/logging.h"
+#include "net/wire.h"
 
 namespace deca::net {
 
@@ -38,6 +40,47 @@ enum class CtrlType : uint8_t {
   kShutdown = 44,
   kShutdownAck = 45,
 };
+
+/// Builds a control frame: the type byte, then each body's fields in
+/// argument order (common/field_codec.h).
+template <typename... Body>
+std::vector<uint8_t> CtrlFrame(CtrlType type, const Body&... body) {
+  ByteWriter w;
+  Put(&w, type);
+  (Put(&w, body), ...);
+  return FrameMessage(w);
+}
+
+/// Reads back a frame built by CtrlFrame: aborts unless it has type
+/// `want` and its bodies fill it exactly.
+template <typename... Body>
+void ReadCtrl(const std::vector<uint8_t>& frame, CtrlType want,
+              Body*... body) {
+  ByteReader r(nullptr, 0);
+  DECA_CHECK(UnframeMessage(frame, &r) && !r.AtEnd())
+      << "malformed control frame";
+  const size_t size = r.remaining();
+  CtrlType got;
+  Get(&r, &got);
+  DECA_CHECK(got == want) << "control frame of type " << static_cast<int>(got)
+                          << " where " << static_cast<int>(want)
+                          << " was expected";
+  (Get(&r, body), ...);
+  DECA_CHECK(r.position() == size)
+      << "control frame of type " << static_cast<int>(want) << ": " << size
+      << " bytes, but its body decoded as " << r.position();
+}
+
+/// The type of a control frame, for servers that dispatch on it before
+/// reading the body with ReadCtrl.
+inline CtrlType CtrlTypeOf(const std::vector<uint8_t>& frame) {
+  ByteReader r(nullptr, 0);
+  DECA_CHECK(UnframeMessage(frame, &r) && !r.AtEnd())
+      << "malformed control frame";
+  CtrlType type;
+  Get(&r, &type);
+  return type;
+}
 
 /// An RPC that failed after the request may have been written. Carries
 /// whether the failure was a response deadline (the peer may still be

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/clock.h"
+#include "common/logging.h"
 
 namespace deca::net {
 
@@ -57,11 +58,22 @@ std::vector<uint8_t> EncodeFrame(WireCodec codec,
       off += len;
       ++records;
     };
+    // The boundaries must tile the payload exactly: a short tiling would
+    // drop the tail on the wire, a long one would read past the payload.
     if (meta.fixed_record_bytes > 0) {
+      DECA_CHECK(payload.size() % meta.fixed_record_bytes == 0)
+          << WireCodecName(codec) << " codec: a " << payload.size()
+          << "-byte payload is not whole " << meta.fixed_record_bytes
+          << "-byte records";
       uint64_t count = payload.size() / meta.fixed_record_bytes;
       w.WriteVarU64(count);
       for (uint64_t i = 0; i < count; ++i) put_record(meta.fixed_record_bytes);
     } else if (!meta.record_lens.empty()) {
+      uint64_t sum = 0;
+      for (uint32_t len : meta.record_lens) sum += len;
+      DECA_CHECK(sum == payload.size())
+          << WireCodecName(codec) << " codec: record lengths sum to " << sum
+          << " bytes, but the payload holds " << payload.size();
       w.WriteVarU64(meta.record_lens.size());
       for (uint32_t len : meta.record_lens) put_record(len);
     } else {

@@ -48,6 +48,22 @@ class ScopedHeapOwnership {
 namespace {
 /// Distinguishes concurrent contexts within one process in spill paths.
 std::atomic<uint64_t> g_next_context_id{0};
+
+/// One heap's pause plane.
+GcPauseSummary HeapPauses(const jvm::Heap& h) {
+  const Histogram& ph = h.pause_hist();
+  const Histogram& sh = h.mark_slice_hist();
+  GcPauseSummary p;
+  p.mark_slices = h.stats().mark_slices;
+  p.pause_events = ph.count();
+  p.pause_p50_ms = ph.Percentile(50);
+  p.pause_p99_ms = ph.Percentile(99);
+  p.pause_max_ms = ph.Max();
+  p.slice_p50_ms = sh.Percentile(50);
+  p.slice_p99_ms = sh.Percentile(99);
+  p.slice_max_ms = sh.Max();
+  return p;
+}
 }  // namespace
 
 SparkContext::SparkContext(const SparkConfig& config)
@@ -354,19 +370,7 @@ ExecutorSnapshot SparkContext::BuildLocalSnapshot() const {
   s.pressure_evictions = e->cache()->pressure_evictions();
   s.tier = e->cache()->tier_counters();
   s.memory = e->memory()->Snapshot();
-  {
-    const jvm::Heap* h = e->heap();
-    const Histogram& ph = h->pause_hist();
-    const Histogram& sh = h->mark_slice_hist();
-    s.mark_slices = h->stats().mark_slices;
-    s.pause_events = ph.count();
-    s.pause_p50_ms = ph.Percentile(50);
-    s.pause_p99_ms = ph.Percentile(99);
-    s.pause_max_ms = ph.Max();
-    s.slice_p50_ms = sh.Percentile(50);
-    s.slice_p99_ms = sh.Percentile(99);
-    s.slice_max_ms = sh.Max();
-  }
+  s.pauses = HeapPauses(*e->heap());
   s.alloc = e->alloc_counter().Stats();
   const int n = shuffle_->num_shuffles();
   s.shuffle_bytes.resize(static_cast<size_t>(n));
@@ -468,7 +472,7 @@ void SparkContext::RunStageInternal(
       // (which the Total* getters read).
       static const std::vector<std::vector<uint8_t>> kNoBlobs;
       snapshots_ = config_.runtime.driver->StageDone(
-          stage, collect != nullptr, results != nullptr ? *results : kNoBlobs);
+          stage, results != nullptr ? *results : kNoBlobs);
     }
     // Post-barrier: fold task metrics in partition order (deterministic
     // regardless of completion order).
@@ -698,36 +702,13 @@ uint64_t SparkContext::TotalFullGcs() const {
 }
 
 GcPauseSummary SparkContext::TotalGcPauses() const {
-  GcPauseSummary agg;
-  auto fold_max = [&agg](uint64_t slices, uint64_t events, double pp50,
-                         double pp99, double pmax, double sp50, double sp99,
-                         double smax) {
-    agg.mark_slices += slices;
-    agg.pause_events += events;
-    agg.pause_p50_ms = std::max(agg.pause_p50_ms, pp50);
-    agg.pause_p99_ms = std::max(agg.pause_p99_ms, pp99);
-    agg.pause_max_ms = std::max(agg.pause_max_ms, pmax);
-    agg.slice_p50_ms = std::max(agg.slice_p50_ms, sp50);
-    agg.slice_p99_ms = std::max(agg.slice_p99_ms, sp99);
-    agg.slice_max_ms = std::max(agg.slice_max_ms, smax);
-  };
+  GcPauseSummary total;
   if (config_.runtime.role == DistRole::kDriver) {
-    for (const auto& s : snapshots_) {
-      fold_max(s.mark_slices, s.pause_events, s.pause_p50_ms, s.pause_p99_ms,
-               s.pause_max_ms, s.slice_p50_ms, s.slice_p99_ms,
-               s.slice_max_ms);
-    }
-    return agg;
+    for (const auto& s : snapshots_) total.Add(s.pauses);
+    return total;
   }
-  for (const auto& e : executors_) {
-    const jvm::Heap* h = e->heap();
-    const Histogram& ph = h->pause_hist();
-    const Histogram& sh = h->mark_slice_hist();
-    fold_max(h->stats().mark_slices, ph.count(), ph.Percentile(50),
-             ph.Percentile(99), ph.Max(), sh.Percentile(50),
-             sh.Percentile(99), sh.Max());
-  }
-  return agg;
+  for (const auto& e : executors_) total.Add(HeapPauses(*e->heap()));
+  return total;
 }
 
 uint64_t SparkContext::CachedMemoryBytes() const {

@@ -153,7 +153,7 @@ class SparkContext {
   /// leave no replay residue behind).
   size_t replay_stage_count() const { return replay_stages_.size(); }
 
-  /// Wipe listeners (e.g. TypedRdd state holding per-partition arrays).
+  /// Wipe listeners (e.g. stream::StreamContext's epoch state).
   void AddWipeListener(WipeListener* listener);
   void RemoveWipeListener(WipeListener* listener);
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "alloc/arena.h"
-#include "common/bytes.h"
+#include "common/field_codec.h"
 #include "exec/remote_task.h"
 #include "memory/memory_manager.h"
 #include "spark/metrics.h"
@@ -83,8 +83,10 @@ struct ClusterCounters {
   uint64_t rpc_messages = 0;
 };
 
-/// Job-level GC pause summary (SparkContext::TotalGcPauses): counters
-/// summed across executor heaps, percentiles composed by max.
+/// GC pause plane of one heap, or of a job (SparkContext::TotalGcPauses):
+/// mark-slice count, stop-the-world pause events, and pause/slice latency
+/// percentiles. Across executors the counters sum and the percentiles
+/// compose by max.
 struct GcPauseSummary {
   uint64_t mark_slices = 0;
   uint64_t pause_events = 0;
@@ -94,6 +96,21 @@ struct GcPauseSummary {
   double slice_p50_ms = 0;
   double slice_p99_ms = 0;
   double slice_max_ms = 0;
+
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = GcPauseSummary;
+    DECA_SUM(mark_slices);
+    DECA_SUM(pause_events);
+    DECA_MAX(pause_p50_ms);
+    DECA_MAX(pause_p99_ms);
+    DECA_MAX(pause_max_ms);
+    DECA_MAX(slice_p50_ms);
+    DECA_MAX(slice_p99_ms);
+    DECA_MAX(slice_max_ms);
+  }
+
+  void Add(const GcPauseSummary& o) { FoldFields(this, o); }
 };
 
 /// One executor's observability plane, reported by its daemon in every
@@ -114,26 +131,42 @@ struct ExecutorSnapshot {
   /// Block-store tier plane (per-tier residency, hits, transitions).
   TierCounters tier;
   memory::MemoryStats memory;
-  /// GC pause plane: mark-slice count, stop-the-world pause events, and
-  /// pause/slice latency percentiles of this executor's heap. The driver
-  /// sums the counters and composes percentiles by max across executors.
-  uint64_t mark_slices = 0;
-  uint64_t pause_events = 0;
-  double pause_p50_ms = 0;
-  double pause_p99_ms = 0;
-  double pause_max_ms = 0;
-  double slice_p50_ms = 0;
-  double slice_p99_ms = 0;
-  double slice_max_ms = 0;
+  /// This executor's heap's pause plane.
+  GcPauseSummary pauses;
   /// This executor's native-buffer counters.
   alloc::AllocStats alloc;
   /// Local shuffle-payload bytes per shuffle id (this executor's
   /// deposits only; the driver sums across executors).
   std::vector<uint64_t> shuffle_bytes;
 
-  void Encode(ByteWriter* w) const;
-  static ExecutorSnapshot Decode(ByteReader* r);
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = ExecutorSnapshot;
+    DECA_WIRE(gc_pause_ms);
+    DECA_WIRE(concurrent_gc_ms);
+    DECA_WIRE(minor_gcs);
+    DECA_WIRE(full_gcs);
+    DECA_WIRE(oom_recoveries);
+    DECA_WIRE(cached_bytes);
+    DECA_WIRE(peak_cached_bytes);
+    DECA_WIRE(swapped_bytes);
+    DECA_WIRE(pressure_evictions);
+    DECA_WIRE(tier);
+    DECA_WIRE(memory);
+    DECA_WIRE(pauses);
+    DECA_WIRE(alloc);
+    DECA_WIRE(shuffle_bytes);
+  }
 };
+
+// Tripwires: a new member breaks its struct's binding until it is listed.
+inline void CheckSnapshotLists(GcPauseSummary& p, ExecutorSnapshot& s) {
+  [[maybe_unused]] auto& [p0, p1, p2, p3, p4, p5, p6, p7] = p;
+  static_assert(FieldCount<GcPauseSummary>() == 8);
+  [[maybe_unused]] auto& [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
+                          s12, s13] = s;
+  static_assert(FieldCount<ExecutorSnapshot>() == 14);
+}
 
 /// Driver-side cluster seam the SparkContext dispatches through in
 /// kDriver role. Implemented by cluster::ClusterManager; an interface so
@@ -154,8 +187,7 @@ class DistDriver {
   /// appends the entry to the program log used to fast-forward respawned
   /// daemons, and returns each executor's stats snapshot.
   virtual std::vector<ExecutorSnapshot> StageDone(
-      int stage, bool collect,
-      const std::vector<std::vector<uint8_t>>& blobs) = 0;
+      int stage, const std::vector<std::vector<uint8_t>>& blobs) = 0;
 
   /// Delivers SIGKILL to `executor`'s daemon and blocks until the
   /// heartbeat monitor has declared it dead (missed pings, then failed

@@ -47,7 +47,6 @@ void Executor::Wipe() {
 }
 
 void Executor::VerifyMemoryAccounting() {
-  heap_->ReportOccupancyNow();
   memory_->VerifyAccounting(heap_->capacity_bytes());
   cache_->VerifyAccounting();
 }

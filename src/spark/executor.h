@@ -36,9 +36,9 @@ class Executor {
   /// kept). Must run on the thread that owns the heap.
   void Wipe();
 
-  /// Accounting identity check (stage barriers, tests): syncs the heap's
-  /// occupancy report, then asserts the manager's view matches the live
-  /// heap capacity and the summed footprint of every live page group.
+  /// Accounting identity check (stage barriers, tests): asserts the
+  /// manager's view matches the live heap capacity and the summed
+  /// footprint of every live page group.
   void VerifyMemoryAccounting();
 
  private:

@@ -2,8 +2,8 @@
 #define DECA_SPARK_METRICS_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
+
+#include "common/field_codec.h"
 
 namespace deca::spark {
 
@@ -26,30 +26,36 @@ struct TaskMetrics {
   uint64_t storage_pool_peak_bytes = 0;
   uint64_t denied_reservations = 0;
 
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = TaskMetrics;
+    DECA_SUM(total_ms);
+    DECA_SUM(queue_ms);
+    DECA_SUM(gc_ms);
+    DECA_SUM(shuffle_read_ms);
+    DECA_SUM(shuffle_write_ms);
+    DECA_SUM(ser_ms);
+    DECA_SUM(deser_ms);
+    DECA_SUM(spill_ms);
+    DECA_MAX(exec_pool_peak_bytes);
+    DECA_MAX(storage_pool_peak_bytes);
+    DECA_SUM(denied_reservations);
+  }
+
   double compute_ms() const {
     double other = gc_ms + shuffle_read_ms + shuffle_write_ms + ser_ms +
                    deser_ms + spill_ms;
     return total_ms > other ? total_ms - other : 0.0;
   }
 
-  void Accumulate(const TaskMetrics& t) {
-    total_ms += t.total_ms;
-    queue_ms += t.queue_ms;
-    gc_ms += t.gc_ms;
-    shuffle_read_ms += t.shuffle_read_ms;
-    shuffle_write_ms += t.shuffle_write_ms;
-    ser_ms += t.ser_ms;
-    deser_ms += t.deser_ms;
-    spill_ms += t.spill_ms;
-    if (t.exec_pool_peak_bytes > exec_pool_peak_bytes) {
-      exec_pool_peak_bytes = t.exec_pool_peak_bytes;
-    }
-    if (t.storage_pool_peak_bytes > storage_pool_peak_bytes) {
-      storage_pool_peak_bytes = t.storage_pool_peak_bytes;
-    }
-    denied_reservations += t.denied_reservations;
-  }
+  void Accumulate(const TaskMetrics& t) { FoldFields(this, t); }
 };
+
+// Tripwire: a new member breaks this binding until it is listed.
+inline void CheckTaskMetricsList(TaskMetrics& t) {
+  [[maybe_unused]] auto& [m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10] = t;
+  static_assert(FieldCount<TaskMetrics>() == 11);
+}
 
 /// Tier-plane counters of one block store (or summed across a job): per
 /// tier resident bytes and hits, tier-transition counts, and the lazy
@@ -71,25 +77,37 @@ struct TierCounters {
   double promote_p50_ms = 0;
   double promote_p99_ms = 0;
 
-  /// Accumulates `o` (counters sum; latency percentiles take the max —
-  /// they do not compose across executors).
-  void Add(const TierCounters& o) {
-    t0_resident_bytes += o.t0_resident_bytes;
-    t1_resident_bytes += o.t1_resident_bytes;
-    t2_resident_bytes += o.t2_resident_bytes;
-    t1_peak_bytes += o.t1_peak_bytes;
-    t0_hits += o.t0_hits;
-    t1_hits += o.t1_hits;
-    t2_hits += o.t2_hits;
-    misses += o.misses;
-    demotes_to_t1 += o.demotes_to_t1;
-    demotes_to_t2 += o.demotes_to_t2;
-    promotes += o.promotes;
-    admit_rejects += o.admit_rejects;
-    if (o.promote_p50_ms > promote_p50_ms) promote_p50_ms = o.promote_p50_ms;
-    if (o.promote_p99_ms > promote_p99_ms) promote_p99_ms = o.promote_p99_ms;
+  /// Also the run report's tier.* metrics, named after the members.
+  /// Counters sum; latency percentiles take the max, since they do not
+  /// compose across executors.
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = TierCounters;
+    DECA_SUM(t0_resident_bytes);
+    DECA_SUM(t1_resident_bytes);
+    DECA_SUM(t2_resident_bytes);
+    DECA_SUM(t1_peak_bytes);
+    DECA_SUM(t0_hits);
+    DECA_SUM(t1_hits);
+    DECA_SUM(t2_hits);
+    DECA_SUM(misses);
+    DECA_SUM(demotes_to_t1);
+    DECA_SUM(demotes_to_t2);
+    DECA_SUM(promotes);
+    DECA_SUM(admit_rejects);
+    DECA_MAX(promote_p50_ms);
+    DECA_MAX(promote_p99_ms);
   }
+
+  void Add(const TierCounters& o) { FoldFields(this, o); }
 };
+
+// Tripwire: a new member breaks this binding until it is listed.
+inline void CheckTierCountersList(TierCounters& t) {
+  [[maybe_unused]] auto& [m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11,
+                          m12, m13] = t;
+  static_assert(FieldCount<TierCounters>() == 14);
+}
 
 /// Aggregated metrics for a stage or a whole job.
 struct JobMetrics {

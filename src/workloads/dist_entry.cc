@@ -5,108 +5,31 @@
 #include "cluster/daemon_runtime.h"
 #include "cluster/scoped_job.h"
 #include "cluster/workload_registry.h"
-#include "common/bytes.h"
 #include "common/clock.h"
 
 namespace deca::workloads {
 
-std::vector<uint8_t> EncodeWordCountParams(const WordCountParams& p) {
-  ByteWriter w;
-  w.WriteVarU64(p.total_words);
-  w.WriteVarU64(p.distinct_keys);
-  w.Write<double>(p.zipf_s);
-  w.Write<uint8_t>(static_cast<uint8_t>(p.mode));
-  w.Write<uint8_t>(p.profile ? 1 : 0);
-  w.WriteVarU64(p.profile_every);
-  w.WriteVarU64(p.seed);
-  return w.TakeBuffer();
+namespace {
+
+// Tripwires: a member added to a params struct breaks its binding until it
+// is listed, or counted here as off the wire like `spark`.
+[[maybe_unused]] void CheckParamsLists(WordCountParams& wc, MlParams& ml,
+                                       ServeParams& sv, ProbeParams& pr) {
+  [[maybe_unused]] auto& [w0, w1, w2, w3, w4, w5, w6, w7] = wc;
+  static_assert(FieldCount<WordCountParams>() == 8 - 1);
+  [[maybe_unused]] auto& [m0, m1, m2, m3, m4, m5, m6, m7] = ml;
+  static_assert(FieldCount<MlParams>() == 8 - 1);
+  [[maybe_unused]] auto& [s0, s1, s2, s3, s4, s5, s6] = sv;
+  static_assert(FieldCount<ServeParams>() == 7 - 1);
+  [[maybe_unused]] auto& [p0, p1, p2, p3, p4, p5] = pr;
+  static_assert(FieldCount<ProbeParams>() == 6 - 1);
 }
 
-WordCountParams DecodeWordCountParams(const std::vector<uint8_t>& blob) {
-  ByteReader r(blob.data(), blob.size());
-  WordCountParams p;
-  p.total_words = r.ReadVarU64();
-  p.distinct_keys = r.ReadVarU64();
-  p.zipf_s = r.Read<double>();
-  p.mode = static_cast<Mode>(r.Read<uint8_t>());
-  p.profile = r.Read<uint8_t>() != 0;
-  p.profile_every = r.ReadVarU64();
-  p.seed = r.ReadVarU64();
-  return p;
-}
-
-std::vector<uint8_t> EncodeMlParams(const MlParams& p) {
-  ByteWriter w;
-  w.WriteVarI64(p.dims);
-  w.WriteVarU64(p.num_points);
-  w.WriteVarI64(p.iterations);
-  w.WriteVarI64(p.clusters);
-  w.Write<uint8_t>(static_cast<uint8_t>(p.mode));
-  w.Write<uint8_t>(p.profile ? 1 : 0);
-  w.WriteVarU64(p.seed);
-  return w.TakeBuffer();
-}
-
-MlParams DecodeMlParams(const std::vector<uint8_t>& blob) {
-  ByteReader r(blob.data(), blob.size());
-  MlParams p;
-  p.dims = static_cast<int>(r.ReadVarI64());
-  p.num_points = r.ReadVarU64();
-  p.iterations = static_cast<int>(r.ReadVarI64());
-  p.clusters = static_cast<int>(r.ReadVarI64());
-  p.mode = static_cast<Mode>(r.Read<uint8_t>());
-  p.profile = r.Read<uint8_t>() != 0;
-  p.seed = r.ReadVarU64();
-  return p;
-}
-
-std::vector<uint8_t> EncodeServeParams(const ServeParams& p) {
-  ByteWriter w;
-  w.WriteVarU64(p.num_records);
-  w.WriteVarI64(p.record_doubles);
-  w.WriteVarI64(p.queries_per_task);
-  w.WriteVarI64(p.serve_stages);
-  w.Write<uint8_t>(static_cast<uint8_t>(p.mode));
-  w.WriteVarU64(p.seed);
-  return w.TakeBuffer();
-}
-
-ServeParams DecodeServeParams(const std::vector<uint8_t>& blob) {
-  ByteReader r(blob.data(), blob.size());
-  ServeParams p;
-  p.num_records = r.ReadVarU64();
-  p.record_doubles = static_cast<int>(r.ReadVarI64());
-  p.queries_per_task = static_cast<int>(r.ReadVarI64());
-  p.serve_stages = static_cast<int>(r.ReadVarI64());
-  p.mode = static_cast<Mode>(r.Read<uint8_t>());
-  p.seed = r.ReadVarU64();
-  return p;
-}
-
-std::vector<uint8_t> EncodeProbeParams(const ProbeParams& p) {
-  ByteWriter w;
-  w.WriteVarI64(p.stages);
-  w.WriteVarU64(p.items_per_partition);
-  w.WriteVarI64(p.die_stage);
-  w.WriteVarI64(p.die_partition);
-  w.WriteVarI64(p.die_generations);
-  return w.TakeBuffer();
-}
-
-ProbeParams DecodeProbeParams(const std::vector<uint8_t>& blob) {
-  ByteReader r(blob.data(), blob.size());
-  ProbeParams p;
-  p.stages = static_cast<int>(r.ReadVarI64());
-  p.items_per_partition = r.ReadVarU64();
-  p.die_stage = static_cast<int>(r.ReadVarI64());
-  p.die_partition = static_cast<int>(r.ReadVarI64());
-  p.die_generations = static_cast<int>(r.ReadVarI64());
-  return p;
-}
+}  // namespace
 
 ProbeResult RunDistProbe(const ProbeParams& params) {
   spark::SparkConfig cfg = params.spark;
-  cluster::ScopedJob job(&cfg, "probe", EncodeProbeParams(params));
+  cluster::ScopedJob job(&cfg, "probe", EncodeBytes(params));
   spark::SparkContext ctx(cfg);
 
   ProbeResult result;
@@ -131,14 +54,11 @@ ProbeResult RunDistProbe(const ProbeParams& params) {
             x ^= x >> 29;
             h ^= x;
           }
-          ByteWriter w;
-          w.WriteVarU64(h);
-          return w.TakeBuffer();
+          return EncodeBytes(h);
         });
     // Position-sensitive fold so a permuted gather would show up.
     for (const auto& blob : blobs) {
-      ByteReader r(blob.data(), blob.size());
-      checksum = checksum * 1099511628211ULL ^ r.ReadVarU64();
+      checksum = checksum * 1099511628211ULL ^ DecodeBytes<uint64_t>(blob);
     }
   }
   result.checksum = checksum;
@@ -151,28 +71,28 @@ void RegisterDistWorkloads() {
   cluster::RegisterWorkload(
       "wordcount", [](const spark::SparkConfig& base,
                       const std::vector<uint8_t>& blob) {
-        WordCountParams p = DecodeWordCountParams(blob);
+        auto p = DecodeBytes<WordCountParams>(blob);
         p.spark = base;
         RunWordCount(p);
       });
   cluster::RegisterWorkload(
       "lr", [](const spark::SparkConfig& base,
                const std::vector<uint8_t>& blob) {
-        MlParams p = DecodeMlParams(blob);
+        auto p = DecodeBytes<MlParams>(blob);
         p.spark = base;
         RunLogisticRegression(p);
       });
   cluster::RegisterWorkload(
       "serve", [](const spark::SparkConfig& base,
                   const std::vector<uint8_t>& blob) {
-        ServeParams p = DecodeServeParams(blob);
+        auto p = DecodeBytes<ServeParams>(blob);
         p.spark = base;
         RunServeCache(p);
       });
   cluster::RegisterWorkload(
       "probe", [](const spark::SparkConfig& base,
                   const std::vector<uint8_t>& blob) {
-        ProbeParams p = DecodeProbeParams(blob);
+        auto p = DecodeBytes<ProbeParams>(blob);
         p.spark = base;
         RunDistProbe(p);
       });

@@ -4,25 +4,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/field_codec.h"
 #include "workloads/common.h"
 #include "workloads/lr.h"
 #include "workloads/serve_entry.h"
 #include "workloads/wordcount.h"
 
 namespace deca::workloads {
-
-/// Workload-parameter codecs for the cluster job spec. Only workload
-/// fields travel here — the SparkConfig ships separately in the
-/// JobSpec, and the daemon-side wrappers graft it back on before
-/// running, so there is exactly one authoritative config per job.
-std::vector<uint8_t> EncodeWordCountParams(const WordCountParams& p);
-WordCountParams DecodeWordCountParams(const std::vector<uint8_t>& blob);
-
-std::vector<uint8_t> EncodeMlParams(const MlParams& p);
-MlParams DecodeMlParams(const std::vector<uint8_t>& blob);
-
-std::vector<uint8_t> EncodeServeParams(const ServeParams& p);
-ServeParams DecodeServeParams(const std::vector<uint8_t>& blob);
 
 /// A scripted control-plane exercise: `stages` shuffle-free
 /// compute-and-collect stages over heapless checksum tasks. With a
@@ -39,6 +27,17 @@ struct ProbeParams {
   int die_partition = -1;
   int die_generations = 0;  // generations [0, N) self-kill
   spark::SparkConfig spark;
+
+  /// The job-spec params blob; `spark` travels as the JobSpec's config.
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = ProbeParams;
+    DECA_WIRE(stages);
+    DECA_WIRE(items_per_partition);
+    DECA_WIRE(die_stage);
+    DECA_WIRE(die_partition);
+    DECA_WIRE(die_generations);
+  }
 };
 
 struct ProbeResult {
@@ -48,10 +47,12 @@ struct ProbeResult {
 
 ProbeResult RunDistProbe(const ProbeParams& params);
 
-std::vector<uint8_t> EncodeProbeParams(const ProbeParams& p);
-ProbeParams DecodeProbeParams(const std::vector<uint8_t>& blob);
-
-/// Registers every distributed workload with the cluster registry.
+/// Registers every distributed workload with the cluster registry. A
+/// workload's params cross as EncodeBytes/DecodeBytes of its params
+/// struct, whose field list leaves out `spark`: the SparkConfig ships
+/// separately in the JobSpec, and the daemon-side wrappers graft it back
+/// on before running, so there is exactly one authoritative config per
+/// job.
 /// Called explicitly from daemon mains (static initializers in a static
 /// library would be dropped by the linker).
 void RegisterDistWorkloads();

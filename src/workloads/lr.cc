@@ -304,7 +304,7 @@ LrResult RunLogisticRegression(const MlParams& params) {
   ApplyMode(params.mode, &cfg);
   // SPMD seam: a no-op in-process; spawns/joins the executor daemons in
   // process mode. Must outlive the context.
-  cluster::ScopedJob job(&cfg, "lr", EncodeMlParams(params));
+  cluster::ScopedJob job(&cfg, "lr", EncodeBytes(params));
   spark::SparkContext ctx(cfg);
   LrTypes types(ctx.registry(), params.dims);
   ctx.RegisterCachedRdd(kLrRddId, &types.ops());

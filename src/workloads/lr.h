@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "analysis/global_classifier.h"
+#include "common/field_codec.h"
 #include "core/sudt_layout.h"
 #include "spark/context.h"
 #include "workloads/common.h"
@@ -22,6 +23,19 @@ struct MlParams {
   /// (Figure 9a).
   bool profile = false;
   uint64_t seed = 42;
+
+  /// The job-spec params blob; `spark` travels as the JobSpec's config.
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = MlParams;
+    DECA_WIRE(dims);
+    DECA_WIRE(num_points);
+    DECA_WIRE(iterations);
+    DECA_WIRE(clusters);
+    DECA_WIRE(mode);
+    DECA_WIRE(profile);
+    DECA_WIRE(seed);
+  }
 };
 
 /// The managed types, annotated-type model, classification verdict, and

@@ -121,7 +121,7 @@ void ReadRecord(jvm::Heap* h, const LrTypes& types,
 ServeResult RunServeCache(const ServeParams& params) {
   spark::SparkConfig cfg = params.spark;
   ApplyMode(params.mode, &cfg);
-  cluster::ScopedJob job(&cfg, "serve", EncodeServeParams(params));
+  cluster::ScopedJob job(&cfg, "serve", EncodeBytes(params));
   spark::SparkContext ctx(cfg);
   LrTypes types(ctx.registry(), params.record_doubles);
   ctx.RegisterCachedRdd(kServeRddId, &types.ops());

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/field_codec.h"
 #include "workloads/common.h"
 
 namespace deca::workloads {
@@ -27,6 +28,18 @@ struct ServeParams {
   Mode mode = Mode::kSpark;
   uint64_t seed = 42;
   spark::SparkConfig spark;
+
+  /// The job-spec params blob; `spark` travels as the JobSpec's config.
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = ServeParams;
+    DECA_WIRE(num_records);
+    DECA_WIRE(record_doubles);
+    DECA_WIRE(queries_per_task);
+    DECA_WIRE(serve_stages);
+    DECA_WIRE(mode);
+    DECA_WIRE(seed);
+  }
 };
 
 struct ServeResult {

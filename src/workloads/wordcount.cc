@@ -116,7 +116,7 @@ WordCountResult RunWordCount(const WordCountParams& params) {
   ApplyMode(params.mode, &cfg);
   // SPMD seam: a no-op in-process; spawns/joins the executor daemons in
   // process mode. Must outlive the context.
-  cluster::ScopedJob job(&cfg, "wordcount", EncodeWordCountParams(params));
+  cluster::ScopedJob job(&cfg, "wordcount", EncodeBytes(params));
   spark::SparkContext ctx(cfg);
   WcTypes types(ctx.registry());
 

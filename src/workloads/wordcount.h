@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/field_codec.h"
 #include "workloads/common.h"
 
 namespace deca::workloads {
@@ -24,6 +25,19 @@ struct WordCountParams {
   bool profile = false;
   uint64_t profile_every = 200000;
   uint64_t seed = 99;
+
+  /// The job-spec params blob; `spark` travels as the JobSpec's config.
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = WordCountParams;
+    DECA_WIRE(total_words);
+    DECA_WIRE(distinct_keys);
+    DECA_WIRE(zipf_s);
+    DECA_WIRE(mode);
+    DECA_WIRE(profile);
+    DECA_WIRE(profile_every);
+    DECA_WIRE(seed);
+  }
 };
 
 struct WordCountResult {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault_config.h"
@@ -104,20 +105,14 @@ void ExpectSameRun(const workloads::RunResult& a,
   EXPECT_EQ(a.alloc.alloc_calls, b.alloc.alloc_calls);
   EXPECT_EQ(a.alloc.free_calls, b.alloc.free_calls);
   EXPECT_EQ(a.alloc.bytes_requested, b.alloc.bytes_requested);
-  // Tier plane: every deterministic counter (the promote percentiles are
-  // wall times).
-  EXPECT_EQ(a.tier.t0_resident_bytes, b.tier.t0_resident_bytes);
-  EXPECT_EQ(a.tier.t1_resident_bytes, b.tier.t1_resident_bytes);
-  EXPECT_EQ(a.tier.t2_resident_bytes, b.tier.t2_resident_bytes);
-  EXPECT_EQ(a.tier.t1_peak_bytes, b.tier.t1_peak_bytes);
-  EXPECT_EQ(a.tier.t0_hits, b.tier.t0_hits);
-  EXPECT_EQ(a.tier.t1_hits, b.tier.t1_hits);
-  EXPECT_EQ(a.tier.t2_hits, b.tier.t2_hits);
-  EXPECT_EQ(a.tier.misses, b.tier.misses);
-  EXPECT_EQ(a.tier.demotes_to_t1, b.tier.demotes_to_t1);
-  EXPECT_EQ(a.tier.demotes_to_t2, b.tier.demotes_to_t2);
-  EXPECT_EQ(a.tier.promotes, b.tier.promotes);
-  EXPECT_EQ(a.tier.admit_rejects, b.tier.admit_rejects);
+  // Tier plane: every deterministic (integer) counter of the list; the
+  // double entries, the promote percentiles, are wall times.
+  spark::TierCounters::ForEachField([&](const char* name, auto member, Fold) {
+    if constexpr (std::is_integral_v<
+                      std::remove_reference_t<decltype(a.tier.*member)>>) {
+      EXPECT_EQ(a.tier.*member, b.tier.*member) << "tier." << name;
+    }
+  });
 }
 
 TEST(ClusterDistTest, WordCountMatrixLocalEqualsProcess) {

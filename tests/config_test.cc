@@ -61,9 +61,11 @@ TEST(SparkConfigCodecTest, EveryListedFieldRoundTrips) {
   spark::ForEachSparkField(
       sent, [](const char*, auto, uint64_t, auto& v) { v = Bumped(v); });
   ByteWriter w;
-  cluster::EncodeSparkConfig(sent, &w);
+  Put(&w, sent);
   ByteReader r(w.data(), w.size());
-  const std::vector<std::string> got = Fields(cluster::DecodeSparkConfig(&r));
+  spark::SparkConfig decoded;
+  Get(&r, &decoded);
+  const std::vector<std::string> got = Fields(decoded);
   EXPECT_TRUE(r.AtEnd());
 
   const std::vector<std::string> defaults = Fields(spark::SparkConfig{});

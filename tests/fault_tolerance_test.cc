@@ -16,7 +16,6 @@
 #include "fault/task_failure.h"
 #include "jvm/heap.h"
 #include "spark/context.h"
-#include "spark/typed_rdd.h"
 #include "workloads/lr.h"
 #include "workloads/wordcount.h"
 
@@ -226,29 +225,6 @@ TEST(FaultToleranceTest, LrCrashWipeMidRunRecoversWeights) {
   }
   EXPECT_EQ(r.run.executor_wipes, 1u);
   EXPECT_EQ(r.run.recomputed_blocks, 2u);
-}
-
-TEST(FaultToleranceTest, TypedRddWipeRecomputesFromLineage) {
-  spark::SparkConfig cfg = SmallConfig();
-  spark::SparkContext ctx(cfg);
-
-  std::vector<int64_t> values;
-  for (int64_t i = 0; i < 100; ++i) values.push_back(i);
-  auto rdd = spark::TypedRdd<int64_t>::Parallelize(
-      &ctx, spark::MakeBoxedLongAdapter(), values);
-  auto doubled = rdd.Map([](const int64_t& v) { return 2 * v; });
-
-  std::vector<int64_t> before = doubled.Collect();
-  ASSERT_EQ(before.size(), values.size());
-  EXPECT_EQ(ctx.metrics().recomputed_blocks, 0u);
-
-  ctx.WipeExecutor(0);
-  std::vector<int64_t> after = doubled.Collect();
-  EXPECT_EQ(after, before);
-  // Executor 0 owns partitions 0 and 2: each lost block of `doubled`
-  // recomputes through its (also lost) parent block.
-  EXPECT_EQ(ctx.metrics().recomputed_blocks, 4u);
-  EXPECT_EQ(ctx.metrics().executor_wipes, 1u);
 }
 
 // ---------------------------------------------------------------------------

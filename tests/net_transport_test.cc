@@ -118,6 +118,24 @@ TEST(WireCodecs, RecordFallbackWholeChunk) {
   EXPECT_EQ(stats.records_encoded.load(), 1u);
 }
 
+// Record boundaries that do not tile the payload abort the encoder instead
+// of dropping the tail (short) or reading past the payload (long).
+TEST(WireCodecs, RecordBoundariesMustCoverPayload) {
+  std::vector<uint8_t> payload = Payload(40);
+  ChunkMeta stride;
+  stride.fixed_record_bytes = 16;
+  EXPECT_DEATH(EncodeFrame(WireCodec::kRecord, payload, stride, nullptr),
+               "record codec: a 40-byte payload is not whole 16-byte records");
+  ChunkMeta short_lens;
+  short_lens.record_lens = {16, 16};
+  EXPECT_DEATH(EncodeFrame(WireCodec::kRecord, payload, short_lens, nullptr),
+               "record lengths sum to 32 bytes, but the payload holds 40");
+  ChunkMeta long_lens;
+  long_lens.record_lens = {32, 16};
+  EXPECT_DEATH(EncodeFrame(WireCodec::kRecord, payload, long_lens, nullptr),
+               "record lengths sum to 48 bytes, but the payload holds 40");
+}
+
 TEST(WireCodecs, PageFrameSmallerThanRecordFrame) {
   std::vector<uint8_t> payload = Payload(4096);
   ChunkMeta meta;
