@@ -43,7 +43,6 @@ int DaemonRuntime::Run() {
     HelloMsg hello;
     hello.executor = executor_;
     hello.generation = generation_;
-    hello.pid = static_cast<int64_t>(getpid());
     hello.control_port = control_->port();
     net::ReadCtrl(reg.Call(net::CtrlFrame(net::CtrlType::kHello, hello), 20000),
                   net::CtrlType::kSpec, &spec_);

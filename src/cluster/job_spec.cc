@@ -23,8 +23,8 @@ namespace {
                                         cluster::StageDoneMsg& s) {
   [[maybe_unused]] auto& [j0, j1, j2] = j;
   static_assert(FieldCount<cluster::JobSpec>() == 3);
-  [[maybe_unused]] auto& [h0, h1, h2, h3] = h;
-  static_assert(FieldCount<cluster::HelloMsg>() == 4);
+  [[maybe_unused]] auto& [h0, h1, h2] = h;
+  static_assert(FieldCount<cluster::HelloMsg>() == 3);
   [[maybe_unused]] auto& [r0, r1, r2] = r;
   static_assert(FieldCount<cluster::ReadyMsg>() == 3);
   [[maybe_unused]] auto& [s0, s1] = s;

@@ -43,7 +43,6 @@ struct JobSpec {
 struct HelloMsg {
   int32_t executor = -1;
   int32_t generation = 0;
-  int64_t pid = -1;
   uint16_t control_port = 0;
 
   template <typename F>
@@ -51,7 +50,6 @@ struct HelloMsg {
     using Self = HelloMsg;
     DECA_WIRE(executor);
     DECA_WIRE(generation);
-    DECA_WIRE(pid);
     DECA_WIRE(control_port);
   }
 };

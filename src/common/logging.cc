@@ -1,13 +1,10 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 
 namespace deca {
 namespace {
-
-std::atomic<LogLevel> g_min_level{LogLevel::kWarning};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -32,11 +29,7 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-LogLevel MinLogLevel() { return g_min_level.load(std::memory_order_relaxed); }
-
-void SetMinLogLevel(LogLevel level) {
-  g_min_level.store(level, std::memory_order_relaxed);
-}
+LogLevel MinLogLevel() { return LogLevel::kWarning; }
 
 namespace internal {
 

@@ -11,12 +11,9 @@ namespace deca {
 /// after emitting the message.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-/// Returns the process-wide minimum severity that is actually emitted.
+/// Returns the minimum severity that is actually emitted (kWarning).
+/// Messages below it are swallowed.
 LogLevel MinLogLevel();
-
-/// Sets the process-wide minimum severity. Messages below `level` are
-/// swallowed (their stream arguments are still evaluated).
-void SetMinLogLevel(LogLevel level);
 
 namespace internal {
 

@@ -79,10 +79,6 @@ double Rng::NextGaussian() {
   return r * std::cos(theta);
 }
 
-void Rng::FillUniform(double* out, size_t n, double lo, double hi) {
-  for (size_t i = 0; i < n; ++i) out[i] = NextDouble(lo, hi);
-}
-
 ZipfSampler::ZipfSampler(uint64_t n, double s, uint64_t seed)
     : n_(n), rng_(seed) {
   DECA_CHECK(n > 0);

@@ -29,9 +29,6 @@ class Rng {
   /// Returns a standard-normal variate (Box–Muller).
   double NextGaussian();
 
-  /// Fills `out` with `n` uniform doubles in [lo, hi).
-  void FillUniform(double* out, size_t n, double lo, double hi);
-
  private:
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;

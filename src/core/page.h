@@ -153,11 +153,6 @@ class PageScanner {
     return group_->Resolve({page_, offset_});
   }
 
-  SegPtr CurPtr() {
-    Normalize();
-    return {page_, offset_};
-  }
-
   void Advance(uint32_t bytes) { offset_ += bytes; }
 
   void Reset() {

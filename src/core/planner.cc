@@ -6,32 +6,6 @@ namespace deca::core {
 
 using analysis::IsDecomposable;
 
-const char* ContainerKindName(ContainerKind k) {
-  switch (k) {
-    case ContainerKind::kUdfVariables:
-      return "udf-vars";
-    case ContainerKind::kCacheBlock:
-      return "cache-block";
-    case ContainerKind::kShuffleBuffer:
-      return "shuffle-buffer";
-  }
-  return "?";
-}
-
-const char* ContainerLayoutName(ContainerLayout l) {
-  switch (l) {
-    case ContainerLayout::kObjects:
-      return "objects";
-    case ContainerLayout::kDecomposed:
-      return "decomposed";
-    case ContainerLayout::kPointersToPrimary:
-      return "pointers";
-    case ContainerLayout::kSharedPageInfo:
-      return "shared-page-info";
-  }
-  return "?";
-}
-
 int DecompositionPlanner::PrimaryIndex(
     const std::vector<ContainerSpec>& group) {
   DECA_CHECK(!group.empty());

@@ -15,8 +15,6 @@ enum class ContainerKind {
   kShuffleBuffer,
 };
 
-const char* ContainerKindName(ContainerKind k);
-
 /// How a container stores its data after planning.
 enum class ContainerLayout {
   /// Plain managed objects (not decomposable, or UDF variables).
@@ -31,8 +29,6 @@ enum class ContainerLayout {
   /// case of the fully decomposable scenario).
   kSharedPageInfo,
 };
-
-const char* ContainerLayoutName(ContainerLayout l);
 
 /// One container in a job stage, as seen by the planner.
 struct ContainerSpec {

@@ -31,9 +31,7 @@ struct RemoteTaskEnvelope {
   int32_t stage = 0;
   int32_t partition = 0;
   int32_t attempt = 0;
-  bool collect = false;       // task returns a result blob
   int64_t replay_token = -1;  // >= 0 for replay executions
-  double queue_ms = 0.0;      // driver-side dispatch queue time
 
   template <typename F>
   static constexpr void ForEachField(F&& f) {
@@ -41,9 +39,7 @@ struct RemoteTaskEnvelope {
     DECA_WIRE(stage);
     DECA_WIRE(partition);
     DECA_WIRE(attempt);
-    DECA_WIRE(collect);
     DECA_WIRE(replay_token);
-    DECA_WIRE(queue_ms);
   }
 };
 
@@ -72,8 +68,8 @@ struct RemoteTaskOutcome {
 
 // Tripwires: a new member breaks its struct's binding until it is listed.
 inline void CheckRemoteTaskLists(RemoteTaskEnvelope& e, RemoteTaskOutcome& o) {
-  [[maybe_unused]] auto& [e0, e1, e2, e3, e4, e5] = e;
-  static_assert(FieldCount<RemoteTaskEnvelope>() == 6);
+  [[maybe_unused]] auto& [e0, e1, e2, e3] = e;
+  static_assert(FieldCount<RemoteTaskEnvelope>() == 4);
   [[maybe_unused]] auto& [o0, o1, o2, o3, o4, o5] = o;
   static_assert(FieldCount<RemoteTaskOutcome>() == 6);
 }

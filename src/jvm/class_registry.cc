@@ -83,12 +83,6 @@ uint32_t ClassRegistry::RegisterArrayClass(const std::string& name,
   return classes_.back().id_;
 }
 
-const ClassInfo& ClassRegistry::GetByName(const std::string& name) const {
-  uint32_t id = FindId(name);
-  DECA_CHECK_NE(id, UINT32_MAX) << "unknown class " << name;
-  return classes_[id];
-}
-
 uint32_t ClassRegistry::FindId(const std::string& name) const {
   for (const auto& c : classes_) {
     if (c.name() == name) return c.id();

@@ -83,9 +83,6 @@ class ClassRegistry {
     return classes_[id];
   }
 
-  /// Looks a class up by name; aborts if missing.
-  const ClassInfo& GetByName(const std::string& name) const;
-
   /// Returns the class id for `name`, or UINT32_MAX if not registered.
   uint32_t FindId(const std::string& name) const;
 

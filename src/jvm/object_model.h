@@ -41,7 +41,6 @@ inline constexpr uint64_t kGcMarkBit = 1;
 inline constexpr uint64_t kGcForwardBit = 2;
 inline constexpr uint32_t kGcForwardShift = 2;
 
-inline bool GcIsMarked(uint64_t gcword) { return (gcword & kGcMarkBit) != 0; }
 inline bool GcIsForwarded(uint64_t gcword) {
   return (gcword & kGcForwardBit) != 0;
 }

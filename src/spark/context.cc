@@ -202,8 +202,6 @@ void SparkContext::RunRemoteAttempts(
     env.stage = stage;
     env.partition = p;
     env.attempt = attempt;
-    env.collect = collect;
-    env.queue_ms = queue_ms;
     // RunTask throws fault::ExecutorLostError if the daemon died — never
     // resent; it propagates to the stage-quarantine handler.
     exec::RemoteTaskOutcome out = config_.runtime.driver->RunTask(e, env);
@@ -290,7 +288,6 @@ exec::RemoteTaskOutcome SparkContext::ExecuteRemoteAttempt(
     return out;
   }
   TaskContext tc(this, e, p, nparts);
-  tc.metrics().queue_ms = env.queue_ms;
   double gc0 = e->heap()->stats().TotalPauseMs();
   uint64_t denied0 = e->memory()->denied_reservations();
   Stopwatch sw;
@@ -481,7 +478,6 @@ void SparkContext::RunStageInternal(
     metrics_.task_retries += task_retries_.exchange(0);
     metrics_.injected_faults +=
         remote ? remote_fired_.exchange(0) : injector_.TakeFired();
-    metrics_.recomputed_blocks += recomputed_blocks_.exchange(0);
     // Every byte must be charged to exactly one manager — checked at every
     // stage barrier, in sequential and parallel runs alike.
     for (auto& e : executors_) e->VerifyMemoryAccounting();
@@ -632,14 +628,6 @@ void SparkContext::RecoverLostState(int stage) {
 
 void SparkContext::RegisterCachedRdd(int rdd_id, const RecordOps* ops) {
   for (auto& e : executors_) e->cache()->RegisterOps(rdd_id, ops);
-}
-
-void SparkContext::UnpersistRdd(int rdd_id) {
-  for (auto& e : executors_) {
-    for (int p = 0; p < num_partitions(); ++p) {
-      e->cache()->Evict({rdd_id, p});
-    }
-  }
 }
 
 void SparkContext::ResetMetrics() { metrics_ = JobMetrics(); }

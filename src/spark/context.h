@@ -163,17 +163,8 @@ class SparkContext {
   /// recomputed from lineage before the next stage runs.
   void WipeExecutor(int e);
 
-  /// Worker-side note that one lost block was rebuilt from lineage;
-  /// folded into the job metrics at the next stage barrier.
-  void NoteRecomputedBlock() {
-    recomputed_blocks_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Registers record ops for an RDD id on every executor's cache manager.
   void RegisterCachedRdd(int rdd_id, const RecordOps* ops);
-
-  /// Drops an unpersisted RDD's blocks on all executors.
-  void UnpersistRdd(int rdd_id);
 
   JobMetrics& metrics() { return metrics_; }
   /// Resets accumulated job metrics (e.g. after warmup).
@@ -290,7 +281,6 @@ class SparkContext {
   int next_stage_id_ = 0;
   int next_lineage_token_ = 0;
   std::atomic<uint64_t> task_retries_{0};
-  std::atomic<uint64_t> recomputed_blocks_{0};
   /// Driver role: injected faults reported by daemons (their identically
   /// seeded injectors make the decisions; the driver only counts).
   std::atomic<uint64_t> remote_fired_{0};

@@ -128,4 +128,19 @@ void KeyedShuffleReader::ForEachRecord(
   }
 }
 
+void KeyedShuffleReader::ForEachCombined(
+    ShuffleLayout layout, const std::function<void(const uint8_t*)>& entry,
+    const std::function<void(jvm::ObjRef, jvm::ObjRef)>& pair) const {
+  jvm::Heap* h = tc_.heap();
+  if (layout == ShuffleLayout::kDecomposed) {
+    DecaHashShuffleBuffer buf(h, ops_, tc_.context()->config().deca_page_bytes);
+    ForEachEntry([&](const uint8_t* k, const uint8_t* v) { buf.Insert(k, v); });
+    buf.ForEach(entry);
+    return;
+  }
+  ObjectHashShuffleBuffer buf(h, ops_);
+  ForEachRecord([&](jvm::ObjRef k, jvm::ObjRef v) { buf.Insert(k, v); });
+  buf.ForEach(pair);
+}
+
 }  // namespace deca::spark

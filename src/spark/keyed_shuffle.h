@@ -83,6 +83,19 @@ class KeyedShuffleReader {
   void ForEachRecord(
       const std::function<void(jvm::ObjRef key, jvm::ObjRef value)>& fn) const;
 
+  /// The reduce-side combine: builds `layout`'s hash buffer (page size
+  /// from the task's context), inserts every fetched pair as above, then
+  /// visits the combined entries in the buffer's own ForEach order, so
+  /// float folds are the same in every mode. Decomposed entries go to
+  /// `entry` as raw bytes (key immediately followed by value), object
+  /// pairs to `pair`; neither visitor may allocate. The buffer is freed
+  /// on return.
+  void ForEachCombined(
+      ShuffleLayout layout,
+      const std::function<void(const uint8_t* entry)>& entry,
+      const std::function<void(jvm::ObjRef key, jvm::ObjRef value)>& pair)
+      const;
+
  private:
   TaskContext& tc_;
   int shuffle_id_;

@@ -1,5 +1,7 @@
 #include "workloads/common.h"
 
+#include "common/logging.h"
+
 namespace deca::workloads {
 
 const char* ModeName(Mode m) {
@@ -29,6 +31,13 @@ void ApplyMode(Mode mode, spark::SparkConfig* config) {
       config->deca_shuffle = true;
       break;
   }
+}
+
+void RejectCrashWipe(const spark::SparkConfig& config, const char* workload,
+                     const char* reason) {
+  DECA_CHECK(config.fault.crash_wipe_stage < 0 ||
+             config.fault.crash_wipe_executor < 0)
+      << workload << " cannot recover from a crash-wipe: " << reason;
 }
 
 void FinalizeResult(spark::SparkContext* ctx, RunResult* result) {

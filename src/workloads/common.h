@@ -27,6 +27,12 @@ const char* ModeName(Mode m);
 /// Applies a mode to a SparkConfig (cache level + shuffle path).
 void ApplyMode(Mode mode, spark::SparkConfig* config);
 
+/// Aborts at job start, naming `workload` and `reason`, when `config`
+/// schedules a crash-wipe. For workloads whose cached state has no
+/// lineage: a wipe would silently drop data instead of recomputing it.
+void RejectCrashWipe(const spark::SparkConfig& config, const char* workload,
+                     const char* reason);
+
 /// Common result record every workload reports; bench harnesses format
 /// these into the paper's tables and figure series.
 struct RunResult {

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "analysis/global_classifier.h"
+#include "spark/block_reader.h"
 #include "spark/keyed_shuffle.h"
 #include "workloads/lr.h"
 
@@ -20,6 +21,12 @@ using jvm::ObjRef;
 namespace {
 
 constexpr int kLinksRddId = 3;
+
+/// Why a crash-wipe cannot be recovered: the cached adjacency lists
+/// would need the groupBy stage replayed, but its input is gone.
+constexpr const char* kNoAdjacencyLineage =
+    "the edge shuffle is released after grouping, so the cached adjacency "
+    "lists have no lineage";
 
 /// Deca adjacency record: [id:i64 | total_degree:u32 | count:u32 |
 /// dsts:i64*count]. Hub vertices whose lists exceed one page are split
@@ -442,6 +449,7 @@ uint64_t BuildAdjacency(spark::SparkContext* ctx, const GraphParams& params,
 PageRankResult RunPageRank(const GraphParams& params) {
   spark::SparkConfig cfg = params.spark;
   ApplyMode(params.mode, &cfg);
+  RejectCrashWipe(cfg, "PageRank", kNoAdjacencyLineage);
   spark::SparkContext ctx(cfg);
   GraphTypes types(ctx.registry());
   ctx.RegisterCachedRdd(kLinksRddId, &types.links_ops);
@@ -469,24 +477,16 @@ PageRankResult RunPageRank(const GraphParams& params) {
       std::unordered_map<int64_t, double> ranks;
       if (prev_shuffle >= 0) {
         spark::KeyedShuffleReader in(tc, prev_shuffle, &types.contrib_ops);
-        if (deca) {
-          spark::DecaHashShuffleBuffer buf(h, &types.contrib_ops,
-                                           cfg.deca_page_bytes);
-          in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
-            buf.Insert(k, v);
-          });
-          buf.ForEach([&](const uint8_t* e) {
-            ranks[LoadRaw<int64_t>(e)] =
-                0.15 + 0.85 * LoadRaw<double>(e + 8);
-          });
-        } else {
-          spark::ObjectHashShuffleBuffer buf(h, &types.contrib_ops);
-          in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
-          buf.ForEach([&](ObjRef k, ObjRef v) {
-            ranks[h->GetField<int64_t>(k, 0)] =
-                0.15 + 0.85 * h->GetField<double>(v, 0);
-          });
-        }
+        in.ForEachCombined(
+            layout,
+            [&](const uint8_t* e) {
+              ranks[LoadRaw<int64_t>(e)] =
+                  0.15 + 0.85 * LoadRaw<double>(e + 8);
+            },
+            [&](ObjRef k, ObjRef v) {
+              ranks[h->GetField<int64_t>(k, 0)] =
+                  0.15 + 0.85 * h->GetField<double>(v, 0);
+            });
       }
       auto rank_of = [&](int64_t v) -> double {
         if (iter == 0) return 1.0;
@@ -497,75 +497,46 @@ PageRankResult RunPageRank(const GraphParams& params) {
       // 2. Scan the cached adjacency sub-blocks and emit contributions.
       spark::KeyedShuffleWriter out(tc, next_shuffle, &types.contrib_ops,
                                     layout);
-      if (deca) {
-        ForEachPointBlock(tc, kLinksRddId,
-                          [&](const spark::LoadedBlock& block) {
-          core::PageScanner scan(block.pages.get());
-          while (!scan.AtEnd()) {
-            const uint8_t* p = scan.Cur();
-            int64_t id = LoadRaw<int64_t>(p);
-            uint32_t degree = LoadRaw<uint32_t>(p + 8);
-            uint32_t n = LoadRaw<uint32_t>(p + 12);
-            double contrib = rank_of(id) / degree;
-            for (uint32_t j = 0; j < n; ++j) {
-              int64_t dst = LoadRaw<int64_t>(p + kAdjHeaderBytes + 8ull * j);
-              out.Insert(reinterpret_cast<const uint8_t*>(&dst),
-                         reinterpret_cast<const uint8_t*>(&contrib));
-            }
-            scan.Advance(kAdjHeaderBytes + 8 * n);
-          }
-        });
-      } else {
-        auto process_links = [&](ObjRef links) {
-          HandleScope inner(h);
-          jvm::Handle hl = inner.Make(links);
-          int64_t id = h->GetField<int64_t>(hl.get(), types.id_off);
-          double contrib;
-          {
-            ObjRef nbrs = h->GetRefField(hl.get(), types.neighbors_off);
-            contrib = rank_of(id) / h->ArrayLength(nbrs);
-          }
-          uint32_t n =
-              h->ArrayLength(h->GetRefField(hl.get(), types.neighbors_off));
-          for (uint32_t j = 0; j < n; ++j) {
-            ObjRef nbrs = h->GetRefField(hl.get(), types.neighbors_off);
-            int64_t dst = h->GetElem<int64_t>(nbrs, j);
-            HandleScope pair_scope(h);
-            jvm::Handle k = pair_scope.Make(
-                h->AllocateInstance(h->registry()->boxed_long_class()));
-            h->SetField<int64_t>(k.get(), 0, dst);
-            jvm::Handle v = pair_scope.Make(
-                h->AllocateInstance(h->registry()->boxed_double_class()));
-            h->SetField<double>(v.get(), 0, contrib);
-            out.Insert(k.get(), v.get());
-          }
-        };
-        ForEachPointBlock(tc, kLinksRddId,
-                          [&](const spark::LoadedBlock& block) {
-          HandleScope scope(h);
-          if (block.level == spark::StorageLevel::kMemoryObjects) {
-            jvm::Handle arr = scope.Make(block.object_array);
-            for (uint32_t i = 0; i < block.count; ++i) {
-              process_links(h->GetRefElem(arr.get(), i));
-            }
-          } else {
-            // SparkSer: deserialize every record each iteration.
-            jvm::Handle bytes = scope.Make(block.serialized);
-            size_t size = h->ArrayLength(bytes.get());
-            std::vector<uint8_t> snapshot(size);
-            std::memcpy(snapshot.data(), h->ArrayData(bytes.get()), size);
-            ByteReader r(snapshot.data(), size);
-            for (uint32_t i = 0; i < block.count; ++i) {
-              ObjRef links;
-              {
-                ScopedTimerMs t(&tc.metrics().deser_ms);
-                links = types.links_ops.deserialize(h, &r);
-              }
-              process_links(links);
-            }
-          }
-        });
-      }
+      auto emit_record = [&](const uint8_t* p) {
+        int64_t id = LoadRaw<int64_t>(p);
+        uint32_t degree = LoadRaw<uint32_t>(p + 8);
+        uint32_t n = LoadRaw<uint32_t>(p + 12);
+        double contrib = rank_of(id) / degree;
+        for (uint32_t j = 0; j < n; ++j) {
+          int64_t dst = LoadRaw<int64_t>(p + kAdjHeaderBytes + 8ull * j);
+          out.Insert(reinterpret_cast<const uint8_t*>(&dst),
+                     reinterpret_cast<const uint8_t*>(&contrib));
+        }
+        return kAdjHeaderBytes + 8 * n;
+      };
+      auto emit_links = [&](ObjRef links) {
+        HandleScope inner(h);
+        jvm::Handle hl = inner.Make(links);
+        int64_t id = h->GetField<int64_t>(hl.get(), types.id_off);
+        double contrib;
+        {
+          ObjRef nbrs = h->GetRefField(hl.get(), types.neighbors_off);
+          contrib = rank_of(id) / h->ArrayLength(nbrs);
+        }
+        uint32_t n =
+            h->ArrayLength(h->GetRefField(hl.get(), types.neighbors_off));
+        for (uint32_t j = 0; j < n; ++j) {
+          ObjRef nbrs = h->GetRefField(hl.get(), types.neighbors_off);
+          int64_t dst = h->GetElem<int64_t>(nbrs, j);
+          HandleScope pair_scope(h);
+          jvm::Handle k = pair_scope.Make(
+              h->AllocateInstance(h->registry()->boxed_long_class()));
+          h->SetField<int64_t>(k.get(), 0, dst);
+          jvm::Handle v = pair_scope.Make(
+              h->AllocateInstance(h->registry()->boxed_double_class()));
+          h->SetField<double>(v.get(), 0, contrib);
+          out.Insert(k.get(), v.get());
+        }
+      };
+      ForEachPointBlock(tc, kLinksRddId, [&](const spark::LoadedBlock& block) {
+        spark::ForEachCachedRecord(tc, block, types.links_ops, emit_record,
+                                   emit_links);
+      });
       out.Finish();
     });
     if (prev_shuffle >= 0) ctx.shuffle()->Release(prev_shuffle);
@@ -582,24 +553,16 @@ PageRankResult RunPageRank(const GraphParams& params) {
     uint64_t& ranked = part_ranked[static_cast<size_t>(tc.partition())];
     jvm::Heap* h = tc.heap();
     spark::KeyedShuffleReader in(tc, prev_shuffle, &types.contrib_ops);
-    if (deca) {
-      spark::DecaHashShuffleBuffer buf(h, &types.contrib_ops,
-                                       cfg.deca_page_bytes);
-      in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
-        buf.Insert(k, v);
-      });
-      buf.ForEach([&](const uint8_t* e) {
-        rank_sum += 0.15 + 0.85 * LoadRaw<double>(e + 8);
-        ++ranked;
-      });
-    } else {
-      spark::ObjectHashShuffleBuffer buf(h, &types.contrib_ops);
-      in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
-      buf.ForEach([&](ObjRef, ObjRef v) {
-        rank_sum += 0.15 + 0.85 * h->GetField<double>(v, 0);
-        ++ranked;
-      });
-    }
+    in.ForEachCombined(
+        layout,
+        [&](const uint8_t* e) {
+          rank_sum += 0.15 + 0.85 * LoadRaw<double>(e + 8);
+          ++ranked;
+        },
+        [&](ObjRef, ObjRef v) {
+          rank_sum += 0.15 + 0.85 * h->GetField<double>(v, 0);
+          ++ranked;
+        });
   });
   ctx.shuffle()->Release(prev_shuffle);
 
@@ -619,6 +582,7 @@ PageRankResult RunPageRank(const GraphParams& params) {
 ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
   spark::SparkConfig cfg = params.spark;
   ApplyMode(params.mode, &cfg);
+  RejectCrashWipe(cfg, "ConnectedComponents", kNoAdjacencyLineage);
   spark::SparkContext ctx(cfg);
   GraphTypes types(ctx.registry());
   ctx.RegisterCachedRdd(kLinksRddId, &types.links_ops);
@@ -665,90 +629,53 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
             ++updates;
           }
         };
-        if (deca) {
-          spark::DecaHashShuffleBuffer buf(h, &types.label_ops,
-                                           cfg.deca_page_bytes);
-          in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
-            buf.Insert(k, v);
-          });
-          buf.ForEach([&](const uint8_t* e) {
-            apply(LoadRaw<int64_t>(e), LoadRaw<int64_t>(e + 8));
-          });
-        } else {
-          spark::ObjectHashShuffleBuffer buf(h, &types.label_ops);
-          in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
-          buf.ForEach([&](ObjRef k, ObjRef v) {
-            apply(h->GetField<int64_t>(k, 0), h->GetField<int64_t>(v, 0));
-          });
-        }
+        in.ForEachCombined(
+            layout,
+            [&](const uint8_t* e) {
+              apply(LoadRaw<int64_t>(e), LoadRaw<int64_t>(e + 8));
+            },
+            [&](ObjRef k, ObjRef v) {
+              apply(h->GetField<int64_t>(k, 0), h->GetField<int64_t>(v, 0));
+            });
       }
       // 2. Propagate labels along edges (over all adjacency sub-blocks).
       spark::KeyedShuffleWriter out(tc, next_shuffle, &types.label_ops,
                                     layout);
-      if (deca) {
-        ForEachPointBlock(tc, kLinksRddId,
-                          [&](const spark::LoadedBlock& block) {
-          core::PageScanner scan(block.pages.get());
-          while (!scan.AtEnd()) {
-            const uint8_t* rec = scan.Cur();
-            int64_t id = LoadRaw<int64_t>(rec);
-            uint32_t n = LoadRaw<uint32_t>(rec + 12);
-            int64_t l = label_of(p, id);
-            for (uint32_t j = 0; j < n; ++j) {
-              int64_t dst =
-                  LoadRaw<int64_t>(rec + kAdjHeaderBytes + 8ull * j);
-              out.Insert(reinterpret_cast<const uint8_t*>(&dst),
-                         reinterpret_cast<const uint8_t*>(&l));
-            }
-            scan.Advance(kAdjHeaderBytes + 8 * n);
-          }
-        });
-      } else {
-        auto process_links = [&](ObjRef links) {
-          HandleScope inner(h);
-          jvm::Handle hl = inner.Make(links);
-          int64_t id = h->GetField<int64_t>(hl.get(), types.id_off);
-          int64_t l = label_of(p, id);
-          uint32_t n =
-              h->ArrayLength(h->GetRefField(hl.get(), types.neighbors_off));
-          for (uint32_t j = 0; j < n; ++j) {
-            ObjRef nbrs = h->GetRefField(hl.get(), types.neighbors_off);
-            int64_t dst = h->GetElem<int64_t>(nbrs, j);
-            HandleScope pair_scope(h);
-            jvm::Handle k = pair_scope.Make(
-                h->AllocateInstance(h->registry()->boxed_long_class()));
-            h->SetField<int64_t>(k.get(), 0, dst);
-            jvm::Handle v = pair_scope.Make(
-                h->AllocateInstance(h->registry()->boxed_long_class()));
-            h->SetField<int64_t>(v.get(), 0, l);
-            out.Insert(k.get(), v.get());
-          }
-        };
-        ForEachPointBlock(tc, kLinksRddId,
-                          [&](const spark::LoadedBlock& block) {
-          HandleScope scope(h);
-          if (block.level == spark::StorageLevel::kMemoryObjects) {
-            jvm::Handle arr = scope.Make(block.object_array);
-            for (uint32_t i = 0; i < block.count; ++i) {
-              process_links(h->GetRefElem(arr.get(), i));
-            }
-          } else {
-            jvm::Handle bytes = scope.Make(block.serialized);
-            size_t size = h->ArrayLength(bytes.get());
-            std::vector<uint8_t> snapshot(size);
-            std::memcpy(snapshot.data(), h->ArrayData(bytes.get()), size);
-            ByteReader r(snapshot.data(), size);
-            for (uint32_t i = 0; i < block.count; ++i) {
-              ObjRef links;
-              {
-                ScopedTimerMs t(&tc.metrics().deser_ms);
-                links = types.links_ops.deserialize(h, &r);
-              }
-              process_links(links);
-            }
-          }
-        });
-      }
+      auto emit_record = [&](const uint8_t* rec) {
+        int64_t id = LoadRaw<int64_t>(rec);
+        uint32_t n = LoadRaw<uint32_t>(rec + 12);
+        int64_t l = label_of(p, id);
+        for (uint32_t j = 0; j < n; ++j) {
+          int64_t dst = LoadRaw<int64_t>(rec + kAdjHeaderBytes + 8ull * j);
+          out.Insert(reinterpret_cast<const uint8_t*>(&dst),
+                     reinterpret_cast<const uint8_t*>(&l));
+        }
+        return kAdjHeaderBytes + 8 * n;
+      };
+      auto emit_links = [&](ObjRef links) {
+        HandleScope inner(h);
+        jvm::Handle hl = inner.Make(links);
+        int64_t id = h->GetField<int64_t>(hl.get(), types.id_off);
+        int64_t l = label_of(p, id);
+        uint32_t n =
+            h->ArrayLength(h->GetRefField(hl.get(), types.neighbors_off));
+        for (uint32_t j = 0; j < n; ++j) {
+          ObjRef nbrs = h->GetRefField(hl.get(), types.neighbors_off);
+          int64_t dst = h->GetElem<int64_t>(nbrs, j);
+          HandleScope pair_scope(h);
+          jvm::Handle k = pair_scope.Make(
+              h->AllocateInstance(h->registry()->boxed_long_class()));
+          h->SetField<int64_t>(k.get(), 0, dst);
+          jvm::Handle v = pair_scope.Make(
+              h->AllocateInstance(h->registry()->boxed_long_class()));
+          h->SetField<int64_t>(v.get(), 0, l);
+          out.Insert(k.get(), v.get());
+        }
+      };
+      ForEachPointBlock(tc, kLinksRddId, [&](const spark::LoadedBlock& block) {
+        spark::ForEachCachedRecord(tc, block, types.links_ops, emit_record,
+                                   emit_links);
+      });
       out.Finish();
     });
     if (prev_shuffle >= 0) ctx.shuffle()->Release(prev_shuffle);

@@ -7,6 +7,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "spark/block_reader.h"
 #include "spark/keyed_shuffle.h"
 
 namespace deca::workloads {
@@ -146,6 +147,8 @@ KMeansResult RunKMeans(const MlParams& params) {
   ctx.RegisterCachedRdd(kPointsRddId, &types.ops());
 
   bool deca = params.mode == Mode::kDeca;
+  spark::ShuffleLayout layout = deca ? spark::ShuffleLayout::kDecomposed
+                                     : spark::ShuffleLayout::kObjects;
   KMeansResult result;
   result.run.mode = params.mode;
   int parts = ctx.num_partitions();
@@ -153,11 +156,13 @@ KMeansResult RunKMeans(const MlParams& params) {
   int dims = params.dims;
   int k = params.clusters;
 
-  // -- load & cache points (mixture of k Gaussians).
-  Stopwatch load_sw;
-  ctx.RunStage("load", [&](spark::TaskContext& tc) {
+  // -- load & cache points (mixture of k Gaussians). Doubles as the
+  // cached RDD's lineage, as in LR: a crash-wiped executor's partitions
+  // are reloaded by re-running this task.
+  auto load_task = [&types, &params, deca, dims, k, per_part,
+                    page_bytes = cfg.deca_page_bytes](spark::TaskContext& tc) {
     Rng rng(params.seed + static_cast<uint64_t>(tc.partition()));
-    CachePoints(tc, types, kPointsRddId, deca, cfg.deca_page_bytes, per_part,
+    CachePoints(tc, types, kPointsRddId, deca, page_bytes, per_part,
                 [&](double* feats) {
                   int cluster = static_cast<int>(
                       rng.NextBounded(static_cast<uint64_t>(k)));
@@ -166,7 +171,10 @@ KMeansResult RunKMeans(const MlParams& params) {
                   }
                   return 0.0;
                 });
-  });
+  };
+  Stopwatch load_sw;
+  ctx.RunStage("load", load_task);
+  ctx.RegisterLineage(kPointsRddId, load_task);
   result.run.load_ms = load_sw.ElapsedMillis();
   ctx.ResetMetrics();
 
@@ -188,88 +196,49 @@ KMeansResult RunKMeans(const MlParams& params) {
     // Map: assign points to centers, eagerly combining per-cluster sums.
     ctx.RunStage("assign", [&](spark::TaskContext& tc) {
       jvm::Heap* h = tc.heap();
-      spark::KeyedShuffleWriter out(tc, shuffle_id, &shuffle.ops,
-                                    deca ? spark::ShuffleLayout::kDecomposed
-                                         : spark::ShuffleLayout::kObjects);
-      if (deca) {
-        std::vector<uint8_t> value(8 + 8 * static_cast<size_t>(dims));
-        uint32_t rec = 8 + 8 * static_cast<uint32_t>(dims);
-        ForEachPointBlock(tc, kPointsRddId,
-                          [&](const spark::LoadedBlock& block) {
-          core::PageScanner scan(block.pages.get());
-          while (!scan.AtEnd()) {
-            const uint8_t* p = scan.Cur();
-            const double* feats = reinterpret_cast<const double*>(p + 8);
-            int64_t c = NearestCenter(centers, feats, dims);
-            StoreRaw<int64_t>(value.data(), 1);
-            std::memcpy(value.data() + 8, feats,
-                        8 * static_cast<size_t>(dims));
-            out.Insert(reinterpret_cast<const uint8_t*>(&c), value.data());
-            scan.Advance(rec);
-          }
-        });
-      } else {
-        std::vector<double> feats(static_cast<size_t>(dims));
-        // Emits one fresh (key, ClusterStat) pair per point — Spark's map
-        // output objects.
-        auto emit_point = [&]() {
-          HandleScope inner(h);
-          int64_t c = NearestCenter(centers, feats.data(), dims);
-          jvm::Handle key = inner.Make(
-              h->AllocateInstance(h->registry()->boxed_long_class()));
-          h->SetField<int64_t>(key.get(), 0, c);
-          jvm::Handle sums = inner.Make(h->AllocateArray(
-              h->registry()->double_array_class(),
-              static_cast<uint32_t>(dims)));
-          std::memcpy(h->ArrayData(sums.get()), feats.data(),
-                      8 * static_cast<size_t>(dims));
-          jvm::Handle stat =
-              inner.Make(h->AllocateInstance(shuffle.stat_cls));
-          h->SetField<int64_t>(stat.get(), shuffle.count_off, 1);
-          h->SetRefField(stat.get(), shuffle.sums_off, sums.get());
-          out.Insert(key.get(), stat.get());
-        };
-        ForEachPointBlock(tc, kPointsRddId,
-                          [&](const spark::LoadedBlock& block) {
-          HandleScope scope(h);
-          if (block.level == spark::StorageLevel::kMemoryObjects) {
-            jvm::Handle arr = scope.Make(block.object_array);
-            for (uint32_t i = 0; i < block.count; ++i) {
-              ObjRef lp = h->GetRefElem(arr.get(), i);
-              ObjRef dv = h->GetRefField(lp, types.lp_features_off());
+      spark::KeyedShuffleWriter out(tc, shuffle_id, &shuffle.ops, layout);
+      const uint32_t rec_bytes = 8 + 8 * static_cast<uint32_t>(dims);
+      std::vector<uint8_t> value(shuffle.ops.deca_value_bytes);
+      std::vector<double> feats(static_cast<size_t>(dims));
+      ForEachPointBlock(tc, kPointsRddId, [&](const spark::LoadedBlock& block) {
+        spark::ForEachCachedRecord(
+            tc, block, types.ops(),
+            [&](const uint8_t* p) {
+              const double* f = reinterpret_cast<const double*>(p + 8);
+              int64_t c = NearestCenter(centers, f, dims);
+              StoreRaw<int64_t>(value.data(), 1);
+              std::memcpy(value.data() + 8, f, 8 * static_cast<size_t>(dims));
+              out.Insert(reinterpret_cast<const uint8_t*>(&c), value.data());
+              return rec_bytes;
+            },
+            // Emits one fresh (key, ClusterStat) pair per point — Spark's
+            // map output objects. The point stays rooted while they are
+            // allocated.
+            [&](ObjRef lp) {
+              HandleScope scope(h);
+              jvm::Handle point = scope.Make(lp);
+              ObjRef dv = h->GetRefField(point.get(), types.lp_features_off());
               ObjRef data = h->GetRefField(dv, types.dv_data_off());
               for (int j = 0; j < dims; ++j) {
                 feats[static_cast<size_t>(j)] =
                     h->GetElem<double>(data, static_cast<uint32_t>(j));
               }
-              emit_point();
-            }
-          } else {
-            // SparkSer: deserialize every point, then compute.
-            jvm::Handle bytes = scope.Make(block.serialized);
-            size_t size = h->ArrayLength(bytes.get());
-            std::vector<uint8_t> snapshot(size);
-            std::memcpy(snapshot.data(), h->ArrayData(bytes.get()), size);
-            ByteReader r(snapshot.data(), size);
-            for (uint32_t i = 0; i < block.count; ++i) {
-              HandleScope inner(h);
-              ObjRef lp;
-              {
-                ScopedTimerMs t(&tc.metrics().deser_ms);
-                lp = types.ops().deserialize(h, &r);
-              }
-              jvm::Handle hlp = inner.Make(lp);
-              ObjRef dv = h->GetRefField(hlp.get(), types.lp_features_off());
-              ObjRef data = h->GetRefField(dv, types.dv_data_off());
-              for (int j = 0; j < dims; ++j) {
-                feats[static_cast<size_t>(j)] =
-                    h->GetElem<double>(data, static_cast<uint32_t>(j));
-              }
-              emit_point();
-            }
-          }
-        });
-      }
+              int64_t c = NearestCenter(centers, feats.data(), dims);
+              jvm::Handle key = scope.Make(
+                  h->AllocateInstance(h->registry()->boxed_long_class()));
+              h->SetField<int64_t>(key.get(), 0, c);
+              jvm::Handle sums = scope.Make(h->AllocateArray(
+                  h->registry()->double_array_class(),
+                  static_cast<uint32_t>(dims)));
+              std::memcpy(h->ArrayData(sums.get()), feats.data(),
+                          8 * static_cast<size_t>(dims));
+              jvm::Handle stat =
+                  scope.Make(h->AllocateInstance(shuffle.stat_cls));
+              h->SetField<int64_t>(stat.get(), shuffle.count_off, 1);
+              h->SetRefField(stat.get(), shuffle.sums_off, sums.get());
+              out.Insert(key.get(), stat.get());
+            });
+      });
       out.Finish();
     });
 
@@ -285,34 +254,26 @@ KMeansResult RunKMeans(const MlParams& params) {
     ctx.RunStage("update", [&](spark::TaskContext& tc) {
       jvm::Heap* h = tc.heap();
       spark::KeyedShuffleReader in(tc, shuffle_id, &shuffle.ops);
-      if (deca) {
-        spark::DecaHashShuffleBuffer buf(h, &shuffle.ops,
-                                         cfg.deca_page_bytes);
-        in.ForEachEntry([&](const uint8_t* kk, const uint8_t* vv) {
-          buf.Insert(kk, vv);
-        });
-        buf.ForEach([&](const uint8_t* e) {
-          int64_t c = LoadRaw<int64_t>(e);
-          counts[static_cast<size_t>(c)] += LoadRaw<int64_t>(e + 8);
-          for (int j = 0; j < dims; ++j) {
-            new_centers[static_cast<size_t>(c)][static_cast<size_t>(j)] +=
-                LoadRaw<double>(e + 16 + 8 * static_cast<size_t>(j));
-          }
-        });
-      } else {
-        spark::ObjectHashShuffleBuffer buf(h, &shuffle.ops);
-        in.ForEachRecord([&](ObjRef kk, ObjRef vv) { buf.Insert(kk, vv); });
-        buf.ForEach([&](ObjRef kk, ObjRef vv) {
-          int64_t c = h->GetField<int64_t>(kk, 0);
-          counts[static_cast<size_t>(c)] +=
-              h->GetField<int64_t>(vv, shuffle.count_off);
-          ObjRef sums = h->GetRefField(vv, shuffle.sums_off);
-          for (int j = 0; j < dims; ++j) {
-            new_centers[static_cast<size_t>(c)][static_cast<size_t>(j)] +=
-                h->GetElem<double>(sums, static_cast<uint32_t>(j));
-          }
-        });
-      }
+      in.ForEachCombined(
+          layout,
+          [&](const uint8_t* e) {
+            int64_t c = LoadRaw<int64_t>(e);
+            counts[static_cast<size_t>(c)] += LoadRaw<int64_t>(e + 8);
+            for (int j = 0; j < dims; ++j) {
+              new_centers[static_cast<size_t>(c)][static_cast<size_t>(j)] +=
+                  LoadRaw<double>(e + 16 + 8 * static_cast<size_t>(j));
+            }
+          },
+          [&](ObjRef kk, ObjRef vv) {
+            int64_t c = h->GetField<int64_t>(kk, 0);
+            counts[static_cast<size_t>(c)] +=
+                h->GetField<int64_t>(vv, shuffle.count_off);
+            ObjRef sums = h->GetRefField(vv, shuffle.sums_off);
+            for (int j = 0; j < dims; ++j) {
+              new_centers[static_cast<size_t>(c)][static_cast<size_t>(j)] +=
+                  h->GetElem<double>(sums, static_cast<uint32_t>(j));
+            }
+          });
     });
     ctx.shuffle()->Release(shuffle_id);
     for (int c = 0; c < k; ++c) {

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "jvm/heap_profiler.h"
+#include "spark/block_reader.h"
 #include "workloads/dist_entry.h"
 
 namespace deca::workloads {
@@ -372,46 +373,19 @@ LrResult RunLogisticRegression(const MlParams& params) {
       // Accumulate locally and assign the slot at task end, so a retried
       // attempt that failed mid-scan cannot double-count points.
       std::vector<double> grad(static_cast<size_t>(dims), 0.0);
+      const uint32_t rec_bytes = 8 + 8 * static_cast<uint32_t>(dims);
       ForEachPointBlock(tc, kLrRddId, [&](const spark::LoadedBlock& block) {
-        HandleScope scope(h);
-        switch (block.level) {
-          case spark::StorageLevel::kMemoryObjects: {
-            jvm::Handle arr = scope.Make(block.object_array);
-            for (uint32_t i = 0; i < block.count; ++i) {
-              ObjRef lp = h->GetRefElem(arr.get(), i);
+        spark::ForEachCachedRecord(
+            tc, block, types.ops(),
+            [&](const uint8_t* rec) {
+              DecaGradient(rec, dims, weights, grad.data());
+              return rec_bytes;
+            },
+            // SparkSer deserializes each point into temporary objects
+            // first (the SparkSer path of paper Section 6.2).
+            [&](ObjRef lp) {
               ObjectGradient(h, types, lp, weights, grad.data());
-            }
-            break;
-          }
-          case spark::StorageLevel::kMemorySerialized: {
-            jvm::Handle bytes = scope.Make(block.serialized);
-            // Deserialize each point into temporary objects, then compute
-            // (the SparkSer path of paper Section 6.2).
-            size_t size = h->ArrayLength(bytes.get());
-            std::vector<uint8_t> snapshot(size);
-            std::memcpy(snapshot.data(), h->ArrayData(bytes.get()), size);
-            ByteReader r(snapshot.data(), size);
-            for (uint32_t i = 0; i < block.count; ++i) {
-              HandleScope inner(h);
-              ObjRef lp;
-              {
-                ScopedTimerMs t(&tc.metrics().deser_ms);
-                lp = types.ops().deserialize(h, &r);
-              }
-              ObjectGradient(h, types, lp, weights, grad.data());
-            }
-            break;
-          }
-          case spark::StorageLevel::kDecaPages: {
-            uint32_t rec = 8 + 8 * static_cast<uint32_t>(dims);
-            core::PageScanner scan(block.pages.get());
-            while (!scan.AtEnd()) {
-              DecaGradient(scan.Cur(), dims, weights, grad.data());
-              scan.Advance(rec);
-            }
-            break;
-          }
-        }
+            });
       });
       ByteWriter w;
       for (int j = 0; j < dims; ++j) {

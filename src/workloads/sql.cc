@@ -5,6 +5,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "spark/block_reader.h"
 #include "spark/keyed_shuffle.h"
 
 namespace deca::workloads {
@@ -246,6 +247,10 @@ SqlResult RunSqlQueries(const SqlParams& params) {
   cfg.cache_level = deca ? spark::StorageLevel::kDecaPages
                          : spark::StorageLevel::kMemoryObjects;
   cfg.deca_shuffle = deca;
+  RejectCrashWipe(cfg, "SQL",
+                  "its cached tables register no lineage, and SparkSQL's "
+                  "columnar tables live in a root provider outside the "
+                  "block store");
   spark::SparkContext ctx(cfg);
   SqlTypes types(ctx.registry());
   ctx.RegisterCachedRdd(kRankingsRddId, &types.rankings_ops);
@@ -425,51 +430,30 @@ SqlResult RunSqlQueries(const SqlParams& params) {
     double& q1_sum = part_q1_sum[static_cast<size_t>(tc.partition())];
     jvm::Heap* h = tc.heap();
     int32_t threshold = params.rank_threshold;
-    switch (params.engine) {
-      case SqlEngine::kSparkRdd: {
-        HandleScope scope(h);
-        spark::LoadedBlock block =
-            tc.cache()->Get({kRankingsRddId, tc.partition()}, &tc.metrics());
-        jvm::Handle arr = scope.Make(block.object_array);
-        for (uint32_t i = 0; i < block.count; ++i) {
-          ObjRef rec = h->GetRefElem(arr.get(), i);
-          int32_t rank = h->GetField<int32_t>(rec, types.r_rank_off);
-          if (rank > threshold) {
-            ++q1_matches;
-            q1_sum += rank;
-          }
-        }
-        break;
+    auto match = [&](int32_t rank) {
+      if (rank > threshold) {
+        ++q1_matches;
+        q1_sum += rank;
       }
-      case SqlEngine::kSparkSql: {
-        size_t p = static_cast<size_t>(tc.partition());
-        ObjRef ranks = columnar.refs_for(&tc)[columnar.rankings_base[p]];
-        uint32_t n = columnar.rankings_counts[p];
-        for (uint32_t i = 0; i < n; ++i) {
-          int32_t rank = h->GetElem<int32_t>(ranks, i);
-          if (rank > threshold) {
-            ++q1_matches;
-            q1_sum += rank;
-          }
-        }
-        break;
-      }
-      case SqlEngine::kDeca: {
-        spark::LoadedBlock block =
-            tc.cache()->Get({kRankingsRddId, tc.partition()}, &tc.metrics());
-        core::PageScanner scan(block.pages.get());
-        while (!scan.AtEnd()) {
-          const uint8_t* p = scan.Cur();
-          int32_t rank = LoadRaw<int32_t>(p);
-          if (rank > threshold) {
-            ++q1_matches;
-            q1_sum += rank;
-          }
-          scan.Advance(kRankingRowBytes);
-        }
-        break;
-      }
+    };
+    if (params.engine == SqlEngine::kSparkSql) {
+      size_t p = static_cast<size_t>(tc.partition());
+      ObjRef ranks = columnar.refs_for(&tc)[columnar.rankings_base[p]];
+      uint32_t n = columnar.rankings_counts[p];
+      for (uint32_t i = 0; i < n; ++i) match(h->GetElem<int32_t>(ranks, i));
+      return;
     }
+    spark::LoadedBlock block =
+        tc.cache()->Get({kRankingsRddId, tc.partition()}, &tc.metrics());
+    spark::ForEachCachedRecord(
+        tc, block, types.rankings_ops,
+        [&](const uint8_t* p) {
+          match(LoadRaw<int32_t>(p));
+          return kRankingRowBytes;
+        },
+        [&](ObjRef rec) {
+          match(h->GetField<int32_t>(rec, types.r_rank_off));
+        });
   });
   result.q1_exec_ms = q1_sw.ElapsedMillis();
   result.q1_gc_ms = ctx.TotalGcPauseMs() - gc0;
@@ -488,13 +472,12 @@ SqlResult RunSqlQueries(const SqlParams& params) {
   int shuffle_id = ctx.shuffle()->RegisterShuffle(parts);
   // Spark SQL (Tungsten) and Deca both aggregate over serialized /
   // decomposed bytes.
-  bool byte_shuffle = params.engine != SqlEngine::kSparkRdd;
+  spark::ShuffleLayout layout = params.engine != SqlEngine::kSparkRdd
+                                    ? spark::ShuffleLayout::kDecomposed
+                                    : spark::ShuffleLayout::kObjects;
   ctx.RunStage("q2-map", [&](spark::TaskContext& tc) {
     jvm::Heap* h = tc.heap();
-    spark::KeyedShuffleWriter out(tc, shuffle_id, &types.agg_ops,
-                                  byte_shuffle
-                                      ? spark::ShuffleLayout::kDecomposed
-                                      : spark::ShuffleLayout::kObjects);
+    spark::KeyedShuffleWriter out(tc, shuffle_id, &types.agg_ops, layout);
     auto insert = [&](int64_t key, double rev) {
       out.Insert(reinterpret_cast<const uint8_t*>(&key),
                  reinterpret_cast<const uint8_t*>(&rev));
@@ -512,34 +495,28 @@ SqlResult RunSqlQueries(const SqlParams& params) {
         insert(IpPrefixKey(h->ArrayData(ips) + i * kIpBytes),
                h->GetElem<double>(revs, i));
       }
-    } else if (params.engine == SqlEngine::kDeca) {
-      spark::LoadedBlock block =
-          tc.cache()->Get({kVisitsRddId, tc.partition()}, &tc.metrics());
-      core::PageScanner scan(block.pages.get());
-      while (!scan.AtEnd()) {
-        const uint8_t* p = scan.Cur();
-        insert(IpPrefixKey(p + 16), LoadRaw<double>(p + 8));
-        scan.Advance(kVisitRowBytes);
-      }
     } else {
-      HandleScope scope(h);
       spark::LoadedBlock block =
           tc.cache()->Get({kVisitsRddId, tc.partition()}, &tc.metrics());
-      jvm::Handle arr = scope.Make(block.object_array);
-      for (uint32_t i = 0; i < block.count; ++i) {
-        HandleScope inner(h);
-        ObjRef rec = h->GetRefElem(arr.get(), i);
-        ObjRef iph = h->GetRefField(rec, types.v_ip_off);
-        int64_t key = IpPrefixKey(h->ArrayData(iph));
-        double rev = h->GetField<double>(rec, types.v_rev_off);
-        jvm::Handle k = inner.Make(
-            h->AllocateInstance(h->registry()->boxed_long_class()));
-        h->SetField<int64_t>(k.get(), 0, key);
-        jvm::Handle v = inner.Make(
-            h->AllocateInstance(h->registry()->boxed_double_class()));
-        h->SetField<double>(v.get(), 0, rev);
-        out.Insert(k.get(), v.get());
-      }
+      spark::ForEachCachedRecord(
+          tc, block, types.visits_ops,
+          [&](const uint8_t* p) {
+            insert(IpPrefixKey(p + 16), LoadRaw<double>(p + 8));
+            return kVisitRowBytes;
+          },
+          [&](ObjRef rec) {
+            ObjRef iph = h->GetRefField(rec, types.v_ip_off);
+            int64_t key = IpPrefixKey(h->ArrayData(iph));
+            double rev = h->GetField<double>(rec, types.v_rev_off);
+            HandleScope scope(h);
+            jvm::Handle k = scope.Make(
+                h->AllocateInstance(h->registry()->boxed_long_class()));
+            h->SetField<int64_t>(k.get(), 0, key);
+            jvm::Handle v = scope.Make(
+                h->AllocateInstance(h->registry()->boxed_double_class()));
+            h->SetField<double>(v.get(), 0, rev);
+            out.Insert(k.get(), v.get());
+          });
     }
     out.Finish();
   });
@@ -551,24 +528,16 @@ SqlResult RunSqlQueries(const SqlParams& params) {
     double& revenue = part_revenue[static_cast<size_t>(tc.partition())];
     jvm::Heap* h = tc.heap();
     spark::KeyedShuffleReader in(tc, shuffle_id, &types.agg_ops);
-    if (byte_shuffle) {
-      spark::DecaHashShuffleBuffer buf(h, &types.agg_ops,
-                                       cfg.deca_page_bytes);
-      in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
-        buf.Insert(k, v);
-      });
-      buf.ForEach([&](const uint8_t* e) {
-        ++groups;
-        revenue += LoadRaw<double>(e + 8);
-      });
-    } else {
-      spark::ObjectHashShuffleBuffer buf(h, &types.agg_ops);
-      in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
-      buf.ForEach([&](ObjRef, ObjRef v) {
-        ++groups;
-        revenue += h->GetField<double>(v, 0);
-      });
-    }
+    in.ForEachCombined(
+        layout,
+        [&](const uint8_t* e) {
+          ++groups;
+          revenue += LoadRaw<double>(e + 8);
+        },
+        [&](ObjRef, ObjRef v) {
+          ++groups;
+          revenue += h->GetField<double>(v, 0);
+        });
   });
   ctx.shuffle()->Release(shuffle_id);
   result.q2_exec_ms = q2_sw.ElapsedMillis();

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/page.h"
+#include "spark/block_reader.h"
 #include "spark/keyed_shuffle.h"
 #include "workloads/stream_common.h"
 
@@ -248,6 +249,7 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
       int p = tc.partition();
       spark::KeyedShuffleReader in(tc, sid, &types.ops);
       spark::BlockKey key{StreamRdd(e), p};
+      // Not ForEachCombined: freeing the buffer first lowers the pool peak.
       if (deca) {
         spark::DecaHashShuffleBuffer buf(h, &types.ops, page_bytes);
         in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
@@ -324,47 +326,22 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
             tc.cache()->Get({StreamRdd(ep), p}, &tc.metrics());
         if (!b.valid()) continue;
         rows.clear();
-        if (b.level == spark::StorageLevel::kDecaPages) {
-          core::PageScanner scan(b.pages.get());
-          while (!scan.AtEnd()) {
-            const uint8_t* r = scan.Cur();
-            rows.push_back({LoadRaw<int64_t>(r), LoadRaw<int64_t>(r + 8),
-                            LoadRaw<int64_t>(r + 16), LoadRaw<int64_t>(r + 24),
-                            LoadRaw<int64_t>(r + 32)});
-            scan.Advance(kEntryBytes);
-          }
-        } else if (b.level == spark::StorageLevel::kMemorySerialized) {
-          HandleScope scope(h);
-          jvm::Handle bytes = scope.Make(b.serialized);
-          size_t size = h->ArrayLength(bytes.get());
-          std::vector<uint8_t> snapshot(size);
-          std::memcpy(snapshot.data(), h->ArrayData(bytes.get()), size);
-          ByteReader r(snapshot.data(), size);
-          for (uint32_t i = 0; i < b.count; ++i) {
-            HandleScope inner(h);
-            ObjRef rec;
-            {
-              ScopedTimerMs t(&tc.metrics().deser_ms);
-              rec = types.rec_ops.deserialize(h, &r);
-            }
-            rows.push_back({h->GetField<int64_t>(rec, types.ip_off),
-                            h->GetField<int64_t>(rec, types.rfirst_off),
-                            h->GetField<int64_t>(rec, types.rlast_off),
-                            h->GetField<int64_t>(rec, types.rvisits_off),
-                            h->GetField<int64_t>(rec, types.rcents_off)});
-          }
-        } else {
-          HandleScope scope(h);
-          jvm::Handle arr = scope.Make(b.object_array);
-          for (uint32_t i = 0; i < b.count; ++i) {
-            ObjRef rec = h->GetRefElem(arr.get(), i);
-            rows.push_back({h->GetField<int64_t>(rec, types.ip_off),
-                            h->GetField<int64_t>(rec, types.rfirst_off),
-                            h->GetField<int64_t>(rec, types.rlast_off),
-                            h->GetField<int64_t>(rec, types.rvisits_off),
-                            h->GetField<int64_t>(rec, types.rcents_off)});
-          }
-        }
+        spark::ForEachCachedRecord(
+            tc, b, types.rec_ops,
+            [&](const uint8_t* r) {
+              rows.push_back({LoadRaw<int64_t>(r), LoadRaw<int64_t>(r + 8),
+                              LoadRaw<int64_t>(r + 16),
+                              LoadRaw<int64_t>(r + 24),
+                              LoadRaw<int64_t>(r + 32)});
+              return kEntryBytes;
+            },
+            [&](ObjRef rec) {
+              rows.push_back({h->GetField<int64_t>(rec, types.ip_off),
+                              h->GetField<int64_t>(rec, types.rfirst_off),
+                              h->GetField<int64_t>(rec, types.rlast_off),
+                              h->GetField<int64_t>(rec, types.rvisits_off),
+                              h->GetField<int64_t>(rec, types.rcents_off)});
+            });
         for (const Partial& r : rows) {
           auto it = prev.find(r.ip);
           if (it == prev.end() || r.first - it->second > params.session_gap) {

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/page.h"
+#include "spark/block_reader.h"
 #include "workloads/stream_common.h"
 
 namespace deca::workloads {
@@ -199,38 +200,21 @@ StreamResult RunStreamSlidingAgg(const StreamParams& params) {
             tc.cache()->Get({StreamRdd(ep), p}, &tc.metrics());
         if (!b.valid()) continue;
         Partial block;
-        if (b.level == spark::StorageLevel::kDecaPages) {
-          core::PageScanner scan(b.pages.get());
-          const uint8_t* d = scan.Cur();
-          block.sum = LoadRaw<int64_t>(d);
-          block.min = LoadRaw<int64_t>(d + 8);
-          block.max = LoadRaw<int64_t>(d + 16);
-          block.count = LoadRaw<int64_t>(d + 24);
-        } else if (b.level == spark::StorageLevel::kMemorySerialized) {
-          HandleScope scope(h);
-          jvm::Handle bytes = scope.Make(b.serialized);
-          size_t size = h->ArrayLength(bytes.get());
-          std::vector<uint8_t> snapshot(size);
-          std::memcpy(snapshot.data(), h->ArrayData(bytes.get()), size);
-          ByteReader r(snapshot.data(), size);
-          ObjRef rec;
-          {
-            ScopedTimerMs t(&tc.metrics().deser_ms);
-            rec = types.rec_ops.deserialize(h, &r);
-          }
-          block.sum = h->GetField<int64_t>(rec, types.sum_off);
-          block.min = h->GetField<int64_t>(rec, types.min_off);
-          block.max = h->GetField<int64_t>(rec, types.max_off);
-          block.count = h->GetField<int64_t>(rec, types.count_off);
-        } else {
-          HandleScope scope(h);
-          jvm::Handle arr = scope.Make(b.object_array);
-          ObjRef rec = h->GetRefElem(arr.get(), 0);
-          block.sum = h->GetField<int64_t>(rec, types.sum_off);
-          block.min = h->GetField<int64_t>(rec, types.min_off);
-          block.max = h->GetField<int64_t>(rec, types.max_off);
-          block.count = h->GetField<int64_t>(rec, types.count_off);
-        }
+        spark::ForEachCachedRecord(
+            tc, b, types.rec_ops,
+            [&](const uint8_t* d) {
+              block.sum = LoadRaw<int64_t>(d);
+              block.min = LoadRaw<int64_t>(d + 8);
+              block.max = LoadRaw<int64_t>(d + 16);
+              block.count = LoadRaw<int64_t>(d + 24);
+              return kPartialBytes;
+            },
+            [&](ObjRef rec) {
+              block.sum = h->GetField<int64_t>(rec, types.sum_off);
+              block.min = h->GetField<int64_t>(rec, types.min_off);
+              block.max = h->GetField<int64_t>(rec, types.max_off);
+              block.count = h->GetField<int64_t>(rec, types.count_off);
+            });
         acc.Merge(block);
       }
       wparts[static_cast<size_t>(p)] = acc;

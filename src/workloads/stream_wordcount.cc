@@ -1,11 +1,13 @@
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/page.h"
+#include "spark/block_reader.h"
 #include "spark/keyed_shuffle.h"
 #include "workloads/stream_common.h"
 
@@ -172,6 +174,7 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
       int p = tc.partition();
       spark::KeyedShuffleReader in(tc, sid, &types.ops);
       spark::BlockKey key{StreamRdd(e), p};
+      // Not ForEachCombined: freeing the buffer first lowers the pool peak.
       if (deca) {
         spark::DecaHashShuffleBuffer buf(h, &types.ops, page_bytes);
         in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
@@ -234,82 +237,54 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
       uint64_t total = 0;
       uint64_t distinct = 0;
       uint64_t checksum = 0;
+      // The window merge combines cached records, not shuffle chunks, so
+      // it keeps a buffer of its own.
+      std::optional<spark::DecaHashShuffleBuffer> entries;
+      std::optional<spark::ObjectHashShuffleBuffer> pairs;
       if (deca) {
-        spark::DecaHashShuffleBuffer merge(h, &types.ops,
-                                           cfg.deca_page_bytes);
-        for (int ep = w.start; ep < w.end; ++ep) {
-          spark::LoadedBlock b =
-              tc.cache()->Get({StreamRdd(ep), p}, &tc.metrics());
-          if (!b.valid()) continue;
-          core::PageScanner scan(b.pages.get());
-          while (!scan.AtEnd()) {
-            uint8_t row[16];
-            std::memcpy(row, scan.Cur(), 16);
-            scan.Advance(16);
-            merge.Insert(row, row + 8);  // may GC; row is native
-          }
-        }
-        merge.ForEach([&](const uint8_t* entry) {
-          uint64_t count = static_cast<uint64_t>(LoadRaw<int64_t>(entry + 8));
-          total += count;
-          ++distinct;
-          checksum += Mix64(LoadRaw<uint64_t>(entry)) * count;
-        });
+        entries.emplace(h, &types.ops, cfg.deca_page_bytes);
       } else {
-        spark::ObjectHashShuffleBuffer merge(h, &types.ops);
-        auto insert_boxed = [&](int64_t word, int64_t count) {
-          HandleScope inner(h);
-          jvm::Handle k = inner.Make(
-              h->AllocateInstance(h->registry()->boxed_long_class()));
-          h->SetField<int64_t>(k.get(), 0, word);
-          jvm::Handle v = inner.Make(
-              h->AllocateInstance(h->registry()->boxed_long_class()));
-          h->SetField<int64_t>(v.get(), 0, count);
-          merge.Insert(k.get(), v.get());
-        };
-        for (int ep = w.start; ep < w.end; ++ep) {
-          spark::LoadedBlock b =
-              tc.cache()->Get({StreamRdd(ep), p}, &tc.metrics());
-          if (!b.valid()) continue;
-          HandleScope scope(h);
-          if (b.level == spark::StorageLevel::kMemorySerialized) {
-            // SparkSer: snapshot the byte[] natively (deserialization
-            // allocates, which may move the managed array), then rebuild
-            // each record as temporary objects.
-            jvm::Handle bytes = scope.Make(b.serialized);
-            size_t size = h->ArrayLength(bytes.get());
-            std::vector<uint8_t> snapshot(size);
-            std::memcpy(snapshot.data(), h->ArrayData(bytes.get()), size);
-            ByteReader r(snapshot.data(), size);
-            for (uint32_t i = 0; i < b.count; ++i) {
-              HandleScope inner(h);
-              ObjRef rec;
-              {
-                ScopedTimerMs t(&tc.metrics().deser_ms);
-                rec = types.rec_ops.deserialize(h, &r);
-              }
-              insert_boxed(h->GetField<int64_t>(rec, types.word_off),
-                           h->GetField<int64_t>(rec, types.count_off));
-            }
-          } else {
-            jvm::Handle arr = scope.Make(b.object_array);
-            for (uint32_t i = 0; i < b.count; ++i) {
-              // Read the record's fields before insert_boxed allocates.
-              ObjRef rec = h->GetRefElem(arr.get(), i);
+        pairs.emplace(h, &types.ops);
+      }
+      for (int ep = w.start; ep < w.end; ++ep) {
+        spark::LoadedBlock b =
+            tc.cache()->Get({StreamRdd(ep), p}, &tc.metrics());
+        if (!b.valid()) continue;
+        spark::ForEachCachedRecord(
+            tc, b, types.rec_ops,
+            [&](const uint8_t* rec) {
+              uint8_t row[16];
+              std::memcpy(row, rec, 16);
+              entries->Insert(row, row + 8);  // may GC; row is native
+              return uint32_t{16};
+            },
+            [&](ObjRef rec) {
+              // Read the record's fields before the boxing allocates.
               int64_t word = h->GetField<int64_t>(rec, types.word_off);
               int64_t count = h->GetField<int64_t>(rec, types.count_off);
-              insert_boxed(word, count);
-            }
-          }
-        }
-        merge.ForEach([&](ObjRef k, ObjRef v) {
-          uint64_t count =
-              static_cast<uint64_t>(h->GetField<int64_t>(v, 0));
-          total += count;
-          ++distinct;
-          checksum +=
-              Mix64(static_cast<uint64_t>(h->GetField<int64_t>(k, 0))) *
-              count;
+              HandleScope inner(h);
+              jvm::Handle k = inner.Make(
+                  h->AllocateInstance(h->registry()->boxed_long_class()));
+              h->SetField<int64_t>(k.get(), 0, word);
+              jvm::Handle v = inner.Make(
+                  h->AllocateInstance(h->registry()->boxed_long_class()));
+              h->SetField<int64_t>(v.get(), 0, count);
+              pairs->Insert(k.get(), v.get());
+            });
+      }
+      auto tally = [&](int64_t word, int64_t count) {
+        total += static_cast<uint64_t>(count);
+        ++distinct;
+        checksum += Mix64(static_cast<uint64_t>(word)) *
+                    static_cast<uint64_t>(count);
+      };
+      if (deca) {
+        entries->ForEach([&](const uint8_t* entry) {
+          tally(LoadRaw<int64_t>(entry), LoadRaw<int64_t>(entry + 8));
+        });
+      } else {
+        pairs->ForEach([&](ObjRef k, ObjRef v) {
+          tally(h->GetField<int64_t>(k, 0), h->GetField<int64_t>(v, 0));
         });
       }
       wtotal[static_cast<size_t>(p)] = total;

@@ -127,6 +127,8 @@ WordCountResult RunWordCount(const WordCountParams& params) {
     DECA_CHECK(StaticTupleSizeType() == SizeType::kStaticFixed)
         << "WordCount Tuple2 must classify as SFST";
   }
+  spark::ShuffleLayout layout = deca ? spark::ShuffleLayout::kDecomposed
+                                     : spark::ShuffleLayout::kObjects;
   // Heap profiling needs the mutating heap in this process; in process
   // mode executor 0's mutator lives in a daemon, so the profile is off.
   bool profile = params.profile && ctx.role() == spark::DistRole::kLocal;
@@ -163,9 +165,7 @@ WordCountResult RunWordCount(const WordCountParams& params) {
       return static_cast<int64_t>(
           zipf ? zipf->Next() : word_rng->NextBounded(params.distinct_keys));
     };
-    spark::KeyedShuffleWriter out(tc, shuffle_id, &types.ops,
-                                  deca ? spark::ShuffleLayout::kDecomposed
-                                       : spark::ShuffleLayout::kObjects);
+    spark::KeyedShuffleWriter out(tc, shuffle_id, &types.ops, layout);
     for (uint64_t i = 0; i < per_part; ++i) {
       int64_t word = next_word();
       if (deca) {
@@ -208,23 +208,16 @@ WordCountResult RunWordCount(const WordCountParams& params) {
     uint64_t distinct = 0;
     jvm::Heap* h = tc.heap();
     spark::KeyedShuffleReader in(tc, shuffle_id, &types.ops);
-    if (deca) {
-      spark::DecaHashShuffleBuffer buf(h, &types.ops, cfg.deca_page_bytes);
-      in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
-        buf.Insert(k, v);
-      });
-      buf.ForEach([&](const uint8_t* entry) {
-        total += static_cast<uint64_t>(LoadRaw<int64_t>(entry + 8));
-        ++distinct;
-      });
-    } else {
-      spark::ObjectHashShuffleBuffer buf(h, &types.ops);
-      in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
-      buf.ForEach([&](ObjRef, ObjRef v) {
-        total += static_cast<uint64_t>(h->GetField<int64_t>(v, 0));
-        ++distinct;
-      });
-    }
+    in.ForEachCombined(
+        layout,
+        [&](const uint8_t* entry) {
+          total += static_cast<uint64_t>(LoadRaw<int64_t>(entry + 8));
+          ++distinct;
+        },
+        [&](ObjRef, ObjRef v) {
+          total += static_cast<uint64_t>(h->GetField<int64_t>(v, 0));
+          ++distinct;
+        });
     ByteWriter w;
     w.WriteVarU64(total);
     w.WriteVarU64(distinct);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -16,7 +17,10 @@
 #include "fault/task_failure.h"
 #include "jvm/heap.h"
 #include "spark/context.h"
+#include "workloads/graph.h"
+#include "workloads/kmeans.h"
 #include "workloads/lr.h"
+#include "workloads/sql.h"
 #include "workloads/wordcount.h"
 
 namespace deca {
@@ -225,6 +229,73 @@ TEST(FaultToleranceTest, LrCrashWipeMidRunRecoversWeights) {
   }
   EXPECT_EQ(r.run.executor_wipes, 1u);
   EXPECT_EQ(r.run.recomputed_blocks, 2u);
+}
+
+/// FNV-1a over the centers' bit patterns: every coordinate, exactly.
+uint64_t CentersDigest(const std::vector<std::vector<double>>& centers) {
+  uint64_t h = 14695981039346656037ull;
+  for (const auto& center : centers) {
+    for (double v : center) {
+      h ^= std::bit_cast<uint64_t>(v);
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// KMeans registers its load as the points' lineage, so a wipe between the
+// first assign and update stages reloads the lost partitions instead of
+// scanning past them. Task failures ride along, so each seed gives the
+// recovery a different retry schedule.
+TEST(FaultToleranceTest, KMeansCrashWipeRecomputesPointsInEveryMode) {
+  for (auto mode : {workloads::Mode::kSpark, workloads::Mode::kSparkSer,
+                    workloads::Mode::kDeca}) {
+    SCOPED_TRACE(workloads::ModeName(mode));
+    workloads::MlParams p;
+    p.dims = 4;
+    p.num_points = 20000;
+    p.iterations = 3;
+    p.clusters = 4;
+    p.mode = mode;
+    p.spark = SmallConfig();
+    p.spark.heap.heap_bytes = 64u << 20;
+    p.spark.fault.seed = TestSeed();
+    p.spark.fault.task_failure_prob = 0.3;
+    p.spark.fault.crash_wipe_stage = 2;  // 0 load, 1 assign, 2 update
+    p.spark.fault.crash_wipe_executor = 1;
+    workloads::KMeansResult r = workloads::RunKMeans(p);
+    // The fault-free centers, in every mode.
+    EXPECT_EQ(CentersDigest(r.centers), 0x49a6721d94ebd95cull);
+    EXPECT_EQ(r.run.executor_wipes, 1u);
+    EXPECT_GT(r.run.recomputed_blocks, 0u);
+    EXPECT_GT(r.run.task_retries, 0u);
+  }
+}
+
+// PageRank, CC and SQL cache state that no lineage can rebuild, so a
+// scheduled wipe is refused at job start instead of returning a wrong
+// answer (or, for the Deca SQL engine, faulting on the missing block).
+TEST(FaultToleranceDeathTest, WorkloadsWithoutLineageRejectCrashWipe) {
+  spark::SparkConfig cfg = SmallConfig();
+  cfg.fault.crash_wipe_stage = 2;
+  cfg.fault.crash_wipe_executor = 1;
+  workloads::GraphParams g;
+  g.num_vertices = 1 << 10;
+  g.num_edges = 1 << 12;
+  g.spark = cfg;
+  EXPECT_DEATH(workloads::RunPageRank(g),
+               "PageRank cannot recover from a crash-wipe: the edge shuffle");
+  EXPECT_DEATH(workloads::RunConnectedComponents(g),
+               "ConnectedComponents cannot recover from a crash-wipe");
+  workloads::SqlParams q;
+  q.spark = cfg;
+  for (auto engine : {workloads::SqlEngine::kSparkRdd,
+                      workloads::SqlEngine::kSparkSql,
+                      workloads::SqlEngine::kDeca}) {
+    q.engine = engine;
+    EXPECT_DEATH(workloads::RunSqlQueries(q),
+                 "SQL cannot recover from a crash-wipe: its cached tables");
+  }
 }
 
 // ---------------------------------------------------------------------------
