@@ -258,6 +258,7 @@ class BenchReport {
   BenchReport& operator=(const BenchReport&) = delete;
 
   bool enabled() const { return !json_path_.empty() || !trace_path_.empty(); }
+  const obs::RunReport& report() const { return report_; }
 
   /// Adds one run to the report. Exact metrics are deterministic counters
   /// and byte peaks; *_ms metrics are wall times.
@@ -270,28 +271,11 @@ class BenchReport {
     auto time = [&run](const char* name, double v) {
       run.Add(name, v, /*exact=*/false);
     };
-    exact("minor_gcs", static_cast<double>(r.minor_gcs));
-    exact("full_gcs", static_cast<double>(r.full_gcs));
-    exact("cached_mb", r.cached_mb);
-    exact("swapped_mb", r.swapped_mb);
+    AddSnapshot(r, &run);
     exact("task_retries", static_cast<double>(r.task_retries));
     exact("injected_faults", static_cast<double>(r.injected_faults));
     exact("executor_wipes", static_cast<double>(r.executor_wipes));
     exact("recomputed_blocks", static_cast<double>(r.recomputed_blocks));
-    exact("pressure_evictions", static_cast<double>(r.pressure_evictions));
-    exact("oom_recoveries", static_cast<double>(r.oom_recoveries));
-    exact("denied_reservations", static_cast<double>(r.denied_reservations));
-    uint64_t exec_peak = 0;
-    uint64_t storage_peak = 0;
-    uint64_t borrowed_peak = 0;
-    for (const memory::MemoryStats& m : r.executor_memory) {
-      exec_peak += m.exec_peak;
-      storage_peak += m.storage_peak;
-      borrowed_peak += m.borrowed_peak;
-    }
-    exact("exec_pool_peak_bytes", static_cast<double>(exec_peak));
-    exact("storage_pool_peak_bytes", static_cast<double>(storage_peak));
-    exact("borrowed_peak_bytes", static_cast<double>(borrowed_peak));
     // The slowest task is selected by wall time, so which task's peak this
     // is varies across machines — threshold-compared, not exact.
     time("slowest.pool_peak_bytes",
@@ -299,8 +283,6 @@ class BenchReport {
                              r.slowest_task.storage_pool_peak_bytes));
     time("exec_ms", r.exec_ms);
     time("load_ms", r.load_ms);
-    time("gc_ms", r.gc_ms);
-    time("concurrent_gc_ms", r.concurrent_gc_ms);
     time("shuffle_read_ms", r.shuffle_read_ms);
     time("shuffle_write_ms", r.shuffle_write_ms);
     time("ser_ms", r.ser_ms);
@@ -311,28 +293,6 @@ class BenchReport {
     time("slowest.compute_ms", r.slowest_task.compute_ms());
     time("slowest.gc_ms", r.slowest_task.gc_ms);
     time("slowest.queue_ms", r.slowest_task.queue_ms);
-    if (r.net_active) {
-      // Wire plane, present only under a network shuffle transport. New
-      // metrics on the current side are "extra" to report_diff, so these
-      // runs still diff cleanly against local-shuffle baselines.
-      exact("net.wire_bytes", static_cast<double>(r.net.wire_bytes));
-      exact("net.payload_bytes", static_cast<double>(r.net.payload_bytes));
-      exact("net.messages", static_cast<double>(r.net.messages));
-      exact("net.index_requests", static_cast<double>(r.net.index_requests));
-      exact("net.slice_requests", static_cast<double>(r.net.slice_requests));
-      exact("net.records_encoded",
-            static_cast<double>(r.net.records_encoded));
-      exact("net.records_decoded",
-            static_cast<double>(r.net.records_decoded));
-      exact("net.fetch_retries", static_cast<double>(r.net.fetch_retries));
-      exact("net.injected_fetch_failures",
-            static_cast<double>(r.net.injected_fetch_failures));
-      exact("net.flow_stalls", static_cast<double>(r.net.flow_stalls));
-      exact("net.virtual_wire_us",
-            static_cast<double>(r.net.virtual_wire_us));
-      time("net.encode_ms", r.net.encode_ms);
-      time("net.decode_ms", r.net.decode_ms);
-    }
     if (r.dist_active) {
       // Control plane, present only under DECA_DIST_MODE=process. Spawn /
       // kill / respawn / death / quarantine counts are deterministic for a
@@ -357,23 +317,6 @@ class BenchReport {
       time("cluster.rpc_messages",
            static_cast<double>(r.cluster.rpc_messages));
     }
-    if (r.tier_active) {
-      // Storage-tier plane, present only when DECA_STORAGE_TIER=3 enabled
-      // the serialized off-heap tier: one tier.<member> metric per listed
-      // TierCounters member. The resident/hit/transition counters are
-      // deterministic; the double entries (promote percentiles) are wall
-      // times.
-      spark::TierCounters::ForEachField([&](const char* name, auto member,
-                                            Fold) {
-        const std::string key = std::string("tier.") + name;
-        const auto v = r.tier.*member;
-        if constexpr (std::is_floating_point_v<decltype(v)>) {
-          time(key.c_str(), v);
-        } else {
-          exact(key.c_str(), static_cast<double>(v));
-        }
-      });
-    }
     if (r.epochs_run > 0) {
       // Streaming plane. Like net.*, these are "extra" against batch
       // baselines.
@@ -390,29 +333,6 @@ class BenchReport {
       time("epoch.pause_p50_ms", r.epoch_pause_p50_ms);
       time("epoch.pause_p99_ms", r.epoch_pause_p99_ms);
       time("epoch.reclaim_p99_ms", r.epoch_reclaim_p99_ms);
-    }
-    if (r.pauses.pause_events > 0 || r.pauses.mark_slices > 0) {
-      // GC pause plane. mark_slices/events are deterministic at the
-      // default DECA_PAUSE_BUDGET_MS=0 (one slice per monolithic mark);
-      // budgeted runs must be gated with report_diff --slo assertions
-      // rather than baseline diffs, since their slice counts are
-      // timing-dependent.
-      exact("pauses.mark_slices",
-            static_cast<double>(r.pauses.mark_slices));
-      exact("pauses.events", static_cast<double>(r.pauses.pause_events));
-      time("pauses.pause_p50_ms", r.pauses.pause_p50_ms);
-      time("pauses.pause_p99_ms", r.pauses.pause_p99_ms);
-      time("pauses.pause_max_ms", r.pauses.pause_max_ms);
-      time("pauses.slice_p50_ms", r.pauses.slice_p50_ms);
-      time("pauses.slice_p99_ms", r.pauses.slice_p99_ms);
-      time("pauses.slice_max_ms", r.pauses.slice_max_ms);
-    }
-    if (r.alloc_active) {
-      // Native-buffer counters: deterministic, so exact.
-      exact("alloc.allocs", static_cast<double>(r.alloc.alloc_calls));
-      exact("alloc.frees", static_cast<double>(r.alloc.free_calls));
-      exact("alloc.bytes_requested",
-            static_cast<double>(r.alloc.bytes_requested));
     }
     if (r.trace != nullptr) {
       exact("trace.dropped_events",
@@ -431,6 +351,40 @@ class BenchReport {
   }
 
  private:
+  /// The run's folded executor snapshot, one metric per listed leaf: named
+  /// by its path ("tier.t1_hits") unless spark::kReportNames renames it,
+  /// exact when integral (a deterministic counter), a wall time when
+  /// floating. A plane the run did not use stays out, so runs without it
+  /// keep their metric names: net.* without a network shuffle, tier.*
+  /// below three storage tiers, and pauses.* and alloc.* while nothing was
+  /// counted. (Pause counts are deterministic at the default
+  /// DECA_PAUSE_BUDGET_MS=0; budgeted runs gate through report_diff --slo.)
+  static void AddSnapshot(const workloads::RunResult& r,
+                          obs::ReportRun* run) {
+    const spark::ExecutorSnapshot& s = r.totals;
+    const bool pauses = s.pauses.pause_events > 0 || s.pauses.mark_slices > 0;
+    const bool alloc = s.alloc.alloc_calls > 0;
+    ForEachLeaf(s, [&](const std::string& path, auto v) {
+      const std::string_view plane =
+          std::string_view(path).substr(0, path.find('.'));
+      if ((plane == "net" && !r.net_active) ||
+          (plane == "tier" && !r.tier_active) ||
+          (plane == "pauses" && !pauses) || (plane == "alloc" && !alloc)) {
+        return;
+      }
+      std::string_view name = path;
+      double unit = 1;
+      for (const spark::ReportName& rn : spark::kReportNames) {
+        if (path == rn.leaf) {
+          name = rn.metric;
+          unit = rn.unit;
+        }
+      }
+      run->Add(name, static_cast<double>(v) / unit,
+               std::is_integral_v<decltype(v)>);
+    });
+  }
+
   void Write() {
     if (!json_path_.empty()) {
       std::string err;
@@ -485,8 +439,8 @@ struct FaultTotals {
     injected_faults += r.injected_faults;
     executor_wipes += r.executor_wipes;
     recomputed_blocks += r.recomputed_blocks;
-    pressure_evictions += r.pressure_evictions;
-    oom_recoveries += r.oom_recoveries;
+    pressure_evictions += r.totals.pressure_evictions;
+    oom_recoveries += r.totals.oom_recoveries;
   }
   bool any() const {
     return task_retries + injected_faults + executor_wipes +
@@ -510,13 +464,13 @@ struct FaultTotals {
 /// Prints one row per executor from a run's memory-manager snapshots:
 /// budget, pool peaks, borrowing high-water mark and denied reservations.
 inline void PrintExecutorMemory(const workloads::RunResult& r) {
-  if (r.executor_memory.empty()) return;
+  if (r.executors.empty()) return;
   std::printf("\nPer-executor memory (%s):\n", workloads::ModeName(r.mode));
   TablePrinter t({"exec", "budget(MB)", "heap(MB)", "exec peak(MB)",
                   "storage peak(MB)", "borrowed(MB)", "denied"});
   const double mb = 1 << 20;
-  for (size_t i = 0; i < r.executor_memory.size(); ++i) {
-    const memory::MemoryStats& m = r.executor_memory[i];
+  for (size_t i = 0; i < r.executors.size(); ++i) {
+    const memory::MemoryStats& m = r.executors[i].memory;
     t.AddRow({std::to_string(i),
               TablePrinter::Num(static_cast<double>(m.total_bytes) / mb, 1),
               TablePrinter::Num(static_cast<double>(m.heap_capacity) / mb, 1),

@@ -56,15 +56,16 @@ int main(int argc, char** argv) {
         report.AddRun(cell + "/Deca-wire-record", rec.run);
         wire.AddRow(
             {std::to_string(keys), std::to_string(words),
-             Mb(static_cast<double>(deca.run.net.wire_bytes) / 1024.0),
-             Mb(static_cast<double>(rec.run.net.wire_bytes) / 1024.0),
-             std::to_string(deca.run.net.records_encoded),
-             std::to_string(rec.run.net.records_encoded),
-             Ms(deca.run.net.encode_ms), Ms(rec.run.net.encode_ms)});
+             Mb(static_cast<double>(deca.run.totals.net.wire_bytes) / 1024.0),
+             Mb(static_cast<double>(rec.run.totals.net.wire_bytes) / 1024.0),
+             std::to_string(deca.run.totals.net.records_encoded),
+             std::to_string(rec.run.totals.net.records_encoded),
+             Ms(deca.run.totals.net.encode_ms),
+             Ms(rec.run.totals.net.encode_ms)});
       }
       t.AddRow({std::to_string(keys), std::to_string(words),
-                Ms(spark.run.exec_ms), Ms(spark.run.gc_ms),
-                Ms(deca.run.exec_ms), Ms(deca.run.gc_ms),
+                Ms(spark.run.exec_ms), Ms(spark.run.totals.gc_pause_ms),
+                Ms(deca.run.exec_ms), Ms(deca.run.totals.gc_pause_ms),
                 Pct(100.0 * (spark.run.exec_ms - deca.run.exec_ms) /
                     spark.run.exec_ms),
                 Speedup(spark.run.exec_ms, deca.run.exec_ms)});

@@ -36,9 +36,10 @@ int main(int argc, char** argv) {
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun("LR/" + std::to_string(pts) + "pts/" + ModeName(mode),
                     r.run);
+      const spark::ExecutorSnapshot& s = r.run.totals;
       t.AddRow({"LR", std::to_string(pts), ModeName(mode), Ms(r.run.exec_ms),
-                Ms(r.run.gc_ms), Mb(r.run.cached_mb), Mb(r.run.swapped_mb),
-                Speedup(spark_ms, r.run.exec_ms)});
+                Ms(s.gc_pause_ms), Mb(ToMb(s.peak_cached_bytes)),
+                Mb(ToMb(s.swapped_bytes)), Speedup(spark_ms, r.run.exec_ms)});
     }
   }
   for (uint64_t pts : {1200ull, 2400ull}) {
@@ -58,9 +59,11 @@ int main(int argc, char** argv) {
       report.AddRun("KMeans/" + std::to_string(pts) + "pts/" +
                         ModeName(mode),
                     r.run);
+      const spark::ExecutorSnapshot& s = r.run.totals;
       t.AddRow({"KMeans", std::to_string(pts), ModeName(mode),
-                Ms(r.run.exec_ms), Ms(r.run.gc_ms), Mb(r.run.cached_mb),
-                Mb(r.run.swapped_mb), Speedup(spark_ms, r.run.exec_ms)});
+                Ms(r.run.exec_ms), Ms(s.gc_pause_ms),
+                Mb(ToMb(s.peak_cached_bytes)), Mb(ToMb(s.swapped_bytes)),
+                Speedup(spark_ms, r.run.exec_ms)});
     }
   }
   t.Print();

@@ -34,10 +34,11 @@ int main(int argc, char** argv) {
       LrResult r = RunLogisticRegression(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun(std::to_string(pts) + "pts/" + ModeName(mode), r.run);
+      const spark::ExecutorSnapshot& s = r.run.totals;
       t.AddRow({std::to_string(pts), ModeName(mode), Ms(r.run.exec_ms),
-                Ms(r.run.gc_ms), Pct(100.0 * r.run.gc_ms / r.run.exec_ms),
-                std::to_string(r.run.full_gcs), Mb(r.run.cached_mb),
-                Mb(r.run.swapped_mb), Speedup(spark_ms, r.run.exec_ms)});
+                Ms(s.gc_pause_ms), Pct(100.0 * s.gc_pause_ms / r.run.exec_ms),
+                std::to_string(s.full_gcs), Mb(ToMb(s.peak_cached_bytes)),
+                Mb(ToMb(s.swapped_bytes)), Speedup(spark_ms, r.run.exec_ms)});
     }
   }
   t.Print();

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
     LrResult r = RunLogisticRegression(p);
     report.AddRun(ModeName(mode), r.run);
     std::printf("\n--- %s: exec=%.0fms gc=%.1fms (minor=%llu full=%llu)\n",
-                ModeName(mode), r.run.exec_ms, r.run.gc_ms,
-                static_cast<unsigned long long>(r.run.minor_gcs),
-                static_cast<unsigned long long>(r.run.full_gcs));
+                ModeName(mode), r.run.exec_ms, r.run.totals.gc_pause_ms,
+                static_cast<unsigned long long>(r.run.totals.minor_gcs),
+                static_cast<unsigned long long>(r.run.totals.full_gcs));
     PrintSeries(std::string(ModeName(mode)) + "-LabeledPoint live objects",
                 r.run.object_counts);
     PrintSeries(std::string(ModeName(mode)) + "-cumulative GC ms",

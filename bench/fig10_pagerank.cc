@@ -40,8 +40,10 @@ int main(int argc, char** argv) {
       PageRankResult r = RunPageRank(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun(std::string(g.name) + "/" + ModeName(mode), r.run);
-      t.AddRow({g.name, ModeName(mode), Ms(r.run.exec_ms), Ms(r.run.gc_ms),
-                Pct(100.0 * r.run.gc_ms / r.run.exec_ms), Mb(r.run.cached_mb),
+      const double gc_ms = r.run.totals.gc_pause_ms;
+      t.AddRow({g.name, ModeName(mode), Ms(r.run.exec_ms), Ms(gc_ms),
+                Pct(100.0 * gc_ms / r.run.exec_ms),
+                Mb(ToMb(r.run.totals.peak_cached_bytes)),
                 Ms(r.run.load_ms), Speedup(spark_ms, r.run.exec_ms)});
     }
   }

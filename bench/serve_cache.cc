@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     report.AddMetric("serve.latency_p50_ms", r.latency_p50_ms, false);
     report.AddMetric("serve.latency_p99_ms", r.latency_p99_ms, false);
 
-    const spark::TierCounters& tc = r.run.tier;
+    const spark::TierCounters& tc = r.run.totals.tier;
     uint64_t lookups = tc.t0_hits + tc.t1_hits + tc.t2_hits + tc.misses;
     auto rate = [lookups](uint64_t h) {
       return lookups > 0
@@ -81,8 +81,9 @@ int main(int argc, char** argv) {
               TablePrinter::Num(r.latency_p99_ms, 3),
               rate(tc.t0_hits) + "/" + rate(tc.t1_hits) + "/" +
                   rate(tc.t2_hits),
-              Mb(static_cast<double>(tc.t1_resident_bytes) / (1 << 20)),
-              Mb(r.run.swapped_mb), Ms(r.run.gc_ms)});
+              Mb(ToMb(tc.t1_resident_bytes)),
+              Mb(ToMb(r.run.totals.swapped_bytes)),
+              Ms(r.run.totals.gc_pause_ms)});
 
     if (first) {
       digest = r.digest;

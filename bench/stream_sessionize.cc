@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
                      /*exact=*/true);
     t.AddRow({v.name, TablePrinter::Num(r.throughput_rps / 1000.0, 1),
               Ms(r.run.epoch_pause_p50_ms), Ms(r.run.epoch_pause_p99_ms),
-              Ms(r.run.epoch_reclaim_p99_ms), Ms(r.run.gc_ms),
-              std::to_string(r.run.full_gcs), DriftKb(r.run)});
+              Ms(r.run.epoch_reclaim_p99_ms), Ms(r.run.totals.gc_pause_ms),
+              std::to_string(r.run.totals.full_gcs), DriftKb(r.run)});
   }
   t.Print();
   PrintExecutorMemory(last);

@@ -22,14 +22,15 @@ int main(int argc, char** argv) {
 
   auto add_row = [&](const char* app, const RunResult& spark,
                      const RunResult& deca) {
-    double reduction = spark.gc_ms > 0
-                           ? 100.0 * (spark.gc_ms - deca.gc_ms) / spark.gc_ms
-                           : 0.0;
+    const double spark_gc = spark.totals.gc_pause_ms;
+    const double deca_gc = deca.totals.gc_pause_ms;
+    double reduction =
+        spark_gc > 0 ? 100.0 * (spark_gc - deca_gc) / spark_gc : 0.0;
     report.AddRun(std::string(app) + "/Spark", spark);
     report.AddRun(std::string(app) + "/Deca", deca);
-    t.AddRow({app, Ms(spark.exec_ms), Ms(spark.gc_ms),
-              Pct(100.0 * spark.gc_ms / spark.exec_ms), Ms(deca.exec_ms),
-              Ms(deca.gc_ms), Pct(reduction)});
+    t.AddRow({app, Ms(spark.exec_ms), Ms(spark_gc),
+              Pct(100.0 * spark_gc / spark.exec_ms), Ms(deca.exec_ms),
+              Ms(deca_gc), Pct(reduction)});
   };
 
   {

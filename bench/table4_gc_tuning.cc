@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
     p.spark.heap.algorithm = algo;
     LrResult r = RunLogisticRegression(p);
     report.AddRun("LR/" + label, r.run);
-    t.AddRow({"LR", label, Ms(r.run.exec_ms), Ms(r.run.gc_ms),
-              Ms(r.run.concurrent_gc_ms), std::to_string(r.run.full_gcs)});
+    t.AddRow({"LR", label, Ms(r.run.exec_ms), Ms(r.run.totals.gc_pause_ms),
+              Ms(r.run.totals.concurrent_gc_ms),
+              std::to_string(r.run.totals.full_gcs)});
   };
   auto run_pr = [&](Mode mode, double storage_fraction,
                     jvm::GcAlgorithm algo, const std::string& label) {
@@ -47,8 +48,9 @@ int main(int argc, char** argv) {
     p.spark.heap.algorithm = algo;
     PageRankResult r = RunPageRank(p);
     report.AddRun("PR/" + label, r.run);
-    t.AddRow({"PR", label, Ms(r.run.exec_ms), Ms(r.run.gc_ms),
-              Ms(r.run.concurrent_gc_ms), std::to_string(r.run.full_gcs)});
+    t.AddRow({"PR", label, Ms(r.run.exec_ms), Ms(r.run.totals.gc_pause_ms),
+              Ms(r.run.totals.concurrent_gc_ms),
+              std::to_string(r.run.totals.full_gcs)});
   };
 
   // -- LR: storage fraction sweep (paper: 0.8:0.2 / 0.6:0.4 / 0.4:0.6).

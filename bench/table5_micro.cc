@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
       report.AddRun("LR/" + std::to_string(heap_mb) + "MB/" + ModeName(mode),
                     r.run);
       t.AddRow({"LR", std::to_string(heap_mb) + "MB", ModeName(mode),
-                Ms(r.run.exec_ms), Ms(r.run.gc_ms),
-                std::to_string(r.run.full_gcs), Ms(r.run.deser_ms)});
+                Ms(r.run.exec_ms), Ms(r.run.totals.gc_pause_ms),
+                std::to_string(r.run.totals.full_gcs), Ms(r.run.deser_ms)});
     }
   }
   for (size_t heap_mb : {32, 256}) {
@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
       report.AddRun("PR/" + std::to_string(heap_mb) + "MB/" + ModeName(mode),
                     r.run);
       t.AddRow({"PR", std::to_string(heap_mb) + "MB", ModeName(mode),
-                Ms(r.run.exec_ms), Ms(r.run.gc_ms),
-                std::to_string(r.run.full_gcs), Ms(r.run.deser_ms)});
+                Ms(r.run.exec_ms), Ms(r.run.totals.gc_pause_ms),
+                std::to_string(r.run.totals.full_gcs), Ms(r.run.deser_ms)});
     }
   }
   t.Print();

@@ -59,10 +59,11 @@ void PrintResult(const char* name, const RunResult& r) {
       "%s [%s]: exec=%.1fms load=%.1fms gc=%.1fms (minor=%llu full=%llu, "
       "concurrent=%.1fms)\n  cached=%.1fMB swapped=%.1fMB compute=%.1fms "
       "ser=%.1fms deser=%.1fms shuffle r/w=%.1f/%.1fms disk=%.1fms\n",
-      name, ModeName(r.mode), r.exec_ms, r.load_ms, r.gc_ms,
-      static_cast<unsigned long long>(r.minor_gcs),
-      static_cast<unsigned long long>(r.full_gcs), r.concurrent_gc_ms,
-      r.cached_mb, r.swapped_mb, r.compute_ms, r.ser_ms, r.deser_ms,
+      name, ModeName(r.mode), r.exec_ms, r.load_ms, r.totals.gc_pause_ms,
+      static_cast<unsigned long long>(r.totals.minor_gcs),
+      static_cast<unsigned long long>(r.totals.full_gcs),
+      r.totals.concurrent_gc_ms, ToMb(r.totals.peak_cached_bytes),
+      ToMb(r.totals.swapped_bytes), r.compute_ms, r.ser_ms, r.deser_ms,
       r.shuffle_read_ms, r.shuffle_write_ms, r.spill_ms);
 }
 

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
     PageRankResult pr = RunPageRank(params);
     std::printf("PageRank %-9s exec=%8.1fms gc=%7.1fms cached=%5.1fMB "
                 "(rank mass %.1f over %llu vertices)\n",
-                ModeName(mode), pr.run.exec_ms, pr.run.gc_ms,
-                pr.run.cached_mb, pr.rank_sum,
+                ModeName(mode), pr.run.exec_ms, pr.run.totals.gc_pause_ms,
+                ToMb(pr.run.totals.peak_cached_bytes), pr.rank_sum,
                 static_cast<unsigned long long>(pr.vertices_ranked));
   }
   std::printf("\n");
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     params.mode = mode;
     ConnectedComponentsResult cc = RunConnectedComponents(params);
     std::printf("CC       %-9s exec=%8.1fms gc=%7.1fms components=%llu\n",
-                ModeName(mode), cc.run.exec_ms, cc.run.gc_ms,
+                ModeName(mode), cc.run.exec_ms, cc.run.totals.gc_pause_ms,
                 static_cast<unsigned long long>(cc.components));
   }
   return 0;

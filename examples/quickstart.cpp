@@ -57,9 +57,11 @@ int main() {
   workloads::LrResult deca = RunLogisticRegression(params);
 
   std::printf("\n%-8s exec=%8.1fms  gc=%7.1fms  cached=%6.1fMB\n", "Spark",
-              spark.run.exec_ms, spark.run.gc_ms, spark.run.cached_mb);
+              spark.run.exec_ms, spark.run.totals.gc_pause_ms,
+              workloads::ToMb(spark.run.totals.peak_cached_bytes));
   std::printf("%-8s exec=%8.1fms  gc=%7.1fms  cached=%6.1fMB\n", "Deca",
-              deca.run.exec_ms, deca.run.gc_ms, deca.run.cached_mb);
+              deca.run.exec_ms, deca.run.totals.gc_pause_ms,
+              workloads::ToMb(deca.run.totals.peak_cached_bytes));
   std::printf("speedup: %.2fx; identical weights: %s\n",
               spark.run.exec_ms / deca.run.exec_ms,
               spark.weights == deca.weights ? "yes" : "no");

@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
     std::printf(
         "%-6s exec=%8.1fms gc=%7.1fms (minor=%llu full=%llu) "
         "distinct=%llu shuffled=%.1fMB\n",
-        ModeName(mode), r.run.exec_ms, r.run.gc_ms,
-        static_cast<unsigned long long>(r.run.minor_gcs),
-        static_cast<unsigned long long>(r.run.full_gcs),
+        ModeName(mode), r.run.exec_ms, r.run.totals.gc_pause_ms,
+        static_cast<unsigned long long>(r.run.totals.minor_gcs),
+        static_cast<unsigned long long>(r.run.totals.full_gcs),
         static_cast<unsigned long long>(r.distinct_found),
         static_cast<double>(r.shuffle_bytes) / (1 << 20));
   }

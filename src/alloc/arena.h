@@ -33,8 +33,6 @@ struct AllocStats {
     DECA_SUM(free_calls);
     DECA_SUM(bytes_requested);
   }
-
-  void Add(const AllocStats& o) { FoldFields(this, o); }
 };
 
 // Tripwire: a new member breaks this binding until it is listed.

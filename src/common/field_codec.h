@@ -12,10 +12,12 @@
 //     DECA_MAX(p99_ms);    // f("p99_ms", &Self::p99_ms, Fold::kMax)
 //   }
 //
-// (DECA_WIRE(m) lists a member of a struct that is never folded.) From
-// the list come the struct's wire codec (Put/Get below: wire order is
-// list order), its fold (FoldFields) and the names it reports under, so
-// both ends of a socket encode, decode and fold every field the same way.
+// (DECA_WIRE(m) lists a member with no fold of its own: a nested list,
+// which folds by its own entries, or a member of a struct that is never
+// folded.) From the list come the struct's wire codec (Put/Get below: wire
+// order is list order), its fold (FoldFields) and the names it reports
+// under (ForEachLeaf), so both ends of a socket encode, decode and fold
+// every field the same way.
 // Each list is guarded by a tripwire next to it: a structured binding of
 // every member plus a FieldCount assertion, so a new member fails to
 // compile until it is listed or counted as off the wire.
@@ -46,6 +48,10 @@ struct AnyEntry {
   template <typename... Args>
   constexpr void operator()(const char*, Args...) const {}
 };
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
 }  // namespace field_codec_internal
 
 /// A struct that declares a field list.
@@ -61,14 +67,48 @@ constexpr size_t FieldCount() {
   return n;
 }
 
+template <Listed T>
+void FoldFields(T* into, const T& from);
+
+namespace field_codec_internal {
+template <Listed T>
+void FoldEntry(T* a, const T& b) {
+  FoldFields(a, b);
+}
+template <typename T>
+void FoldEntry(T* a, const T& b, Fold fold) {
+  if constexpr (IsVector<T>::value) {
+    if (a->size() < b.size()) a->resize(b.size());
+    for (size_t i = 0; i < b.size(); ++i) FoldEntry(&(*a)[i], b[i], fold);
+  } else {
+    *a = fold == Fold::kSum ? *a + b : std::max(*a, b);
+  }
+}
+}  // namespace field_codec_internal
+
 /// Folds `from` into `*into` entry by entry: kSum adds, kMax keeps the
-/// larger value.
+/// larger value. A nested list folds by its own entries, a vector element
+/// by element (the shorter side's missing elements count as zero).
 template <Listed T>
 void FoldFields(T* into, const T& from) {
-  T::ForEachField([&](const char*, auto member, Fold fold) {
-    auto& a = into->*member;
-    const auto& b = from.*member;
-    a = fold == Fold::kSum ? a + b : std::max(a, b);
+  T::ForEachField([&](const char*, auto member, auto... fold) {
+    field_codec_internal::FoldEntry(&(into->*member), from.*member, fold...);
+  });
+}
+
+/// Visits every number in `v`'s list, in list order, as f(path, value),
+/// descending into nested lists: a nested entry's path is
+/// "<entry>.<member>". Vectors hold no leaves.
+template <Listed T, typename F>
+void ForEachLeaf(const T& v, F&& f, const std::string& prefix = "") {
+  T::ForEachField([&](const char* name, auto member, auto...) {
+    const auto& m = v.*member;
+    using M = std::remove_cvref_t<decltype(m)>;
+    if constexpr (Listed<M>) {
+      ForEachLeaf(m, f, prefix + name + ".");
+    } else if constexpr (std::is_arithmetic_v<M>) {
+      f(prefix + name, m);
+    }
   });
 }
 

@@ -76,7 +76,9 @@ class PageFootprintSource {
   virtual uint64_t footprint_bytes() const = 0;
 };
 
-/// Point-in-time accounting snapshot (all byte quantities).
+/// Point-in-time accounting snapshot (all byte quantities). Across
+/// executors every entry sums; a summed peak is the sum of per-executor
+/// high-water marks.
 struct MemoryStats {
   uint64_t total_bytes = 0;          // the unified per-executor budget
   uint64_t storage_floor_bytes = 0;  // storage memory execution cannot take
@@ -92,16 +94,16 @@ struct MemoryStats {
   template <typename F>
   static constexpr void ForEachField(F&& f) {
     using Self = MemoryStats;
-    DECA_WIRE(total_bytes);
-    DECA_WIRE(storage_floor_bytes);
-    DECA_WIRE(exec_used);
-    DECA_WIRE(exec_peak);
-    DECA_WIRE(storage_used);
-    DECA_WIRE(storage_peak);
-    DECA_WIRE(borrowed_peak);
-    DECA_WIRE(denied_reservations);
-    DECA_WIRE(page_bytes);
-    DECA_WIRE(heap_capacity);
+    DECA_SUM(total_bytes);
+    DECA_SUM(storage_floor_bytes);
+    DECA_SUM(exec_used);
+    DECA_SUM(exec_peak);
+    DECA_SUM(storage_used);
+    DECA_SUM(storage_peak);
+    DECA_SUM(borrowed_peak);
+    DECA_SUM(denied_reservations);
+    DECA_SUM(page_bytes);
+    DECA_SUM(heap_capacity);
   }
 };
 

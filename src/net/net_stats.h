@@ -4,12 +4,16 @@
 #include <atomic>
 #include <cstdint>
 
+#include "common/field_codec.h"
+
 namespace deca::net {
 
 /// Point-in-time copy of a NetStats (plain integers/doubles, safe to pass
 /// around after the run). All counters are deterministic functions of the
 /// simulation (message and byte counts never depend on thread timing);
 /// encode_ms / decode_ms are wall time and must be threshold-compared.
+/// The list is also the run report's net.* metrics; across executors
+/// every entry sums.
 struct NetStatsSnapshot {
   uint64_t wire_bytes = 0;
   uint64_t payload_bytes = 0;
@@ -24,7 +28,32 @@ struct NetStatsSnapshot {
   uint64_t virtual_wire_us = 0;
   double encode_ms = 0;
   double decode_ms = 0;
+
+  template <typename F>
+  static constexpr void ForEachField(F&& f) {
+    using Self = NetStatsSnapshot;
+    DECA_SUM(wire_bytes);
+    DECA_SUM(payload_bytes);
+    DECA_SUM(messages);
+    DECA_SUM(index_requests);
+    DECA_SUM(slice_requests);
+    DECA_SUM(records_encoded);
+    DECA_SUM(records_decoded);
+    DECA_SUM(fetch_retries);
+    DECA_SUM(injected_fetch_failures);
+    DECA_SUM(flow_stalls);
+    DECA_SUM(virtual_wire_us);
+    DECA_SUM(encode_ms);
+    DECA_SUM(decode_ms);
+  }
 };
+
+// Tripwire: a new member breaks this binding until it is listed.
+inline void CheckNetStatsSnapshotList(NetStatsSnapshot& s) {
+  [[maybe_unused]] auto& [m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11,
+                          m12] = s;
+  static_assert(FieldCount<NetStatsSnapshot>() == 13);
+}
 
 /// Shared counters of one network plane (one per SparkContext): the
 /// transport counts messages/bytes/virtual wire time, the shuffle service

@@ -49,20 +49,58 @@ namespace {
 /// Distinguishes concurrent contexts within one process in spill paths.
 std::atomic<uint64_t> g_next_context_id{0};
 
-/// One heap's pause plane.
-GcPauseSummary HeapPauses(const jvm::Heap& h) {
-  const Histogram& ph = h.pause_hist();
-  const Histogram& sh = h.mark_slice_hist();
-  GcPauseSummary p;
-  p.mark_slices = h.stats().mark_slices;
-  p.pause_events = ph.count();
-  p.pause_p50_ms = ph.Percentile(50);
-  p.pause_p99_ms = ph.Percentile(99);
-  p.pause_max_ms = ph.Max();
-  p.slice_p50_ms = sh.Percentile(50);
-  p.slice_p99_ms = sh.Percentile(99);
-  p.slice_max_ms = sh.Max();
-  return p;
+/// One executor's snapshot. The shuffle and wire planes belong to the
+/// process, not the executor (SparkContext::AddProcessPlanes).
+ExecutorSnapshot SnapshotOf(const Executor& e) {
+  const jvm::GcStats& gc = e.heap()->stats();
+  const CacheManager& cache = *e.cache();
+  const Histogram& ph = e.heap()->pause_hist();
+  const Histogram& sh = e.heap()->mark_slice_hist();
+  ExecutorSnapshot s;
+  s.gc_pause_ms = gc.TotalPauseMs();
+  s.concurrent_gc_ms = gc.concurrent_ms;
+  s.minor_gcs = gc.minor_count;
+  s.full_gcs = gc.full_count;
+  s.oom_recoveries = gc.oom_recoveries;
+  s.cached_bytes = cache.memory_bytes();
+  s.peak_cached_bytes = cache.peak_memory_bytes();
+  s.swapped_bytes = cache.disk_bytes();
+  s.pressure_evictions = cache.pressure_evictions();
+  s.tier = cache.tier_counters();
+  s.memory = e.memory()->Snapshot();
+  s.pauses.mark_slices = gc.mark_slices;
+  s.pauses.pause_events = ph.count();
+  s.pauses.pause_p50_ms = ph.Percentile(50);
+  s.pauses.pause_p99_ms = ph.Percentile(99);
+  s.pauses.pause_max_ms = ph.Max();
+  s.pauses.slice_p50_ms = sh.Percentile(50);
+  s.pauses.slice_p99_ms = sh.Percentile(99);
+  s.pauses.slice_max_ms = sh.Max();
+  s.alloc = e.alloc_counter().Stats();
+  return s;
+}
+
+/// What a task attempt's metrics are measured from.
+struct TaskStart {
+  explicit TaskStart(const Executor& e)
+      : gc_ms(e.heap()->stats().TotalPauseMs()),
+        denied(e.memory()->denied_reservations()) {}
+  double gc_ms;
+  uint64_t denied;
+  Stopwatch sw;
+};
+
+/// The task-end epilogue of both attempt loops: wall and GC time since
+/// `start`, the executor's pool high-water marks as of task end (the
+/// stage fold takes the max) and the attempt's own denials.
+void FinishTaskMetrics(const Executor& e, const TaskStart& start,
+                       TaskMetrics* m) {
+  const memory::ExecutorMemoryManager* mm = e.memory();
+  m->total_ms = start.sw.ElapsedMillis();
+  m->gc_ms = e.heap()->stats().TotalPauseMs() - start.gc_ms;
+  m->exec_pool_peak_bytes = mm->exec_peak();
+  m->storage_pool_peak_bytes = mm->storage_peak();
+  m->denied_reservations = mm->denied_reservations() - start.denied;
 }
 }  // namespace
 
@@ -73,6 +111,10 @@ SparkContext::SparkContext(const SparkConfig& config)
               config.trace_enabled ? config.trace_ring_capacity : 0),
       injector_(config.fault, config.max_task_failures) {
   DECA_CHECK_GT(config.num_executors, 0);
+  DECA_CHECK(config.dist_mode != DistMode::kProcess ||
+             config.runtime.role != DistRole::kLocal)
+      << "dist_mode is process, but no cluster::ScopedJob wired this "
+         "context: the workload has no process-mode entry";
   // Unique per-context spill directory so concurrent applications (or
   // tests) sharing a configured spill_dir never collide on a swap file.
   config_.spill_dir += "/ctx_" + std::to_string(::getpid()) + "_" +
@@ -145,11 +187,9 @@ void SparkContext::RunTaskAttempts(
     task_span.set_time_arg(queue_ms);
     TaskContext tc(this, e, p, nparts);
     tc.metrics().queue_ms = queue_ms;
-    double gc0 = e->heap()->stats().TotalPauseMs();
-    uint64_t denied0 = e->memory()->denied_reservations();
     uint64_t gcs0 =
         e->heap()->stats().minor_count + e->heap()->stats().full_count;
-    Stopwatch sw;
+    const TaskStart start(*e);
     try {
       injector_.OnTaskAttempt(stage, p, attempt, e->heap());
       task(tc);
@@ -175,14 +215,7 @@ void SparkContext::RunTaskAttempts(
       obs::Instant(obs::Cat::kTask, "retry", attempt);
       continue;
     }
-    tc.metrics().total_ms = sw.ElapsedMillis();
-    tc.metrics().gc_ms = e->heap()->stats().TotalPauseMs() - gc0;
-    // Pool peaks are the executor's high-water marks as of task end (the
-    // stage fold takes the max); denials are this task's own delta.
-    const memory::ExecutorMemoryManager* mm = e->memory();
-    tc.metrics().exec_pool_peak_bytes = mm->exec_peak();
-    tc.metrics().storage_pool_peak_bytes = mm->storage_peak();
-    tc.metrics().denied_reservations = mm->denied_reservations() - denied0;
+    FinishTaskMetrics(*e, start, &tc.metrics());
     task_span.set_args(
         static_cast<double>(e->heap()->stats().minor_count +
                             e->heap()->stats().full_count - gcs0),
@@ -252,9 +285,12 @@ std::vector<std::vector<uint8_t>> SparkContext::ServeStage(
       case DistWorker::Command::Kind::kStageDone: {
         DECA_CHECK_EQ(cmd.stage, stage)
             << "stage-done for a stage this daemon is not serving";
-        executors_[static_cast<size_t>(config_.runtime.my_executor)]
-            ->VerifyMemoryAccounting();
-        worker->StageAck(BuildLocalSnapshot());
+        Executor& mine =
+            *executors_[static_cast<size_t>(config_.runtime.my_executor)];
+        mine.VerifyMemoryAccounting();
+        ExecutorSnapshot ack = SnapshotOf(mine);
+        AddProcessPlanes(&ack);
+        worker->StageAck(ack);
         return std::move(cmd.blobs);
       }
       case DistWorker::Command::Kind::kShutdown:
@@ -288,9 +324,7 @@ exec::RemoteTaskOutcome SparkContext::ExecuteRemoteAttempt(
     return out;
   }
   TaskContext tc(this, e, p, nparts);
-  double gc0 = e->heap()->stats().TotalPauseMs();
-  uint64_t denied0 = e->memory()->denied_reservations();
-  Stopwatch sw;
+  const TaskStart start(*e);
   try {
     injector_.OnTaskAttempt(stage, p, env.attempt, e->heap());
     if (collect != nullptr) {
@@ -321,12 +355,7 @@ exec::RemoteTaskOutcome SparkContext::ExecuteRemoteAttempt(
     out.message = ex.what();
   }
   if (out.status == exec::RemoteTaskStatus::kOk) {
-    tc.metrics().total_ms = sw.ElapsedMillis();
-    tc.metrics().gc_ms = e->heap()->stats().TotalPauseMs() - gc0;
-    const memory::ExecutorMemoryManager* mm = e->memory();
-    tc.metrics().exec_pool_peak_bytes = mm->exec_peak();
-    tc.metrics().storage_pool_peak_bytes = mm->storage_peak();
-    tc.metrics().denied_reservations = mm->denied_reservations() - denied0;
+    FinishTaskMetrics(*e, start, &tc.metrics());
     out.metrics = tc.metrics();
   } else {
     out.result.clear();
@@ -352,29 +381,13 @@ void SparkContext::MarkExecutorLost(int e) {
   obs::Instant(obs::Cat::kSched, "wipe", e);
 }
 
-ExecutorSnapshot SparkContext::BuildLocalSnapshot() const {
-  Executor* e =
-      executors_[static_cast<size_t>(config_.runtime.my_executor)].get();
-  ExecutorSnapshot s;
-  s.gc_pause_ms = e->heap()->stats().TotalPauseMs();
-  s.concurrent_gc_ms = e->heap()->stats().concurrent_ms;
-  s.minor_gcs = e->heap()->stats().minor_count;
-  s.full_gcs = e->heap()->stats().full_count;
-  s.oom_recoveries = e->heap()->stats().oom_recoveries;
-  s.cached_bytes = e->cache()->memory_bytes();
-  s.peak_cached_bytes = e->cache()->peak_memory_bytes();
-  s.swapped_bytes = e->cache()->disk_bytes();
-  s.pressure_evictions = e->cache()->pressure_evictions();
-  s.tier = e->cache()->tier_counters();
-  s.memory = e->memory()->Snapshot();
-  s.pauses = HeapPauses(*e->heap());
-  s.alloc = e->alloc_counter().Stats();
+void SparkContext::AddProcessPlanes(ExecutorSnapshot* s) const {
   const int n = shuffle_->num_shuffles();
-  s.shuffle_bytes.resize(static_cast<size_t>(n));
+  s->shuffle_bytes.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    s.shuffle_bytes[static_cast<size_t>(i)] = shuffle_->total_bytes(i);
+    s->shuffle_bytes[static_cast<size_t>(i)] = shuffle_->total_bytes(i);
   }
-  return s;
+  if (net_stats() != nullptr) s->net = net_stats()->Snapshot();
 }
 
 void SparkContext::RunStageInternal(
@@ -466,7 +479,7 @@ void SparkContext::RunStageInternal(
     if (remote) {
       // Stage barrier broadcast: every daemon leaves its serve loop,
       // folds the same collect blobs, and acks with its stats snapshot
-      // (which the Total* getters read).
+      // (which ExecutorSnapshots returns).
       static const std::vector<std::vector<uint8_t>> kNoBlobs;
       snapshots_ = config_.runtime.driver->StageDone(
           stage, results != nullptr ? *results : kNoBlobs);
@@ -632,201 +645,40 @@ void SparkContext::RegisterCachedRdd(int rdd_id, const RecordOps* ops) {
 
 void SparkContext::ResetMetrics() { metrics_ = JobMetrics(); }
 
-// The Total* getters are role-aware: the SPMD driver's local executors
-// never run a task, so it reads the per-daemon snapshots piggybacked on
-// the last stage barrier instead. Each daemon reports only the executor
-// it hosts, so the sums equal the in-process run's bit for bit.
+// The SPMD driver's local executors never run a task, so it reads the
+// per-daemon snapshots piggybacked on the last stage barrier instead. Each
+// daemon reports only the executor it hosts, so the folds equal the
+// in-process run's bit for bit.
 
-double SparkContext::TotalGcPauseMs() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    double total = 0;
-    for (const auto& s : snapshots_) total += s.gc_pause_ms;
-    return total;
-  }
-  double total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().TotalPauseMs();
-  }
-  return total;
-}
-
-double SparkContext::TotalConcurrentGcMs() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    double total = 0;
-    for (const auto& s : snapshots_) total += s.concurrent_gc_ms;
-    return total;
-  }
-  double total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().concurrent_ms;
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalMinorGcs() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.minor_gcs;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().minor_count;
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalFullGcs() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.full_gcs;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().full_count;
-  }
-  return total;
-}
-
-GcPauseSummary SparkContext::TotalGcPauses() const {
-  GcPauseSummary total;
-  if (config_.runtime.role == DistRole::kDriver) {
-    for (const auto& s : snapshots_) total.Add(s.pauses);
-    return total;
-  }
-  for (const auto& e : executors_) total.Add(HeapPauses(*e->heap()));
-  return total;
-}
-
-uint64_t SparkContext::CachedMemoryBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.cached_bytes;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->cache()->memory_bytes();
-  }
-  return total;
-}
-
-uint64_t SparkContext::PeakCachedMemoryBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.peak_cached_bytes;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->cache()->peak_memory_bytes();
-  }
-  return total;
-}
-
-uint64_t SparkContext::SwappedBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.swapped_bytes;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->cache()->disk_bytes();
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalPressureEvictions() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.pressure_evictions;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->cache()->pressure_evictions();
-  }
-  return total;
-}
-
-TierCounters SparkContext::TotalTierCounters() const {
-  TierCounters total;
-  if (config_.runtime.role == DistRole::kDriver) {
-    for (const auto& s : snapshots_) total.Add(s.tier);
-    return total;
-  }
-  for (const auto& e : executors_) {
-    total.Add(e->cache()->tier_counters());
-  }
-  return total;
-}
-
-alloc::AllocStats SparkContext::TotalAllocStats() const {
-  alloc::AllocStats total;
-  if (config_.runtime.role == DistRole::kDriver) {
-    for (const auto& s : snapshots_) total.Add(s.alloc);
-  } else {
-    for (const auto& e : executors_) {
-      total.Add(e->alloc_counter().Stats());
-    }
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalOomRecoveries() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.oom_recoveries;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().oom_recoveries;
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalStoragePoolPeakBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.memory.storage_peak;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) total += e->memory()->storage_peak();
-  return total;
-}
-
-uint64_t SparkContext::TotalDeniedReservations() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.memory.denied_reservations;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->memory()->denied_reservations();
-  }
-  return total;
-}
-
-std::vector<memory::MemoryStats> SparkContext::ExecutorMemorySnapshots()
-    const {
-  std::vector<memory::MemoryStats> out;
-  if (config_.runtime.role == DistRole::kDriver) {
-    out.reserve(snapshots_.size());
-    for (const auto& s : snapshots_) out.push_back(s.memory);
-    return out;
-  }
+std::vector<ExecutorSnapshot> SparkContext::ExecutorSnapshots() const {
+  if (role() == DistRole::kDriver) return snapshots_;
+  std::vector<ExecutorSnapshot> out;
   out.reserve(executors_.size());
-  for (const auto& e : executors_) out.push_back(e->memory()->Snapshot());
+  for (const auto& e : executors_) out.push_back(SnapshotOf(*e));
   return out;
 }
 
+ExecutorSnapshot SparkContext::Totals() const {
+  ExecutorSnapshot total;
+  for (const ExecutorSnapshot& s : ExecutorSnapshots()) {
+    FoldFields(&total, s);
+  }
+  if (role() != DistRole::kDriver) AddProcessPlanes(&total);
+  return total;
+}
+
+double SparkContext::TotalGcPauseMs() const {
+  double total = 0;
+  if (role() == DistRole::kDriver) {
+    for (const auto& s : snapshots_) total += s.gc_pause_ms;
+  } else {
+    for (const auto& e : executors_) total += e->heap()->stats().TotalPauseMs();
+  }
+  return total;
+}
+
 uint64_t SparkContext::ShuffleTotalBytes(int shuffle_id) const {
-  if (config_.runtime.role == DistRole::kDriver) {
+  if (role() == DistRole::kDriver) {
     uint64_t total = 0;
     for (const auto& s : snapshots_) {
       if (shuffle_id >= 0 &&
@@ -840,7 +692,7 @@ uint64_t SparkContext::ShuffleTotalBytes(int shuffle_id) const {
 }
 
 ClusterCounters SparkContext::cluster_counters() const {
-  if (config_.runtime.role == DistRole::kDriver) {
+  if (role() == DistRole::kDriver) {
     return config_.runtime.driver->counters();
   }
   return ClusterCounters{};

@@ -177,40 +177,42 @@ class SparkContext {
   /// fresh log, so benches can take one log per measured run.
   std::shared_ptr<obs::TraceLog> TakeTraceLog() { return tracer_.Take(); }
 
-  /// Sum of GC pause time across executors so far.
-  double TotalGcPauseMs() const;
-  double TotalConcurrentGcMs() const;
-  uint64_t TotalMinorGcs() const;
-  uint64_t TotalFullGcs() const;
-  /// GC pause plane (schema v4): slice/pause counts summed across
-  /// executors, latency percentiles composed by max (the job-level tail
-  /// is bounded by the worst executor). Role-aware like the other
-  /// getters.
-  GcPauseSummary TotalGcPauses() const;
-  /// Sum of current in-memory cached bytes across executors.
-  uint64_t CachedMemoryBytes() const;
-  uint64_t PeakCachedMemoryBytes() const;
-  uint64_t SwappedBytes() const;
-  /// Cache blocks swapped out by the OOM degradation ladder.
-  uint64_t TotalPressureEvictions() const;
-  /// Block-store tier plane summed across executors (per-tier residency,
-  /// hit/miss counts, demote/promote transitions). Role-aware like the
-  /// other getters.
-  TierCounters TotalTierCounters() const;
-  /// Native-buffer counters summed across executors (role-aware).
-  alloc::AllocStats TotalAllocStats() const;
-  /// Allocations rescued by eviction-under-pressure + full GC + retry.
-  uint64_t TotalOomRecoveries() const;
-  /// Unified memory-manager plane, summed across executors (the peak is
-  /// a sum of per-executor high-water marks).
-  uint64_t TotalStoragePoolPeakBytes() const;
-  uint64_t TotalDeniedReservations() const;
-  /// One memory-manager snapshot per executor, in executor-id order.
-  std::vector<memory::MemoryStats> ExecutorMemorySnapshots() const;
+  /// Each executor's observability snapshot, in executor-id order. The
+  /// driver returns the latest stage acks; the other roles build them
+  /// from their executors. In-process the shuffle and wire planes belong
+  /// to the context, so these leave `net` and `shuffle_bytes` empty.
+  std::vector<ExecutorSnapshot> ExecutorSnapshots() const;
+  /// ExecutorSnapshots() folded by the list: the job's totals, the same
+  /// in every execution mode. In-process `net` and `shuffle_bytes` come
+  /// from the context's own planes. Sorts every heap's pause and promote
+  /// histograms, so no timed path may call it.
+  ExecutorSnapshot Totals() const;
 
-  /// Shuffle payload bytes for `shuffle_id`. Role-aware: the driver sums
-  /// the per-daemon values from the latest stage-ack snapshots (its own
-  /// shuffle service is a lockstep stub holding no data).
+  // perfbench's reads, outside its timed rounds.
+  uint64_t TotalMinorGcs() const { return Totals().minor_gcs; }
+  uint64_t TotalFullGcs() const { return Totals().full_gcs; }
+  TierCounters TotalTierCounters() const { return Totals().tier; }
+  uint64_t SwappedBytes() const { return Totals().swapped_bytes; }
+  uint64_t TotalDeniedReservations() const {
+    return Totals().memory.denied_reservations;
+  }
+  uint64_t TotalPressureEvictions() const {
+    return Totals().pressure_evictions;
+  }
+  uint64_t TotalStoragePoolPeakBytes() const {
+    return Totals().memory.storage_peak;
+  }
+  alloc::AllocStats TotalAllocStats() const { return Totals().alloc; }
+  uint64_t PeakCachedMemoryBytes() const {
+    return Totals().peak_cached_bytes;
+  }
+
+  /// GC pause time summed across executors, read live: a clock on timed
+  /// paths (stream epochs, SQL queries, perfbench's span clock).
+  double TotalGcPauseMs() const;
+  /// Payload bytes of `shuffle_id`, read live: stream-epochs reads it in
+  /// its timed round, and in-process the shared shuffle service does not
+  /// split its bytes per executor. The driver sums the latest acks.
   uint64_t ShuffleTotalBytes(int shuffle_id) const;
 
   DistRole role() const { return config_.runtime.role; }
@@ -258,8 +260,9 @@ class SparkContext {
   /// daemon died (lineage lost-sets, wipe counter). The data itself died
   /// with the process.
   void MarkExecutorLost(int e);
-  /// Worker role: this executor's observability snapshot for a stage ack.
-  ExecutorSnapshot BuildLocalSnapshot() const;
+  /// Adds this process's shuffle and wire planes to `s`: a daemon's
+  /// own, or in-process the whole context's.
+  void AddProcessPlanes(ExecutorSnapshot* s) const;
   /// Replays lineage/map stages for partitions lost to a wipe. `stage` is
   /// the id of the upcoming stage; replay trace windows are attributed to
   /// it with attempt = -1. Driver role replays over RPC.
@@ -284,8 +287,8 @@ class SparkContext {
   /// Driver role: injected faults reported by daemons (their identically
   /// seeded injectors make the decisions; the driver only counts).
   std::atomic<uint64_t> remote_fired_{0};
-  /// Driver role: each executor's latest stage-ack snapshot; the Total*
-  /// getters read these instead of the (idle) local executors.
+  /// Driver role: each executor's latest stage-ack snapshot, read instead
+  /// of the (idle) local executors.
   std::vector<ExecutorSnapshot> snapshots_;
   std::vector<WipeListener*> wipe_listeners_;
   std::vector<ReplayStage> replay_stages_;

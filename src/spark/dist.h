@@ -9,11 +9,11 @@
 #include "common/field_codec.h"
 #include "exec/remote_task.h"
 #include "memory/memory_manager.h"
+#include "net/net_stats.h"
 #include "spark/metrics.h"
 
 namespace deca::net {
 class Transport;
-struct NetStats;
 }  // namespace deca::net
 
 namespace deca::spark {
@@ -83,10 +83,9 @@ struct ClusterCounters {
   uint64_t rpc_messages = 0;
 };
 
-/// GC pause plane of one heap, or of a job (SparkContext::TotalGcPauses):
-/// mark-slice count, stop-the-world pause events, and pause/slice latency
-/// percentiles. Across executors the counters sum and the percentiles
-/// compose by max.
+/// GC pause plane of one heap, or of a job: mark-slice count,
+/// stop-the-world pause events, and pause/slice latency percentiles.
+/// Across executors the counters sum and the percentiles compose by max.
 struct GcPauseSummary {
   uint64_t mark_slices = 0;
   uint64_t pause_events = 0;
@@ -109,15 +108,16 @@ struct GcPauseSummary {
     DECA_MAX(slice_p99_ms);
     DECA_MAX(slice_max_ms);
   }
-
-  void Add(const GcPauseSummary& o) { FoldFields(this, o); }
 };
 
-/// One executor's observability plane, reported by its daemon in every
-/// stage-done acknowledgment. The driver serves the SparkContext Total*
-/// getters from the latest snapshots, so bench/report output is
-/// identical to the in-process run (each daemon reports only its own
-/// executor; the sum across daemons equals the in-process sum).
+/// One executor's observability plane: the one declaration of what an
+/// executor reports. A daemon sends its snapshot in every stage-done
+/// acknowledgment; in-process the context builds one per executor
+/// (SparkContext::ExecutorSnapshots). Both modes fold them by this list
+/// (SparkContext::Totals), so the job's totals are bit-identical across
+/// modes, and the run report names one metric per leaf (ForEachLeaf;
+/// integral leaves are exact, floating ones wall times). A new counter is
+/// one entry here.
 struct ExecutorSnapshot {
   double gc_pause_ms = 0;
   double concurrent_gc_ms = 0;
@@ -135,27 +135,32 @@ struct ExecutorSnapshot {
   GcPauseSummary pauses;
   /// This executor's native-buffer counters.
   alloc::AllocStats alloc;
-  /// Local shuffle-payload bytes per shuffle id (this executor's
-  /// deposits only; the driver sums across executors).
+  /// A daemon's mesh counters. In-process one NetStats serves the whole
+  /// context, so per-executor snapshots leave this zero and Totals()
+  /// takes it from the context.
+  net::NetStatsSnapshot net;
+  /// Shuffle-payload bytes per shuffle id: a daemon's own deposits. Like
+  /// `net`, in-process this is the context's, not an executor's.
   std::vector<uint64_t> shuffle_bytes;
 
   template <typename F>
   static constexpr void ForEachField(F&& f) {
     using Self = ExecutorSnapshot;
-    DECA_WIRE(gc_pause_ms);
-    DECA_WIRE(concurrent_gc_ms);
-    DECA_WIRE(minor_gcs);
-    DECA_WIRE(full_gcs);
-    DECA_WIRE(oom_recoveries);
-    DECA_WIRE(cached_bytes);
-    DECA_WIRE(peak_cached_bytes);
-    DECA_WIRE(swapped_bytes);
-    DECA_WIRE(pressure_evictions);
+    DECA_SUM(gc_pause_ms);
+    DECA_SUM(concurrent_gc_ms);
+    DECA_SUM(minor_gcs);
+    DECA_SUM(full_gcs);
+    DECA_SUM(oom_recoveries);
+    DECA_SUM(cached_bytes);
+    DECA_SUM(peak_cached_bytes);
+    DECA_SUM(swapped_bytes);
+    DECA_SUM(pressure_evictions);
     DECA_WIRE(tier);
     DECA_WIRE(memory);
     DECA_WIRE(pauses);
     DECA_WIRE(alloc);
-    DECA_WIRE(shuffle_bytes);
+    DECA_WIRE(net);
+    DECA_SUM(shuffle_bytes);
   }
 };
 
@@ -164,9 +169,31 @@ inline void CheckSnapshotLists(GcPauseSummary& p, ExecutorSnapshot& s) {
   [[maybe_unused]] auto& [p0, p1, p2, p3, p4, p5, p6, p7] = p;
   static_assert(FieldCount<GcPauseSummary>() == 8);
   [[maybe_unused]] auto& [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
-                          s12, s13] = s;
-  static_assert(FieldCount<ExecutorSnapshot>() == 14);
+                          s12, s13, s14] = s;
+  static_assert(FieldCount<ExecutorSnapshot>() == 15);
 }
+
+/// A snapshot leaf whose run-report metric is not named by its path.
+/// These keep the names reports and baselines had before the list:
+/// bytes shown in MB, and `alloc_calls`/`free_calls`, which perfbench
+/// reads under those names. The memory leaves are sums over executors.
+struct ReportName {
+  const char* leaf;    // the ForEachLeaf path
+  const char* metric;  // the report's name
+  double unit = 1;     // the metric is the leaf's value / unit
+};
+inline constexpr ReportName kReportNames[] = {
+    {"gc_pause_ms", "gc_ms"},
+    {"peak_cached_bytes", "cached_mb", 1 << 20},
+    {"swapped_bytes", "swapped_mb", 1 << 20},
+    {"pauses.pause_events", "pauses.events"},
+    {"alloc.alloc_calls", "alloc.allocs"},
+    {"alloc.free_calls", "alloc.frees"},
+    {"memory.exec_peak", "exec_pool_peak_bytes"},
+    {"memory.storage_peak", "storage_pool_peak_bytes"},
+    {"memory.borrowed_peak", "borrowed_peak_bytes"},
+    {"memory.denied_reservations", "denied_reservations"},
+};
 
 /// Driver-side cluster seam the SparkContext dispatches through in
 /// kDriver role. Implemented by cluster::ClusterManager; an interface so

@@ -98,8 +98,6 @@ struct TierCounters {
     DECA_MAX(promote_p50_ms);
     DECA_MAX(promote_p99_ms);
   }
-
-  void Add(const TierCounters& o) { FoldFields(this, o); }
 };
 
 // Tripwire: a new member breaks this binding until it is listed.

@@ -41,39 +41,24 @@ void RejectCrashWipe(const spark::SparkConfig& config, const char* workload,
 }
 
 void FinalizeResult(spark::SparkContext* ctx, RunResult* result) {
-  result->gc_ms = ctx->TotalGcPauseMs();
-  result->concurrent_gc_ms = ctx->TotalConcurrentGcMs();
-  result->minor_gcs = ctx->TotalMinorGcs();
-  result->full_gcs = ctx->TotalFullGcs();
-  result->cached_mb =
-      static_cast<double>(ctx->PeakCachedMemoryBytes()) / (1 << 20);
-  result->swapped_mb = static_cast<double>(ctx->SwappedBytes()) / (1 << 20);
-  const spark::TaskMetrics& t = ctx->metrics().tasks;
-  result->shuffle_read_ms = t.shuffle_read_ms;
-  result->shuffle_write_ms = t.shuffle_write_ms;
-  result->ser_ms = t.ser_ms;
-  result->deser_ms = t.deser_ms;
-  result->spill_ms = t.spill_ms;
-  result->compute_ms = t.compute_ms();
-  result->slowest_task = ctx->metrics().slowest_task;
-  result->task_retries = ctx->metrics().task_retries;
-  result->injected_faults = ctx->metrics().injected_faults;
-  result->executor_wipes = ctx->metrics().executor_wipes;
-  result->recomputed_blocks = ctx->metrics().recomputed_blocks;
-  result->pressure_evictions = ctx->TotalPressureEvictions();
-  result->oom_recoveries = ctx->TotalOomRecoveries();
-  result->denied_reservations = ctx->TotalDeniedReservations();
-  result->executor_memory = ctx->ExecutorMemorySnapshots();
+  const spark::JobMetrics& m = ctx->metrics();
+  result->shuffle_read_ms = m.tasks.shuffle_read_ms;
+  result->shuffle_write_ms = m.tasks.shuffle_write_ms;
+  result->ser_ms = m.tasks.ser_ms;
+  result->deser_ms = m.tasks.deser_ms;
+  result->spill_ms = m.tasks.spill_ms;
+  result->compute_ms = m.tasks.compute_ms();
+  result->slowest_task = m.slowest_task;
+  result->task_retries = m.task_retries;
+  result->injected_faults = m.injected_faults;
+  result->executor_wipes = m.executor_wipes;
+  result->recomputed_blocks = m.recomputed_blocks;
+  result->executors = ctx->ExecutorSnapshots();
+  result->totals = ctx->Totals();
+  const bool driver = ctx->role() == spark::DistRole::kDriver;
+  result->net_active = driver || ctx->net_stats() != nullptr;
   result->tier_active = ctx->config().t1_enabled();
-  result->tier = ctx->TotalTierCounters();
-  result->alloc = ctx->TotalAllocStats();
-  result->alloc_active = result->alloc.alloc_calls > 0;
-  result->pauses = ctx->TotalGcPauses();
-  if (ctx->net_stats() != nullptr) {
-    result->net_active = true;
-    result->net = ctx->net_stats()->Snapshot();
-  }
-  if (ctx->role() == spark::DistRole::kDriver) {
+  if (driver) {
     result->dist_active = true;
     result->cluster = ctx->cluster_counters();
   }

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "memory/memory_manager.h"
-#include "net/net_stats.h"
 #include "obs/trace.h"
 #include "spark/context.h"
 
@@ -40,12 +38,6 @@ struct RunResult {
   double exec_ms = 0;        // end-to-end (excluding data loading when the
                              // paper excludes it)
   double load_ms = 0;        // input loading/caching stage
-  double gc_ms = 0;          // total stop-the-world GC across executors
-  double concurrent_gc_ms = 0;
-  uint64_t minor_gcs = 0;
-  uint64_t full_gcs = 0;
-  double cached_mb = 0;      // peak in-memory cached data
-  double swapped_mb = 0;     // cache bytes swapped to disk
   double shuffle_read_ms = 0;
   double shuffle_write_ms = 0;
   double ser_ms = 0;
@@ -59,41 +51,26 @@ struct RunResult {
   uint64_t injected_faults = 0;
   uint64_t executor_wipes = 0;
   uint64_t recomputed_blocks = 0;
-  uint64_t pressure_evictions = 0;
-  uint64_t oom_recoveries = 0;
 
-  // Unified memory-manager plane: denial total plus one snapshot per
-  // executor (executor-id order) for the per-executor memory table.
-  uint64_t denied_reservations = 0;
-  std::vector<memory::MemoryStats> executor_memory;
+  /// The executors' snapshots folded (SparkContext::Totals): GC, cache,
+  /// memory-manager, tier, pause, native-buffer and wire planes, the same
+  /// in every execution mode.
+  spark::ExecutorSnapshot totals;
+  /// One snapshot per executor, in executor-id order (the per-executor
+  /// memory table).
+  std::vector<spark::ExecutorSnapshot> executors;
 
-  // Wire plane (network shuffle transports only; net_active is false and
-  // the snapshot stays zero under the local shuffle).
+  // Which optional planes ran. The wire plane runs under a network
+  // shuffle transport, and always in process mode (the daemons' mesh).
+  // The tier plane is the serialized off-heap tier (storage_tiers >= 3);
+  // without it only the T0/T2 and hit/miss counters can be non-zero.
   bool net_active = false;
-  net::NetStatsSnapshot net;
+  bool tier_active = false;
 
   // Control plane (multi-process runs only; dist_active is false and the
   // counters stay zero in-process).
   bool dist_active = false;
   spark::ClusterCounters cluster;
-
-  // Native-buffer counters (src/alloc). alloc_active is true whenever the
-  // executors counted at least one buffer.
-  bool alloc_active = false;
-  alloc::AllocStats alloc;
-
-  // Storage-tier plane (block store T0/T1/T2). tier_active is true when
-  // storage_tiers >= 3 enabled the serialized off-heap tier; the counters
-  // are filled either way (with the tier disabled only the T0/T2 and
-  // hit/miss fields can be non-zero).
-  bool tier_active = false;
-  spark::TierCounters tier;
-
-  // GC pause plane (schema v4): mark-slice / pause-event counts summed
-  // across executors, pause and slice latency percentiles composed by
-  // max. mark_slices is deterministic at pause_budget_ms=0 (monolithic
-  // marks record exactly one slice each).
-  spark::GcPauseSummary pauses;
 
   // Streaming plane (all zero unless the run was a micro-batch stream).
   // Pauses are per-epoch stop-the-world GC + region-reclaim stalls; the
@@ -119,8 +96,14 @@ struct RunResult {
   std::shared_ptr<obs::TraceLog> trace;
 };
 
-/// Fills the GC/cache/metric fields of `result` from a finished context.
+/// Fills the metric, snapshot and plane fields of `result` from a
+/// finished context.
 void FinalizeResult(spark::SparkContext* ctx, RunResult* result);
+
+/// `bytes` in MB (2^20 bytes), as the reports and tables show them.
+inline double ToMb(uint64_t bytes) {
+  return static_cast<double>(bytes) / (1 << 20);
+}
 
 }  // namespace deca::workloads
 

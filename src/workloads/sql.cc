@@ -554,10 +554,10 @@ SqlResult RunSqlQueries(const SqlParams& params) {
   result.run.exec_ms = result.q1_exec_ms + result.q2_exec_ms;
   FinalizeResult(&ctx, &result.run);
   if (params.engine == SqlEngine::kSparkSql) {
-    result.cached_mb = static_cast<double>(columnar.bytes) / (1 << 20);
+    result.cached_mb = ToMb(columnar.bytes);
     columnar.Unregister(&ctx);
   } else {
-    result.cached_mb = result.run.cached_mb;
+    result.cached_mb = ToMb(result.run.totals.peak_cached_bytes);
   }
   return result;
 }

@@ -249,17 +249,24 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
       int p = tc.partition();
       spark::KeyedShuffleReader in(tc, sid, &types.ops);
       spark::BlockKey key{StreamRdd(e), p};
-      // Not ForEachCombined: freeing the buffer first lowers the pool peak.
+      // The combined entries or rows are copied out as native values, so
+      // the combine buffer is freed before the epoch's block is built.
+      std::vector<uint8_t> entries;
+      std::vector<Partial> rows;
+      in.ForEachCombined(
+          deca ? spark::ShuffleLayout::kDecomposed
+               : spark::ShuffleLayout::kObjects,
+          [&](const uint8_t* entry) {
+            entries.insert(entries.end(), entry, entry + kEntryBytes);
+          },
+          [&](ObjRef k, ObjRef v) {
+            rows.push_back({h->GetField<int64_t>(k, 0),
+                            h->GetField<int64_t>(v, types.first_off),
+                            h->GetField<int64_t>(v, types.last_off),
+                            h->GetField<int64_t>(v, types.visits_off),
+                            h->GetField<int64_t>(v, types.cents_off)});
+          });
       if (deca) {
-        spark::DecaHashShuffleBuffer buf(h, &types.ops, page_bytes);
-        in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
-          buf.Insert(k, v);
-        });
-        std::vector<uint8_t> entries;
-        entries.reserve(static_cast<size_t>(buf.size()) * kEntryBytes);
-        buf.ForEach([&](const uint8_t* entry) {
-          entries.insert(entries.end(), entry, entry + kEntryBytes);
-        });
         auto pages = std::make_shared<core::PageGroup>(h, page_bytes);
         for (size_t off = 0; off < entries.size(); off += kEntryBytes) {
           core::SegPtr seg = pages->Append(kEntryBytes);
@@ -269,17 +276,6 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
             key, pages, static_cast<uint32_t>(entries.size() / kEntryBytes),
             &tc.metrics());
       } else {
-        spark::ObjectHashShuffleBuffer buf(h, &types.ops);
-        in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
-        std::vector<Partial> rows;
-        rows.reserve(buf.size());
-        buf.ForEach([&](ObjRef k, ObjRef v) {
-          rows.push_back({h->GetField<int64_t>(k, 0),
-                          h->GetField<int64_t>(v, types.first_off),
-                          h->GetField<int64_t>(v, types.last_off),
-                          h->GetField<int64_t>(v, types.visits_off),
-                          h->GetField<int64_t>(v, types.cents_off)});
-        });
         HandleScope scope(h);
         jvm::Handle arr = scope.Make(h->AllocateArray(
             h->registry()->ref_array_class(),

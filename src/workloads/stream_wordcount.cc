@@ -174,19 +174,21 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
       int p = tc.partition();
       spark::KeyedShuffleReader in(tc, sid, &types.ops);
       spark::BlockKey key{StreamRdd(e), p};
-      // Not ForEachCombined: freeing the buffer first lowers the pool peak.
+      // The combined entries or rows are copied out as native values, so
+      // the combine buffer is freed before the epoch's block is built.
+      std::vector<uint8_t> entries;
+      std::vector<std::pair<int64_t, int64_t>> rows;
+      in.ForEachCombined(
+          deca ? spark::ShuffleLayout::kDecomposed
+               : spark::ShuffleLayout::kObjects,
+          [&](const uint8_t* entry) {
+            entries.insert(entries.end(), entry, entry + 16);
+          },
+          [&](ObjRef k, ObjRef v) {
+            rows.emplace_back(h->GetField<int64_t>(k, 0),
+                              h->GetField<int64_t>(v, 0));
+          });
       if (deca) {
-        spark::DecaHashShuffleBuffer buf(h, &types.ops, page_bytes);
-        in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
-          buf.Insert(k, v);
-        });
-        // Stage to native bytes first: page appends may GC, which would
-        // invalidate the entry pointers a live ForEach hands out.
-        std::vector<uint8_t> entries;
-        entries.reserve(static_cast<size_t>(buf.size()) * 16);
-        buf.ForEach([&](const uint8_t* entry) {
-          entries.insert(entries.end(), entry, entry + 16);
-        });
         auto pages = std::make_shared<core::PageGroup>(h, page_bytes);
         for (size_t off = 0; off < entries.size(); off += 16) {
           core::SegPtr seg = pages->Append(16);
@@ -196,14 +198,6 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
                              static_cast<uint32_t>(entries.size() / 16),
                              &tc.metrics());
       } else {
-        spark::ObjectHashShuffleBuffer buf(h, &types.ops);
-        in.ForEachRecord([&](ObjRef k, ObjRef v) { buf.Insert(k, v); });
-        std::vector<std::pair<int64_t, int64_t>> rows;
-        rows.reserve(buf.size());
-        buf.ForEach([&](ObjRef k, ObjRef v) {
-          rows.emplace_back(h->GetField<int64_t>(k, 0),
-                            h->GetField<int64_t>(v, 0));
-        });
         HandleScope scope(h);
         jvm::Handle arr = scope.Make(h->AllocateArray(
             h->registry()->ref_array_class(),

@@ -1,8 +1,9 @@
 // Distributed control-plane equivalence matrix: every workload digest,
-// GC count, fault counter and native-buffer counter must be bit-identical
-// between the in-process backend and the one-daemon-per-executor backend
-// — across seeds, worker-thread counts, and fault scripts, including a
-// real SIGKILL-and-respawn recovery per seed.
+// fault counter and integral entry of the folded executor snapshot must be
+// bit-identical between the in-process backend and the
+// one-daemon-per-executor backend — across seeds, worker-thread counts,
+// and fault scripts, including a real SIGKILL-and-respawn recovery per
+// seed. Workloads without a process-mode entry must refuse process mode.
 //
 // The injection seed can be varied from the outside (the CI fault matrix
 // sets DECA_FAULT_SEED); every test here must hold for any seed.
@@ -10,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -17,8 +20,12 @@
 #include "spark/config.h"
 #include "spark/dist.h"
 #include "workloads/dist_entry.h"
+#include "workloads/graph.h"
+#include "workloads/kmeans.h"
 #include "workloads/lr.h"
 #include "workloads/serve_entry.h"
+#include "workloads/sql.h"
+#include "workloads/stream.h"
 #include "workloads/wordcount.h"
 
 namespace deca {
@@ -51,14 +58,16 @@ spark::SparkConfig Config(spark::DistMode mode, int threads) {
   return cfg;
 }
 
-workloads::WordCountResult Wc(spark::DistMode mode, int threads,
-                              const fault::FaultConfig& fc) {
+workloads::WordCountResult Wc(
+    spark::DistMode mode, int threads, const fault::FaultConfig& fc,
+    spark::ShuffleTransport transport = spark::ShuffleTransport::kLocal) {
   workloads::WordCountParams p;
   p.total_words = 1u << 15;
   p.distinct_keys = 500;
   p.mode = workloads::Mode::kSpark;
   p.spark = Config(mode, threads);
   p.spark.fault = fc;
+  p.spark.shuffle_transport = transport;
   return workloads::RunWordCount(p);
 }
 
@@ -91,28 +100,31 @@ workloads::ServeResult Serve(spark::DistMode mode) {
   return workloads::RunServeCache(p);
 }
 
+// Every integral leaf of `v`'s list (the deterministic counters; the
+// floating leaves are wall times), by path.
+template <Listed T>
+std::map<std::string, uint64_t> Counters(const T& v) {
+  std::map<std::string, uint64_t> out;
+  ForEachLeaf(v, [&out](const std::string& path, auto x) {
+    if constexpr (std::is_integral_v<decltype(x)>) out[path] = x;
+  });
+  return out;
+}
+
+// The job's folded snapshot, counter by counter, plus the driver's fault
+// counters. The wire plane counts the shuffle transport, which differs
+// between the runs compared here, so the tests that fix it compare it.
 void ExpectSameRun(const workloads::RunResult& a,
                    const workloads::RunResult& b) {
-  EXPECT_EQ(a.minor_gcs, b.minor_gcs);
-  EXPECT_EQ(a.full_gcs, b.full_gcs);
+  auto engine = [](spark::ExecutorSnapshot s) {
+    s.net = {};
+    return Counters(s);
+  };
+  EXPECT_EQ(engine(a.totals), engine(b.totals));
   EXPECT_EQ(a.task_retries, b.task_retries);
   EXPECT_EQ(a.injected_faults, b.injected_faults);
   EXPECT_EQ(a.executor_wipes, b.executor_wipes);
   EXPECT_EQ(a.recomputed_blocks, b.recomputed_blocks);
-  EXPECT_EQ(a.oom_recoveries, b.oom_recoveries);
-  // Native-buffer counters: which buffers an executor takes is engine
-  // behaviour too, so they hold across threads, backends and faults.
-  EXPECT_EQ(a.alloc.alloc_calls, b.alloc.alloc_calls);
-  EXPECT_EQ(a.alloc.free_calls, b.alloc.free_calls);
-  EXPECT_EQ(a.alloc.bytes_requested, b.alloc.bytes_requested);
-  // Tier plane: every deterministic (integer) counter of the list; the
-  // double entries, the promote percentiles, are wall times.
-  spark::TierCounters::ForEachField([&](const char* name, auto member, Fold) {
-    if constexpr (std::is_integral_v<
-                      std::remove_reference_t<decltype(a.tier.*member)>>) {
-      EXPECT_EQ(a.tier.*member, b.tier.*member) << "tier." << name;
-    }
-  });
 }
 
 TEST(ClusterDistTest, WordCountMatrixLocalEqualsProcess) {
@@ -149,6 +161,16 @@ TEST(ClusterDistTest, WordCountMatrixLocalEqualsProcess) {
       EXPECT_EQ(proc.run.cluster.executors_declared_dead, 0u);
       EXPECT_EQ(proc.run.cluster.stage_quarantines, 0u);
       EXPECT_GT(proc.run.cluster.rpc_messages, 0u);
+
+      // The daemons shuffle over the same socket mesh as an in-process
+      // tcp shuffle, and their acks carry its counters.
+      workloads::WordCountResult tcp = Wc(spark::DistMode::kInProcess, 0, fc,
+                                          spark::ShuffleTransport::kTcp);
+      EXPECT_EQ(tcp.total_count, base.total_count);
+      ExpectSameRun(tcp.run, base.run);
+      ASSERT_TRUE(proc.run.net_active);
+      EXPECT_GT(proc.run.totals.net.wire_bytes, 0u);
+      EXPECT_EQ(Counters(proc.run.totals.net), Counters(tcp.run.totals.net));
     }
   }
 }
@@ -196,7 +218,7 @@ TEST(ClusterDistTest, TierKnobsReachTheDaemons) {
   EXPECT_EQ(proc.queries, base.queries);
   EXPECT_EQ(proc.digest, base.digest);
   ExpectSameRun(proc.run, base.run);
-  EXPECT_GT(proc.run.tier.t1_hits, 0u);
+  EXPECT_GT(proc.run.totals.tier.t1_hits, 0u);
 }
 
 // The tentpole recovery claim: in process mode a scripted crash-wipe is a
@@ -233,6 +255,58 @@ TEST(ClusterDistTest, CrashWipeIsARealSigkillAndRespawnPerSeed) {
     EXPECT_GT(proc.run.cluster.heartbeat_misses, 0u);
     EXPECT_GT(proc.run.cluster.reconnect_probes, 0u);
   }
+}
+
+// A workload without a process-mode entry builds no cluster::ScopedJob,
+// so under dist_mode = process it would silently run in one process. Its
+// context refuses instead.
+spark::SparkConfig UnwiredProcessConfig() {
+  spark::SparkConfig cfg = Config(spark::DistMode::kProcess, 0);
+  cfg.spill_dir = "/tmp/deca_test_spill_unwired";
+  return cfg;
+}
+constexpr const char* kUnwired = "no cluster::ScopedJob wired this context";
+
+TEST(ClusterDistDeathTest, KMeansRefusesProcessMode) {
+  workloads::MlParams p;
+  p.spark = UnwiredProcessConfig();
+  EXPECT_DEATH(workloads::RunKMeans(p), kUnwired);
+}
+
+TEST(ClusterDistDeathTest, PageRankRefusesProcessMode) {
+  workloads::GraphParams p;
+  p.spark = UnwiredProcessConfig();
+  EXPECT_DEATH(workloads::RunPageRank(p), kUnwired);
+}
+
+TEST(ClusterDistDeathTest, ConnectedComponentsRefusesProcessMode) {
+  workloads::GraphParams p;
+  p.spark = UnwiredProcessConfig();
+  EXPECT_DEATH(workloads::RunConnectedComponents(p), kUnwired);
+}
+
+TEST(ClusterDistDeathTest, SqlRefusesProcessMode) {
+  workloads::SqlParams p;
+  p.spark = UnwiredProcessConfig();
+  EXPECT_DEATH(workloads::RunSqlQueries(p), kUnwired);
+}
+
+TEST(ClusterDistDeathTest, StreamWordCountRefusesProcessMode) {
+  workloads::StreamParams p;
+  p.spark = UnwiredProcessConfig();
+  EXPECT_DEATH(workloads::RunStreamWordCount(p), kUnwired);
+}
+
+TEST(ClusterDistDeathTest, StreamSessionizeRefusesProcessMode) {
+  workloads::StreamParams p;
+  p.spark = UnwiredProcessConfig();
+  EXPECT_DEATH(workloads::RunStreamSessionize(p), kUnwired);
+}
+
+TEST(ClusterDistDeathTest, StreamSlidingAggRefusesProcessMode) {
+  workloads::StreamParams p;
+  p.spark = UnwiredProcessConfig();
+  EXPECT_DEATH(workloads::RunStreamSlidingAgg(p), kUnwired);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // job-spec codec round-trips every listed field, the bench env parser
 // accepts the documented spellings and exits naming the variable on
 // anything else, and EXPERIMENTS.md's knob table names exactly the
-// variables the parser accepts.
+// variables the parser accepts. The run report is generated the same way
+// from the executor snapshot's list (spark::ExecutorSnapshot), and is
+// checked against that list and against the metrics it named before.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -172,6 +175,156 @@ TEST(BenchEnvTest, ExperimentsKnobTableMatchesTheParser) {
   const std::set<std::string> parsed(known.begin(), known.end());
   EXPECT_EQ(parsed.size(), known.size()) << "a knob is listed twice";
   EXPECT_EQ(documented, parsed);
+}
+
+// Moves every number in `v`'s list off its default, each to its own value.
+template <typename T>
+void SetLeaves(T* v, int* n) {
+  T::ForEachField([&](const char*, auto member, auto...) {
+    auto& m = v->*member;
+    using M = std::remove_cvref_t<decltype(m)>;
+    if constexpr (Listed<M>) {
+      SetLeaves(&m, n);
+    } else if constexpr (std::is_arithmetic_v<M>) {
+      m = static_cast<M>(++*n);
+    }
+  });
+}
+
+// Every metric the report named, and whether it was exact, before it was
+// generated from the snapshot list, with every optional plane active.
+constexpr std::pair<const char*, bool> kEarlierMetrics[] = {
+    {"minor_gcs", true},
+    {"full_gcs", true},
+    {"cached_mb", true},
+    {"swapped_mb", true},
+    {"task_retries", true},
+    {"injected_faults", true},
+    {"executor_wipes", true},
+    {"recomputed_blocks", true},
+    {"pressure_evictions", true},
+    {"oom_recoveries", true},
+    {"denied_reservations", true},
+    {"exec_pool_peak_bytes", true},
+    {"storage_pool_peak_bytes", true},
+    {"borrowed_peak_bytes", true},
+    {"slowest.pool_peak_bytes", false},
+    {"exec_ms", false},
+    {"load_ms", false},
+    {"gc_ms", false},
+    {"concurrent_gc_ms", false},
+    {"shuffle_read_ms", false},
+    {"shuffle_write_ms", false},
+    {"ser_ms", false},
+    {"deser_ms", false},
+    {"spill_ms", false},
+    {"compute_ms", false},
+    {"slowest.total_ms", false},
+    {"slowest.compute_ms", false},
+    {"slowest.gc_ms", false},
+    {"slowest.queue_ms", false},
+    {"net.wire_bytes", true},
+    {"net.payload_bytes", true},
+    {"net.messages", true},
+    {"net.index_requests", true},
+    {"net.slice_requests", true},
+    {"net.records_encoded", true},
+    {"net.records_decoded", true},
+    {"net.fetch_retries", true},
+    {"net.injected_fetch_failures", true},
+    {"net.flow_stalls", true},
+    {"net.virtual_wire_us", true},
+    {"net.encode_ms", false},
+    {"net.decode_ms", false},
+    {"cluster.executors_spawned", true},
+    {"cluster.executors_killed", true},
+    {"cluster.executors_respawned", true},
+    {"cluster.executors_declared_dead", true},
+    {"cluster.stage_quarantines", true},
+    {"cluster.heartbeats_sent", false},
+    {"cluster.heartbeat_misses", false},
+    {"cluster.reconnect_probes", false},
+    {"cluster.rpc_messages", false},
+    {"tier.t0_resident_bytes", true},
+    {"tier.t1_resident_bytes", true},
+    {"tier.t2_resident_bytes", true},
+    {"tier.t1_peak_bytes", true},
+    {"tier.t0_hits", true},
+    {"tier.t1_hits", true},
+    {"tier.t2_hits", true},
+    {"tier.misses", true},
+    {"tier.demotes_to_t1", true},
+    {"tier.demotes_to_t2", true},
+    {"tier.promotes", true},
+    {"tier.admit_rejects", true},
+    {"tier.promote_p50_ms", false},
+    {"tier.promote_p99_ms", false},
+    {"epoch.epochs_run", true},
+    {"epoch.windows", true},
+    {"epoch.reclaimed_bytes", true},
+    {"epoch.footprint_base_bytes", true},
+    {"epoch.footprint_end_bytes", true},
+    {"epoch.footprint_peak_bytes", true},
+    {"epoch.pause_p50_ms", false},
+    {"epoch.pause_p99_ms", false},
+    {"epoch.reclaim_p99_ms", false},
+    {"pauses.mark_slices", true},
+    {"pauses.events", true},
+    {"pauses.pause_p50_ms", false},
+    {"pauses.pause_p99_ms", false},
+    {"pauses.pause_max_ms", false},
+    {"pauses.slice_p50_ms", false},
+    {"pauses.slice_p99_ms", false},
+    {"pauses.slice_max_ms", false},
+    {"alloc.allocs", true},
+    {"alloc.frees", true},
+    {"alloc.bytes_requested", true},
+    {"trace.dropped_events", true},
+};
+
+// A report of a run whose every snapshot leaf moved off its default has
+// one metric per listed leaf, under its path or its spark::kReportNames
+// name, exact iff the leaf is integral, and every earlier metric.
+TEST(BenchReportTest, EverySnapshotLeafAndEarlierMetricIsReported) {
+  workloads::RunResult r;
+  int n = 0;
+  SetLeaves(&r.totals, &n);
+  r.net_active = true;
+  r.tier_active = true;
+  r.dist_active = true;
+  r.epochs_run = 1;
+  r.trace = std::make_shared<obs::TraceLog>();
+  bench::BenchReport report("config_test", 0, nullptr);
+  report.AddRun("run", r);
+  ASSERT_EQ(report.report().runs.size(), 1u);
+  const obs::ReportRun& run = report.report().runs[0];
+
+  std::set<std::string> names;
+  int leaves = 0;
+  ForEachLeaf(r.totals, [&](const std::string& path, auto v) {
+    ++leaves;
+    std::string name = path;
+    double unit = 1;
+    for (const spark::ReportName& rn : spark::kReportNames) {
+      if (path == rn.leaf) {
+        name = rn.metric;
+        unit = rn.unit;
+      }
+    }
+    names.insert(name);
+    const obs::ReportMetric* m = run.Find(name);
+    ASSERT_NE(m, nullptr) << path;
+    EXPECT_EQ(m->exact, std::is_integral_v<decltype(v)>) << path;
+    EXPECT_EQ(m->value, static_cast<double>(v) / unit) << path;
+  });
+  EXPECT_EQ(leaves, n);
+  EXPECT_EQ(names.size(), static_cast<size_t>(leaves)) << "a name twice";
+
+  for (const auto& [name, exact] : kEarlierMetrics) {
+    const obs::ReportMetric* m = run.Find(name);
+    ASSERT_NE(m, nullptr) << name;
+    EXPECT_EQ(m->exact, exact) << name;
+  }
 }
 
 }  // namespace

@@ -132,8 +132,8 @@ TEST(FaultToleranceTest, WordCountBitIdenticalUnderInjectedFaults) {
   EXPECT_EQ(base.run.injected_faults, 0u);
   EXPECT_EQ(base.run.executor_wipes, 0u);
   EXPECT_EQ(base.run.recomputed_blocks, 0u);
-  EXPECT_EQ(base.run.pressure_evictions, 0u);
-  EXPECT_EQ(base.run.oom_recoveries, 0u);
+  EXPECT_EQ(base.run.totals.pressure_evictions, 0u);
+  EXPECT_EQ(base.run.totals.oom_recoveries, 0u);
   EXPECT_EQ(base.total_count, uint64_t{1} << 16);
 
   fault::FaultConfig fc;
@@ -148,8 +148,8 @@ TEST(FaultToleranceTest, WordCountBitIdenticalUnderInjectedFaults) {
     EXPECT_EQ(r.shuffle_bytes, base.shuffle_bytes);
     // Failures fire before the task body touches the heap, so the GC
     // history replays exactly.
-    EXPECT_EQ(r.run.minor_gcs, base.run.minor_gcs);
-    EXPECT_EQ(r.run.full_gcs, base.run.full_gcs);
+    EXPECT_EQ(r.run.totals.minor_gcs, base.run.totals.minor_gcs);
+    EXPECT_EQ(r.run.totals.full_gcs, base.run.totals.full_gcs);
     EXPECT_GT(r.run.task_retries, 0u);
     EXPECT_EQ(r.run.injected_faults, r.run.task_retries);
   }
@@ -167,8 +167,8 @@ TEST(FaultToleranceTest, WordCountInjectedOomDegradesGracefully) {
   EXPECT_EQ(r.shuffle_bytes, base.shuffle_bytes);
   // The forced failure fires at the attempt's first allocation, before any
   // object is written — the surviving attempt's GC history is unperturbed.
-  EXPECT_EQ(r.run.minor_gcs, base.run.minor_gcs);
-  EXPECT_EQ(r.run.full_gcs, base.run.full_gcs);
+  EXPECT_EQ(r.run.totals.minor_gcs, base.run.totals.minor_gcs);
+  EXPECT_EQ(r.run.totals.full_gcs, base.run.totals.full_gcs);
   // 2 stages x 4 tasks, each burning every attempt but the last.
   uint64_t tasks = 2ull * 4;
   EXPECT_EQ(r.run.task_retries, tasks * 3);
@@ -207,8 +207,8 @@ TEST(FaultToleranceTest, LrCrashWipeBeforeFirstIterationBitIdentical) {
     }
     // The wiped heap replays its exact load history before the first
     // gradient stage, so even the GC counts match the fault-free run.
-    EXPECT_EQ(r.run.minor_gcs, base.run.minor_gcs);
-    EXPECT_EQ(r.run.full_gcs, base.run.full_gcs);
+    EXPECT_EQ(r.run.totals.minor_gcs, base.run.totals.minor_gcs);
+    EXPECT_EQ(r.run.totals.full_gcs, base.run.totals.full_gcs);
     EXPECT_EQ(r.run.executor_wipes, 1u);
     // Executor 1 owns 2 of the 4 partitions.
     EXPECT_EQ(r.run.recomputed_blocks, 2u);
@@ -333,7 +333,7 @@ TEST(FaultToleranceTest, GenuineOomDegradesToEvictionAndRetry) {
                              kPerBlock, &tc.metrics());
     }
   });
-  ASSERT_GT(ctx.CachedMemoryBytes(), 0u);
+  ASSERT_GT(ctx.Totals().cached_bytes, 0u);
 
   // A 5.8MB array cannot coexist with the pinned blocks in the 6MB old
   // gen: the allocation must be rescued by evicting the cache to disk plus
@@ -345,8 +345,8 @@ TEST(FaultToleranceTest, GenuineOomDegradesToEvictionAndRetry) {
     EXPECT_NE(big, jvm::kNullRef);
   });
   EXPECT_GT(ctx.TotalPressureEvictions(), 0u);
-  EXPECT_GE(ctx.TotalOomRecoveries(), 1u);
-  EXPECT_EQ(ctx.CachedMemoryBytes(), 0u);  // everything went to disk
+  EXPECT_GE(ctx.Totals().oom_recoveries, 1u);
+  EXPECT_EQ(ctx.Totals().cached_bytes, 0u);  // everything went to disk
 
   // The evicted blocks stream back from their swap files intact.
   uint64_t total_points = 0;

@@ -62,11 +62,11 @@ void ExpectWcEquivalent(const workloads::WordCountResult& net,
   EXPECT_EQ(net.total_count, local.total_count);
   EXPECT_EQ(net.distinct_found, local.distinct_found);
   EXPECT_EQ(net.shuffle_bytes, local.shuffle_bytes);
-  EXPECT_EQ(net.run.minor_gcs, local.run.minor_gcs);
-  EXPECT_EQ(net.run.full_gcs, local.run.full_gcs);
+  EXPECT_EQ(net.run.totals.minor_gcs, local.run.totals.minor_gcs);
+  EXPECT_EQ(net.run.totals.full_gcs, local.run.totals.full_gcs);
   EXPECT_EQ(net.run.task_retries, local.run.task_retries);
   EXPECT_EQ(net.run.injected_faults, local.run.injected_faults);
-  EXPECT_EQ(net.run.oom_recoveries, local.run.oom_recoveries);
+  EXPECT_EQ(net.run.totals.oom_recoveries, local.run.totals.oom_recoveries);
   EXPECT_EQ(net.run.executor_wipes, local.run.executor_wipes);
   EXPECT_EQ(net.run.recomputed_blocks, local.run.recomputed_blocks);
 }
@@ -100,7 +100,7 @@ TEST(NetShuffleEquivalence, WordCountSeedMatrixBitIdentical) {
           ExpectWcEquivalent(net, local);
           EXPECT_TRUE(net.run.net_active);
           EXPECT_FALSE(local.run.net_active);
-          EXPECT_GT(net.run.net.wire_bytes, 0u);
+          EXPECT_GT(net.run.totals.net.wire_bytes, 0u);
           if (fi == 1) {
             EXPECT_GT(net.run.injected_faults, 0u);
           }
@@ -130,8 +130,8 @@ TEST(NetShuffleEquivalence, LrCrashWipeBitIdentical) {
     for (size_t j = 0; j < local.weights.size(); ++j) {
       EXPECT_EQ(net.weights[j], local.weights[j]) << "dim " << j;
     }
-    EXPECT_EQ(net.run.minor_gcs, local.run.minor_gcs);
-    EXPECT_EQ(net.run.full_gcs, local.run.full_gcs);
+    EXPECT_EQ(net.run.totals.minor_gcs, local.run.totals.minor_gcs);
+    EXPECT_EQ(net.run.totals.full_gcs, local.run.totals.full_gcs);
     EXPECT_EQ(net.run.executor_wipes, 1u);
     EXPECT_EQ(net.run.recomputed_blocks, local.run.recomputed_blocks);
   }
@@ -154,20 +154,16 @@ TEST(NetShuffleEquivalence, WireCountersDeterministic) {
     workloads::WordCountResult b =
         RunWc(cfg, workloads::Mode::kDeca, threads);
     ExpectWcEquivalent(b, a);
-    EXPECT_EQ(b.run.net.wire_bytes, a.run.net.wire_bytes);
-    EXPECT_EQ(b.run.net.payload_bytes, a.run.net.payload_bytes);
-    EXPECT_EQ(b.run.net.messages, a.run.net.messages);
-    EXPECT_EQ(b.run.net.index_requests, a.run.net.index_requests);
-    EXPECT_EQ(b.run.net.slice_requests, a.run.net.slice_requests);
-    EXPECT_EQ(b.run.net.records_encoded, a.run.net.records_encoded);
-    EXPECT_EQ(b.run.net.records_decoded, a.run.net.records_decoded);
-    EXPECT_EQ(b.run.net.fetch_retries, a.run.net.fetch_retries);
-    EXPECT_EQ(b.run.net.injected_fetch_failures,
-              a.run.net.injected_fetch_failures);
-    EXPECT_EQ(b.run.net.flow_stalls, a.run.net.flow_stalls);
-    EXPECT_EQ(b.run.net.virtual_wire_us, a.run.net.virtual_wire_us);
+    // Every deterministic (integral) wire counter of the list.
+    net::NetStatsSnapshot::ForEachField(
+        [&](const char* name, auto member, Fold) {
+          const auto& x = a.run.totals.net.*member;
+          if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(x)>>) {
+            EXPECT_EQ(b.run.totals.net.*member, x) << "net." << name;
+          }
+        });
   }
-  EXPECT_GT(a.run.net.virtual_wire_us, 0u);
+  EXPECT_GT(a.run.totals.net.virtual_wire_us, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -185,15 +181,17 @@ TEST(NetShuffleCodec, PageShipsFewerBytesAndEncodesNoRecords) {
 
   ExpectWcEquivalent(rec, page);
   // Page mode moves the chunk bytes untouched: no per-record work at all.
-  EXPECT_EQ(page.run.net.records_encoded, 0u);
-  EXPECT_EQ(page.run.net.records_decoded, 0u);
+  EXPECT_EQ(page.run.totals.net.records_encoded, 0u);
+  EXPECT_EQ(page.run.totals.net.records_decoded, 0u);
   // Record mode re-serializes every (word, count) pair and pays per-record
   // length prefixes on the wire.
-  EXPECT_GT(rec.run.net.records_encoded, 0u);
-  EXPECT_EQ(rec.run.net.records_decoded, rec.run.net.records_encoded);
-  EXPECT_GT(rec.run.net.wire_bytes, page.run.net.wire_bytes);
+  EXPECT_GT(rec.run.totals.net.records_encoded, 0u);
+  EXPECT_EQ(rec.run.totals.net.records_decoded,
+            rec.run.totals.net.records_encoded);
+  EXPECT_GT(rec.run.totals.net.wire_bytes, page.run.totals.net.wire_bytes);
   // Identical payload either way — the codec only changes framing.
-  EXPECT_EQ(rec.run.net.payload_bytes, page.run.net.payload_bytes);
+  EXPECT_EQ(rec.run.totals.net.payload_bytes,
+            page.run.totals.net.payload_bytes);
 }
 
 TEST(NetShuffleCodec, AutoFollowsWorkloadMode) {
@@ -202,12 +200,13 @@ TEST(NetShuffleCodec, AutoFollowsWorkloadMode) {
   // Deca under kAuto ships pages: zero records encoded.
   workloads::WordCountResult deca =
       RunWc(cfg, workloads::Mode::kDeca, 0);
-  EXPECT_EQ(deca.run.net.records_encoded, 0u);
+  EXPECT_EQ(deca.run.totals.net.records_encoded, 0u);
   // Spark object mode under kAuto serializes per record.
   workloads::WordCountResult jvm =
       RunWc(cfg, workloads::Mode::kSpark, 0);
-  EXPECT_GT(jvm.run.net.records_encoded, 0u);
-  EXPECT_EQ(jvm.run.net.records_decoded, jvm.run.net.records_encoded);
+  EXPECT_GT(jvm.run.totals.net.records_encoded, 0u);
+  EXPECT_EQ(jvm.run.totals.net.records_decoded,
+            jvm.run.totals.net.records_encoded);
 }
 
 // Every object chunk carries its record boundaries, so the record codec
@@ -226,9 +225,10 @@ TEST(NetShuffleCodec, ObjectChunksFrameEveryRecord) {
   workloads::PageRankResult net = workloads::RunPageRank(p);
   EXPECT_EQ(net.vertices_ranked, local.vertices_ranked);
   EXPECT_EQ(net.rank_sum, local.rank_sum);
-  EXPECT_EQ(net.run.minor_gcs, local.run.minor_gcs);
-  EXPECT_GE(net.run.net.records_encoded, net.vertices_ranked);
-  EXPECT_EQ(net.run.net.records_decoded, net.run.net.records_encoded);
+  EXPECT_EQ(net.run.totals.minor_gcs, local.run.totals.minor_gcs);
+  EXPECT_GE(net.run.totals.net.records_encoded, net.vertices_ranked);
+  EXPECT_EQ(net.run.totals.net.records_decoded,
+            net.run.totals.net.records_encoded);
 }
 
 // SQL's Deca engine shuffles decomposed entries, so under kAuto it ships
@@ -245,8 +245,8 @@ TEST(NetShuffleCodec, SqlDecaEngineShipsPages) {
   workloads::SqlResult net = workloads::RunSqlQueries(p);
   EXPECT_EQ(net.q2_groups, local.q2_groups);
   EXPECT_EQ(net.q2_revenue_sum, local.q2_revenue_sum);
-  EXPECT_GT(net.run.net.wire_bytes, 0u);
-  EXPECT_EQ(net.run.net.records_encoded, 0u);
+  EXPECT_GT(net.run.totals.net.wire_bytes, 0u);
+  EXPECT_EQ(net.run.totals.net.records_encoded, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ TEST(NetShuffleFlowControl, TinyWindowStallsWithoutChangingResults) {
   cfg.shuffle_transport = spark::ShuffleTransport::kLoopback;
   workloads::WordCountResult wide =
       RunWc(cfg, workloads::Mode::kDeca, 0);
-  EXPECT_EQ(wide.run.net.flow_stalls, 0u);
+  EXPECT_EQ(wide.run.totals.net.flow_stalls, 0u);
 
   // A window of one chunk forces a stall on every full frame in flight.
   cfg.net_fetch_chunk_bytes = 1u << 10;
@@ -265,9 +265,10 @@ TEST(NetShuffleFlowControl, TinyWindowStallsWithoutChangingResults) {
   workloads::WordCountResult narrow =
       RunWc(cfg, workloads::Mode::kDeca, 0);
   ExpectWcEquivalent(narrow, wide);
-  EXPECT_GT(narrow.run.net.flow_stalls, 0u);
+  EXPECT_GT(narrow.run.totals.net.flow_stalls, 0u);
   // Smaller slices mean strictly more fetch round-trips.
-  EXPECT_GT(narrow.run.net.slice_requests, wide.run.net.slice_requests);
+  EXPECT_GT(narrow.run.totals.net.slice_requests,
+            wide.run.totals.net.slice_requests);
 }
 
 TEST(NetShuffleRetry, InjectedFetchFailuresCrossTheWire) {
@@ -284,11 +285,11 @@ TEST(NetShuffleRetry, InjectedFetchFailuresCrossTheWire) {
   // Each injected fetch failure travelled the transport as a doomed probe
   // RPC (observed server-side) and burned virtual backoff time.
   EXPECT_GT(r.run.injected_faults, 0u);
-  EXPECT_EQ(r.run.net.injected_fetch_failures, r.run.injected_faults);
-  EXPECT_EQ(r.run.net.fetch_retries,
+  EXPECT_EQ(r.run.totals.net.injected_fetch_failures, r.run.injected_faults);
+  EXPECT_EQ(r.run.totals.net.fetch_retries,
             r.run.injected_faults *
                 static_cast<uint64_t>(cfg.net_fetch_retries));
-  EXPECT_GT(r.run.net.virtual_wire_us, 0u);
+  EXPECT_GT(r.run.totals.net.virtual_wire_us, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,8 +304,8 @@ TEST(NetShuffleTcp, SmallWordCountMatchesLocal) {
   workloads::WordCountResult tcp = RunWc(cfg, workloads::Mode::kDeca, 0);
   ExpectWcEquivalent(tcp, local);
   EXPECT_TRUE(tcp.run.net_active);
-  EXPECT_GT(tcp.run.net.wire_bytes, 0u);
-  EXPECT_EQ(tcp.run.net.records_encoded, 0u);
+  EXPECT_GT(tcp.run.totals.net.wire_bytes, 0u);
+  EXPECT_EQ(tcp.run.totals.net.records_encoded, 0u);
 }
 
 }  // namespace

@@ -205,8 +205,8 @@ TEST(WorkloadTraceTest, TracingDoesNotPerturbSimulation) {
   workloads::LrResult a = workloads::RunLogisticRegression(off);
   workloads::LrResult b = workloads::RunLogisticRegression(TracedLr(0));
   EXPECT_EQ(a.run.trace, nullptr);
-  EXPECT_EQ(a.run.minor_gcs, b.run.minor_gcs);
-  EXPECT_EQ(a.run.full_gcs, b.run.full_gcs);
+  EXPECT_EQ(a.run.totals.minor_gcs, b.run.totals.minor_gcs);
+  EXPECT_EQ(a.run.totals.full_gcs, b.run.totals.full_gcs);
   ASSERT_EQ(a.weights.size(), b.weights.size());
   for (size_t i = 0; i < a.weights.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.weights[i], b.weights[i]);
@@ -446,10 +446,10 @@ TEST(RunReportTest, WorkloadReportValidatesAndRoundTrips) {
   rep.bench = "obs_trace_test";
   ReportRun run;
   run.label = "LR/Spark";
-  run.Add("minor_gcs", static_cast<double>(r.run.minor_gcs), true);
-  run.Add("full_gcs", static_cast<double>(r.run.full_gcs), true);
+  run.Add("minor_gcs", static_cast<double>(r.run.totals.minor_gcs), true);
+  run.Add("full_gcs", static_cast<double>(r.run.totals.full_gcs), true);
   run.Add("exec_ms", r.run.exec_ms, false);
-  run.Add("gc_ms", r.run.gc_ms, false);
+  run.Add("gc_ms", r.run.totals.gc_pause_ms, false);
   run.spans = r.run.trace->Aggregate();
   rep.runs.push_back(run);
 

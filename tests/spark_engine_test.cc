@@ -594,8 +594,8 @@ TEST(ParallelWorkloadEquivalenceTest, WordCount) {
   EXPECT_EQ(par.total_count, seq.total_count);
   EXPECT_EQ(par.distinct_found, seq.distinct_found);
   EXPECT_EQ(par.shuffle_bytes, seq.shuffle_bytes);
-  EXPECT_EQ(par.run.minor_gcs, seq.run.minor_gcs);
-  EXPECT_EQ(par.run.full_gcs, seq.run.full_gcs);
+  EXPECT_EQ(par.run.totals.minor_gcs, seq.run.totals.minor_gcs);
+  EXPECT_EQ(par.run.totals.full_gcs, seq.run.totals.full_gcs);
 }
 
 TEST(ParallelWorkloadEquivalenceTest, LogisticRegression) {
@@ -613,8 +613,8 @@ TEST(ParallelWorkloadEquivalenceTest, LogisticRegression) {
     // accumulation order.
     EXPECT_EQ(par.weights[j], seq.weights[j]) << "weight " << j;
   }
-  EXPECT_EQ(par.run.minor_gcs, seq.run.minor_gcs);
-  EXPECT_EQ(par.run.full_gcs, seq.run.full_gcs);
+  EXPECT_EQ(par.run.totals.minor_gcs, seq.run.totals.minor_gcs);
+  EXPECT_EQ(par.run.totals.full_gcs, seq.run.totals.full_gcs);
 }
 
 }  // namespace

@@ -197,7 +197,7 @@ TEST(StreamWorkloadTest, SteadyStateEndsWithEmptyDataPlane) {
       // the final epoch boundary (pages + cache memory + swap) is empty.
       // (cached_mb reports the PEAK, which is legitimately nonzero.)
       EXPECT_EQ(r.run.footprint_end_bytes, 0u) << s.name;
-      EXPECT_GT(r.run.cached_mb, 0) << s.name;
+      EXPECT_GT(r.run.totals.peak_cached_bytes, 0u) << s.name;
       EXPECT_GT(r.run.epoch_reclaimed_bytes, 0u) << s.name;
     }
   }

@@ -170,24 +170,53 @@ TEST(WireCodecTest, ControlFrameCarriesTypeAndBody) {
                "control frame of type 39 where 37 was expected");
 }
 
-// `add(&into, from)` must apply each entry's fold: a sum, or the larger
-// value whichever side holds it.
+template <typename V>
+V Folded(V a, V b, Fold fold) {
+  return fold == Fold::kSum ? a + b : std::max(a, b);
+}
+
+// `into` must hold `a` and `b` folded as each entry says: a sum, or the
+// larger value whichever side holds it. A nested list folds by its own
+// entries, a vector element by element, the shorter one's missing
+// elements counting as zero.
+template <typename T>
+void ExpectFolded(const T& into, const T& a, const T& b,
+                  const std::string& path) {
+  T::ForEachField([&](const char* name, auto member, auto... fold) {
+    const auto& x = a.*member;
+    const auto& y = b.*member;
+    const auto& got = into.*member;
+    using M = std::remove_cvref_t<decltype(x)>;
+    if constexpr (Listed<M>) {
+      ExpectFolded(got, x, y, path + name + ".");
+    } else if constexpr (IsVector<M>::value) {
+      ASSERT_EQ(got.size(), std::max(x.size(), y.size())) << path << name;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], Folded(i < x.size() ? x[i] : 0,
+                                 i < y.size() ? y[i] : 0, fold...))
+            << path << name << "[" << i << "]";
+      }
+    } else {
+      EXPECT_EQ(got, Folded(x, y, fold...)) << path << name;
+    }
+  });
+}
+
+// `add(&into, from)` must apply each entry's fold, whichever side is
+// folded into.
 template <typename T, typename AddFn>
 void ExpectFoldsByList(AddFn add) {
   T small;
   T large;
   int n = 0;
   Bump(&small, &n);
-  Bump(&large, &n);  // every leaf above its twin in `small`
+  Bump(&large, &n);  // every leaf above its twin in `small`...
+  Bump(&large, &n);  // ...and every vector two elements longer
   for (bool large_into : {false, true}) {
     T into = large_into ? large : small;
     add(&into, large_into ? small : large);
-    T::ForEachField([&](const char* name, auto member, Fold fold) {
-      const auto a = small.*member;
-      const auto b = large.*member;
-      EXPECT_EQ(into.*member, fold == Fold::kSum ? a + b : std::max(a, b))
-          << name << (large_into ? " (larger side folded into)" : "");
-    });
+    ExpectFolded(into, small, large,
+                 large_into ? "(larger side folded into) " : "");
   }
 }
 
@@ -196,18 +225,15 @@ TEST(WireCodecTest, FoldedListsFoldAsListed) {
       [](spark::TaskMetrics* into, const spark::TaskMetrics& from) {
         into->Accumulate(from);
       });
-  ExpectFoldsByList<spark::TierCounters>(
-      [](spark::TierCounters* into, const spark::TierCounters& from) {
-        into->Add(from);
-      });
-  ExpectFoldsByList<alloc::AllocStats>(
-      [](alloc::AllocStats* into, const alloc::AllocStats& from) {
-        into->Add(from);
-      });
-  ExpectFoldsByList<spark::GcPauseSummary>(
-      [](spark::GcPauseSummary* into, const spark::GcPauseSummary& from) {
-        into->Add(from);
-      });
+  ExpectFoldsByList<spark::TierCounters>(FoldFields<spark::TierCounters>);
+  ExpectFoldsByList<alloc::AllocStats>(FoldFields<alloc::AllocStats>);
+  ExpectFoldsByList<spark::GcPauseSummary>(FoldFields<spark::GcPauseSummary>);
+  ExpectFoldsByList<net::NetStatsSnapshot>(
+      FoldFields<net::NetStatsSnapshot>);
+  // Nested lists (tier, memory, pauses, alloc, net) and the per-shuffle
+  // byte vector.
+  ExpectFoldsByList<spark::ExecutorSnapshot>(
+      FoldFields<spark::ExecutorSnapshot>);
 }
 
 }  // namespace

@@ -39,17 +39,11 @@ struct GoldenRun {
 };
 
 void ExpectRun(const RunResult& r, const GoldenRun& g) {
-  EXPECT_EQ(r.minor_gcs, g.minor_gcs);
-  EXPECT_EQ(r.full_gcs, g.full_gcs);
-  EXPECT_EQ(r.cached_mb, static_cast<double>(g.cached_bytes) / (1 << 20));
-  uint64_t exec_peak = 0;
-  uint64_t storage_peak = 0;
-  for (const memory::MemoryStats& m : r.executor_memory) {
-    exec_peak += m.exec_peak;
-    storage_peak += m.storage_peak;
-  }
-  EXPECT_EQ(exec_peak, g.exec_pool_peak);
-  EXPECT_EQ(storage_peak, g.storage_pool_peak);
+  EXPECT_EQ(r.totals.minor_gcs, g.minor_gcs);
+  EXPECT_EQ(r.totals.full_gcs, g.full_gcs);
+  EXPECT_EQ(r.totals.peak_cached_bytes, g.cached_bytes);
+  EXPECT_EQ(r.totals.memory.exec_peak, g.exec_pool_peak);
+  EXPECT_EQ(r.totals.memory.storage_peak, g.storage_pool_peak);
 }
 
 spark::SparkConfig SmallSpark(const char* spill_dir,
@@ -235,7 +229,7 @@ TEST(GoldenRows, StreamWordCount) {
   const StreamRow rows[] = {
       {Mode::kSpark, {12, 0, 163968, 0, 163968}, 833329},
       {Mode::kSparkSer, {12, 0, 65664, 0, 65664}, 440161},
-      {Mode::kDeca, {0, 0, 524416, 262208, 524416}, 3054512},
+      {Mode::kDeca, {0, 0, 524416, 131104, 524416}, 3054512},
   };
   ExpectStreamRows(RunStreamWordCount, 2, 0, rows, 0xdd09322aa8bcce8dull, 4,
                    160000);
@@ -245,7 +239,7 @@ TEST(GoldenRows, StreamSessionize) {
   const StreamRow rows[] = {
       {Mode::kSpark, {14, 0, 131200, 0, 131200}, 845213},
       {Mode::kSparkSer, {14, 0, 82048, 0, 82048}, 648605},
-      {Mode::kDeca, {0, 0, 524416, 262208, 524416}, 3398064},
+      {Mode::kDeca, {0, 0, 524416, 131104, 524416}, 3398064},
   };
   ExpectStreamRows(RunStreamSessionize, 2, 0, rows, 0x92119efeeeccf44bull, 4,
                    160000);

@@ -74,7 +74,8 @@ TEST(LrWorkloadTest, AllModesComputeIdenticalWeights) {
 TEST(LrWorkloadTest, DecaCachesFewerBytesThanSpark) {
   LrResult spark = RunLogisticRegression(SmallParams(Mode::kSpark));
   LrResult deca = RunLogisticRegression(SmallParams(Mode::kDeca));
-  EXPECT_LT(deca.run.cached_mb, spark.run.cached_mb);
+  EXPECT_LT(deca.run.totals.peak_cached_bytes,
+            spark.run.totals.peak_cached_bytes);
 }
 
 TEST(LrWorkloadTest, ProfileSeriesRecorded) {
