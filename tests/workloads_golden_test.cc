@@ -1,7 +1,7 @@
-// Golden rows for the workloads and modes that no committed bench
-// baseline gates: KMeans, connected components and SQL (the shuffle
-// workloads), and LR, PageRank and the three stream workloads (every
-// cached-block read form). Each row was recorded once from the default
+// Golden rows for every workload in every mode: WordCount, KMeans,
+// connected components and SQL (the shuffle workloads), LR, PageRank and
+// the three stream workloads (every cached-block read form), and serve
+// (the tier ladder). Each row was recorded once from the default
 // paths and is asserted exactly: results, GC counts, cached bytes, the
 // executor pool peaks and, for streams, the bytes epoch regions
 // reclaimed. The mode-vs-mode tests in workloads_*_test compare modes
@@ -16,13 +16,17 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "workloads/graph.h"
 #include "workloads/kmeans.h"
 #include "workloads/lr.h"
+#include "workloads/serve_entry.h"
 #include "workloads/sql.h"
 #include "workloads/stream.h"
+#include "workloads/wordcount.h"
 
 namespace deca::workloads {
 namespace {
@@ -70,6 +74,34 @@ uint64_t CentersDigest(const std::vector<std::vector<double>>& centers) {
   uint64_t h = 14695981039346656037ull;
   for (const auto& center : centers) h = BitsDigest(center, h);
   return h;
+}
+
+TEST(GoldenRows, WordCount) {
+  const struct {
+    Mode mode;
+    uint64_t shuffle_bytes;
+    GoldenRun run;
+  } rows[] = {
+      {Mode::kSpark, 1607350, {14, 4, 0, 0, 0}},
+      {Mode::kSparkSer, 1607350, {14, 4, 0, 0, 0}},
+      {Mode::kDeca, 5768560, {0, 0, 0, 3015392, 0}},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(ModeName(row.mode));
+    // About 90k distinct words per map task: the object buffer's
+    // estimate (entry_bytes per word) outgrows the 5.2 MB shuffle budget,
+    // so every Spark-mode map side drains before Finish.
+    WordCountParams p;
+    p.total_words = 480000;
+    p.distinct_keys = 200000;
+    p.mode = row.mode;
+    p.spark = SmallSpark("/tmp/deca_test_spill_golden");
+    WordCountResult r = RunWordCount(p);
+    EXPECT_EQ(r.total_count, 480000u);
+    EXPECT_EQ(r.distinct_found, 181751u);
+    EXPECT_EQ(r.shuffle_bytes, row.shuffle_bytes);
+    ExpectRun(r.run, row.run);
+  }
 }
 
 TEST(GoldenRows, KMeans) {
@@ -189,6 +221,56 @@ TEST(GoldenRows, PageRank) {
     EXPECT_EQ(r.rank_sum, 2445.6871271219002);
     EXPECT_EQ(r.vertices_ranked, 2532u);
     ExpectRun(r.run, row.run);
+  }
+}
+
+/// Every integral tier.* counter (the percentiles are wall times), in
+/// TierCounters' list order.
+std::vector<uint64_t> TierCounts(const spark::TierCounters& t) {
+  std::vector<uint64_t> counts;
+  ForEachLeaf(t, [&](const std::string&, auto value) {
+    if constexpr (std::is_integral_v<decltype(value)>) counts.push_back(value);
+  });
+  return counts;
+}
+
+TEST(GoldenRows, Serve) {
+  const struct {
+    Mode mode;
+    GoldenRun run;
+    std::vector<uint64_t> tier;
+  } rows[] = {
+      {Mode::kSpark,
+       {7, 0, 1129264, 0, 1129264},
+       {434208, 270712, 1092712, 280576, 841, 101, 82, 0, 111, 90, 183, 0}},
+      {Mode::kSparkSer,
+       {0, 0, 841792, 0, 841792},
+       {411048, 140288, 1092712, 280576, 894, 38, 92, 0, 47, 100, 130, 0}},
+      {Mode::kDeca,
+       {0, 0, 786624, 393312, 786624},
+       {393312, 0, 1353616, 557120, 838, 76, 110, 0, 86, 120, 186, 0}},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(ModeName(row.mode));
+    // ClusterDistTest's serve size: the table is twice the unified
+    // budget and T1 is capped at 30% of it, so blocks move through all
+    // three tiers and come back.
+    ServeParams p;
+    p.num_records = 12000;
+    p.record_doubles = 16;
+    p.queries_per_task = 64;
+    p.serve_stages = 4;
+    p.mode = row.mode;
+    p.spark = SmallSpark("/tmp/deca_test_spill_golden");
+    p.spark.storage_tiers = 3;
+    p.spark.t1_fraction = 0.3;
+    p.spark.admit_policy = spark::AdmitPolicy::kAlways;
+    p.spark.executor_memory_bytes = (p.num_records / 2) * (8 + 8 * 16) / 2;
+    ServeResult r = RunServeCache(p);
+    EXPECT_EQ(r.queries, 1024u);
+    EXPECT_EQ(r.digest, 0x761966352aee48a5ull);
+    ExpectRun(r.run, row.run);
+    EXPECT_EQ(TierCounts(r.run.totals.tier), row.tier);
   }
 }
 
