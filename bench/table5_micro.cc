@@ -89,10 +89,15 @@ int main(int argc, char** argv) {
     }
     double kryo_deser_us = deser_sw.ElapsedMillis() * 1000.0 / kReps;
 
-    std::vector<uint8_t> seg(types.ops().deca_bytes(&heap, lp.get()));
+    // Decomposing an object: read its graph out, store the decomposed
+    // record (the declaration's generated code).
+    const spark::RecordType<LabeledPoint>& point = types.point();
+    std::vector<uint8_t> seg(point.decomposed_bytes());
+    LabeledPoint value;
     Stopwatch dser_sw;
     for (int i = 0; i < kReps; ++i) {
-      types.ops().decompose(&heap, lp.get(), seg.data());
+      point.Read(&heap, lp.get(), &value);
+      point.Store(seg.data(), value);
     }
     double deca_ser_us = dser_sw.ElapsedMillis() * 1000.0 / kReps;
 

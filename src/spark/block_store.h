@@ -23,7 +23,7 @@ namespace deca::spark {
 /// A materialized cache block as returned to tasks. At most one heap
 /// representation is set; `packed` carries the serialized off-heap bytes
 /// when the block was served lazily from T1/T2 without materializing
-/// (RecordCursor / RawPageCursor walk it). `temporary` marks data
+/// (RecordOps::deserialize / RawPageCursor walk it). `temporary` marks data
 /// materialized per-access from a lower tier (not re-inserted into the
 /// store).
 struct LoadedBlock {
@@ -110,7 +110,7 @@ class CacheManager : public jvm::RootProvider {
   /// Like Get, but a T1/T2 block the admission policy rejects is returned
   /// as its packed payload (`LoadedBlock::packed`) with no heap
   /// materialization at all — point queries then deserialize only the
-  /// records they touch via RecordCursor / RawPageCursor.
+  /// records they touch via RecordOps::deserialize / RawPageCursor.
   LoadedBlock GetLazy(BlockKey key, TaskMetrics* metrics);
 
   /// Drops a block entirely (unpersist), whatever tier it is in.

@@ -24,6 +24,7 @@ KeyedShuffleWriter::KeyedShuffleWriter(TaskContext& tc, int shuffle_id,
     for (auto& meta : metas_) {
       meta.fixed_record_bytes = ops->deca_key_bytes + ops->deca_value_bytes;
     }
+    scratch_.resize(ops->deca_key_bytes + ops->deca_value_bytes);
   } else {
     objects_ = std::make_unique<ObjectHashShuffleBuffer>(tc.heap(), ops);
   }
@@ -126,21 +127,6 @@ void KeyedShuffleReader::ForEachRecord(
       fn(k.get(), v.get());
     }
   }
-}
-
-void KeyedShuffleReader::ForEachCombined(
-    ShuffleLayout layout, const std::function<void(const uint8_t*)>& entry,
-    const std::function<void(jvm::ObjRef, jvm::ObjRef)>& pair) const {
-  jvm::Heap* h = tc_.heap();
-  if (layout == ShuffleLayout::kDecomposed) {
-    DecaHashShuffleBuffer buf(h, ops_, tc_.context()->config().deca_page_bytes);
-    ForEachEntry([&](const uint8_t* k, const uint8_t* v) { buf.Insert(k, v); });
-    buf.ForEach(entry);
-    return;
-  }
-  ObjectHashShuffleBuffer buf(h, ops_);
-  ForEachRecord([&](jvm::ObjRef k, jvm::ObjRef v) { buf.Insert(k, v); });
-  buf.ForEach(pair);
 }
 
 }  // namespace deca::spark

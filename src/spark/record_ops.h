@@ -9,10 +9,12 @@
 
 namespace deca::spark {
 
-/// Type-erased operations the engine needs over one record type. In Spark
-/// these come from the JVM type system and Kryo registrations; in Deca
-/// from the optimizer's generated SUDT code. Workloads register both
-/// flavours; the planner's verdict decides which path runs.
+/// Type-erased operations the block store needs over one cached record
+/// type, in the form Spark gets from the JVM type system and Kryo
+/// registrations. A declared record type generates them
+/// (spark/record_decl.h); decomposed records need none, since the store
+/// keeps their pages as bytes. Which form a block takes is the cache
+/// level's choice, which ApplyMode sets from the run's mode flag.
 struct RecordOps {
   /// Estimated managed-heap footprint of one record's object graph
   /// (headers included), for cache accounting.
@@ -22,56 +24,12 @@ struct RecordOps {
   std::function<void(jvm::Heap*, jvm::ObjRef, ByteWriter*)> serialize;
   /// Rebuilds the managed object graph from serialized form.
   std::function<jvm::ObjRef(jvm::Heap*, ByteReader*)> deserialize;
-
-  /// Size of the record's decomposed byte segment (SUDT data-size; only
-  /// set for decomposable record types).
-  std::function<uint32_t(jvm::Heap*, jvm::ObjRef)> deca_bytes;
-  /// Writes the decomposed byte segment (discarding headers/references).
-  std::function<void(jvm::Heap*, jvm::ObjRef, uint8_t*)> decompose;
-  /// Re-creates the object graph from a decomposed segment (used when a
-  /// later phase cannot run on bytes and Deca re-constructs, Section
-  /// 4.3.2).
-  std::function<jvm::ObjRef(jvm::Heap*, const uint8_t*)> reconstruct;
-
-  bool decomposable() const { return static_cast<bool>(decompose); }
-};
-
-/// Sequential lazy deserializer over a packed (Kryo) record run — the
-/// byte payload of a T1/T2 block served without promotion
-/// (LoadedBlock::packed). A point query deserializes only the records up
-/// to its target index instead of materializing the whole block's
-/// Object[]; the records it does build are ordinary short-lived young
-/// objects.
-class RecordCursor {
- public:
-  RecordCursor(const RecordOps* ops, jvm::Heap* heap, const uint8_t* data,
-               size_t size, uint32_t count)
-      : ops_(ops), heap_(heap), reader_(data, size), count_(count) {}
-
-  /// Deserializes the next record; kNullRef once `count` records have
-  /// been read. The caller roots the returned object if it allocates
-  /// before consuming it.
-  jvm::ObjRef Next() {
-    if (index_ >= count_) return jvm::kNullRef;
-    ++index_;
-    return ops_->deserialize(heap_, &reader_);
-  }
-
-  /// Records returned so far.
-  uint32_t index() const { return index_; }
-  uint32_t count() const { return count_; }
-  bool done() const { return index_ >= count_; }
-
- private:
-  const RecordOps* ops_;
-  jvm::Heap* heap_;
-  ByteReader reader_;
-  uint32_t count_;
-  uint32_t index_ = 0;
 };
 
 /// Operations for shuffle key/value handling (hash-based buffers with
-/// eager combining, paper Section 4.2).
+/// eager combining, paper Section 4.2). A declared (key, value) pair
+/// generates them (spark::ShuffleType); the run's mode flag, through the
+/// shuffle's ShuffleLayout, picks the object or the decomposed half.
 struct ShuffleOps {
   // -- object (Spark) mode -------------------------------------------------
   std::function<uint64_t(jvm::Heap*, jvm::ObjRef)> key_hash;

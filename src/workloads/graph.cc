@@ -11,6 +11,7 @@
 #include "spark/block_reader.h"
 #include "spark/keyed_shuffle.h"
 #include "workloads/lr.h"
+#include "workloads/records.h"
 
 namespace deca::workloads {
 
@@ -37,7 +38,10 @@ uint64_t MixHash(uint64_t v) { return v * 0x9e3779b97f4a7c15ULL; }
 
 /// Managed types and shuffle operations for the graph workloads.
 struct GraphTypes {
-  explicit GraphTypes(jvm::ClassRegistry* registry) {
+  explicit GraphTypes(jvm::ClassRegistry* registry)
+      : edges(Edges(registry)),
+        contribs(Contributions(registry)),
+        labels(Labels(registry)) {
     vertex_links_cls = registry->RegisterClass(
         "VertexLinks",
         {{"id", FieldKind::kLong}, {"neighbors", FieldKind::kRef}});
@@ -77,90 +81,17 @@ struct GraphTypes {
       return v;
     };
 
-    // -- (src, dst) edge shuffle (groupByKey; no map-side combine).
-    auto long_hash = [](jvm::Heap* h, ObjRef k) -> uint64_t {
-      return MixHash(static_cast<uint64_t>(h->GetField<int64_t>(k, 0)));
-    };
-    auto long_eq = [](jvm::Heap* h, ObjRef a, ObjRef b) {
-      return h->GetField<int64_t>(a, 0) == h->GetField<int64_t>(b, 0);
-    };
-    auto box_entry = [](jvm::Heap*, ObjRef, ObjRef) -> uint64_t {
-      return 2 * (jvm::kHeaderBytes + 8) + 8;
-    };
-    auto ser_long = [](jvm::Heap* h, ObjRef k, ByteWriter* w) {
-      w->WriteVarI64(h->GetField<int64_t>(k, 0));
-    };
-    auto deser_long = [](jvm::Heap* h, ByteReader* r) -> ObjRef {
-      ObjRef k = h->AllocateInstance(h->registry()->boxed_long_class());
-      h->SetField<int64_t>(k, 0, r->ReadVarI64());
-      return k;
-    };
-    edge_ops.key_hash = long_hash;
-    edge_ops.key_equals = long_eq;
-    edge_ops.entry_bytes = box_entry;
-    edge_ops.serialize_key = ser_long;
-    edge_ops.serialize_value = ser_long;
-    edge_ops.deserialize_key = deser_long;
-    edge_ops.deserialize_value = deser_long;
-    // Deca's edge chunks hold raw (src, dst) longs; the widths give the
-    // groupBy stage's reader its stride.
-    edge_ops.deca_key_bytes = 8;
-    edge_ops.deca_value_bytes = 8;
-
-    // -- (vertex, contribution) sum shuffle for PageRank.
-    contrib_ops.key_hash = long_hash;
-    contrib_ops.key_equals = long_eq;
-    contrib_ops.combine = [](jvm::Heap* h, ObjRef agg, ObjRef v) -> ObjRef {
-      double sum = h->GetField<double>(agg, 0) + h->GetField<double>(v, 0);
-      ObjRef fresh =
-          h->AllocateInstance(h->registry()->boxed_double_class());
-      h->SetField<double>(fresh, 0, sum);
-      return fresh;
-    };
-    contrib_ops.entry_bytes = box_entry;
-    contrib_ops.serialize_key = ser_long;
-    contrib_ops.serialize_value = [](jvm::Heap* h, ObjRef v, ByteWriter* w) {
-      w->Write<double>(h->GetField<double>(v, 0));
-    };
-    contrib_ops.deserialize_key = deser_long;
-    contrib_ops.deserialize_value = [](jvm::Heap* h,
-                                       ByteReader* r) -> ObjRef {
-      ObjRef v = h->AllocateInstance(h->registry()->boxed_double_class());
-      h->SetField<double>(v, 0, r->Read<double>());
-      return v;
-    };
-    contrib_ops.deca_key_bytes = 8;
-    contrib_ops.deca_value_bytes = 8;
-    contrib_ops.deca_key_hash = [](const uint8_t* k) -> uint64_t {
-      return MixHash(LoadRaw<uint64_t>(k));
-    };
-    contrib_ops.deca_combine = [](uint8_t* agg, const uint8_t* v) {
-      StoreRaw<double>(agg, LoadRaw<double>(agg) + LoadRaw<double>(v));
-    };
-
-    // -- (vertex, label) min shuffle for ConnectedComponents.
-    label_ops = contrib_ops;
-    label_ops.combine = [](jvm::Heap* h, ObjRef agg, ObjRef v) -> ObjRef {
-      int64_t m = std::min(h->GetField<int64_t>(agg, 0),
-                           h->GetField<int64_t>(v, 0));
-      ObjRef fresh = h->AllocateInstance(h->registry()->boxed_long_class());
-      h->SetField<int64_t>(fresh, 0, m);
-      return fresh;
-    };
-    label_ops.serialize_value = ser_long;
-    label_ops.deserialize_value = deser_long;
-    label_ops.deca_combine = [](uint8_t* agg, const uint8_t* v) {
-      StoreRaw<int64_t>(agg,
-                        std::min(LoadRaw<int64_t>(agg), LoadRaw<int64_t>(v)));
-    };
   }
 
   uint32_t vertex_links_cls;
   uint32_t id_off, neighbors_off;
   spark::RecordOps links_ops;
-  spark::ShuffleOps edge_ops;
-  spark::ShuffleOps contrib_ops;
-  spark::ShuffleOps label_ops;
+  /// (src, dst) edges, grouped by src with no combine.
+  LongPairs edges;
+  /// PageRank's (vertex, contribution) sums.
+  spark::ShuffleType<spark::Long, spark::Double> contribs;
+  /// ConnectedComponents' (vertex, label) minima.
+  LongPairs labels;
 };
 
 }  // namespace
@@ -279,24 +210,32 @@ uint64_t BuildAdjacency(spark::SparkContext* ctx, const GraphParams& params,
     Rng rng(params.seed + 1000 + static_cast<uint64_t>(tc.partition()));
     std::vector<ByteWriter> outs(static_cast<size_t>(parts));
     std::vector<net::ChunkMeta> metas(static_cast<size_t>(parts));
+    const spark::RecordType<spark::Long>& src_type = types.edges.key();
+    const spark::RecordType<spark::Long>& dst_type = types.edges.value();
+    const uint32_t entry_bytes =
+        src_type.decomposed_bytes() + dst_type.decomposed_bytes();
     if (deca) {
-      for (auto& meta : metas) meta.fixed_record_bytes = 16;
+      for (auto& meta : metas) meta.fixed_record_bytes = entry_bytes;
     }
+    std::vector<uint8_t> entry(entry_bytes);
     for (uint64_t i = 0; i < per_part; ++i) {
       auto [src, dst] = RmatEdge(&rng, scale);
       if (src == dst) continue;  // drop self loops
       size_t r = MixHash(src) % static_cast<uint64_t>(parts);
       ByteWriter& w = outs[r];
+      spark::Long from{static_cast<int64_t>(src)};
+      spark::Long to{static_cast<int64_t>(dst)};
       if (deca) {
-        // SFST pair: raw 16-byte segments, no serialization.
-        w.Write<int64_t>(static_cast<int64_t>(src));
-        w.Write<int64_t>(static_cast<int64_t>(dst));
+        // SFST pair: raw decomposed entries, no serialization.
+        src_type.Store(entry.data(), from);
+        dst_type.Store(entry.data() + src_type.decomposed_bytes(), to);
+        w.WriteBytes(entry.data(), entry_bytes);
       } else {
         size_t before = w.size();
         {
           ScopedTimerMs t(&tc.metrics().ser_ms);
-          w.WriteVarI64(static_cast<int64_t>(src));
-          w.WriteVarI64(static_cast<int64_t>(dst));
+          src_type.Put(&w, from);
+          dst_type.Put(&w, to);
         }
         metas[r].record_lens.push_back(
             static_cast<uint32_t>(w.size() - before));
@@ -316,19 +255,16 @@ uint64_t BuildAdjacency(spark::SparkContext* ctx, const GraphParams& params,
     jvm::Heap* h = tc.heap();
     // The grouping buffer holds managed objects in BOTH modes: its value
     // arrays are VSTs while being built (paper Section 4.3.3).
-    spark::ObjectGroupByBuffer groups(h, &types.edge_ops);
-    spark::KeyedShuffleReader in(tc, edge_shuffle, &types.edge_ops);
+    spark::ObjectGroupByBuffer groups(h, &types.edges.ops());
+    spark::KeyedShuffleReader in(tc, edge_shuffle, types.edges);
     if (deca) {
-      in.ForEachEntry([&](const uint8_t* src, const uint8_t* dst) {
-        HandleScope scope(h);
-        jvm::Handle k = scope.Make(
-            h->AllocateInstance(h->registry()->boxed_long_class()));
-        h->SetField<int64_t>(k.get(), 0, LoadRaw<int64_t>(src));
-        jvm::Handle v = scope.Make(
-            h->AllocateInstance(h->registry()->boxed_long_class()));
-        h->SetField<int64_t>(v.get(), 0, LoadRaw<int64_t>(dst));
-        groups.Insert(k.get(), v.get());
-      });
+      in.ForEachPair(spark::ShuffleLayout::kDecomposed,
+                     [&](const spark::Long& src, const spark::Long& dst) {
+                       types.edges.BuildPair(
+                           h, src, dst, [&](ObjRef k, ObjRef v) {
+                             groups.Insert(k, v);
+                           });
+                     });
     } else {
       in.ForEachRecord([&](ObjRef k, ObjRef v) { groups.Insert(k, v); });
     }
@@ -476,16 +412,10 @@ PageRankResult RunPageRank(const GraphParams& params) {
       //    partition's rank table.
       std::unordered_map<int64_t, double> ranks;
       if (prev_shuffle >= 0) {
-        spark::KeyedShuffleReader in(tc, prev_shuffle, &types.contrib_ops);
+        spark::KeyedShuffleReader in(tc, prev_shuffle, types.contribs);
         in.ForEachCombined(
-            layout,
-            [&](const uint8_t* e) {
-              ranks[LoadRaw<int64_t>(e)] =
-                  0.15 + 0.85 * LoadRaw<double>(e + 8);
-            },
-            [&](ObjRef k, ObjRef v) {
-              ranks[h->GetField<int64_t>(k, 0)] =
-                  0.15 + 0.85 * h->GetField<double>(v, 0);
+            layout, [&](const spark::Long& v, const spark::Double& sum) {
+              ranks[v.value] = 0.15 + 0.85 * sum.value;
             });
       }
       auto rank_of = [&](int64_t v) -> double {
@@ -495,17 +425,15 @@ PageRankResult RunPageRank(const GraphParams& params) {
       };
 
       // 2. Scan the cached adjacency sub-blocks and emit contributions.
-      spark::KeyedShuffleWriter out(tc, next_shuffle, &types.contrib_ops,
-                                    layout);
+      spark::KeyedShuffleWriter out(tc, next_shuffle, types.contribs, layout);
       auto emit_record = [&](const uint8_t* p) {
         int64_t id = LoadRaw<int64_t>(p);
         uint32_t degree = LoadRaw<uint32_t>(p + 8);
         uint32_t n = LoadRaw<uint32_t>(p + 12);
-        double contrib = rank_of(id) / degree;
+        spark::Double contrib{rank_of(id) / degree};
         for (uint32_t j = 0; j < n; ++j) {
           int64_t dst = LoadRaw<int64_t>(p + kAdjHeaderBytes + 8ull * j);
-          out.Insert(reinterpret_cast<const uint8_t*>(&dst),
-                     reinterpret_cast<const uint8_t*>(&contrib));
+          out.Emit(spark::Long{dst}, contrib);
         }
         return kAdjHeaderBytes + 8 * n;
       };
@@ -513,24 +441,16 @@ PageRankResult RunPageRank(const GraphParams& params) {
         HandleScope inner(h);
         jvm::Handle hl = inner.Make(links);
         int64_t id = h->GetField<int64_t>(hl.get(), types.id_off);
-        double contrib;
+        spark::Double contrib;
         {
           ObjRef nbrs = h->GetRefField(hl.get(), types.neighbors_off);
-          contrib = rank_of(id) / h->ArrayLength(nbrs);
+          contrib.value = rank_of(id) / h->ArrayLength(nbrs);
         }
         uint32_t n =
             h->ArrayLength(h->GetRefField(hl.get(), types.neighbors_off));
         for (uint32_t j = 0; j < n; ++j) {
           ObjRef nbrs = h->GetRefField(hl.get(), types.neighbors_off);
-          int64_t dst = h->GetElem<int64_t>(nbrs, j);
-          HandleScope pair_scope(h);
-          jvm::Handle k = pair_scope.Make(
-              h->AllocateInstance(h->registry()->boxed_long_class()));
-          h->SetField<int64_t>(k.get(), 0, dst);
-          jvm::Handle v = pair_scope.Make(
-              h->AllocateInstance(h->registry()->boxed_double_class()));
-          h->SetField<double>(v.get(), 0, contrib);
-          out.Insert(k.get(), v.get());
+          out.Emit(spark::Long{h->GetElem<int64_t>(nbrs, j)}, contrib);
         }
       };
       ForEachPointBlock(tc, kLinksRddId, [&](const spark::LoadedBlock& block) {
@@ -551,18 +471,12 @@ PageRankResult RunPageRank(const GraphParams& params) {
   ctx.RunStage("finalize", [&](spark::TaskContext& tc) {
     double& rank_sum = part_rank_sum[static_cast<size_t>(tc.partition())];
     uint64_t& ranked = part_ranked[static_cast<size_t>(tc.partition())];
-    jvm::Heap* h = tc.heap();
-    spark::KeyedShuffleReader in(tc, prev_shuffle, &types.contrib_ops);
-    in.ForEachCombined(
-        layout,
-        [&](const uint8_t* e) {
-          rank_sum += 0.15 + 0.85 * LoadRaw<double>(e + 8);
-          ++ranked;
-        },
-        [&](ObjRef, ObjRef v) {
-          rank_sum += 0.15 + 0.85 * h->GetField<double>(v, 0);
-          ++ranked;
-        });
+    spark::KeyedShuffleReader in(tc, prev_shuffle, types.contribs);
+    in.ForEachCombined(layout,
+                       [&](const spark::Long&, const spark::Double& sum) {
+                         rank_sum += 0.15 + 0.85 * sum.value;
+                         ++ranked;
+                       });
   });
   ctx.shuffle()->Release(prev_shuffle);
 
@@ -621,34 +535,25 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
       uint64_t& updates = part_updates[static_cast<size_t>(p)];
       // 1. Apply incoming label minima.
       if (prev_shuffle >= 0) {
-        spark::KeyedShuffleReader in(tc, prev_shuffle, &types.label_ops);
-        auto apply = [&](int64_t v, int64_t l) {
-          int64_t cur = label_of(p, v);
-          if (l < cur) {
-            labels[static_cast<size_t>(p)][v] = l;
-            ++updates;
-          }
-        };
+        spark::KeyedShuffleReader in(tc, prev_shuffle, types.labels);
         in.ForEachCombined(
-            layout,
-            [&](const uint8_t* e) {
-              apply(LoadRaw<int64_t>(e), LoadRaw<int64_t>(e + 8));
-            },
-            [&](ObjRef k, ObjRef v) {
-              apply(h->GetField<int64_t>(k, 0), h->GetField<int64_t>(v, 0));
+            layout, [&](const spark::Long& v, const spark::Long& l) {
+              if (l.value < label_of(p, v.value)) {
+                labels[static_cast<size_t>(p)][v.value] = l.value;
+                ++updates;
+              }
             });
       }
       // 2. Propagate labels along edges (over all adjacency sub-blocks).
-      spark::KeyedShuffleWriter out(tc, next_shuffle, &types.label_ops,
-                                    layout);
+      spark::KeyedShuffleWriter out(tc, next_shuffle, types.labels, layout);
       auto emit_record = [&](const uint8_t* rec) {
         int64_t id = LoadRaw<int64_t>(rec);
         uint32_t n = LoadRaw<uint32_t>(rec + 12);
-        int64_t l = label_of(p, id);
+        spark::Long l{label_of(p, id)};
         for (uint32_t j = 0; j < n; ++j) {
-          int64_t dst = LoadRaw<int64_t>(rec + kAdjHeaderBytes + 8ull * j);
-          out.Insert(reinterpret_cast<const uint8_t*>(&dst),
-                     reinterpret_cast<const uint8_t*>(&l));
+          out.Emit(
+              spark::Long{LoadRaw<int64_t>(rec + kAdjHeaderBytes + 8ull * j)},
+              l);
         }
         return kAdjHeaderBytes + 8 * n;
       };
@@ -656,20 +561,12 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
         HandleScope inner(h);
         jvm::Handle hl = inner.Make(links);
         int64_t id = h->GetField<int64_t>(hl.get(), types.id_off);
-        int64_t l = label_of(p, id);
+        spark::Long l{label_of(p, id)};
         uint32_t n =
             h->ArrayLength(h->GetRefField(hl.get(), types.neighbors_off));
         for (uint32_t j = 0; j < n; ++j) {
           ObjRef nbrs = h->GetRefField(hl.get(), types.neighbors_off);
-          int64_t dst = h->GetElem<int64_t>(nbrs, j);
-          HandleScope pair_scope(h);
-          jvm::Handle k = pair_scope.Make(
-              h->AllocateInstance(h->registry()->boxed_long_class()));
-          h->SetField<int64_t>(k.get(), 0, dst);
-          jvm::Handle v = pair_scope.Make(
-              h->AllocateInstance(h->registry()->boxed_long_class()));
-          h->SetField<int64_t>(v.get(), 0, l);
-          out.Insert(k.get(), v.get());
+          out.Emit(spark::Long{h->GetElem<int64_t>(nbrs, j)}, l);
         }
       };
       ForEachPointBlock(tc, kLinksRddId, [&](const spark::LoadedBlock& block) {
@@ -689,24 +586,14 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
   // Apply the final round of messages so labels are consistent.
   std::vector<uint64_t> final_updates(static_cast<size_t>(parts), 0);
   ctx.RunStage("cc-final", [&](spark::TaskContext& tc) {
-    jvm::Heap* h = tc.heap();
     int p = tc.partition();
-    spark::KeyedShuffleReader in(tc, prev_shuffle, &types.label_ops);
-    auto apply = [&](int64_t v, int64_t l) {
-      if (l < label_of(p, v)) {
-        labels[static_cast<size_t>(p)][v] = l;
+    spark::KeyedShuffleReader in(tc, prev_shuffle, types.labels);
+    in.ForEachPair(layout, [&](const spark::Long& v, const spark::Long& l) {
+      if (l.value < label_of(p, v.value)) {
+        labels[static_cast<size_t>(p)][v.value] = l.value;
         ++final_updates[static_cast<size_t>(p)];
       }
-    };
-    if (deca) {
-      in.ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
-        apply(LoadRaw<int64_t>(k), LoadRaw<int64_t>(v));
-      });
-    } else {
-      in.ForEachRecord([&](ObjRef k, ObjRef v) {
-        apply(h->GetField<int64_t>(k, 0), h->GetField<int64_t>(v, 0));
-      });
-    }
+    });
   });
   ctx.shuffle()->Release(prev_shuffle);
   for (uint64_t u : final_updates) total_updates += u;

@@ -1,7 +1,7 @@
 #include "workloads/kmeans.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/clock.h"
@@ -9,114 +9,13 @@
 #include "common/random.h"
 #include "spark/block_reader.h"
 #include "spark/keyed_shuffle.h"
+#include "workloads/records.h"
 
 namespace deca::workloads {
-
-using jvm::FieldKind;
-using jvm::HandleScope;
-using jvm::ObjRef;
 
 namespace {
 
 constexpr int kPointsRddId = 2;
-
-/// Managed classes + shuffle ops for the per-cluster partial aggregates:
-/// class ClusterStat { long count; double[] sums; }.
-struct KMeansShuffle {
-  KMeansShuffle(jvm::ClassRegistry* registry, int dims_in) : dims(dims_in) {
-    stat_cls = registry->RegisterClass(
-        "ClusterStat",
-        {{"count", FieldKind::kLong}, {"sums", FieldKind::kRef}});
-    const auto& ci = registry->Get(stat_cls);
-    count_off = ci.FieldOffset("count");
-    sums_off = ci.FieldOffset("sums");
-
-    int d = dims;
-    uint32_t stat_count = count_off;
-    uint32_t stat_sums = sums_off;
-    uint32_t cls = stat_cls;
-
-    ops.key_hash = [](jvm::Heap* h, ObjRef k) -> uint64_t {
-      return static_cast<uint64_t>(h->GetField<int64_t>(k, 0)) *
-             0x9e3779b97f4a7c15ULL;
-    };
-    ops.key_equals = [](jvm::Heap* h, ObjRef a, ObjRef b) {
-      return h->GetField<int64_t>(a, 0) == h->GetField<int64_t>(b, 0);
-    };
-    // Spark-style merge: a fresh ClusterStat (and sums array) per combine.
-    ops.combine = [d, cls, stat_count, stat_sums](
-                      jvm::Heap* h, ObjRef agg, ObjRef v) -> ObjRef {
-      HandleScope scope(h);
-      jvm::Handle ha = scope.Make(agg);
-      jvm::Handle hv = scope.Make(v);
-      jvm::Handle sums = scope.Make(h->AllocateArray(
-          h->registry()->double_array_class(), static_cast<uint32_t>(d)));
-      ObjRef asums = h->GetRefField(ha.get(), stat_sums);
-      ObjRef vsums = h->GetRefField(hv.get(), stat_sums);
-      for (int j = 0; j < d; ++j) {
-        h->SetElem<double>(
-            sums.get(), static_cast<uint32_t>(j),
-            h->GetElem<double>(asums, static_cast<uint32_t>(j)) +
-                h->GetElem<double>(vsums, static_cast<uint32_t>(j)));
-      }
-      jvm::Handle fresh = scope.Make(h->AllocateInstance(cls));
-      h->SetField<int64_t>(fresh.get(), stat_count,
-                           h->GetField<int64_t>(ha.get(), stat_count) +
-                               h->GetField<int64_t>(hv.get(), stat_count));
-      h->SetRefField(fresh.get(), stat_sums, sums.get());
-      return fresh.get();
-    };
-    ops.entry_bytes = [d](jvm::Heap*, ObjRef, ObjRef) -> uint64_t {
-      return (jvm::kHeaderBytes + 8) + (jvm::kHeaderBytes + 16) +
-             (jvm::kHeaderBytes + 8ull * static_cast<uint64_t>(d)) + 8;
-    };
-    ops.serialize_key = [](jvm::Heap* h, ObjRef k, ByteWriter* w) {
-      w->WriteVarI64(h->GetField<int64_t>(k, 0));
-    };
-    ops.serialize_value = [d, stat_count, stat_sums](jvm::Heap* h, ObjRef v,
-                                                     ByteWriter* w) {
-      w->WriteVarI64(h->GetField<int64_t>(v, stat_count));
-      ObjRef sums = h->GetRefField(v, stat_sums);
-      w->WriteBytes(h->ArrayData(sums), 8 * static_cast<size_t>(d));
-    };
-    ops.deserialize_key = [](jvm::Heap* h, ByteReader* r) -> ObjRef {
-      ObjRef k = h->AllocateInstance(h->registry()->boxed_long_class());
-      h->SetField<int64_t>(k, 0, r->ReadVarI64());
-      return k;
-    };
-    ops.deserialize_value = [d, cls, stat_count, stat_sums](
-                                jvm::Heap* h, ByteReader* r) -> ObjRef {
-      HandleScope scope(h);
-      int64_t count = r->ReadVarI64();
-      jvm::Handle sums = scope.Make(h->AllocateArray(
-          h->registry()->double_array_class(), static_cast<uint32_t>(d)));
-      r->ReadBytes(h->ArrayData(sums.get()), 8 * static_cast<size_t>(d));
-      ObjRef v = h->AllocateInstance(cls);
-      h->SetField<int64_t>(v, stat_count, count);
-      h->SetRefField(v, stat_sums, sums.get());
-      return v;
-    };
-    // Deca: [count:i64 | sums: d doubles], summed in place.
-    ops.deca_key_bytes = 8;
-    ops.deca_value_bytes = 8 + 8 * static_cast<uint32_t>(d);
-    ops.deca_key_hash = [](const uint8_t* k) -> uint64_t {
-      return LoadRaw<uint64_t>(k) * 0x9e3779b97f4a7c15ULL;
-    };
-    ops.deca_combine = [d](uint8_t* agg, const uint8_t* v) {
-      StoreRaw<int64_t>(agg, LoadRaw<int64_t>(agg) + LoadRaw<int64_t>(v));
-      for (int j = 0; j < d; ++j) {
-        size_t off = 8 + 8 * static_cast<size_t>(j);
-        StoreRaw<double>(agg + off, LoadRaw<double>(agg + off) +
-                                        LoadRaw<double>(v + off));
-      }
-    };
-  }
-
-  int dims;
-  uint32_t stat_cls;
-  uint32_t count_off, sums_off;
-  spark::ShuffleOps ops;
-};
 
 int NearestCenter(const std::vector<std::vector<double>>& centers,
                   const double* point, int dims) {
@@ -143,7 +42,7 @@ KMeansResult RunKMeans(const MlParams& params) {
   ApplyMode(params.mode, &cfg);
   spark::SparkContext ctx(cfg);
   LrTypes types(ctx.registry(), params.dims);
-  KMeansShuffle shuffle(ctx.registry(), params.dims);
+  const auto stats = ClusterStats(ctx.registry(), params.dims);
   ctx.RegisterCachedRdd(kPointsRddId, &types.ops());
 
   bool deca = params.mode == Mode::kDeca;
@@ -195,48 +94,19 @@ KMeansResult RunKMeans(const MlParams& params) {
 
     // Map: assign points to centers, eagerly combining per-cluster sums.
     ctx.RunStage("assign", [&](spark::TaskContext& tc) {
-      jvm::Heap* h = tc.heap();
-      spark::KeyedShuffleWriter out(tc, shuffle_id, &shuffle.ops, layout);
-      const uint32_t rec_bytes = 8 + 8 * static_cast<uint32_t>(dims);
-      std::vector<uint8_t> value(shuffle.ops.deca_value_bytes);
-      std::vector<double> feats(static_cast<size_t>(dims));
+      spark::KeyedShuffleWriter out(tc, shuffle_id, stats, layout);
+      ClusterStat stat = stats.value().Value();
+      stat.count = 1;
       ForEachPointBlock(tc, kPointsRddId, [&](const spark::LoadedBlock& block) {
+        // Emits one (cluster, ClusterStat) pair per point — in object
+        // mode Spark's fresh map output objects, built after the point's
+        // features were copied out.
         spark::ForEachCachedRecord(
-            tc, block, types.ops(),
-            [&](const uint8_t* p) {
-              const double* f = reinterpret_cast<const double*>(p + 8);
-              int64_t c = NearestCenter(centers, f, dims);
-              StoreRaw<int64_t>(value.data(), 1);
-              std::memcpy(value.data() + 8, f, 8 * static_cast<size_t>(dims));
-              out.Insert(reinterpret_cast<const uint8_t*>(&c), value.data());
-              return rec_bytes;
-            },
-            // Emits one fresh (key, ClusterStat) pair per point — Spark's
-            // map output objects. The point stays rooted while they are
-            // allocated.
-            [&](ObjRef lp) {
-              HandleScope scope(h);
-              jvm::Handle point = scope.Make(lp);
-              ObjRef dv = h->GetRefField(point.get(), types.lp_features_off());
-              ObjRef data = h->GetRefField(dv, types.dv_data_off());
-              for (int j = 0; j < dims; ++j) {
-                feats[static_cast<size_t>(j)] =
-                    h->GetElem<double>(data, static_cast<uint32_t>(j));
-              }
-              int64_t c = NearestCenter(centers, feats.data(), dims);
-              jvm::Handle key = scope.Make(
-                  h->AllocateInstance(h->registry()->boxed_long_class()));
-              h->SetField<int64_t>(key.get(), 0, c);
-              jvm::Handle sums = scope.Make(h->AllocateArray(
-                  h->registry()->double_array_class(),
-                  static_cast<uint32_t>(dims)));
-              std::memcpy(h->ArrayData(sums.get()), feats.data(),
-                          8 * static_cast<size_t>(dims));
-              jvm::Handle stat =
-                  scope.Make(h->AllocateInstance(shuffle.stat_cls));
-              h->SetField<int64_t>(stat.get(), shuffle.count_off, 1);
-              h->SetRefField(stat.get(), shuffle.sums_off, sums.get());
-              out.Insert(key.get(), stat.get());
+            tc, block, types.point(), [&](const LabeledPoint& point) {
+              const std::vector<double>& f = point.features.data;
+              std::copy(f.begin(), f.end(), stat.sums.begin());
+              out.Emit(spark::Long{NearestCenter(centers, f.data(), dims)},
+                       stat);
             });
       });
       out.Finish();
@@ -252,26 +122,14 @@ KMeansResult RunKMeans(const MlParams& params) {
         std::vector<double>(static_cast<size_t>(dims), 0.0));
     std::vector<int64_t> counts(static_cast<size_t>(k), 0);
     ctx.RunStage("update", [&](spark::TaskContext& tc) {
-      jvm::Heap* h = tc.heap();
-      spark::KeyedShuffleReader in(tc, shuffle_id, &shuffle.ops);
+      spark::KeyedShuffleReader in(tc, shuffle_id, stats);
       in.ForEachCombined(
-          layout,
-          [&](const uint8_t* e) {
-            int64_t c = LoadRaw<int64_t>(e);
-            counts[static_cast<size_t>(c)] += LoadRaw<int64_t>(e + 8);
+          layout, [&](const spark::Long& c, const ClusterStat& stat) {
+            size_t row = static_cast<size_t>(c.value);
+            counts[row] += stat.count;
             for (int j = 0; j < dims; ++j) {
-              new_centers[static_cast<size_t>(c)][static_cast<size_t>(j)] +=
-                  LoadRaw<double>(e + 16 + 8 * static_cast<size_t>(j));
-            }
-          },
-          [&](ObjRef kk, ObjRef vv) {
-            int64_t c = h->GetField<int64_t>(kk, 0);
-            counts[static_cast<size_t>(c)] +=
-                h->GetField<int64_t>(vv, shuffle.count_off);
-            ObjRef sums = h->GetRefField(vv, shuffle.sums_off);
-            for (int j = 0; j < dims; ++j) {
-              new_centers[static_cast<size_t>(c)][static_cast<size_t>(j)] +=
-                  h->GetElem<double>(sums, static_cast<uint32_t>(j));
+              new_centers[row][static_cast<size_t>(j)] +=
+                  stat.sums[static_cast<size_t>(j)];
             }
           });
     });

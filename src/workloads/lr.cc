@@ -1,6 +1,8 @@
 #include "workloads/lr.h"
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "cluster/scoped_job.h"
 #include "common/clock.h"
@@ -15,32 +17,21 @@ namespace deca::workloads {
 using analysis::SizeType;
 using analysis::Statement;
 using analysis::SymExpr;
-using jvm::FieldKind;
 using jvm::HandleScope;
 using jvm::ObjRef;
 
 LrTypes::LrTypes(jvm::ClassRegistry* registry, int dims)
-    : dims_(dims), registry_(registry) {
+    : dims_(dims), point_(registry, static_cast<uint32_t>(dims)) {
   // Managed class layouts mirroring the Scala classes of paper Figure 1.
-  dense_vector_cls_ = registry->RegisterClass(
-      "DenseVector", {{"data", FieldKind::kRef},
-                      {"offset", FieldKind::kInt},
-                      {"stride", FieldKind::kInt},
-                      {"length", FieldKind::kInt}});
-  labeled_point_cls_ = registry->RegisterClass(
-      "LabeledPoint",
-      {{"label", FieldKind::kDouble}, {"features", FieldKind::kRef}});
-  const jvm::ClassInfo& dv = registry->Get(dense_vector_cls_);
-  const jvm::ClassInfo& lp = registry->Get(labeled_point_cls_);
+  const jvm::ClassInfo& lp = registry->Get(point_.class_id());
+  const jvm::ClassInfo& dv =
+      registry->Get(registry->FindId(DenseVector::kHeapClass));
+  dense_vector_cls_ = dv.id();
   dv_data_off_ = dv.FieldOffset("data");
-  dv_offset_off_ = dv.FieldOffset("offset");
-  dv_stride_off_ = dv.FieldOffset("stride");
-  dv_length_off_ = dv.FieldOffset("length");
   lp_label_off_ = lp.FieldOffset("label");
   lp_features_off_ = lp.FieldOffset("features");
 
   BuildUdtModel();
-  BuildOps();
 }
 
 // GCC at -O3 flags the aggregate Statement initializers below as
@@ -52,22 +43,12 @@ LrTypes::LrTypes(jvm::ClassRegistry* registry, int dims)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 void LrTypes::BuildUdtModel() {
-  // Annotated types (paper Figure 3).
-  const auto* darr = universe_.DefineArray(
-      "Array[Double]", {universe_.Primitive(FieldKind::kDouble)});
-  auto* dv = universe_.DefineClass("DenseVector");
-  universe_.AddField(dv, "data", /*is_final=*/true, {darr});
-  universe_.AddField(dv, "offset", false,
-                     {universe_.Primitive(FieldKind::kInt)});
-  universe_.AddField(dv, "stride", false,
-                     {universe_.Primitive(FieldKind::kInt)});
-  universe_.AddField(dv, "length", false,
-                     {universe_.Primitive(FieldKind::kInt)});
-  auto* lp = universe_.DefineClass("LabeledPoint");
-  universe_.AddField(lp, "label", false,
-                     {universe_.Primitive(FieldKind::kDouble)});
-  universe_.AddField(lp, "features", /*is_final=*/false, {dv});
-  lp_udt_ = lp;
+  // Annotated types (paper Figure 3), from the declaration.
+  core::LengthResolver lengths;
+  std::set<std::string> elided;
+  const analysis::UdtType* lp = point_.DefineUdt(&universe_, &lengths, &elided);
+  const analysis::UdtType* dv = universe_.Find(DenseVector::kHeapClass);
+  const analysis::UdtType* darr = universe_.Find("Array[Double]");
 
   // The LR stage's call graph: the map UDF of Figure 1 constructs each
   // point via the two constructors; `features.data` is always `new
@@ -109,15 +90,10 @@ void LrTypes::BuildUdtModel() {
   analysis::GlobalClassifier classifier(&stage_cg_);
   classified_ = classifier.Classify(lp);
   if (classified_ == SizeType::kStaticFixed) {
-    core::LengthResolver lengths;
-    lengths.SetFixedLength(dv, "data",
-                           static_cast<uint32_t>(dims_));
     // offset/stride/length are compile-time constants after the
     // optimizer's constant propagation (always 0/1/D), so the transformed
     // code elides them — the layout of paper Figure 2.
-    layout_ = core::SudtLayout::Build(lp, lengths,
-                                      {"features.offset", "features.stride",
-                                       "features.length"});
+    layout_ = core::SudtLayout::Build(lp, lengths, elided);
   }
 }
 #if defined(__GNUC__) && !defined(__clang__)
@@ -126,109 +102,30 @@ void LrTypes::BuildUdtModel() {
 
 jvm::ObjRef LrTypes::NewLabeledPoint(jvm::Heap* heap, double label,
                                      const double* features) const {
-  HandleScope scope(heap);
-  jvm::Handle data = scope.Make(heap->AllocateArray(
-      heap->registry()->double_array_class(), static_cast<uint32_t>(dims_)));
-  std::memcpy(heap->ArrayData(data.get()), features,
-              sizeof(double) * static_cast<size_t>(dims_));
-  jvm::Handle dv = scope.Make(heap->AllocateInstance(dense_vector_cls_));
-  heap->SetRefField(dv.get(), dv_data_off_, data.get());
-  heap->SetField<int32_t>(dv.get(), dv_offset_off_, 0);
-  heap->SetField<int32_t>(dv.get(), dv_stride_off_, 1);
-  heap->SetField<int32_t>(dv.get(), dv_length_off_, dims_);
-  ObjRef lp = heap->AllocateInstance(labeled_point_cls_);
-  heap->SetField<double>(lp, lp_label_off_, label);
-  heap->SetRefField(lp, lp_features_off_, dv.get());
-  return lp;
-}
-
-void LrTypes::BuildOps() {
-  int dims = dims_;
-  uint32_t lp_label = lp_label_off_;
-  uint32_t lp_features = lp_features_off_;
-  uint32_t dv_data = dv_data_off_;
-  const LrTypes* self = this;
-
-  ops_.managed_bytes = [dims](jvm::Heap* h, ObjRef lp) -> uint64_t {
-    (void)lp;
-    const auto* reg = h->registry();
-    return reg->Get(reg->FindId("LabeledPoint")).ObjectBytes(0) +
-           reg->Get(reg->FindId("DenseVector")).ObjectBytes(0) +
-           reg->Get(reg->double_array_class())
-               .ObjectBytes(static_cast<uint32_t>(dims));
-  };
-  ops_.serialize = [lp_label, lp_features, dv_data, dims](
-                       jvm::Heap* h, ObjRef lp, ByteWriter* w) {
-    w->Write<double>(h->GetField<double>(lp, lp_label));
-    ObjRef dv = h->GetRefField(lp, lp_features);
-    ObjRef data = h->GetRefField(dv, dv_data);
-    w->WriteVarU64(static_cast<uint64_t>(dims));
-    w->WriteBytes(h->ArrayData(data),
-                  sizeof(double) * static_cast<size_t>(dims));
-  };
-  ops_.deserialize = [self](jvm::Heap* h, ByteReader* r) -> ObjRef {
-    double label = r->Read<double>();
-    uint64_t n = r->ReadVarU64();
-    std::vector<double> tmp(n);
-    r->ReadBytes(reinterpret_cast<uint8_t*>(tmp.data()),
-                 sizeof(double) * n);
-    return self->NewLabeledPoint(h, label, tmp.data());
-  };
-  uint32_t rec_bytes = 8 + 8 * static_cast<uint32_t>(dims);
-  ops_.deca_bytes = [rec_bytes](jvm::Heap*, ObjRef) { return rec_bytes; };
-  ops_.decompose = [lp_label, lp_features, dv_data, dims](
-                       jvm::Heap* h, ObjRef lp, uint8_t* out) {
-    StoreRaw<double>(out, h->GetField<double>(lp, lp_label));
-    ObjRef dv = h->GetRefField(lp, lp_features);
-    ObjRef data = h->GetRefField(dv, dv_data);
-    std::memcpy(out + 8, h->ArrayData(data),
-                sizeof(double) * static_cast<size_t>(dims));
-  };
-  ops_.reconstruct = [self](jvm::Heap* h, const uint8_t* in) -> ObjRef {
-    double label = LoadRaw<double>(in);
-    return self->NewLabeledPoint(
-        h, label, reinterpret_cast<const double*>(in + 8));
-  };
+  // One scratch value per thread, so a point costs no native allocation.
+  thread_local LabeledPoint point;
+  point.label = label;
+  point.features.data.assign(features, features + dims_);
+  return point_.Build(heap, point);
 }
 
 void CachePoints(spark::TaskContext& tc, const LrTypes& types, int rdd_id,
                  bool deca, uint32_t page_bytes, uint64_t count,
                  const std::function<double(double* feats)>& gen) {
   jvm::Heap* h = tc.heap();
-  int dims = types.dims();
   uint64_t obj_bytes_per_point =
       types.ops().managed_bytes(h, jvm::kNullRef) + 4;
   uint64_t per_sub =
       std::max<uint64_t>(64, kPointSubBlockBytes / obj_bytes_per_point);
-  std::vector<double> feats(static_cast<size_t>(dims));
   uint64_t done = 0;
   int sub = 0;
   while (done < count) {
     uint32_t n = static_cast<uint32_t>(std::min(per_sub, count - done));
-    spark::BlockKey key{rdd_id, tc.partition() * 1024 + sub};
-    if (deca) {
-      auto pages = std::make_shared<core::PageGroup>(h, page_bytes);
-      uint32_t rec = 8 + 8 * static_cast<uint32_t>(dims);
-      for (uint32_t i = 0; i < n; ++i) {
-        double label = gen(feats.data());
-        core::SegPtr seg = pages->Append(rec);
-        uint8_t* p = pages->Resolve(seg);
-        StoreRaw<double>(p, label);
-        std::memcpy(p + 8, feats.data(), sizeof(double) * feats.size());
-      }
-      tc.cache()->PutPages(key, pages, n, &tc.metrics());
-    } else {
-      HandleScope scope(h);
-      jvm::Handle arr = scope.Make(
-          h->AllocateArray(h->registry()->ref_array_class(), n));
-      for (uint32_t i = 0; i < n; ++i) {
-        double label = gen(feats.data());
-        HandleScope inner(h);
-        ObjRef lp = types.NewLabeledPoint(h, label, feats.data());
-        h->SetRefElem(arr.get(), i, lp);
-      }
-      tc.cache()->PutObjects(key, arr.get(), n, &tc.metrics());
-    }
+    spark::CacheRecords(
+        tc, {rdd_id, tc.partition() * 1024 + sub}, types.point(), deca,
+        page_bytes, n, [&](LabeledPoint* point) {
+          point->label = gen(point->features.data.data());
+        });
     done += n;
     ++sub;
   }
@@ -281,21 +178,18 @@ void ObjectGradient(jvm::Heap* h, const LrTypes& types, ObjRef lp,
 }
 
 /// Deca-mode gradient kernel: the transformed code of paper Figure 12 —
-/// sequential reads from the decomposed byte segment, results written into
-/// a pre-allocated array, no object creation.
-void DecaGradient(const uint8_t* rec, int dims,
+/// sequential reads of the decomposed record's values, results written
+/// into a pre-allocated array, no object creation.
+void DecaGradient(const LabeledPoint& point, int dims,
                   const std::vector<double>& weights, double* grad) {
-  double label = LoadRaw<double>(rec);
-  const uint8_t* feats = rec + 8;
+  const double* feats = point.features.data.data();
   double dot = 0;
   for (int j = 0; j < dims; ++j) {
-    dot += weights[static_cast<size_t>(j)] *
-           LoadRaw<double>(feats + 8 * static_cast<size_t>(j));
+    dot += weights[static_cast<size_t>(j)] * feats[j];
   }
-  double factor = (1.0 / (1.0 + std::exp(-label * dot)) - 1.0) * label;
-  for (int j = 0; j < dims; ++j) {
-    grad[j] += LoadRaw<double>(feats + 8 * static_cast<size_t>(j)) * factor;
-  }
+  double factor =
+      (1.0 / (1.0 + std::exp(-point.label * dot)) - 1.0) * point.label;
+  for (int j = 0; j < dims; ++j) grad[j] += feats[j] * factor;
 }
 
 }  // namespace
@@ -373,12 +267,14 @@ LrResult RunLogisticRegression(const MlParams& params) {
       // Accumulate locally and assign the slot at task end, so a retried
       // attempt that failed mid-scan cannot double-count points.
       std::vector<double> grad(static_cast<size_t>(dims), 0.0);
-      const uint32_t rec_bytes = 8 + 8 * static_cast<uint32_t>(dims);
+      LabeledPoint point = types.point().Value();
+      const uint32_t rec_bytes = types.point().decomposed_bytes();
       ForEachPointBlock(tc, kLrRddId, [&](const spark::LoadedBlock& block) {
         spark::ForEachCachedRecord(
             tc, block, types.ops(),
             [&](const uint8_t* rec) {
-              DecaGradient(rec, dims, weights, grad.data());
+              types.point().Load(rec, &point);
+              DecaGradient(point, dims, weights, grad.data());
               return rec_bytes;
             },
             // SparkSer deserializes each point into temporary objects

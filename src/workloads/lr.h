@@ -7,6 +7,7 @@
 #include "common/field_codec.h"
 #include "core/sudt_layout.h"
 #include "spark/context.h"
+#include "spark/record_decl.h"
 #include "workloads/common.h"
 
 namespace deca::workloads {
@@ -38,16 +39,50 @@ struct MlParams {
   }
 };
 
+/// Paper Figure 1's DenseVector. Only `data` is state: offset, stride and
+/// length are constants (0, 1, the data length) that the decomposed
+/// layout leaves out, as in the paper's Figure 2.
+struct DenseVector {
+  std::vector<double> data;  // dims long
+
+  static constexpr const char* kHeapClass = "DenseVector";
+  template <typename F>
+  static constexpr void ForEachRecordField(F&& f) {
+    using Self = DenseVector;
+    DECA_ARRAY(data, kCounted, kVal);
+    DECA_CONST(offset, int32_t, 0, kVar);
+    DECA_CONST(stride, int32_t, 1, kVar);
+    DECA_LENGTH(length, kVar);
+  }
+};
+
+/// Paper Figure 1's LabeledPoint: Kryo writes [label | varint dims |
+/// features], Deca's pages hold [label | features].
+struct LabeledPoint {
+  double label = 0;
+  DenseVector features;
+
+  static constexpr const char* kHeapClass = "LabeledPoint";
+  template <typename F>
+  static constexpr void ForEachRecordField(F&& f) {
+    using Self = LabeledPoint;
+    DECA_PRIM(label, kRaw, kVar);
+    DECA_NESTED(features, kVar);
+  }
+};
+
 /// The managed types, annotated-type model, classification verdict, and
 /// record operations for the paper's LabeledPoint/DenseVector running
-/// example. Built once per context.
+/// example, all from the LabeledPoint declaration. Built once per
+/// context.
 class LrTypes {
  public:
   LrTypes(jvm::ClassRegistry* registry, int dims);
 
-  uint32_t labeled_point_cls() const { return labeled_point_cls_; }
+  uint32_t labeled_point_cls() const { return point_.class_id(); }
   uint32_t dense_vector_cls() const { return dense_vector_cls_; }
-  const spark::RecordOps& ops() const { return ops_; }
+  const spark::RecordType<LabeledPoint>& point() const { return point_; }
+  const spark::RecordOps& ops() const { return point_.ops(); }
   const core::SudtLayout& layout() const { return layout_; }
   int dims() const { return dims_; }
 
@@ -66,21 +101,17 @@ class LrTypes {
 
  private:
   void BuildUdtModel();
-  void BuildOps();
 
   int dims_;
-  jvm::ClassRegistry* registry_;
-  uint32_t labeled_point_cls_;
+  spark::RecordType<LabeledPoint> point_;
   uint32_t dense_vector_cls_;
   uint32_t lp_label_off_, lp_features_off_;
-  uint32_t dv_data_off_, dv_offset_off_, dv_stride_off_, dv_length_off_;
+  uint32_t dv_data_off_;
 
   analysis::TypeUniverse universe_;
-  const analysis::UdtType* lp_udt_ = nullptr;
   analysis::CallGraph stage_cg_;
   analysis::SizeType classified_ = analysis::SizeType::kVariable;
   core::SudtLayout layout_;
-  spark::RecordOps ops_;
 };
 
 struct LrResult {

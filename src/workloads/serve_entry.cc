@@ -7,13 +7,12 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "spark/block_reader.h"
 #include "workloads/dist_entry.h"
 #include "workloads/lr.h"
 
 namespace deca::workloads {
 
-using jvm::HandleScope;
-using jvm::ObjRef;
 
 namespace {
 
@@ -49,8 +48,9 @@ size_t VarU64Len(uint64_t v) {
 void ReadRecord(jvm::Heap* h, const LrTypes& types,
                 const spark::LoadedBlock& b, uint32_t slot, int j,
                 double* label, double* feat) {
+  const spark::RecordType<LabeledPoint>& point_type = types.point();
   int dims = types.dims();
-  size_t raw_rec = 8 + 8 * static_cast<size_t>(dims);
+  size_t raw_rec = point_type.decomposed_bytes();
   size_t ser_rec = 8 + VarU64Len(static_cast<uint64_t>(dims)) +
                    8 * static_cast<size_t>(dims);
   auto read_ser = [&](const uint8_t* base) {
@@ -60,16 +60,18 @@ void ReadRecord(jvm::Heap* h, const LrTypes& types,
     *feat = LoadRaw<double>(p + (ser_rec - 8 * static_cast<size_t>(dims)) +
                             8 * static_cast<size_t>(j));
   };
+  LabeledPoint point;
+  auto read_point = [&] {
+    *label = point.label;
+    *feat = point.features.data[static_cast<size_t>(j)];
+  };
   auto read_raw = [&](const uint8_t* rec) {
-    *label = LoadRaw<double>(rec);
-    *feat = LoadRaw<double>(rec + 8 + 8 * static_cast<size_t>(j));
+    point_type.Load(rec, &point);
+    read_point();
   };
   if (b.object_array != jvm::kNullRef) {
-    ObjRef lp = h->GetRefElem(b.object_array, slot);
-    *label = h->GetField<double>(lp, types.lp_label_off());
-    ObjRef dv = h->GetRefField(lp, types.lp_features_off());
-    ObjRef data = h->GetRefField(dv, types.dv_data_off());
-    *feat = h->GetElem<double>(data, static_cast<uint32_t>(j));
+    point_type.Read(h, h->GetRefElem(b.object_array, slot), &point);
+    read_point();
     return;
   }
   if (b.serialized != jvm::kNullRef) {
@@ -140,42 +142,21 @@ ServeResult RunServeCache(const ServeParams& params) {
   // executor's partitions reload deterministically before the next stage.
   auto load_task = [&types, &params, deca, dims, per_part,
                     page_bytes = cfg.deca_page_bytes](spark::TaskContext& tc) {
-    jvm::Heap* h = tc.heap();
     Rng rng(params.seed + static_cast<uint64_t>(tc.partition()));
-    std::vector<double> feats(static_cast<size_t>(dims));
-    auto gen = [&rng, dims](double* f) {
-      for (int j = 0; j < dims; ++j) f[j] = rng.NextDouble(-1.0, 1.0);
-      return rng.NextDouble(0.0, 1e6);
-    };
     uint64_t done = 0;
     int sub = 0;
     while (done < per_part) {
       uint32_t n = static_cast<uint32_t>(
           std::min<uint64_t>(kServeSubBlockRecords, per_part - done));
-      spark::BlockKey key{kServeRddId, tc.partition() * 1024 + sub};
-      if (deca) {
-        auto pages = std::make_shared<core::PageGroup>(h, page_bytes);
-        uint32_t rec = 8 + 8 * static_cast<uint32_t>(dims);
-        for (uint32_t i = 0; i < n; ++i) {
-          double label = gen(feats.data());
-          core::SegPtr seg = pages->Append(rec);
-          uint8_t* p = pages->Resolve(seg);
-          StoreRaw<double>(p, label);
-          std::memcpy(p + 8, feats.data(), sizeof(double) * feats.size());
-        }
-        tc.cache()->PutPages(key, pages, n, &tc.metrics());
-      } else {
-        HandleScope scope(h);
-        jvm::Handle arr = scope.Make(
-            h->AllocateArray(h->registry()->ref_array_class(), n));
-        for (uint32_t i = 0; i < n; ++i) {
-          double label = gen(feats.data());
-          HandleScope inner(h);
-          ObjRef lp = types.NewLabeledPoint(h, label, feats.data());
-          h->SetRefElem(arr.get(), i, lp);
-        }
-        tc.cache()->PutObjects(key, arr.get(), n, &tc.metrics());
-      }
+      spark::CacheRecords(
+          tc, {kServeRddId, tc.partition() * 1024 + sub}, types.point(), deca,
+          page_bytes, n, [&](LabeledPoint* point) {
+            for (int j = 0; j < dims; ++j) {
+              point->features.data[static_cast<size_t>(j)] =
+                  rng.NextDouble(-1.0, 1.0);
+            }
+            point->label = rng.NextDouble(0.0, 1e6);
+          });
       done += n;
       ++sub;
     }

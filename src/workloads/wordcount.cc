@@ -1,7 +1,5 @@
 #include "workloads/wordcount.h"
 
-#include <cstring>
-
 #include "analysis/global_classifier.h"
 #include "cluster/scoped_job.h"
 #include "common/clock.h"
@@ -10,63 +8,13 @@
 #include "jvm/heap_profiler.h"
 #include "spark/keyed_shuffle.h"
 #include "workloads/dist_entry.h"
+#include "workloads/records.h"
 
 namespace deca::workloads {
 
 using analysis::SizeType;
-using jvm::FieldKind;
-using jvm::HandleScope;
-using jvm::ObjRef;
 
 namespace {
-
-/// Managed Tuple2 plus the (word, count) shuffle operations.
-struct WcTypes {
-  explicit WcTypes(jvm::ClassRegistry* registry) {
-    tuple2_cls = registry->RegisterClass(
-        "scala.Tuple2", {{"_1", FieldKind::kRef}, {"_2", FieldKind::kRef}});
-    ops.key_hash = [](jvm::Heap* h, ObjRef k) -> uint64_t {
-      return static_cast<uint64_t>(h->GetField<int64_t>(k, 0)) *
-             0x9e3779b97f4a7c15ULL;
-    };
-    ops.key_equals = [](jvm::Heap* h, ObjRef a, ObjRef b) {
-      return h->GetField<int64_t>(a, 0) == h->GetField<int64_t>(b, 0);
-    };
-    ops.combine = [](jvm::Heap* h, ObjRef agg, ObjRef v) -> ObjRef {
-      int64_t sum =
-          h->GetField<int64_t>(agg, 0) + h->GetField<int64_t>(v, 0);
-      ObjRef fresh =
-          h->AllocateInstance(h->registry()->boxed_long_class());
-      h->SetField<int64_t>(fresh, 0, sum);
-      return fresh;
-    };
-    ops.entry_bytes = [](jvm::Heap*, ObjRef, ObjRef) -> uint64_t {
-      // Tuple2 + two boxed longs + table slot.
-      return 3 * (jvm::kHeaderBytes + 8) + 8;
-    };
-    ops.serialize_key = [](jvm::Heap* h, ObjRef k, ByteWriter* w) {
-      w->WriteVarI64(h->GetField<int64_t>(k, 0));
-    };
-    ops.serialize_value = ops.serialize_key;
-    ops.deserialize_key = [](jvm::Heap* h, ByteReader* r) -> ObjRef {
-      ObjRef k = h->AllocateInstance(h->registry()->boxed_long_class());
-      h->SetField<int64_t>(k, 0, r->ReadVarI64());
-      return k;
-    };
-    ops.deserialize_value = ops.deserialize_key;
-    ops.deca_key_bytes = 8;
-    ops.deca_value_bytes = 8;
-    ops.deca_key_hash = [](const uint8_t* k) -> uint64_t {
-      return LoadRaw<uint64_t>(k) * 0x9e3779b97f4a7c15ULL;
-    };
-    ops.deca_combine = [](uint8_t* agg, const uint8_t* v) {
-      StoreRaw<int64_t>(agg, LoadRaw<int64_t>(agg) + LoadRaw<int64_t>(v));
-    };
-  }
-
-  uint32_t tuple2_cls;
-  spark::ShuffleOps ops;
-};
 
 // GCC at -O3 flags the aggregate Statement initializers below as
 // maybe-uninitialized through the inlined std::string members of FieldRef
@@ -80,14 +28,10 @@ struct WcTypes {
 /// are Scala vals (final) referencing boxed longs whose payload is one
 /// final primitive, so the classification proves SFST; the call graph
 /// records the UDF's allocation sites for the points-to inference.
-SizeType StaticTupleSizeType() {
+SizeType StaticTupleSizeType(const LongPairs& counts) {
   analysis::TypeUniverse u;
-  auto* lng = u.DefineClass("java.lang.Long");
-  u.AddField(lng, "value", /*is_final=*/true,
-             {u.Primitive(FieldKind::kLong)});
-  auto* t2 = u.DefineClass("scala.Tuple2");
-  u.AddField(t2, "_1", /*is_final=*/true, {lng});
-  u.AddField(t2, "_2", /*is_final=*/true, {lng});
+  const analysis::UdtType* t2 = counts.DefineUdt(&u);
+  const analysis::UdtType* lng = u.Find("java.lang.Long");
   analysis::MethodInfo map_udf;
   map_udf.name = "WC.map";
   map_udf.statements.push_back({analysis::Statement::Kind::kNewObjectAssign,
@@ -118,13 +62,13 @@ WordCountResult RunWordCount(const WordCountParams& params) {
   // process mode. Must outlive the context.
   cluster::ScopedJob job(&cfg, "wordcount", EncodeBytes(params));
   spark::SparkContext ctx(cfg);
-  WcTypes types(ctx.registry());
+  const LongPairs counts = WordCounts(ctx.registry());
 
   bool deca = params.mode == Mode::kDeca;
   if (deca) {
     // The optimizer's verdict gates the decomposed path — exactly what the
     // paper's code transformation does for safely decomposable UDTs.
-    DECA_CHECK(StaticTupleSizeType() == SizeType::kStaticFixed)
+    DECA_CHECK(StaticTupleSizeType(counts) == SizeType::kStaticFixed)
         << "WordCount Tuple2 must classify as SFST";
   }
   spark::ShuffleLayout layout = deca ? spark::ShuffleLayout::kDecomposed
@@ -141,7 +85,7 @@ WordCountResult RunWordCount(const WordCountParams& params) {
   std::unique_ptr<jvm::HeapProfiler> profiler;
   if (profile) {
     profiler = std::make_unique<jvm::HeapProfiler>(
-        ctx.executor(0)->heap(), types.tuple2_cls);
+        ctx.executor(0)->heap(), counts.tuple2_class());
   }
   Stopwatch run_sw;
 
@@ -150,7 +94,6 @@ WordCountResult RunWordCount(const WordCountParams& params) {
   // executor crash-wipes later, its deposited chunks are dropped and the
   // lost partitions deterministically re-executed.
   ctx.RunMapStage("map", shuffle_id, [&](spark::TaskContext& tc) {
-    jvm::Heap* h = tc.heap();
     bool profiled = profile && tc.executor()->id() == 0;
     std::unique_ptr<Rng> word_rng;
     std::unique_ptr<ZipfSampler> zipf;
@@ -165,29 +108,12 @@ WordCountResult RunWordCount(const WordCountParams& params) {
       return static_cast<int64_t>(
           zipf ? zipf->Next() : word_rng->NextBounded(params.distinct_keys));
     };
-    spark::KeyedShuffleWriter out(tc, shuffle_id, &types.ops, layout);
+    spark::KeyedShuffleWriter out(tc, shuffle_id, counts, layout);
     for (uint64_t i = 0; i < per_part; ++i) {
+      // The map UDF emits a Tuple2 per word (paper Figure 8a tracks
+      // these); the buffer then keeps only key/value.
       int64_t word = next_word();
-      if (deca) {
-        int64_t one = 1;
-        out.Insert(reinterpret_cast<const uint8_t*>(&word),
-                   reinterpret_cast<const uint8_t*>(&one));
-      } else {
-        HandleScope scope(h);
-        // The map UDF emits a Tuple2 per word (paper Figure 8a tracks
-        // these); the buffer then keeps only key/value.
-        jvm::Handle key = scope.Make(
-            h->AllocateInstance(h->registry()->boxed_long_class()));
-        h->SetField<int64_t>(key.get(), 0, word);
-        jvm::Handle one = scope.Make(
-            h->AllocateInstance(h->registry()->boxed_long_class()));
-        h->SetField<int64_t>(one.get(), 0, 1);
-        jvm::Handle tuple = scope.Make(h->AllocateInstance(types.tuple2_cls));
-        h->SetRefField(tuple.get(), 0, key.get());
-        h->SetRefField(tuple.get(), 4, one.get());
-        out.Insert(h->GetRefField(tuple.get(), 0),
-                   h->GetRefField(tuple.get(), 4));
-      }
+      out.Emit(spark::Long{word}, spark::Long{1});
       if (profiled && (i + 1) % params.profile_every == 0) {
         profiler->Sample(run_sw.ElapsedMillis());
       }
@@ -206,18 +132,12 @@ WordCountResult RunWordCount(const WordCountParams& params) {
     // that failed mid-merge cannot double-count.
     uint64_t total = 0;
     uint64_t distinct = 0;
-    jvm::Heap* h = tc.heap();
-    spark::KeyedShuffleReader in(tc, shuffle_id, &types.ops);
-    in.ForEachCombined(
-        layout,
-        [&](const uint8_t* entry) {
-          total += static_cast<uint64_t>(LoadRaw<int64_t>(entry + 8));
-          ++distinct;
-        },
-        [&](ObjRef, ObjRef v) {
-          total += static_cast<uint64_t>(h->GetField<int64_t>(v, 0));
-          ++distinct;
-        });
+    spark::KeyedShuffleReader in(tc, shuffle_id, counts);
+    in.ForEachCombined(layout,
+                       [&](const spark::Long&, const spark::Long& count) {
+                         total += static_cast<uint64_t>(count.value);
+                         ++distinct;
+                       });
     ByteWriter w;
     w.WriteVarU64(total);
     w.WriteVarU64(distinct);

@@ -186,17 +186,6 @@ struct RecModel {
       h->SetField<double>(rec, 8, val);
       return rec;
     };
-    ops.deca_bytes = [](jvm::Heap*, jvm::ObjRef) -> uint32_t { return 16; };
-    ops.decompose = [](jvm::Heap* h, jvm::ObjRef r, uint8_t* out) {
-      StoreRaw<int64_t>(out, h->GetField<int64_t>(r, 0));
-      StoreRaw<double>(out + 8, h->GetField<double>(r, 8));
-    };
-    ops.reconstruct = [cid](jvm::Heap* h, const uint8_t* in) {
-      jvm::ObjRef rec = h->AllocateInstance(cid);
-      h->SetField<int64_t>(rec, 0, LoadRaw<int64_t>(in));
-      h->SetField<double>(rec, 8, LoadRaw<double>(in + 8));
-      return rec;
-    };
   }
 
   uint32_t class_id;

@@ -309,7 +309,7 @@ void ExpectStreamRows(StreamFn fn, int window, int slide,
 
 TEST(GoldenRows, StreamWordCount) {
   const StreamRow rows[] = {
-      {Mode::kSpark, {12, 0, 163968, 0, 163968}, 833329},
+      {Mode::kSpark, {12, 0, 147584, 0, 147584}, 767801},
       {Mode::kSparkSer, {12, 0, 65664, 0, 65664}, 440161},
       {Mode::kDeca, {0, 0, 524416, 131104, 524416}, 3054512},
   };
@@ -319,7 +319,7 @@ TEST(GoldenRows, StreamWordCount) {
 
 TEST(GoldenRows, StreamSessionize) {
   const StreamRow rows[] = {
-      {Mode::kSpark, {14, 0, 131200, 0, 131200}, 845213},
+      {Mode::kSpark, {14, 0, 123008, 0, 123008}, 812445},
       {Mode::kSparkSer, {14, 0, 82048, 0, 82048}, 648605},
       {Mode::kDeca, {0, 0, 524416, 131104, 524416}, 3398064},
   };
@@ -329,7 +329,7 @@ TEST(GoldenRows, StreamSessionize) {
 
 TEST(GoldenRows, StreamSlidingWindow) {
   const StreamRow rows[] = {
-      {Mode::kSpark, {6, 0, 1152, 0, 1152}, 2304},
+      {Mode::kSpark, {6, 0, 1088, 0, 1088}, 2176},
       {Mode::kSparkSer, {6, 0, 768, 0, 768}, 1536},
       {Mode::kDeca, {0, 0, 1048832, 131104, 1048832}, 2097664},
   };

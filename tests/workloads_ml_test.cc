@@ -45,12 +45,18 @@ TEST(LrTypesTest, RecordOpsRoundTrips) {
   jvm::Handle lp2 = scope.Make(types.ops().deserialize(&heap, &r));
   EXPECT_EQ(heap.GetField<double>(lp2.get(), types.lp_label_off()), 1.0);
 
-  // Decompose -> reconstruct.
-  std::vector<uint8_t> seg(types.ops().deca_bytes(&heap, lp.get()));
-  types.ops().decompose(&heap, lp.get(), seg.data());
+  // Decompose -> reconstruct, through the declaration's decomposed
+  // store and load.
+  const spark::RecordType<LabeledPoint>& point = types.point();
+  std::vector<uint8_t> seg(point.decomposed_bytes());
+  LabeledPoint value;
+  point.Read(&heap, lp.get(), &value);
+  point.Store(seg.data(), value);
   EXPECT_EQ(LoadRaw<double>(seg.data()), 1.0);
   EXPECT_EQ(LoadRaw<double>(seg.data() + 8 + 16), 3.25);
-  jvm::Handle lp3 = scope.Make(types.ops().reconstruct(&heap, seg.data()));
+  LabeledPoint loaded;
+  point.Load(seg.data(), &loaded);
+  jvm::Handle lp3 = scope.Make(point.Build(&heap, loaded));
   jvm::ObjRef dv = heap.GetRefField(lp3.get(), types.lp_features_off());
   jvm::ObjRef data = heap.GetRefField(dv, types.dv_data_off());
   for (uint32_t j = 0; j < 4; ++j) {
