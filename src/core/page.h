@@ -83,9 +83,7 @@ class PageGroup : public memory::PageFootprintSource {
   /// Number of appended segments.
   uint64_t segment_count() const { return segment_count_; }
 
-  /// True when appending `bytes` would allocate a fresh page (the
-  /// sort-spill writer probes the memory manager before committing to
-  /// one).
+  /// True when appending `bytes` would allocate a fresh page.
   bool NeedsNewPage(uint32_t bytes) const {
     return used_.empty() || used_.back() + bytes > page_bytes_;
   }

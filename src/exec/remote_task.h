@@ -10,23 +10,25 @@
 
 namespace deca::exec {
 
-/// What a remotely executed task attempt produced, from the daemon's
-/// point of view. The driver maps these back onto the exact exception
-/// types the in-process scheduler would have seen, so retry accounting
-/// and fault counters stay bit-identical across the two modes.
+/// What one task attempt produced. spark::SparkContext::RunAttempt runs
+/// every attempt, in-process and in an executor daemon alike, and
+/// classifies its failure here; one retry loop then retries it or throws
+/// the typed failure below, so retry accounting and fault counters are
+/// the same in both modes.
 enum class RemoteTaskStatus : uint8_t {
   kOk = 0,
   kInjectedFailure = 1,  // -> fault::InjectedTaskFailure
   kFetchFailure = 2,     // -> fault::ShuffleFetchFailure
-  kOom = 3,              // -> OutOfMemoryError / fault::TaskOomFailure
-  kFatal = 4,            // unexpected exception: propagate as-is
+  kOom = 3,              // -> fault::TaskOomFailure
+  kFatal = 4,            // unclassified exception in a daemon: job fails
 };
 
-/// One task attempt dispatched over the control plane. In SPMD mode the
-/// daemon already runs the same program, so the envelope carries only
-/// coordinates — the closure is found by (stage seq, partition) in the
-/// daemon's currently-serving stage. `attempt == -1` marks a lineage
-/// replay execution (RegisterLineage body, looked up by replay_token).
+/// One task attempt, run in-process or dispatched over the control plane.
+/// In SPMD mode the daemon already runs the same program, so the envelope
+/// carries only coordinates — the closure is found by (stage seq,
+/// partition) in the daemon's currently-serving stage. `attempt == -1`
+/// marks a lineage replay (a RegisterLineage or RunMapStage function,
+/// looked up by replay_token).
 struct RemoteTaskEnvelope {
   int32_t stage = 0;
   int32_t partition = 0;

@@ -11,6 +11,7 @@
 namespace deca::jvm {
 
 namespace {
+// Region size: heap/128, clamped to [64KB, 1MB].
 constexpr size_t kMinRegionBytes = 64u << 10;
 constexpr size_t kMaxRegionBytes = 1u << 20;
 // Fraction of post-reclaim free space a mixed collection may fill with
@@ -23,12 +24,9 @@ constexpr int kMixedBackoffGcs = 4;
 
 G1Collector::G1Collector(Heap* heap, const HeapConfig& config)
     : heap_(heap), cfg_(config), marker_(heap) {
-  region_bytes_ = config.g1_region_bytes;
-  if (region_bytes_ == 0) {
-    region_bytes_ = AlignUp(config.heap_bytes / 128, kMinRegionBytes);
-    region_bytes_ = std::clamp(region_bytes_, kMinRegionBytes,
-                               kMaxRegionBytes);
-  }
+  region_bytes_ =
+      std::clamp(AlignUp(config.heap_bytes / 128, kMinRegionBytes),
+                 kMinRegionBytes, kMaxRegionBytes);
   DECA_CHECK_EQ(region_bytes_ % kWordSize, 0u);
   region_base_ = heap->base() + 2 * kWordSize;
   size_t num = config.heap_bytes / region_bytes_;
@@ -37,7 +35,7 @@ G1Collector::G1Collector(Heap* heap, const HeapConfig& config)
   for (size_t i = 0; i < num; ++i) regions_[i].top = RegionBegin(i);
   max_young_regions_ = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(num) *
-                             config.young_fraction));
+                             kYoungFraction));
 }
 
 size_t G1Collector::free_region_count() const {
@@ -270,7 +268,7 @@ std::string G1Collector::DebugString() const {
 bool G1Collector::ShouldStartMixed() const {
   if (mixed_backoff_ > 0) return false;
   return static_cast<double>(old_used_bytes()) >
-         cfg_.g1_ihop * static_cast<double>(capacity_bytes());
+         kG1Ihop * static_cast<double>(capacity_bytes());
 }
 
 void G1Collector::CollectMinor() { YoungGc(); }
@@ -383,7 +381,7 @@ void G1Collector::MixedFinish(bool aggressive, double mark_ms) {
   }
 
   // Select evacuation candidates among the surviving old regions.
-  double threshold = aggressive ? 0.999 : cfg_.g1_live_threshold;
+  double threshold = aggressive ? 0.999 : kG1LiveThreshold;
   std::vector<std::pair<size_t, size_t>> candidates;  // (live, idx)
   for (size_t i = 0; i < regions_.size(); ++i) {
     const Region& r = regions_[i];
@@ -416,16 +414,16 @@ void G1Collector::MixedFinish(bool aggressive, double mark_ms) {
 
   double evac_ms = evac_sw.ElapsedMillis();
   st.full_count += 1;
-  double pause_ms = mark_ms * cfg_.concurrent_pause_share + evac_ms;
+  double pause_ms = mark_ms * kConcurrentPauseShare + evac_ms;
   st.full_pause_ms += pause_ms;
-  st.concurrent_ms += mark_ms * (1.0 - cfg_.concurrent_pause_share);
+  st.concurrent_ms += mark_ms * (1.0 - kConcurrentPauseShare);
   heap_->RecordPauseMs(pause_ms);
   if (auto* rec = obs::Current()) {
     rec->CompleteSpanMs(obs::Cat::kGc, "mixed_pause", pause_ms,
                         static_cast<double>(st.full_count),
                         static_cast<double>(regions_reclaimed));
     rec->CompleteSpanMs(obs::Cat::kGc, "concurrent_mark",
-                        mark_ms * (1.0 - cfg_.concurrent_pause_share),
+                        mark_ms * (1.0 - kConcurrentPauseShare),
                         static_cast<double>(st.full_count));
   }
 

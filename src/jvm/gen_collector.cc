@@ -22,10 +22,10 @@ GenCollectorBase::GenCollectorBase(Heap* heap, const HeapConfig& config)
   size_t usable = config.heap_bytes;
   size_t young = AlignUp(static_cast<size_t>(
                              static_cast<double>(usable) *
-                             config.young_fraction),
+                             kYoungFraction),
                          kWordSize);
   size_t survivor = AlignUp(static_cast<size_t>(static_cast<double>(young) *
-                                                config.survivor_fraction),
+                                                kSurvivorFraction),
                             kWordSize);
   size_t eden = young - 2 * survivor;
   size_t old = usable - young;
@@ -532,16 +532,16 @@ void CmsCollector::CollectFull() {
   double total = sw.ElapsedMillis();
   GcStats& st = heap_->mutable_stats();
   st.full_count += 1;
-  st.full_pause_ms += total * cfg_.concurrent_pause_share;
-  st.concurrent_ms += total * (1.0 - cfg_.concurrent_pause_share);
-  heap_->RecordPauseMs(total * cfg_.concurrent_pause_share);
+  st.full_pause_ms += total * kConcurrentPauseShare;
+  st.concurrent_ms += total * (1.0 - kConcurrentPauseShare);
+  heap_->RecordPauseMs(total * kConcurrentPauseShare);
   if (auto* rec = obs::Current()) {
     rec->CompleteSpanMs(obs::Cat::kGc, "full_pause",
-                        total * cfg_.concurrent_pause_share,
+                        total * kConcurrentPauseShare,
                         static_cast<double>(st.full_count),
                         static_cast<double>(old_used_bytes()));
     rec->CompleteSpanMs(obs::Cat::kGc, "concurrent_sweep",
-                        total * (1.0 - cfg_.concurrent_pause_share),
+                        total * (1.0 - kConcurrentPauseShare),
                         static_cast<double>(st.full_count));
   }
 
@@ -633,16 +633,16 @@ void CmsCollector::FinishIncrementalCycle() {
   double total = sw.ElapsedMillis();
   GcStats& st = heap_->mutable_stats();
   st.full_count += 1;
-  st.full_pause_ms += total * cfg_.concurrent_pause_share;
-  st.concurrent_ms += total * (1.0 - cfg_.concurrent_pause_share);
-  heap_->RecordPauseMs(total * cfg_.concurrent_pause_share);
+  st.full_pause_ms += total * kConcurrentPauseShare;
+  st.concurrent_ms += total * (1.0 - kConcurrentPauseShare);
+  heap_->RecordPauseMs(total * kConcurrentPauseShare);
   if (auto* rec = obs::Current()) {
     rec->CompleteSpanMs(obs::Cat::kGc, "full_pause",
-                        total * cfg_.concurrent_pause_share,
+                        total * kConcurrentPauseShare,
                         static_cast<double>(st.full_count),
                         static_cast<double>(old_used_bytes()));
     rec->CompleteSpanMs(obs::Cat::kGc, "concurrent_sweep",
-                        total * (1.0 - cfg_.concurrent_pause_share),
+                        total * (1.0 - kConcurrentPauseShare),
                         static_cast<double>(st.full_count));
   }
 }

@@ -141,7 +141,7 @@ ObjRef Heap::AllocateImpl(uint32_t class_id, uint32_t length,
   // (sweep or evacuation) must never run while a just-allocated object is
   // held as a raw ref.
   if (active_marker_ != nullptr) MaybeIncrementalTick(total);
-  bool large = total >= config_.large_object_bytes;
+  bool large = total >= kLargeObjectBytes;
   bool forced = false;
   uint8_t* p = nullptr;
   if (forced_alloc_failures_ > 0) {

@@ -25,38 +25,11 @@ struct HeapConfig {
   /// Total managed heap size (the executor's -Xmx).
   size_t heap_bytes = 64u << 20;
 
-  /// Fraction of the heap given to the young generation (PS/CMS) or the
-  /// maximum young region share (G1).
-  double young_fraction = 0.25;
-
-  /// Each survivor's share of the young generation (PS/CMS).
-  double survivor_fraction = 0.125;
-
   /// Object age (number of survived minor GCs) at which objects are
   /// promoted to the old generation.
   uint32_t tenure_threshold = 4;
 
-  /// Objects at least this large are allocated directly in the old
-  /// generation (PS/CMS) or as humongous regions (G1).
-  size_t large_object_bytes = 32u << 10;
-
   GcAlgorithm algorithm = GcAlgorithm::kParallelScavenge;
-
-  /// G1: region size; 0 = auto (heap/128 clamped to [64KB, 1MB]).
-  size_t g1_region_bytes = 0;
-
-  /// G1: old-generation occupancy fraction that triggers a marking cycle
-  /// (InitiatingHeapOccupancyPercent analogue).
-  double g1_ihop = 0.45;
-
-  /// G1: old regions with live ratio below this become evacuation
-  /// candidates during mixed collections.
-  double g1_live_threshold = 0.85;
-
-  /// CMS/G1: share of major-collection mark/sweep work charged as
-  /// stop-the-world pause; the remainder is accounted as concurrent work
-  /// (running on spare cores in a real deployment).
-  double concurrent_pause_share = 0.1;
 
   /// Marking pause budget in milliseconds. 0 (default) keeps the
   /// monolithic stop-the-world mark phases byte-for-byte identical to the
@@ -74,6 +47,32 @@ struct HeapConfig {
   /// standalone test heap) leaves the buffer uncounted.
   alloc::AllocCounter* alloc_counter = nullptr;
 };
+
+// Fixed heap policy, the same in every run.
+
+/// Fraction of the heap given to the young generation (PS/CMS) or the
+/// maximum young region share (G1).
+inline constexpr double kYoungFraction = 0.25;
+
+/// Each survivor's share of the young generation (PS/CMS).
+inline constexpr double kSurvivorFraction = 0.125;
+
+/// Objects at least this large are allocated directly in the old
+/// generation (PS/CMS) or as humongous regions (G1).
+inline constexpr size_t kLargeObjectBytes = 32u << 10;
+
+/// G1: old-generation occupancy fraction that triggers a marking cycle
+/// (InitiatingHeapOccupancyPercent analogue).
+inline constexpr double kG1Ihop = 0.45;
+
+/// G1: old regions with live ratio below this become evacuation
+/// candidates during mixed collections.
+inline constexpr double kG1LiveThreshold = 0.85;
+
+/// CMS/G1: share of major-collection mark/sweep work charged as
+/// stop-the-world pause; the remainder is accounted as concurrent work
+/// (running on spare cores in a real deployment).
+inline constexpr double kConcurrentPauseShare = 0.1;
 
 }  // namespace deca::jvm
 

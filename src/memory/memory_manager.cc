@@ -109,13 +109,6 @@ MemoryReservation ExecutorMemoryManager::Reserve(Pool pool, uint64_t bytes) {
   return MemoryReservation(this, pool, bytes);
 }
 
-bool ExecutorMemoryManager::TryExecutionRoom(uint64_t bytes) {
-  if (EnsureExecutionRoom(bytes)) return true;
-  denied_.fetch_add(1, std::memory_order_relaxed);
-  RecordDenial(Pool::kExecution, bytes);
-  return false;
-}
-
 void ExecutorMemoryManager::ChargePages(Pool pool, uint64_t bytes) {
   if (pool == Pool::kExecution && !EnsureExecutionRoom(bytes)) {
     denied_.fetch_add(1, std::memory_order_relaxed);

@@ -175,12 +175,6 @@ class ExecutorMemoryManager {
   /// (e.g. the block store) shed the overflow themselves right after.
   MemoryReservation Reserve(Pool pool, uint64_t bytes);
 
-  /// Probes whether the execution pool can take `bytes` more, evicting
-  /// storage down to the floor if that is what it takes. Does not charge.
-  /// A false return counts as a denied reservation (the sort-spill writer
-  /// spills on it).
-  bool TryExecutionRoom(uint64_t bytes);
-
   // -- Page charges (core::PageGroup hook, mutator thread) ------------------
 
   /// Charges a freshly allocated page's footprint to `pool`. Forced:

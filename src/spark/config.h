@@ -132,9 +132,6 @@ struct SparkConfig {
   /// Per-reducer in-flight byte window (flow control): a fetch slice is
   /// clamped so outstanding-but-undecoded bytes never exceed this.
   uint32_t net_max_inflight_bytes = 256u << 10;
-  /// Transport-level retries of a failed fetch before the failure
-  /// surfaces to the task layer.
-  int net_fetch_retries = 3;
   /// Simulated per-message wire latency (loopback only; virtual time).
   uint64_t net_latency_us = 0;
   /// Simulated wire bandwidth in Mbit/s, 0 = infinite (loopback only).
@@ -207,15 +204,8 @@ void ForEachSparkField(Config& c, F&& f) {
   DECA_FIELD(partitions_per_executor, nullptr);
   DECA_FIELD(num_worker_threads, "DECA_WORKER_THREADS");
   DECA_FIELD_MB(heap.heap_bytes, "DECA_HEAP_MB");
-  DECA_FIELD(heap.young_fraction, nullptr);
-  DECA_FIELD(heap.survivor_fraction, nullptr);
   DECA_FIELD(heap.tenure_threshold, nullptr);
-  DECA_FIELD(heap.large_object_bytes, nullptr);
   DECA_FIELD(heap.algorithm, nullptr);
-  DECA_FIELD(heap.g1_region_bytes, nullptr);
-  DECA_FIELD(heap.g1_ihop, nullptr);
-  DECA_FIELD(heap.g1_live_threshold, nullptr);
-  DECA_FIELD(heap.concurrent_pause_share, nullptr);
   DECA_FIELD(heap.pause_budget_ms, "DECA_PAUSE_BUDGET_MS");
   DECA_FIELD_MB(executor_memory_bytes, "DECA_EXECUTOR_MEMORY");
   DECA_FIELD(memory_fraction, nullptr);
@@ -230,7 +220,6 @@ void ForEachSparkField(Config& c, F&& f) {
   DECA_FIELD(shuffle_wire_codec, nullptr);
   DECA_FIELD(net_fetch_chunk_bytes, nullptr);
   DECA_FIELD(net_max_inflight_bytes, nullptr);
-  DECA_FIELD(net_fetch_retries, nullptr);
   DECA_FIELD(net_latency_us, "DECA_NET_LATENCY_US");
   DECA_FIELD(net_bandwidth_mbps, "DECA_NET_BANDWIDTH_MBPS");
   DECA_FIELD(spill_dir, nullptr);

@@ -43,9 +43,6 @@ class ScopedHeapOwnership {
   bool active_;
 };
 
-}  // namespace
-
-namespace {
 /// Distinguishes concurrent contexts within one process in spill paths.
 std::atomic<uint64_t> g_next_context_id{0};
 
@@ -62,6 +59,8 @@ ExecutorSnapshot SnapshotOf(const Executor& e) {
   s.minor_gcs = gc.minor_count;
   s.full_gcs = gc.full_count;
   s.oom_recoveries = gc.oom_recoveries;
+  s.objects_allocated = gc.objects_allocated;
+  s.bytes_allocated = gc.bytes_allocated;
   s.cached_bytes = cache.memory_bytes();
   s.peak_cached_bytes = cache.peak_memory_bytes();
   s.swapped_bytes = cache.disk_bytes();
@@ -80,27 +79,31 @@ ExecutorSnapshot SnapshotOf(const Executor& e) {
   return s;
 }
 
-/// What a task attempt's metrics are measured from.
-struct TaskStart {
-  explicit TaskStart(const Executor& e)
-      : gc_ms(e.heap()->stats().TotalPauseMs()),
-        denied(e.memory()->denied_reservations()) {}
-  double gc_ms;
-  uint64_t denied;
-  Stopwatch sw;
-};
+/// Whether failing `attempt` exhausts its task's (or stage's) attempts.
+bool LastAttempt(const SparkConfig& config, int attempt) {
+  return attempt + 1 >= std::max(1, config.max_task_failures);
+}
 
-/// The task-end epilogue of both attempt loops: wall and GC time since
-/// `start`, the executor's pool high-water marks as of task end (the
-/// stage fold takes the max) and the attempt's own denials.
-void FinishTaskMetrics(const Executor& e, const TaskStart& start,
-                       TaskMetrics* m) {
-  const memory::ExecutorMemoryManager* mm = e.memory();
-  m->total_ms = start.sw.ElapsedMillis();
-  m->gc_ms = e.heap()->stats().TotalPauseMs() - start.gc_ms;
-  m->exec_pool_peak_bytes = mm->exec_peak();
-  m->storage_pool_peak_bytes = mm->storage_peak();
-  m->denied_reservations = mm->denied_reservations() - start.denied;
+/// The one status -> typed-failure mapping: what a failed outcome
+/// surfaces as, the exception an in-process attempt would have thrown.
+[[noreturn]] void ThrowFailure(const exec::RemoteTaskEnvelope& env,
+                               const exec::RemoteTaskOutcome& out) {
+  const int s = env.stage;
+  const int p = env.partition;
+  const int a = env.attempt;
+  switch (out.status) {
+    case exec::RemoteTaskStatus::kFetchFailure:
+      throw fault::ShuffleFetchFailure(s, p, a);
+    case exec::RemoteTaskStatus::kOom:
+      throw fault::TaskOomFailure(s, p, a, out.heap_dump);
+    case exec::RemoteTaskStatus::kInjectedFailure:
+      throw fault::InjectedTaskFailure(s, p, a);
+    default:
+      throw std::runtime_error(
+          "remote task failed (stage " + std::to_string(s) + ", partition " +
+          std::to_string(p) + ", attempt " + std::to_string(a) +
+          "): " + out.message);
+  }
 }
 }  // namespace
 
@@ -109,7 +112,8 @@ SparkContext::SparkContext(const SparkConfig& config)
       scheduler_(config.num_executors, config.num_worker_threads),
       tracer_(config.num_executors,
               config.trace_enabled ? config.trace_ring_capacity : 0),
-      injector_(config.fault, config.max_task_failures) {
+      injector_(config.fault, config.max_task_failures),
+      carried_net_(static_cast<size_t>(config.num_executors)) {
   DECA_CHECK_GT(config.num_executors, 0);
   DECA_CHECK(config.dist_mode != DistMode::kProcess ||
              config.runtime.role != DistRole::kLocal)
@@ -173,120 +177,152 @@ SparkContext::~SparkContext() {
 }
 
 void SparkContext::RunTaskAttempts(
-    int stage, int p, int nparts,
-    const std::function<void(TaskContext&)>& task, double queue_ms) {
-  Executor* e = executor_for_partition(p);
-  obs::TraceRecorder* rec = tracer_.executor(e->id());
-  const int max_attempts = std::max(1, config_.max_task_failures);
-  for (int attempt = 0;; ++attempt) {
-    // Each attempt is one trace window: exactly this thread writes
-    // (stage, p, attempt) events, in sequential and parallel runs alike.
-    if (rec != nullptr) rec->BeginWindow(stage, p, attempt);
-    obs::ScopedRecorder trace_scope(rec);
-    obs::ScopedSpan task_span(obs::Cat::kTask, "task");
-    task_span.set_time_arg(queue_ms);
-    TaskContext tc(this, e, p, nparts);
-    tc.metrics().queue_ms = queue_ms;
-    uint64_t gcs0 =
-        e->heap()->stats().minor_count + e->heap()->stats().full_count;
-    const TaskStart start(*e);
-    try {
-      injector_.OnTaskAttempt(stage, p, attempt, e->heap());
-      task(tc);
-      // A forced allocation failure armed for this attempt must never
-      // leak into a later task (the attempt may not have allocated).
-      e->heap()->ForceAllocationFailures(0);
-    } catch (const fault::TaskFailure& f) {
-      e->heap()->ForceAllocationFailures(0);
-      if (attempt + 1 >= max_attempts) throw;
-      DECA_LOG(Warning) << "retrying task: " << f.what();
-      task_retries_.fetch_add(1, std::memory_order_relaxed);
-      obs::Instant(obs::Cat::kTask, "retry", attempt);
-      continue;
-    } catch (const jvm::OutOfMemoryError& oom) {
-      e->heap()->ForceAllocationFailures(0);
-      if (attempt + 1 >= max_attempts) {
-        throw fault::TaskOomFailure(stage, p, attempt, oom.heap_dump());
-      }
-      DECA_LOG(Warning) << "retrying task after OOM (stage " << stage
-                        << ", partition " << p << ", attempt " << attempt
-                        << "): " << oom.what();
-      task_retries_.fetch_add(1, std::memory_order_relaxed);
-      obs::Instant(obs::Cat::kTask, "retry", attempt);
-      continue;
-    }
-    FinishTaskMetrics(*e, start, &tc.metrics());
-    task_span.set_args(
-        static_cast<double>(e->heap()->stats().minor_count +
-                            e->heap()->stats().full_count - gcs0),
-        static_cast<double>(tc.metrics().denied_reservations));
-    sink_.Report(p, tc.metrics());
-    return;
-  }
-}
-
-void SparkContext::RunRemoteAttempts(
-    int stage, int p, bool collect, double queue_ms,
+    int stage, int p, const CollectFn& body, double queue_ms,
     std::vector<std::vector<uint8_t>>* results) {
-  const int e = scheduler_.ExecutorOfPartition(p);
-  const int max_attempts = std::max(1, config_.max_task_failures);
   for (int attempt = 0;; ++attempt) {
     exec::RemoteTaskEnvelope env;
     env.stage = stage;
     env.partition = p;
     env.attempt = attempt;
-    // RunTask throws fault::ExecutorLostError if the daemon died — never
-    // resent; it propagates to the stage-quarantine handler.
-    exec::RemoteTaskOutcome out = config_.runtime.driver->RunTask(e, env);
-    remote_fired_.fetch_add(out.fired_delta, std::memory_order_relaxed);
+    exec::RemoteTaskOutcome out = Dispatch(env, body, queue_ms);
+    fired_.fetch_add(out.fired_delta, std::memory_order_relaxed);
     if (out.status == exec::RemoteTaskStatus::kOk) {
-      TaskMetrics m = out.metrics;
-      m.queue_ms = queue_ms;  // the driver-side dispatch queue time
-      sink_.Report(p, m);
-      if (collect && results != nullptr) {
+      out.metrics.queue_ms = queue_ms;  // the driver's, not a daemon's 0
+      sink_.Report(p, out.metrics);
+      if (results != nullptr) {
         (*results)[static_cast<size_t>(p)] = std::move(out.result);
       }
       return;
     }
-    if (out.status == exec::RemoteTaskStatus::kFatal) {
-      throw std::runtime_error("remote task failed (stage " +
-                               std::to_string(stage) + ", partition " +
-                               std::to_string(p) + "): " + out.message);
+    if (out.status == exec::RemoteTaskStatus::kFatal ||
+        LastAttempt(config_, attempt)) {
+      ThrowFailure(env, out);
     }
-    // Retryable — the same bookkeeping the in-process attempt loop does.
-    if (attempt + 1 >= max_attempts) {
-      switch (out.status) {
-        case exec::RemoteTaskStatus::kFetchFailure:
-          throw fault::ShuffleFetchFailure(stage, p, attempt);
-        case exec::RemoteTaskStatus::kOom:
-          throw fault::TaskOomFailure(stage, p, attempt, out.heap_dump);
-        default:
-          throw fault::InjectedTaskFailure(stage, p, attempt);
-      }
-    }
-    DECA_LOG(Warning) << "retrying remote task (stage " << stage
-                      << ", partition " << p << ", attempt " << attempt
-                      << ")";
+    DECA_LOG(Warning) << "retrying task (stage " << stage << ", partition "
+                      << p << ", attempt " << attempt << ")";
     task_retries_.fetch_add(1, std::memory_order_relaxed);
-    obs::Instant(obs::Cat::kTask, "retry", attempt);
   }
 }
 
+exec::RemoteTaskOutcome SparkContext::Dispatch(
+    const exec::RemoteTaskEnvelope& env, const CollectFn& body,
+    double queue_ms) {
+  if (role() != DistRole::kDriver) return RunAttempt(env, body, queue_ms);
+  // The executor's daemon runs RunAttempt. RunTask throws
+  // fault::ExecutorLostError if the daemon died — never resent; it
+  // propagates to the stage-quarantine handler.
+  return config_.runtime.driver->RunTask(
+      scheduler_.ExecutorOfPartition(env.partition), env);
+}
+
+exec::RemoteTaskOutcome SparkContext::RunAttempt(
+    const exec::RemoteTaskEnvelope& env, const CollectFn& body,
+    double queue_ms) {
+  const int p = env.partition;
+  Executor* e = executor_for_partition(p);
+  // Each attempt is one trace window: exactly this thread writes
+  // (stage, p, attempt) events, in sequential and parallel runs alike. A
+  // replay's window carries attempt = -1: it belongs to the upcoming
+  // stage's trace but is distinguishable from its regular attempts.
+  obs::TraceRecorder* rec = tracer_.executor(e->id());
+  if (rec != nullptr) rec->BeginWindow(env.stage, p, env.attempt);
+  obs::ScopedRecorder trace_scope(rec);
+  TaskContext tc(this, e, p, num_partitions());
+  exec::RemoteTaskOutcome out;
+  if (env.replay_token >= 0) {
+    // Lineage replay runs clean: no injection, no retries, no metric
+    // reports.
+    auto rs = std::find_if(
+        replay_stages_.begin(), replay_stages_.end(),
+        [&](const ReplayStage& r) { return r.token == env.replay_token; });
+    if (rs == replay_stages_.end()) {
+      throw std::runtime_error("unknown replay token " +
+                               std::to_string(env.replay_token));
+    }
+    obs::ScopedSpan span(obs::Cat::kTask, "recover");
+    rs->fn(tc);
+    return out;
+  }
+  obs::ScopedSpan task_span(obs::Cat::kTask, "task");
+  task_span.set_time_arg(queue_ms);
+  tc.metrics().queue_ms = queue_ms;
+  jvm::Heap* heap = e->heap();
+  const memory::ExecutorMemoryManager* mm = e->memory();
+  const uint64_t gcs0 = heap->stats().minor_count + heap->stats().full_count;
+  const double gc_ms0 = heap->stats().TotalPauseMs();
+  const uint64_t denied0 = mm->denied_reservations();
+  Stopwatch sw;
+  try {
+    injector_.OnTaskAttempt(env.stage, p, env.attempt, heap);
+    out.result = body(tc);
+  } catch (const fault::ShuffleFetchFailure&) {
+    out.status = exec::RemoteTaskStatus::kFetchFailure;
+  } catch (const fault::TaskFailure&) {
+    out.status = exec::RemoteTaskStatus::kInjectedFailure;
+  } catch (const jvm::OutOfMemoryError& oom) {
+    out.status = exec::RemoteTaskStatus::kOom;
+    out.heap_dump = oom.heap_dump();
+  } catch (const net::ConnectError& ce) {
+    // A shuffle fetch hit a dead peer daemon: retryable like any other
+    // fetch failure.
+    out.status = exec::RemoteTaskStatus::kFetchFailure;
+    out.message = ce.what();
+  }
+  // A forced allocation failure armed for this attempt must never leak
+  // into a later task (the attempt may not have allocated).
+  heap->ForceAllocationFailures(0);
+  out.fired_delta = injector_.TakeFired();
+  if (out.status != exec::RemoteTaskStatus::kOk) {
+    if (!LastAttempt(config_, env.attempt)) {
+      obs::Instant(obs::Cat::kTask, "retry", env.attempt);
+    }
+    return out;
+  }
+  // Wall and GC time of the attempt, the executor's pool high-water marks
+  // as of task end (the stage fold takes the max) and its own denials.
+  TaskMetrics& m = tc.metrics();
+  m.total_ms = sw.ElapsedMillis();
+  m.gc_ms = heap->stats().TotalPauseMs() - gc_ms0;
+  m.exec_pool_peak_bytes = mm->exec_peak();
+  m.storage_pool_peak_bytes = mm->storage_peak();
+  m.denied_reservations = mm->denied_reservations() - denied0;
+  task_span.set_args(
+      static_cast<double>(heap->stats().minor_count +
+                          heap->stats().full_count - gcs0),
+      static_cast<double>(m.denied_reservations));
+  out.metrics = m;
+  return out;
+}
+
 std::vector<std::vector<uint8_t>> SparkContext::ServeStage(
-    int stage, const std::function<void(TaskContext&)>& task,
-    const CollectFn* collect) {
+    int stage, const CollectFn& body) {
   DistWorker* worker = config_.runtime.worker;
+  Executor& mine =
+      *executors_[static_cast<size_t>(config_.runtime.my_executor)];
   while (true) {
     DistWorker::Command cmd = worker->NextCommand();
     switch (cmd.kind) {
-      case DistWorker::Command::Kind::kTask:
-        worker->Reply(ExecuteRemoteAttempt(stage, cmd.env, task, collect));
+      case DistWorker::Command::Kind::kTask: {
+        DECA_CHECK_EQ(cmd.env.stage, stage)
+            << "envelope for a stage this daemon is not serving";
+        DECA_CHECK_EQ(scheduler_.ExecutorOfPartition(cmd.env.partition),
+                      mine.id())
+            << "envelope for a partition this daemon does not own";
+        exec::RemoteTaskOutcome out;
+        try {
+          out = RunAttempt(cmd.env, body, /*queue_ms=*/0);
+        } catch (const std::exception& ex) {
+          // In-process such an exception propagates as-is; the driver
+          // rethrows its message.
+          out.status = exec::RemoteTaskStatus::kFatal;
+          out.message = ex.what();
+        }
+        worker->Reply(out);
         break;
+      }
       case DistWorker::Command::Kind::kStageDone: {
         DECA_CHECK_EQ(cmd.stage, stage)
             << "stage-done for a stage this daemon is not serving";
-        Executor& mine =
-            *executors_[static_cast<size_t>(config_.runtime.my_executor)];
         mine.VerifyMemoryAccounting();
         ExecutorSnapshot ack = SnapshotOf(mine);
         AddProcessPlanes(&ack);
@@ -301,86 +337,6 @@ std::vector<std::vector<uint8_t>> SparkContext::ServeStage(
   }
 }
 
-exec::RemoteTaskOutcome SparkContext::ExecuteRemoteAttempt(
-    int stage, const exec::RemoteTaskEnvelope& env,
-    const std::function<void(TaskContext&)>& task, const CollectFn* collect) {
-  exec::RemoteTaskOutcome out;
-  const int p = env.partition;
-  const int nparts = num_partitions();
-  Executor* e = executor_for_partition(p);
-  DECA_CHECK_EQ(e->id(), config_.runtime.my_executor)
-      << "envelope for a partition this daemon does not own";
-  if (env.replay_token >= 0) {
-    // Lineage replay: clean execution — no injection, no retries, no
-    // metric reports — exactly like the in-process RecoverLostState body.
-    for (auto& rs : replay_stages_) {
-      if (rs.token != env.replay_token) continue;
-      TaskContext tc(this, e, p, nparts);
-      rs.fn(tc);
-      return out;
-    }
-    out.status = exec::RemoteTaskStatus::kFatal;
-    out.message = "unknown replay token " + std::to_string(env.replay_token);
-    return out;
-  }
-  TaskContext tc(this, e, p, nparts);
-  const TaskStart start(*e);
-  try {
-    injector_.OnTaskAttempt(stage, p, env.attempt, e->heap());
-    if (collect != nullptr) {
-      out.result = (*collect)(tc);
-    } else {
-      task(tc);
-    }
-    e->heap()->ForceAllocationFailures(0);
-  } catch (const fault::ShuffleFetchFailure&) {
-    e->heap()->ForceAllocationFailures(0);
-    out.status = exec::RemoteTaskStatus::kFetchFailure;
-  } catch (const fault::TaskFailure&) {
-    e->heap()->ForceAllocationFailures(0);
-    out.status = exec::RemoteTaskStatus::kInjectedFailure;
-  } catch (const jvm::OutOfMemoryError& oom) {
-    e->heap()->ForceAllocationFailures(0);
-    out.status = exec::RemoteTaskStatus::kOom;
-    out.heap_dump = oom.heap_dump();
-  } catch (const net::ConnectError& ce) {
-    // A shuffle fetch hit a dead peer daemon: retryable like any other
-    // fetch failure — the driver's bounded attempt loop decides.
-    e->heap()->ForceAllocationFailures(0);
-    out.status = exec::RemoteTaskStatus::kFetchFailure;
-    out.message = ce.what();
-  } catch (const std::exception& ex) {
-    e->heap()->ForceAllocationFailures(0);
-    out.status = exec::RemoteTaskStatus::kFatal;
-    out.message = ex.what();
-  }
-  if (out.status == exec::RemoteTaskStatus::kOk) {
-    FinishTaskMetrics(*e, start, &tc.metrics());
-    out.metrics = tc.metrics();
-  } else {
-    out.result.clear();
-  }
-  out.fired_delta = injector_.TakeFired();
-  return out;
-}
-
-void SparkContext::MarkExecutorLost(int e) {
-  DECA_CHECK_GE(e, 0);
-  DECA_CHECK_LT(e, num_executors());
-  // The daemon's heaps, cache blocks and deposited map outputs died with
-  // its process — only the driver-side bookkeeping needs the in-process
-  // wipe treatment so lineage replay and counters stay identical.
-  for (auto* l : wipe_listeners_) l->OnExecutorWipe(e);
-  for (auto& rs : replay_stages_) {
-    for (int p = 0; p < num_partitions(); ++p) {
-      if (scheduler_.ExecutorOfPartition(p) != e) continue;
-      rs.lost.insert(p);
-    }
-  }
-  ++metrics_.executor_wipes;
-  obs::Instant(obs::Cat::kSched, "wipe", e);
-}
-
 void SparkContext::AddProcessPlanes(ExecutorSnapshot* s) const {
   const int n = shuffle_->num_shuffles();
   s->shuffle_bytes.resize(static_cast<size_t>(n));
@@ -391,18 +347,26 @@ void SparkContext::AddProcessPlanes(ExecutorSnapshot* s) const {
 }
 
 void SparkContext::RunStageInternal(
-    const std::string& name, const std::function<void(TaskContext&)>& task,
-    const CollectFn* collect, std::vector<std::vector<uint8_t>>* results) {
+    const std::string& name, const CollectFn& body,
+    std::vector<std::vector<uint8_t>>* results) {
   const int stage = next_stage_id_++;
   if (config_.runtime.role == DistRole::kWorker) {
     // SPMD worker: this stage is served, not run. The driver dispatches
     // envelopes; the broadcast collect blobs keep this program's
     // between-stage state identical to the driver's.
-    auto blobs = ServeStage(stage, task, collect);
+    auto blobs = ServeStage(stage, body);
     if (results != nullptr) *results = std::move(blobs);
     return;
   }
   const bool remote = config_.runtime.role == DistRole::kDriver;
+  // A dead daemon gets an in-process wipe's bookkeeping, then its next
+  // generation is respawned and fast-forwarded through the program log.
+  auto respawn = [&](int e) {
+    obs::Instant(obs::Cat::kCluster, "dead", e);
+    WipeExecutor(e);
+    config_.runtime.driver->RecoverExecutor(e);
+    obs::Instant(obs::Cat::kCluster, "respawn", e);
+  };
   // Driver trace window for this stage: dispatch instants, wipe/recovery
   // bookkeeping and the stage span all land on the driver lane.
   obs::TraceRecorder* drec = tracer_.driver();
@@ -415,15 +379,10 @@ void SparkContext::RunStageInternal(
     if (wipe >= 0 && wipe < num_executors()) {
       if (remote) {
         // The same seeded decision that wipes an executor in-process
-        // delivers a real SIGKILL here; heartbeat loss detects the death
-        // and a respawned daemon is fast-forwarded through the program
-        // log before lineage replay.
+        // delivers a real SIGKILL here; heartbeat loss detects the death.
         obs::Instant(obs::Cat::kCluster, "kill", wipe);
         config_.runtime.driver->KillExecutor(wipe);
-        obs::Instant(obs::Cat::kCluster, "dead", wipe);
-        MarkExecutorLost(wipe);
-        config_.runtime.driver->RecoverExecutor(wipe);
-        obs::Instant(obs::Cat::kCluster, "respawn", wipe);
+        respawn(wipe);
       } else {
         WipeExecutor(wipe);
       }
@@ -432,7 +391,6 @@ void SparkContext::RunStageInternal(
     Stopwatch stage_sw;
     const int nparts = num_partitions();
     if (results != nullptr) results->assign(static_cast<size_t>(nparts), {});
-    const int max_stage_attempts = std::max(1, config_.max_task_failures);
     for (int stage_attempt = 0;; ++stage_attempt) {
       sink_.BeginStage(nparts);
       try {
@@ -440,20 +398,7 @@ void SparkContext::RunStageInternal(
         scheduler_.RunStage(
             nparts,
             [&](int p, double queue_ms) {
-              if (remote) {
-                RunRemoteAttempts(stage, p, collect != nullptr, queue_ms,
-                                  results);
-              } else if (collect != nullptr) {
-                RunTaskAttempts(
-                    stage, p, nparts,
-                    [&](TaskContext& tc) {
-                      (*results)[static_cast<size_t>(tc.partition())] =
-                          (*collect)(tc);
-                    },
-                    queue_ms);
-              } else {
-                RunTaskAttempts(stage, p, nparts, task, queue_ms);
-              }
+              RunTaskAttempts(stage, p, body, queue_ms, results);
             },
             name.c_str());
         break;
@@ -461,19 +406,15 @@ void SparkContext::RunStageInternal(
         // Quarantine: the stage's partial results are discarded — sink
         // and collect blobs alike — never merged. Recover the executor,
         // replay what died with it, and retry the whole stage.
-        if (stage_attempt + 1 >= max_stage_attempts) throw;
+        if (LastAttempt(config_, stage_attempt)) throw;
         DECA_LOG(Warning) << "quarantining stage " << stage << ": "
                           << lost.what();
         config_.runtime.driver->NoteStageQuarantine();
         if (results != nullptr) {
           results->assign(static_cast<size_t>(nparts), {});
         }
-        obs::Instant(obs::Cat::kCluster, "dead", lost.executor());
-        MarkExecutorLost(lost.executor());
-        config_.runtime.driver->RecoverExecutor(lost.executor());
-        obs::Instant(obs::Cat::kCluster, "respawn", lost.executor());
+        respawn(lost.executor());
         RecoverLostState(stage);
-        continue;
       }
     }
     if (remote) {
@@ -489,8 +430,7 @@ void SparkContext::RunStageInternal(
     sink_.EndStage(&metrics_);
     metrics_.wall_ms += stage_sw.ElapsedMillis();
     metrics_.task_retries += task_retries_.exchange(0);
-    metrics_.injected_faults +=
-        remote ? remote_fired_.exchange(0) : injector_.TakeFired();
+    metrics_.injected_faults += fired_.exchange(0);
     // Every byte must be charged to exactly one manager — checked at every
     // stage barrier, in sequential and parallel runs alike.
     for (auto& e : executors_) e->VerifyMemoryAccounting();
@@ -502,19 +442,25 @@ void SparkContext::RunStageInternal(
 
 void SparkContext::RunStage(const std::string& name,
                             const std::function<void(TaskContext&)>& task) {
-  RunStageInternal(name, task, nullptr, nullptr);
+  RunStageInternal(
+      name,
+      [&task](TaskContext& tc) {
+        task(tc);
+        return std::vector<uint8_t>();
+      },
+      nullptr);
 }
 
 std::vector<std::vector<uint8_t>> SparkContext::RunCollectStage(
     const std::string& name, const CollectFn& fn) {
   std::vector<std::vector<uint8_t>> results;
-  RunStageInternal(name, {}, &fn, &results);
+  RunStageInternal(name, fn, &results);
   return results;
 }
 
 int SparkContext::RunMapStage(const std::string& name, int shuffle_id,
                               const std::function<void(TaskContext&)>& task) {
-  RunStageInternal(name, task, nullptr, nullptr);
+  RunStage(name, task);
   ReplayStage rs;
   rs.name = name;
   rs.token = next_lineage_token_++;
@@ -556,10 +502,20 @@ void SparkContext::RemoveWipeListener(WipeListener* listener) {
 void SparkContext::WipeExecutor(int e) {
   DECA_CHECK_GE(e, 0);
   DECA_CHECK_LT(e, num_executors());
+  const size_t ei = static_cast<size_t>(e);
   // Stale-reference drop must precede the heap reset: listeners still
   // hold refs into the dying heap.
   for (auto* l : wipe_listeners_) l->OnExecutorWipe(e);
-  executors_[static_cast<size_t>(e)]->Wipe();
+  if (role() == DistRole::kDriver) {
+    // The daemon's heap, cache and map outputs died with its process. The
+    // wire traffic it acked did happen, and its respawn counts from zero.
+    if (ei < snapshots_.size()) {
+      FoldFields(&carried_net_[ei], snapshots_[ei].net);
+      snapshots_[ei].net = {};
+    }
+  } else {
+    executors_[ei]->Wipe();
+  }
   // Everything this executor produced is marked lost: cached lineage
   // blocks and deposited shuffle map outputs alike.
   for (auto& rs : replay_stages_) {
@@ -574,62 +530,26 @@ void SparkContext::WipeExecutor(int e) {
 }
 
 void SparkContext::RecoverLostState(int stage) {
-  bool any = false;
-  for (const auto& rs : replay_stages_) {
-    if (!rs.lost.empty()) any = true;
-  }
-  if (!any) return;
-  if (config_.runtime.role == DistRole::kDriver) {
-    // Replay over RPC, in original execution order, partitions ascending
-    // (std::set order): the respawned daemon's fresh heap sees the same
-    // allocation history prefix a fresh in-process run would produce.
-    for (auto& rs : replay_stages_) {
-      if (rs.lost.empty()) continue;
-      for (int p : rs.lost) {
-        exec::RemoteTaskEnvelope env;
-        env.stage = stage;
-        env.partition = p;
-        env.attempt = -1;
-        env.replay_token = rs.token;
-        exec::RemoteTaskOutcome out = config_.runtime.driver->RunTask(
-            scheduler_.ExecutorOfPartition(p), env);
-        if (out.status != exec::RemoteTaskStatus::kOk) {
-          throw std::runtime_error("lineage replay failed (" + rs.name +
-                                   ", partition " + std::to_string(p) +
-                                   "): " + out.message);
-        }
-      }
-      obs::Instant(obs::Cat::kCluster, "replay",
-                   static_cast<double>(rs.lost.size()));
-      if (rs.shuffle_id < 0) {
-        metrics_.recomputed_blocks += rs.lost.size();
-      }
-      rs.lost.clear();
-    }
-    return;
-  }
-  // Replay in original execution order so the wiped executor's heap sees
-  // the same allocation history prefix a fresh run would produce. Replay
-  // runs clean: no injection, no retry bookkeeping, no metric reports.
-  const int nparts = num_partitions();
-  ScopedHeapOwnership ownership(&executors_, &scheduler_);
+  // Replay in original execution order, partitions ascending, so the
+  // wiped executor's fresh heap sees the same allocation history prefix a
+  // fresh run would produce.
   for (auto& rs : replay_stages_) {
     if (rs.lost.empty()) continue;
+    ScopedHeapOwnership ownership(&executors_, &scheduler_);
     std::string stage_name = "recover:" + rs.name;
     scheduler_.RunStage(
-        nparts,
+        num_partitions(),
         [&](int p, double) {
           if (rs.lost.count(p) == 0) return;
-          Executor* e = executor_for_partition(p);
-          // Replay windows carry attempt = -1: they belong to the
-          // upcoming stage's trace but are distinguishable from its
-          // regular task attempts.
-          obs::TraceRecorder* rec = tracer_.executor(e->id());
-          if (rec != nullptr) rec->BeginWindow(stage, p, -1);
-          obs::ScopedRecorder trace_scope(rec);
-          obs::ScopedSpan span(obs::Cat::kTask, "recover");
-          TaskContext tc(this, e, p, nparts);
-          rs.fn(tc);
+          exec::RemoteTaskEnvelope env;
+          env.stage = stage;
+          env.partition = p;
+          env.attempt = -1;
+          env.replay_token = rs.token;
+          exec::RemoteTaskOutcome out = Dispatch(env, {}, 0);
+          if (out.status != exec::RemoteTaskStatus::kOk) {
+            ThrowFailure(env, out);
+          }
         },
         stage_name.c_str());
     if (rs.shuffle_id < 0) {
@@ -651,8 +571,14 @@ void SparkContext::ResetMetrics() { metrics_ = JobMetrics(); }
 // in-process run's bit for bit.
 
 std::vector<ExecutorSnapshot> SparkContext::ExecutorSnapshots() const {
-  if (role() == DistRole::kDriver) return snapshots_;
   std::vector<ExecutorSnapshot> out;
+  if (role() == DistRole::kDriver) {
+    out = snapshots_;
+    for (size_t e = 0; e < out.size(); ++e) {
+      FoldFields(&out[e].net, carried_net_[e]);
+    }
+    return out;
+  }
   out.reserve(executors_.size());
   for (const auto& e : executors_) out.push_back(SnapshotOf(*e));
   return out;

@@ -102,10 +102,11 @@ class SparkContext {
 
   /// Runs one stage: `task` is invoked once per partition. Task wall time
   /// and the GC pauses incurred during it are recorded in the job metrics.
-  /// A task that throws a fault::TaskFailure (or a jvm::OutOfMemoryError,
-  /// converted to TaskOomFailure) is retried on the same executor in the
-  /// same per-executor FIFO slot, up to `config.max_task_failures`
-  /// attempts; other exception types propagate immediately.
+  /// A task that throws a fault::TaskFailure, a jvm::OutOfMemoryError or
+  /// a net::ConnectError (a dead peer) is retried on the same executor in
+  /// the same per-executor FIFO slot, up to `config.max_task_failures`
+  /// attempts, and then surfaces as its typed fault::TaskFailure; other
+  /// exception types propagate immediately.
   ///
   /// Distributed roles (config.runtime.role): the driver dispatches each
   /// partition as a task envelope to its executor's daemon instead of
@@ -157,10 +158,12 @@ class SparkContext {
   void AddWipeListener(WipeListener* listener);
   void RemoveWipeListener(WipeListener* listener);
 
-  /// Simulates a crash of executor `e` at a stage boundary: wipe
-  /// listeners drop their references, the cache and heap are wiped, and
-  /// the executor's shuffle map outputs are discarded. Lost state is
-  /// recomputed from lineage before the next stage runs.
+  /// Simulates a crash of executor `e` at a stage boundary, or on the
+  /// driver books a dead daemon's: wipe listeners drop their references,
+  /// the cache and heap are wiped where they live (a daemon's died with
+  /// it; the driver keeps its acked `net` counts), and the executor's
+  /// shuffle map outputs are discarded. Lost state is recomputed from
+  /// lineage before the next stage runs.
   void WipeExecutor(int e);
 
   /// Registers record ops for an RDD id on every executor's cache manager.
@@ -178,9 +181,10 @@ class SparkContext {
   std::shared_ptr<obs::TraceLog> TakeTraceLog() { return tracer_.Take(); }
 
   /// Each executor's observability snapshot, in executor-id order. The
-  /// driver returns the latest stage acks; the other roles build them
-  /// from their executors. In-process the shuffle and wire planes belong
-  /// to the context, so these leave `net` and `shuffle_bytes` empty.
+  /// driver returns the latest stage acks, whose `net` includes what the
+  /// executor's dead daemons acked; the other roles build them from their
+  /// executors. In-process the shuffle and wire planes belong to the
+  /// context, so these leave `net` and `shuffle_bytes` empty.
   std::vector<ExecutorSnapshot> ExecutorSnapshots() const;
   /// ExecutorSnapshots() folded by the list: the job's totals, the same
   /// in every execution mode. In-process `net` and `shuffle_bytes` come
@@ -231,41 +235,37 @@ class SparkContext {
     std::set<int> lost;
   };
 
-  /// One task with bounded retries; reports metrics on success.
-  void RunTaskAttempts(int stage, int partition, int num_partitions,
-                       const std::function<void(TaskContext&)>& task,
-                       double queue_ms);
-  /// `collect`, when set, replaces `task` as the stage body and its blob
-  /// lands in (*results)[partition].
-  void RunStageInternal(const std::string& name,
-                        const std::function<void(TaskContext&)>& task,
-                        const CollectFn* collect,
+  /// `results`, when set, receives each partition's blob (a collect
+  /// stage).
+  void RunStageInternal(const std::string& name, const CollectFn& body,
                         std::vector<std::vector<uint8_t>>* results);
-  /// Driver role: one partition's bounded remote-attempt loop. Remote
-  /// outcomes map back to the exact in-process exception types; a dead
-  /// daemon surfaces as fault::ExecutorLostError (stage quarantine).
-  void RunRemoteAttempts(int stage, int partition, bool collect,
-                         double queue_ms,
-                         std::vector<std::vector<uint8_t>>* results);
+  /// One partition's bounded attempt loop, in every role: each outcome is
+  /// reported, retried, or thrown as its typed failure.
+  void RunTaskAttempts(int stage, int partition, const CollectFn& body,
+                       double queue_ms,
+                       std::vector<std::vector<uint8_t>>* results);
+  /// Runs `env` where its executor lives: here, or from the driver in the
+  /// executor's daemon, whose death surfaces as fault::ExecutorLostError
+  /// (stage quarantine).
+  exec::RemoteTaskOutcome Dispatch(const exec::RemoteTaskEnvelope& env,
+                                   const CollectFn& body, double queue_ms);
+  /// The one task attempt, in-process and in a daemon: `body` in the
+  /// attempt's trace window with its injected faults, a retryable failure
+  /// classified into the outcome. `env.replay_token >= 0` runs that
+  /// lineage stage's function instead, clean. Other exceptions propagate.
+  exec::RemoteTaskOutcome RunAttempt(const exec::RemoteTaskEnvelope& env,
+                                     const CollectFn& body, double queue_ms);
   /// Worker role: serve the driver's envelopes for this stage until
   /// StageDone, then return its broadcast collect blobs.
-  std::vector<std::vector<uint8_t>> ServeStage(
-      int stage, const std::function<void(TaskContext&)>& task,
-      const CollectFn* collect);
-  /// Worker role: execute one envelope (task attempt or lineage replay).
-  exec::RemoteTaskOutcome ExecuteRemoteAttempt(
-      int stage, const exec::RemoteTaskEnvelope& env,
-      const std::function<void(TaskContext&)>& task, const CollectFn* collect);
-  /// Driver role: the in-process wipe bookkeeping for an executor whose
-  /// daemon died (lineage lost-sets, wipe counter). The data itself died
-  /// with the process.
-  void MarkExecutorLost(int e);
+  std::vector<std::vector<uint8_t>> ServeStage(int stage,
+                                               const CollectFn& body);
   /// Adds this process's shuffle and wire planes to `s`: a daemon's
   /// own, or in-process the whole context's.
   void AddProcessPlanes(ExecutorSnapshot* s) const;
-  /// Replays lineage/map stages for partitions lost to a wipe. `stage` is
-  /// the id of the upcoming stage; replay trace windows are attributed to
-  /// it with attempt = -1. Driver role replays over RPC.
+  /// Replays lineage/map stages for partitions lost to a wipe, one
+  /// scheduler pass per stage, through Dispatch. `stage` is the id of the
+  /// upcoming stage; replay trace windows are attributed to it with
+  /// attempt = -1.
   void RecoverLostState(int stage);
 
   SparkConfig config_;
@@ -284,12 +284,14 @@ class SparkContext {
   int next_stage_id_ = 0;
   int next_lineage_token_ = 0;
   std::atomic<uint64_t> task_retries_{0};
-  /// Driver role: injected faults reported by daemons (their identically
-  /// seeded injectors make the decisions; the driver only counts).
-  std::atomic<uint64_t> remote_fired_{0};
+  /// Injected faults this stage's attempts fired (on the driver, the
+  /// daemons' identically seeded injectors decide; the driver counts).
+  std::atomic<uint64_t> fired_{0};
   /// Driver role: each executor's latest stage-ack snapshot, read instead
   /// of the (idle) local executors.
   std::vector<ExecutorSnapshot> snapshots_;
+  /// Driver role: per executor, the `net` plane its dead daemons acked.
+  std::vector<net::NetStatsSnapshot> carried_net_;
   std::vector<WipeListener*> wipe_listeners_;
   std::vector<ReplayStage> replay_stages_;
 };

@@ -124,6 +124,10 @@ struct ExecutorSnapshot {
   uint64_t minor_gcs = 0;
   uint64_t full_gcs = 0;
   uint64_t oom_recoveries = 0;
+  /// Managed-heap allocations, counted per heap: they move with an extra
+  /// object even where no collection notices it.
+  uint64_t objects_allocated = 0;
+  uint64_t bytes_allocated = 0;
   uint64_t cached_bytes = 0;
   uint64_t peak_cached_bytes = 0;
   uint64_t swapped_bytes = 0;
@@ -151,6 +155,8 @@ struct ExecutorSnapshot {
     DECA_SUM(minor_gcs);
     DECA_SUM(full_gcs);
     DECA_SUM(oom_recoveries);
+    DECA_SUM(objects_allocated);
+    DECA_SUM(bytes_allocated);
     DECA_SUM(cached_bytes);
     DECA_SUM(peak_cached_bytes);
     DECA_SUM(swapped_bytes);
@@ -169,8 +175,8 @@ inline void CheckSnapshotLists(GcPauseSummary& p, ExecutorSnapshot& s) {
   [[maybe_unused]] auto& [p0, p1, p2, p3, p4, p5, p6, p7] = p;
   static_assert(FieldCount<GcPauseSummary>() == 8);
   [[maybe_unused]] auto& [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
-                          s12, s13, s14] = s;
-  static_assert(FieldCount<ExecutorSnapshot>() == 15);
+                          s12, s13, s14, s15, s16] = s;
+  static_assert(FieldCount<ExecutorSnapshot>() == 17);
 }
 
 /// A snapshot leaf whose run-report metric is not named by its path.

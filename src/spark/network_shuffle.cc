@@ -36,7 +36,6 @@ NetworkShuffleService::NetworkShuffleService(const SparkConfig& config,
       fetch_chunk_bytes_(std::max<uint32_t>(1, config.net_fetch_chunk_bytes)),
       max_inflight_bytes_(
           std::max(config.net_max_inflight_bytes, config.net_fetch_chunk_bytes)),
-      fetch_retries_(std::max(0, config.net_fetch_retries)),
       transport_(transport),
       stats_(stats) {
   DECA_CHECK_EQ(transport_->num_endpoints(), num_executors_);
@@ -242,7 +241,7 @@ void NetworkShuffleService::FailFetch(int stage, int partition, int attempt) {
   probe.WriteVarU64(static_cast<uint64_t>(partition));
   probe.WriteVarU64(static_cast<uint64_t>(attempt));
   std::vector<uint8_t> wire = net::FrameMessage(probe);
-  for (int attempt_i = 0; attempt_i <= fetch_retries_; ++attempt_i) {
+  for (int attempt_i = 0; attempt_i <= kFetchRetries; ++attempt_i) {
     std::vector<uint8_t> resp_wire = transport_->Call(from, to, wire);
     ByteReader resp(nullptr, 0);
     DECA_CHECK(net::UnframeMessage(resp_wire, &resp));

@@ -32,6 +32,10 @@ class NetworkShuffleService final : public ShuffleService,
  public:
   using ShuffleService::PutChunk;
 
+  /// Transport-level retries of a failed fetch before the failure
+  /// surfaces to the task layer.
+  static constexpr int kFetchRetries = 3;
+
   /// `transport` and `stats` are borrowed and must outlive the service.
   /// Binds every transport endpoint to its executor's BlockServer. With
   /// `local_endpoint >= 0` (a worker daemon's mesh) only that endpoint's
@@ -56,7 +60,7 @@ class NetworkShuffleService final : public ShuffleService,
   void Release(int shuffle_id) override;
 
   /// fault::FetchFailurePath: sends the doomed probe of an injected fetch
-  /// failure to a remote peer, burns the configured retries with virtual
+  /// failure to a remote peer, burns kFetchRetries retries with virtual
   /// exponential backoff, then throws ShuffleFetchFailure. Heap-free, so
   /// retried attempts replay bit-identically.
   void FailFetch(int stage, int partition, int attempt) override;
@@ -78,7 +82,6 @@ class NetworkShuffleService final : public ShuffleService,
   net::WireCodec codec_;
   uint32_t fetch_chunk_bytes_;
   uint32_t max_inflight_bytes_;
-  int fetch_retries_;
   net::Transport* transport_;
   net::NetStats* stats_;
   std::vector<std::unique_ptr<net::BlockServer>> servers_;

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 
-#include "alloc/buffers.h"
-#include "common/clock.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 
@@ -377,146 +373,6 @@ void ObjectGroupByBuffer::ForEach(
     if (k == jvm::kNullRef) continue;
     fn(k, heap_->GetRefElem(vals(), i), counts_[i]);
   }
-}
-
-// -- DecaSortSpillWriter --------------------------------------------------------
-
-DecaSortSpillWriter::DecaSortSpillWriter(jvm::Heap* heap, uint32_t page_bytes,
-                                         std::string spill_dir, Less less)
-    : heap_(heap),
-      page_bytes_(page_bytes),
-      mm_(heap->memory_manager()),
-      dir_(std::move(spill_dir)),
-      less_(std::move(less)),
-      pages_(std::make_shared<core::PageGroup>(heap, page_bytes)) {}
-
-DecaSortSpillWriter::~DecaSortSpillWriter() {
-  for (const auto& f : files_) std::remove(f.c_str());
-}
-
-void DecaSortSpillWriter::Append(const uint8_t* data, uint32_t bytes) {
-  // Spill is reservation-denial driven: before committing to a fresh
-  // page, probe the execution pool (which may first evict storage down to
-  // its floor). Denied -> sort and spill the current run, freeing its
-  // pages, then start the new run.
-  if (mm_ != nullptr && pages_->page_count() > 0 &&
-      pages_->NeedsNewPage(bytes) &&
-      !mm_->TryExecutionRoom(pages_->page_cost_bytes())) {
-    SpillCurrentRun();
-  }
-  core::SegPtr seg = pages_->Append(bytes);
-  std::memcpy(pages_->Resolve(seg), data, bytes);
-  entries_.emplace_back(seg, bytes);
-}
-
-void DecaSortSpillWriter::SpillCurrentRun() {
-  if (entries_.empty()) return;
-  std::sort(entries_.begin(), entries_.end(),
-            [&](const auto& a, const auto& b) {
-              return less_(pages_->Resolve(a.first),
-                           pages_->Resolve(b.first));
-            });
-  std::string path = dir_ + "/sortspill_" + std::to_string(files_.size()) +
-                     "_" + std::to_string(reinterpret_cast<uintptr_t>(this));
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  DECA_CHECK(f != nullptr) << "cannot open spill file for writing: " << path
-                           << ": " << std::strerror(errno);
-  for (const auto& [seg, bytes] : entries_) {
-    // Decomposed bytes go to disk as-is, length-prefixed.
-    DECA_CHECK(std::fwrite(&bytes, sizeof(bytes), 1, f) == 1 &&
-               std::fwrite(pages_->Resolve(seg), 1, bytes, f) == bytes)
-        << "cannot write spill file " << path << ": " << std::strerror(errno);
-    spilled_bytes_ += bytes + sizeof(bytes);
-  }
-  // fclose flushes the stdio buffer: a full disk can surface only here.
-  const int closed = std::fclose(f);
-  DECA_CHECK_EQ(closed, 0) << "cannot write spill file " << path << ": "
-                           << std::strerror(errno);
-  files_.push_back(path);
-  entries_.clear();
-  pages_ = std::make_shared<core::PageGroup>(heap_, page_bytes_);
-}
-
-void DecaSortSpillWriter::Merge(
-    const std::function<void(const uint8_t*, uint32_t)>& fn,
-    double* spill_ms) {
-  Stopwatch sw;
-  // Sort the in-memory run.
-  std::sort(entries_.begin(), entries_.end(),
-            [&](const auto& a, const auto& b) {
-              return less_(pages_->Resolve(a.first),
-                           pages_->Resolve(b.first));
-            });
-  // One cursor per spilled run, each holding a single record in a counted
-  // scratch buffer.
-  struct Run {
-    const char* path = nullptr;
-    std::FILE* file = nullptr;
-    alloc::ScratchBuffer record;
-    uint32_t size = 0;
-    // False only at a clean end of run, EOF exactly at a length prefix;
-    // a short prefix or record means the file lost bytes.
-    bool Next() {
-      uint32_t bytes = 0;
-      const size_t got = std::fread(&bytes, 1, sizeof(bytes), file);
-      if (got == 0 && std::feof(file)) return false;
-      DECA_CHECK_EQ(got, sizeof(bytes))
-          << "short length prefix in spill file " << path;
-      record.Reserve(bytes);
-      size = bytes;
-      const size_t read = std::fread(record.data(), 1, bytes, file);
-      DECA_CHECK_EQ(read, bytes) << "short record in spill file " << path;
-      return true;
-    }
-  };
-  std::vector<Run> runs;
-  runs.reserve(files_.size());
-  for (size_t i = 0; i < files_.size(); ++i) {
-    runs.push_back(Run{files_[i].c_str(), nullptr,
-                       alloc::ScratchBuffer(heap_->alloc_counter()), 0});
-    runs[i].file = std::fopen(files_[i].c_str(), "rb");
-    DECA_CHECK(runs[i].file != nullptr)
-        << "cannot open spill file for reading: " << files_[i] << ": "
-        << std::strerror(errno);
-    DECA_CHECK(runs[i].Next());
-  }
-  size_t mem_pos = 0;
-  std::vector<bool> run_alive(runs.size(), true);
-  size_t alive = runs.size();
-  while (alive > 0 || mem_pos < entries_.size()) {
-    // Pick the smallest head among spilled runs and the in-memory run.
-    int best = -1;
-    const uint8_t* best_rec = nullptr;
-    for (size_t i = 0; i < runs.size(); ++i) {
-      if (!run_alive[i]) continue;
-      if (best_rec == nullptr || less_(runs[i].record.data(), best_rec)) {
-        best = static_cast<int>(i);
-        best_rec = runs[i].record.data();
-      }
-    }
-    bool take_memory = false;
-    if (mem_pos < entries_.size()) {
-      const uint8_t* mem_rec = pages_->Resolve(entries_[mem_pos].first);
-      if (best_rec == nullptr || less_(mem_rec, best_rec)) {
-        take_memory = true;
-      }
-    }
-    if (take_memory) {
-      fn(pages_->Resolve(entries_[mem_pos].first), entries_[mem_pos].second);
-      ++mem_pos;
-    } else {
-      Run& r = runs[static_cast<size_t>(best)];
-      fn(r.record.data(), r.size);
-      if (!r.Next()) {
-        run_alive[static_cast<size_t>(best)] = false;
-        --alive;
-      }
-    }
-  }
-  for (auto& r : runs) {
-    if (r.file != nullptr) std::fclose(r.file);
-  }
-  if (spill_ms != nullptr) *spill_ms += sw.ElapsedMillis();
 }
 
 }  // namespace deca::spark

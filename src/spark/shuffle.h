@@ -235,47 +235,6 @@ class ObjectGroupByBuffer {
   jvm::ObjRef vals() const { return roots_.refs()[1]; }
 };
 
-/// Sort-based shuffle with disk spilling (paper Appendix C): records
-/// accumulate in a page group charged to the execution pool; when the
-/// executor's memory manager denies the next page (no execution room even
-/// after evicting storage to its floor) the run is sorted and spilled to
-/// a file. The final pass streams a k-way merge of all spilled runs plus
-/// the in-memory run, holding only one record per run in memory (the
-/// paper's "small memory space, normally only one page" merge). A heap
-/// without a memory manager never spills before Merge.
-class DecaSortSpillWriter {
- public:
-  using Less = std::function<bool(const uint8_t*, const uint8_t*)>;
-
-  DecaSortSpillWriter(jvm::Heap* heap, uint32_t page_bytes,
-                      std::string spill_dir, Less less);
-  ~DecaSortSpillWriter();
-
-  /// Appends one record; may sort + spill the current run to disk.
-  void Append(const uint8_t* data, uint32_t bytes);
-
-  /// Merges all runs in sorted order into `fn`. `spill_ms` (optional)
-  /// accumulates disk time.
-  void Merge(const std::function<void(const uint8_t*, uint32_t)>& fn,
-             double* spill_ms = nullptr);
-
-  uint32_t spill_count() const { return static_cast<uint32_t>(files_.size()); }
-  uint64_t spilled_bytes() const { return spilled_bytes_; }
-
- private:
-  void SpillCurrentRun();
-
-  jvm::Heap* heap_;
-  uint32_t page_bytes_;
-  memory::ExecutorMemoryManager* mm_;  // may be null
-  std::string dir_;
-  Less less_;
-  std::shared_ptr<core::PageGroup> pages_;
-  std::vector<std::pair<core::SegPtr, uint32_t>> entries_;
-  std::vector<std::string> files_;
-  uint64_t spilled_bytes_ = 0;
-};
-
 }  // namespace deca::spark
 
 #endif  // DECA_SPARK_SHUFFLE_H_

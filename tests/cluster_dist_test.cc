@@ -257,6 +257,30 @@ TEST(ClusterDistTest, CrashWipeIsARealSigkillAndRespawnPerSeed) {
   }
 }
 
+// A daemon SIGKILLed between WordCount's map and reduce stages takes its
+// generation's wire counters with it, yet its map-side encodes happened:
+// the driver carries what the dead daemon acked past the respawn, so the
+// job's net.* equal an in-process tcp run's with the same wipe (where the
+// replayed map outputs are encoded a second time too).
+TEST(ClusterDistTest, CrashWipeKeepsTheDeadDaemonsNetCounters) {
+  fault::FaultConfig fc;
+  fc.seed = TestSeed();
+  fc.crash_wipe_stage = 1;  // stage 0 = map, 1 = reduce
+  fc.crash_wipe_executor = 1;
+  workloads::WordCountResult tcp = Wc(spark::DistMode::kInProcess, 0, fc,
+                                      spark::ShuffleTransport::kTcp);
+  EXPECT_EQ(tcp.run.executor_wipes, 1u);
+
+  workloads::WordCountResult proc = Wc(spark::DistMode::kProcess, 0, fc);
+  EXPECT_EQ(proc.total_count, tcp.total_count);
+  EXPECT_EQ(proc.distinct_found, tcp.distinct_found);
+  ExpectSameRun(proc.run, tcp.run);
+  ASSERT_TRUE(proc.run.dist_active);
+  EXPECT_EQ(proc.run.cluster.executors_respawned, 1u);
+  EXPECT_GT(proc.run.totals.net.records_encoded, 0u);
+  EXPECT_EQ(Counters(proc.run.totals.net), Counters(tcp.run.totals.net));
+}
+
 // A workload without a process-mode entry builds no cluster::ScopedJob,
 // so under dist_mode = process it would silently run in one process. Its
 // context refuses instead.

@@ -154,7 +154,7 @@ TEST_F(HeapTest, VectorRootProviderKeepsObjectsAlive) {
 }
 
 TEST_F(HeapTest, LargeObjectAllocatedInOldGen) {
-  // 64 KB > large_object_bytes (32 KB default).
+  // 64 KB > kLargeObjectBytes (32 KB).
   ObjRef big = heap_->AllocateArray(registry_.byte_array_class(), 64 << 10);
   EXPECT_FALSE(heap_->collector()->IsYoung(big));
 }

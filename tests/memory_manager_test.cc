@@ -109,16 +109,6 @@ TEST(MemoryManagerTest, ForcedReserveOvercommitsAndCountsDenial) {
   EXPECT_TRUE(mm.StorageOverLimit());
 }
 
-TEST(MemoryManagerTest, ExecutionRoomProbeCountsDenial) {
-  ExecutorMemoryManager mm(10 * kKb, 0.5);
-  EXPECT_TRUE(mm.TryExecutionRoom(8 * kKb));
-  EXPECT_EQ(mm.denied_reservations(), 0u);
-  EXPECT_FALSE(mm.TryExecutionRoom(12 * kKb));
-  EXPECT_EQ(mm.denied_reservations(), 1u);
-  // Probes never charge.
-  EXPECT_EQ(mm.exec_used(), 0u);
-}
-
 TEST(MemoryManagerTest, PageChargesAndPoolTransfer) {
   ExecutorMemoryManager mm(100 * kKb, 0.5);
   mm.ChargePages(Pool::kExecution, 20 * kKb);
@@ -203,17 +193,17 @@ struct PipelineObservation {
 };
 
 /// A mini pipeline exercising every charge path at once: page-group cache
-/// blocks (execution -> storage transfer + LRU swap-out), and a sort-spill
-/// writer whose probes borrow execution memory back from storage. Returns
-/// per-executor accounting; `threads` selects the sequential driver loop
-/// (0) or the parallel runtime.
+/// blocks (execution -> storage transfer + LRU swap-out), and an execution
+/// page group that borrows memory back from storage. Returns per-executor
+/// accounting; `threads` selects the sequential driver loop (0) or the
+/// parallel runtime.
 PipelineObservation RunPipeline(int threads) {
   spark::SparkConfig cfg;
   cfg.num_executors = 2;
   cfg.partitions_per_executor = 2;
   cfg.num_worker_threads = threads;
   cfg.heap.heap_bytes = 16u << 20;
-  cfg.executor_memory_bytes = 256u << 10;  // tiny: forces swap + spill
+  cfg.executor_memory_bytes = 256u << 10;  // tiny: forces swap + denials
   cfg.storage_fraction = 0.5;
   cfg.cache_level = spark::StorageLevel::kDecaPages;
   cfg.spill_dir = "/tmp/deca_test_mm";
@@ -236,35 +226,18 @@ PipelineObservation RunPipeline(int threads) {
                          &tc.metrics());
   });
 
-  // Stage 2: sort-spill shuffle write. The execution pool must claw
-  // memory back from storage (down to the floor) and then spill runs.
-  std::vector<uint32_t> spill_counts(
-      static_cast<size_t>(ctx.num_partitions()), 0);
-  ctx.RunStage("spill", [&](spark::TaskContext& tc) {
-    auto less = [](const uint8_t* a, const uint8_t* b) {
-      return LoadRaw<int64_t>(a) < LoadRaw<int64_t>(b);
-    };
-    spark::DecaSortSpillWriter writer(tc.heap(), 8u << 10, cfg.spill_dir,
-                                      less);
-    uint8_t rec[16];
+  // Stage 2: a page group charged to the execution pool outgrows the
+  // budget. The pool claws memory back from storage (swapping blocks out,
+  // down to the floor), then its pages overcommit and count denials.
+  ctx.RunStage("borrow", [&](spark::TaskContext& tc) {
+    core::PageGroup pages(tc.heap(), 8u << 10);
     const uint32_t n = 60000;  // ~960KB >> the ~256KB execution region
     for (uint32_t i = 0; i < n; ++i) {
-      int64_t key = static_cast<int64_t>((i * 2654435761u) % 100000);
-      StoreRaw<int64_t>(rec, key);
-      StoreRaw<double>(rec + 8, 1.0);
-      writer.Append(rec, 16);
+      uint8_t* p = pages.Resolve(pages.Append(16));
+      StoreRaw<int64_t>(p, static_cast<int64_t>(i));
+      StoreRaw<double>(p + 8, 1.0);
     }
-    int64_t last = INT64_MIN;
-    uint32_t merged = 0;
-    writer.Merge([&](const uint8_t* r, uint32_t bytes) {
-      ASSERT_EQ(bytes, 16u);
-      int64_t k = LoadRaw<int64_t>(r);
-      ASSERT_GE(k, last);
-      last = k;
-      ++merged;
-    });
-    EXPECT_EQ(merged, n);
-    spill_counts[static_cast<size_t>(tc.partition())] = writer.spill_count();
+    EXPECT_EQ(pages.segment_count(), n);
   });
 
   // Stage 3: swapped blocks stream back intact.
@@ -299,16 +272,14 @@ PipelineObservation RunPipeline(int threads) {
     obs.numbers.push_back(ctx.executor(e)->cache()->swap_out_count());
     obs.numbers.push_back(ctx.executor(e)->cache()->pressure_evictions());
   }
-  for (uint32_t c : spill_counts) obs.numbers.push_back(c);
   return obs;
 }
 
 TEST(MemoryPipelineTest, PressurePathsFireUnderTinyBudget) {
   PipelineObservation obs = RunPipeline(0);
   // Layout per executor: [.., exec_peak(3), .., storage_peak(5),
-  // borrowed_peak(6), denied(7), .., swap_outs(10), pressure(11)],
-  // then one spill count per partition.
-  ASSERT_EQ(obs.numbers.size(), 2 * 12 + 4u);
+  // borrowed_peak(6), denied(7), .., swap_outs(10), pressure(11)].
+  ASSERT_EQ(obs.numbers.size(), 2 * 12u);
   for (int e = 0; e < 2; ++e) {
     size_t base = static_cast<size_t>(e) * 12;
     EXPECT_GT(obs.numbers[base + 3], 0u) << "exec peak, executor " << e;
@@ -317,9 +288,6 @@ TEST(MemoryPipelineTest, PressurePathsFireUnderTinyBudget) {
     EXPECT_GT(obs.numbers[base + 10], 0u) << "swap-outs, executor " << e;
     // Pool arbitration is not an OOM rescue: the pressure counter stays 0.
     EXPECT_EQ(obs.numbers[base + 11], 0u) << "pressure, executor " << e;
-  }
-  for (size_t i = 24; i < obs.numbers.size(); ++i) {
-    EXPECT_GT(obs.numbers[i], 1u) << "spill count, partition " << (i - 24);
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include "fault/fault_config.h"
 #include "spark/config.h"
+#include "spark/network_shuffle.h"
 #include "workloads/graph.h"
 #include "workloads/lr.h"
 #include "workloads/sql.h"
@@ -288,7 +289,8 @@ TEST(NetShuffleRetry, InjectedFetchFailuresCrossTheWire) {
   EXPECT_EQ(r.run.totals.net.injected_fetch_failures, r.run.injected_faults);
   EXPECT_EQ(r.run.totals.net.fetch_retries,
             r.run.injected_faults *
-                static_cast<uint64_t>(cfg.net_fetch_retries));
+                static_cast<uint64_t>(
+                    spark::NetworkShuffleService::kFetchRetries));
   EXPECT_GT(r.run.totals.net.virtual_wire_us, 0u);
 }
 

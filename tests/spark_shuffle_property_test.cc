@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
 #include <map>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -280,88 +277,6 @@ TEST_P(CacheEvictionPropertyTest, AllBlocksSurviveEvictionChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheEvictionPropertyTest,
                          ::testing::Range<uint64_t>(1, 6));
-
-
-/// Appendix C: the sort-spill writer must emit a globally sorted stream
-/// regardless of how many runs were spilled.
-class SortSpillTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SortSpillTest, MergedStreamIsSortedAndComplete) {
-  SparkConfig cfg;
-  cfg.num_executors = 1;
-  cfg.heap.heap_bytes = 24u << 20;
-  cfg.spill_dir = "/tmp/deca_test_spill_prop";
-  // Tiny unified budget: the execution pool denies pages early, forcing
-  // several spills (the writer spills when its page probe is denied).
-  uint64_t budget = GetParam() % 2 == 0 ? (32u << 10) : (1u << 20);
-  cfg.executor_memory_bytes = budget;
-  SparkContext ctx(cfg);
-  jvm::Heap* h = ctx.executor(0)->heap();
-  auto less = [](const uint8_t* a, const uint8_t* b) {
-    return LoadRaw<int64_t>(a) < LoadRaw<int64_t>(b);
-  };
-  DecaSortSpillWriter writer(h, 8 << 10, "/tmp/deca_test_spill_prop", less);
-  Rng rng(GetParam() * 7 + 3);
-  std::multiset<int64_t> expected;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    int64_t key = static_cast<int64_t>(rng.NextBounded(1'000'000));
-    expected.insert(key);
-    uint8_t rec[16];
-    StoreRaw<int64_t>(rec, key);
-    StoreRaw<int64_t>(rec + 8, key * 2);
-    writer.Append(rec, 16);
-  }
-  if (budget < (1u << 20)) {
-    EXPECT_GT(writer.spill_count(), 1u);
-  }
-  std::vector<int64_t> merged;
-  writer.Merge([&](const uint8_t* rec, uint32_t bytes) {
-    ASSERT_EQ(bytes, 16u);
-    int64_t key = LoadRaw<int64_t>(rec);
-    ASSERT_EQ(LoadRaw<int64_t>(rec + 8), key * 2);  // payload intact
-    merged.push_back(key);
-  });
-  ASSERT_EQ(merged.size(), static_cast<size_t>(n));
-  EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));
-  EXPECT_EQ(std::multiset<int64_t>(merged.begin(), merged.end()), expected);
-}
-
-/// A spill run that lost bytes on disk must stop the merge instead of
-/// silently shortening the merged stream.
-TEST_P(SortSpillTest, TruncatedRunFailsLoudly) {
-  const std::string dir = "/tmp/deca_test_spill_trunc";
-  SparkConfig cfg;
-  cfg.num_executors = 1;
-  cfg.heap.heap_bytes = 24u << 20;
-  cfg.spill_dir = dir;
-  cfg.executor_memory_bytes = 32u << 10;
-  SparkContext ctx(cfg);
-  auto less = [](const uint8_t* a, const uint8_t* b) {
-    return LoadRaw<int64_t>(a) < LoadRaw<int64_t>(b);
-  };
-  DecaSortSpillWriter writer(ctx.executor(0)->heap(), 8 << 10, dir, less);
-  Rng rng(GetParam());
-  for (int i = 0; i < 4000; ++i) {
-    uint8_t rec[16];
-    StoreRaw<int64_t>(rec, static_cast<int64_t>(rng.NextBounded(1'000'000)));
-    StoreRaw<int64_t>(rec + 8, i);
-    writer.Append(rec, 16);
-  }
-  ASSERT_GT(writer.spill_count(), 0u);
-  // Runs are named sortspill_<run>_<writer address>. Cutting three bytes
-  // off the first run leaves its last record short.
-  const std::string run =
-      dir + "/sortspill_0_" +
-      std::to_string(reinterpret_cast<uintptr_t>(&writer));
-  ASSERT_TRUE(std::filesystem::exists(run));
-  std::filesystem::resize_file(run, std::filesystem::file_size(run) - 3);
-  EXPECT_DEATH(writer.Merge([](const uint8_t*, uint32_t) {}),
-               "short record in spill file");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SortSpillTest,
-                         ::testing::Range<uint64_t>(1, 7));
 
 }  // namespace
 }  // namespace deca::spark

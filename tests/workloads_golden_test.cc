@@ -3,10 +3,12 @@
 // the three stream workloads (every cached-block read form), and serve
 // (the tier ladder). Each row was recorded once from the default
 // paths and is asserted exactly: results, GC counts, cached bytes, the
-// executor pool peaks and, for streams, the bytes epoch regions
-// reclaimed. The mode-vs-mode tests in workloads_*_test compare modes
-// with each other, so a change that adds allocations and leaves the
-// results alone passes them; it fails here. The batch sizes are those
+// executor pool peaks, managed-heap allocations (objects and bytes,
+// which move with one extra object where no collection notices it) and,
+// for streams, the bytes epoch regions reclaimed. The mode-vs-mode tests
+// in workloads_*_test compare modes with each other, so a change that
+// adds allocations and leaves the results alone passes them; it fails
+// here. The batch sizes are those
 // tests' sizes at a 16 MB heap, the stream sizes the workload defaults
 // over 8 epochs at an 8 MB heap; at both the Spark modes collect. A
 // changed row is listed in CHANGES.md with its reason, like a
@@ -33,13 +35,16 @@ namespace {
 
 constexpr size_t kHeapBytes = 16u << 20;
 
-/// The run counters every row pins. Pool peaks are summed over executors.
+/// The run counters every row pins. Pool peaks and managed-heap
+/// allocations are summed over executors.
 struct GoldenRun {
   uint64_t minor_gcs;
   uint64_t full_gcs;
   uint64_t cached_bytes;
   uint64_t exec_pool_peak;
   uint64_t storage_pool_peak;
+  uint64_t objects_allocated;
+  uint64_t bytes_allocated;
 };
 
 void ExpectRun(const RunResult& r, const GoldenRun& g) {
@@ -48,6 +53,8 @@ void ExpectRun(const RunResult& r, const GoldenRun& g) {
   EXPECT_EQ(r.totals.peak_cached_bytes, g.cached_bytes);
   EXPECT_EQ(r.totals.memory.exec_peak, g.exec_pool_peak);
   EXPECT_EQ(r.totals.memory.storage_peak, g.storage_pool_peak);
+  EXPECT_EQ(r.totals.objects_allocated, g.objects_allocated);
+  EXPECT_EQ(r.totals.bytes_allocated, g.bytes_allocated);
 }
 
 spark::SparkConfig SmallSpark(const char* spill_dir,
@@ -82,9 +89,9 @@ TEST(GoldenRows, WordCount) {
     uint64_t shuffle_bytes;
     GoldenRun run;
   } rows[] = {
-      {Mode::kSpark, 1607350, {14, 4, 0, 0, 0}},
-      {Mode::kSparkSer, 1607350, {14, 4, 0, 0, 0}},
-      {Mode::kDeca, 5768560, {0, 0, 0, 3015392, 0}},
+      {Mode::kSpark, 1607350, {14, 4, 0, 0, 0, 2550419, 77980040}},
+      {Mode::kSparkSer, 1607350, {14, 4, 0, 0, 0, 2550419, 77980040}},
+      {Mode::kDeca, 5768560, {0, 0, 0, 3015392, 0, 138, 9046176}},
   };
   for (const auto& row : rows) {
     SCOPED_TRACE(ModeName(row.mode));
@@ -109,9 +116,9 @@ TEST(GoldenRows, KMeans) {
     Mode mode;
     GoldenRun run;
   } rows[] = {
-      {Mode::kSpark, {6, 0, 3280064, 0, 3280064}},
-      {Mode::kSparkSer, {8, 0, 1780064, 0, 1780064}},
-      {Mode::kDeca, {0, 0, 1835456, 917728, 1835456}},
+      {Mode::kSpark, {6, 0, 3280064, 0, 3280064, 360148, 20098496}},
+      {Mode::kSparkSer, {8, 0, 1780064, 0, 1780064, 540152, 31478560}},
+      {Mode::kDeca, {0, 0, 1835456, 917728, 1835456, 52, 3408704}},
   };
   for (const auto& row : rows) {
     SCOPED_TRACE(ModeName(row.mode));
@@ -133,9 +140,9 @@ TEST(GoldenRows, ConnectedComponents) {
     Mode mode;
     GoldenRun run;
   } rows[] = {
-      {Mode::kSpark, {6, 0, 391748, 0, 391748}},
-      {Mode::kSparkSer, {7, 0, 268875, 0, 268875}},
-      {Mode::kDeca, {0, 0, 393312, 262208, 393312}},
+      {Mode::kSpark, {6, 0, 391748, 0, 391748, 821141, 21972808}},
+      {Mode::kSparkSer, {7, 0, 268875, 0, 268875, 856243, 24913288}},
+      {Mode::kDeca, {0, 0, 393312, 262208, 393312, 70474, 5876736}},
   };
   for (const auto& row : rows) {
     SCOPED_TRACE(ModeName(row.mode));
@@ -157,9 +164,9 @@ TEST(GoldenRows, Sql) {
     SqlEngine engine;
     GoldenRun run;
   } rows[] = {
-      {SqlEngine::kSparkRdd, {6, 0, 12320128, 0, 12320128}},
-      {SqlEngine::kSparkSql, {0, 0, 0, 393312, 0}},
-      {SqlEngine::kDeca, {0, 0, 6030784, 2359872, 6030784}},
+      {SqlEngine::kSparkRdd, {6, 0, 12320128, 0, 12320128, 619322, 20940832}},
+      {SqlEngine::kSparkSql, {0, 0, 0, 393312, 0, 44, 6809280}},
+      {SqlEngine::kDeca, {0, 0, 6030784, 2359872, 6030784, 108, 7079616}},
   };
   for (const auto& row : rows) {
     SCOPED_TRACE(SqlEngineName(row.engine));
@@ -182,9 +189,9 @@ TEST(GoldenRows, LogisticRegression) {
     Mode mode;
     GoldenRun run;
   } rows[] = {
-      {Mode::kSpark, {2, 0, 3280064, 0, 3280064}},
-      {Mode::kSparkSer, {4, 0, 1780064, 0, 1780064}},
-      {Mode::kDeca, {0, 0, 1835456, 917728, 1835456}},
+      {Mode::kSpark, {2, 0, 3280064, 0, 3280064, 120004, 9040064}},
+      {Mode::kSparkSer, {4, 0, 1780064, 0, 1780064, 300008, 20420128}},
+      {Mode::kDeca, {0, 0, 1835456, 917728, 1835456, 28, 1835456}},
   };
   for (const auto& row : rows) {
     SCOPED_TRACE(ModeName(row.mode));
@@ -205,9 +212,9 @@ TEST(GoldenRows, PageRank) {
     Mode mode;
     GoldenRun run;
   } rows[] = {
-      {Mode::kSpark, {2, 0, 391748, 0, 391748}},
-      {Mode::kSparkSer, {3, 0, 268875, 0, 268875}},
-      {Mode::kDeca, {0, 0, 393312, 262208, 393312}},
+      {Mode::kSpark, {2, 0, 391748, 0, 391748, 396407, 10893712}},
+      {Mode::kSparkSer, {3, 0, 268875, 0, 268875, 411453, 12307568}},
+      {Mode::kDeca, {0, 0, 393312, 262208, 393312, 70446, 4041280}},
   };
   for (const auto& row : rows) {
     SCOPED_TRACE(ModeName(row.mode));
@@ -241,13 +248,13 @@ TEST(GoldenRows, Serve) {
     std::vector<uint64_t> tier;
   } rows[] = {
       {Mode::kSpark,
-       {7, 0, 1129264, 0, 1129264},
+       {7, 0, 1129264, 0, 1129264, 342713, 24212208},
        {434208, 270712, 1092712, 280576, 841, 101, 82, 0, 111, 90, 183, 0}},
       {Mode::kSparkSer,
-       {0, 0, 841792, 0, 841792},
+       {0, 0, 841792, 0, 841792, 36062, 9441024},
        {411048, 140288, 1092712, 280576, 894, 38, 92, 0, 47, 100, 130, 0}},
       {Mode::kDeca,
-       {0, 0, 786624, 393312, 786624},
+       {0, 0, 786624, 393312, 786624, 247, 16191344},
        {393312, 0, 1353616, 557120, 838, 76, 110, 0, 86, 120, 186, 0}},
   };
   for (const auto& row : rows) {
@@ -309,9 +316,9 @@ void ExpectStreamRows(StreamFn fn, int window, int slide,
 
 TEST(GoldenRows, StreamWordCount) {
   const StreamRow rows[] = {
-      {Mode::kSpark, {12, 0, 147584, 0, 147584}, 767801},
-      {Mode::kSparkSer, {12, 0, 65664, 0, 65664}, 440161},
-      {Mode::kDeca, {0, 0, 524416, 131104, 524416}, 3054512},
+      {Mode::kSpark, {12, 0, 147584, 0, 147584, 801056, 22260592}, 767801},
+      {Mode::kSparkSer, {12, 0, 65664, 0, 65664, 817470, 23047440}, 440161},
+      {Mode::kDeca, {0, 0, 524416, 131104, 524416, 112, 7341824}, 3054512},
   };
   ExpectStreamRows(RunStreamWordCount, 2, 0, rows, 0xdd09322aa8bcce8dull, 4,
                    160000);
@@ -319,9 +326,9 @@ TEST(GoldenRows, StreamWordCount) {
 
 TEST(GoldenRows, StreamSessionize) {
   const StreamRow rows[] = {
-      {Mode::kSpark, {14, 0, 123008, 0, 123008}, 812445},
-      {Mode::kSparkSer, {14, 0, 82048, 0, 82048}, 648605},
-      {Mode::kDeca, {0, 0, 524416, 131104, 524416}, 3398064},
+      {Mode::kSpark, {14, 0, 123008, 0, 123008, 545372, 22922608}, 812445},
+      {Mode::kSparkSer, {14, 0, 82048, 0, 82048, 553596, 23709552}, 648605},
+      {Mode::kDeca, {0, 0, 524416, 131104, 524416, 96, 6292992}, 3398064},
   };
   ExpectStreamRows(RunStreamSessionize, 2, 0, rows, 0x92119efeeeccf44bull, 4,
                    160000);
@@ -329,9 +336,9 @@ TEST(GoldenRows, StreamSessionize) {
 
 TEST(GoldenRows, StreamSlidingWindow) {
   const StreamRow rows[] = {
-      {Mode::kSpark, {6, 0, 1088, 0, 1088}, 2176},
-      {Mode::kSparkSer, {6, 0, 768, 0, 768}, 1536},
-      {Mode::kDeca, {0, 0, 1048832, 131104, 1048832}, 2097664},
+      {Mode::kSpark, {6, 0, 1088, 0, 1088, 320096, 11523840}, 2176},
+      {Mode::kSparkSer, {6, 0, 768, 0, 768, 320176, 11527680}, 1536},
+      {Mode::kDeca, {0, 0, 1048832, 131104, 1048832, 32, 2097664}, 2097664},
   };
   ExpectStreamRows(RunStreamSlidingAgg, 4, 2, rows, 0x78a3377b3f0bb231ull, 3,
                    240000);
