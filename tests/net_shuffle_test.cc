@@ -167,6 +167,45 @@ TEST(NetShuffleEquivalence, WireCountersDeterministic) {
   EXPECT_GT(a.run.totals.net.virtual_wire_us, 0u);
 }
 
+// Golden wire rows: the shuffle plane's exact counts for a small
+// WordCount over loopback in each mode, recorded once. The tests above
+// compare runs with each other, so a change to how a message is encoded
+// passes them as long as every run changes alike; it fails here. A
+// changed row is listed in CHANGES.md with its reason.
+struct GoldenWire {
+  workloads::Mode mode;
+  uint64_t messages;
+  uint64_t wire_bytes;
+  uint64_t index_requests;
+  uint64_t slice_requests;
+  uint64_t payload_bytes;
+  uint64_t records_encoded;
+  uint64_t records_decoded;
+  uint64_t flow_stalls;
+};
+
+TEST(NetShuffleGolden, WordCountWireRows) {
+  const GoldenWire rows[] = {
+      // mode    messages wire   index slices payload encoded decoded stalls
+      {workloads::Mode::kSpark, 24, 8360, 8, 16, 5888, 2048, 2048, 0},
+      {workloads::Mode::kDeca, 24, 33192, 8, 16, 32768, 0, 0, 0},
+  };
+  spark::SparkConfig cfg = SmallConfig();
+  cfg.shuffle_transport = spark::ShuffleTransport::kLoopback;
+  for (const GoldenWire& g : rows) {
+    SCOPED_TRACE(static_cast<int>(g.mode));
+    const net::NetStatsSnapshot n = RunWc(cfg, g.mode, 0).run.totals.net;
+    EXPECT_EQ(n.messages, g.messages);
+    EXPECT_EQ(n.wire_bytes, g.wire_bytes);
+    EXPECT_EQ(n.index_requests, g.index_requests);
+    EXPECT_EQ(n.slice_requests, g.slice_requests);
+    EXPECT_EQ(n.payload_bytes, g.payload_bytes);
+    EXPECT_EQ(n.records_encoded, g.records_encoded);
+    EXPECT_EQ(n.records_decoded, g.records_decoded);
+    EXPECT_EQ(n.flow_stalls, g.flow_stalls);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Wire codecs: page vs record on the identical Deca payload.
 

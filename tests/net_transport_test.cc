@@ -289,81 +289,71 @@ TEST(MeshTransport, PeeredDaemonsReconnectAfterRespawnAndFailTyped) {
 }
 
 // -- block server -------------------------------------------------------------
+//
+// The shuffle plane's six messages, byte for byte. Each literal is one
+// whole message as it crosses a transport (varint length, type byte,
+// body), written out by hand so that it checks the codec instead of
+// repeating it. Every id in a request differs from the others, so a
+// server that read two fields in each other's place would answer
+// differently.
 
-std::vector<uint8_t> IndexRequest(int shuffle, int reducer) {
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(MsgType::kIndexRequest));
-  w.WriteVarU64(static_cast<uint64_t>(shuffle));
-  w.WriteVarU64(static_cast<uint64_t>(reducer));
-  return FrameMessage(w);
+// Frames of shuffle 5: reducer 1 holds mapper 3's (registered first) and
+// mapper 1's; reducer 2 holds mapper 2's.
+void RegisterFrames(BlockServer* server) {
+  server->Register(5, 1, 3, Payload(300, 3), 300);
+  server->Register(5, 1, 1, Payload(100, 1), 100);
+  server->Register(5, 2, 2, Payload(50, 2), 50);
 }
 
-std::vector<uint8_t> FetchRequest(int shuffle, int reducer, int mapper,
-                                  uint64_t offset, uint64_t max_bytes) {
-  ByteWriter w;
-  w.Write<uint8_t>(static_cast<uint8_t>(MsgType::kFetchRequest));
-  w.WriteVarU64(static_cast<uint64_t>(shuffle));
-  w.WriteVarU64(static_cast<uint64_t>(reducer));
-  w.WriteVarU64(static_cast<uint64_t>(mapper));
-  w.WriteVarU64(offset);
-  w.WriteVarU64(max_bytes);
-  return FrameMessage(w);
-}
+// kErrorResponse: status kNotFound, and status kInjectedFailure.
+const std::vector<uint8_t> kNotFoundResponse = {2, 6, 1};
+const std::vector<uint8_t> kInjectedFailureResponse = {2, 6, 2};
 
-TEST(BlockServer, IndexSortedByMapperAndSlicedFetch) {
+TEST(BlockServer, IndexRequestGetsMapperSortedIndex) {
   BlockServer server(nullptr);
-  // Registered out of order: the index must come back mapper-sorted.
-  server.Register(0, 0, 3, Payload(300, 3), 300);
-  server.Register(0, 0, 1, Payload(100, 1), 100);
-  server.Register(0, 1, 2, Payload(50, 2), 50);
-
-  ByteReader r(nullptr, 0);
-  std::vector<uint8_t> resp = server.HandleRequest(IndexRequest(0, 0));
-  ASSERT_TRUE(UnframeMessage(resp, &r));
-  EXPECT_EQ(r.Read<uint8_t>(), static_cast<uint8_t>(MsgType::kIndexResponse));
-  ASSERT_EQ(r.ReadVarU64(), 2u);
-  EXPECT_EQ(r.ReadVarU64(), 1u);  // mapper 1 first
-  uint64_t frame1_bytes = r.ReadVarU64();
-  EXPECT_EQ(r.ReadVarU64(), 3u);
-  EXPECT_EQ(r.ReadVarU64(), 300u);
-
-  // Fetch mapper 1's frame in 40-byte slices and reassemble.
-  std::vector<uint8_t> frame;
-  while (frame.size() < frame1_bytes) {
-    resp = server.HandleRequest(FetchRequest(0, 0, 1, frame.size(), 40));
-    ByteReader fr(nullptr, 0);
-    ASSERT_TRUE(UnframeMessage(resp, &fr));
-    EXPECT_EQ(fr.Read<uint8_t>(),
-              static_cast<uint8_t>(MsgType::kFetchResponse));
-    ASSERT_EQ(fr.Read<uint8_t>(), static_cast<uint8_t>(WireStatus::kOk));
-    EXPECT_EQ(fr.ReadVarU64(), frame1_bytes);
-    uint64_t n = fr.ReadVarU64();
-    size_t off = frame.size();
-    frame.resize(off + n);
-    fr.ReadBytes(frame.data() + off, n);
-  }
-  EXPECT_EQ(frame, Payload(100, 1));
-  EXPECT_EQ(server.PayloadBytes(0), 450u);
+  RegisterFrames(&server);
+  // kIndexRequest: shuffle 5, reducer 1.
+  const std::vector<uint8_t> request = {3, 1, 5, 1};
+  // kIndexResponse: 2 entries, (mapper 1, 100 bytes), (mapper 3, 300
+  // bytes as the varint 0xAC 0x02).
+  const std::vector<uint8_t> response = {7, 2, 2, 1, 100, 3, 0xAC, 0x02};
+  EXPECT_EQ(server.HandleRequest(request), response);
+  EXPECT_EQ(server.PayloadBytes(5), 450u);
 }
 
-TEST(BlockServer, NotFoundAndFailProbe) {
+TEST(BlockServer, FetchRequestGetsOneSlice) {
   BlockServer server(nullptr);
-  ByteReader r(nullptr, 0);
-  std::vector<uint8_t> resp = server.HandleRequest(FetchRequest(0, 0, 9, 0, 10));
-  ASSERT_TRUE(UnframeMessage(resp, &r));
-  EXPECT_EQ(r.Read<uint8_t>(), static_cast<uint8_t>(MsgType::kErrorResponse));
-  EXPECT_EQ(r.Read<uint8_t>(), static_cast<uint8_t>(WireStatus::kNotFound));
+  RegisterFrames(&server);
+  // kFetchRequest: shuffle 5, reducer 1, mapper 3, offset 2, at most 4
+  // bytes.
+  const std::vector<uint8_t> request = {6, 3, 5, 1, 3, 2, 4};
+  // kFetchResponse: status kOk, frame bytes 300, a 4-byte slice holding
+  // bytes 2..5 of mapper 3's frame (Payload(300, 3)).
+  const std::vector<uint8_t> response = {9, 4,  0,  0xAC, 0x02,
+                                         4, 65, 96, 127,  158};
+  EXPECT_EQ(server.HandleRequest(request), response);
+}
 
-  ByteWriter probe;
-  probe.Write<uint8_t>(static_cast<uint8_t>(MsgType::kFailProbe));
-  probe.WriteVarU64(1);
-  probe.WriteVarU64(2);
-  probe.WriteVarU64(0);
-  resp = server.HandleRequest(FrameMessage(probe));
-  ASSERT_TRUE(UnframeMessage(resp, &r));
-  EXPECT_EQ(r.Read<uint8_t>(), static_cast<uint8_t>(MsgType::kErrorResponse));
-  EXPECT_EQ(r.Read<uint8_t>(),
-            static_cast<uint8_t>(WireStatus::kInjectedFailure));
+TEST(BlockServer, FailProbeIsRefused) {
+  BlockServer server(nullptr);
+  // kFailProbe: stage 1, partition 2, attempt 3.
+  const std::vector<uint8_t> probe = {4, 5, 1, 2, 3};
+  EXPECT_EQ(server.HandleRequest(probe), kInjectedFailureResponse);
+}
+
+TEST(BlockServer, UnservableRequestsAreNotFound) {
+  BlockServer server(nullptr);
+  RegisterFrames(&server);
+  // No message, an empty one, one shorter than its length says.
+  EXPECT_EQ(server.HandleRequest({}), kNotFoundResponse);
+  EXPECT_EQ(server.HandleRequest({0}), kNotFoundResponse);
+  EXPECT_EQ(server.HandleRequest({3, 1, 5}), kNotFoundResponse);
+  // A type no request has.
+  EXPECT_EQ(server.HandleRequest({1, 9}), kNotFoundResponse);
+  // A mapper with no frame, then an offset past mapper 3's 300 bytes.
+  EXPECT_EQ(server.HandleRequest({6, 3, 5, 1, 9, 0, 4}), kNotFoundResponse);
+  EXPECT_EQ(server.HandleRequest({7, 3, 5, 1, 3, 0xAD, 0x02, 4}),
+            kNotFoundResponse);
 }
 
 TEST(BlockServer, DropReleaseAndReplace) {
