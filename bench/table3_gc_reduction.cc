@@ -2,7 +2,11 @@
 // reduction for the five applications, each at its largest configuration
 // without data swapping/spilling (as in the paper).
 
+#include <optional>
+#include <string>
+
 #include "bench_util.h"
+#include "fault/task_failure.h"
 #include "workloads/graph.h"
 #include "workloads/kmeans.h"
 #include "workloads/lr.h"
@@ -12,6 +16,29 @@ using namespace deca;
 using namespace deca::bench;
 using namespace deca::workloads;
 
+namespace {
+
+// One mode's run of a row: its result, or why it has none. A mode whose
+// task exhausts its attempts (an OOM, once DECA_HEAP_MB is too small for
+// the row's data) fails typed; the table records it and moves on.
+struct ModeRun {
+  std::optional<RunResult> run;
+  std::string failure;
+};
+
+template <typename Run>
+ModeRun Attempt(Run run) {
+  try {
+    return {run(), ""};
+  } catch (const fault::TaskOomFailure& e) {
+    return {std::nullopt, "OOM (stage " + std::to_string(e.stage()) + ")"};
+  } catch (const fault::TaskFailure& e) {
+    return {std::nullopt, "failed (stage " + std::to_string(e.stage()) + ")"};
+  }
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   BenchReport report("table3_gc_reduction", argc, argv);
   PrintHeader("Table 3: GC time reduction",
@@ -20,17 +47,32 @@ int main(int argc, char** argv) {
   TablePrinter t({"app", "Spark exec(ms)", "Spark gc(ms)", "gc ratio",
                   "Deca exec(ms)", "Deca gc(ms)", "gc reduction"});
 
-  auto add_row = [&](const char* app, const RunResult& spark,
-                     const RunResult& deca) {
-    const double spark_gc = spark.totals.gc_pause_ms;
-    const double deca_gc = deca.totals.gc_pause_ms;
-    double reduction =
-        spark_gc > 0 ? 100.0 * (spark_gc - deca_gc) / spark_gc : 0.0;
-    report.AddRun(std::string(app) + "/Spark", spark);
-    report.AddRun(std::string(app) + "/Deca", deca);
-    t.AddRow({app, Ms(spark.exec_ms), Ms(spark_gc),
-              Pct(100.0 * spark_gc / spark.exec_ms), Ms(deca.exec_ms),
-              Ms(deca_gc), Pct(reduction)});
+  // Runs `p` in Spark and then Deca mode and adds the row. A failed mode
+  // stays out of the report and its cells name the failure.
+  auto add_row = [&](const char* app, auto p, auto run_workload) {
+    p.mode = Mode::kSpark;
+    const ModeRun spark = Attempt([&] { return run_workload(p).run; });
+    p.mode = Mode::kDeca;
+    const ModeRun deca = Attempt([&] { return run_workload(p).run; });
+    auto cell = [](const ModeRun& m, auto format) {
+      return m.run ? format(*m.run) : m.failure;
+    };
+    auto exec = [](const RunResult& r) { return Ms(r.exec_ms); };
+    auto gc = [](const RunResult& r) { return Ms(r.totals.gc_pause_ms); };
+    auto ratio = [](const RunResult& r) {
+      return Pct(100.0 * r.totals.gc_pause_ms / r.exec_ms);
+    };
+    std::string reduction = "-";
+    if (spark.run && deca.run) {
+      const double spark_gc = spark.run->totals.gc_pause_ms;
+      const double deca_gc = deca.run->totals.gc_pause_ms;
+      reduction = Pct(
+          spark_gc > 0 ? 100.0 * (spark_gc - deca_gc) / spark_gc : 0.0);
+    }
+    if (spark.run) report.AddRun(std::string(app) + "/Spark", *spark.run);
+    if (deca.run) report.AddRun(std::string(app) + "/Deca", *deca.run);
+    t.AddRow({app, cell(spark, exec), cell(spark, gc), cell(spark, ratio),
+              cell(deca, exec), cell(deca, gc), reduction});
   };
 
   {
@@ -38,11 +80,7 @@ int main(int argc, char** argv) {
     p.total_words = 3'000'000;
     p.distinct_keys = 200'000;
     p.spark = DefaultSpark();
-    p.mode = Mode::kSpark;
-    WordCountResult s = RunWordCount(p);
-    p.mode = Mode::kDeca;
-    WordCountResult d = RunWordCount(p);
-    add_row("WC: 3M/200k", s.run, d.run);
+    add_row("WC: 3M/200k", p, RunWordCount);
   }
   {
     MlParams p;
@@ -50,11 +88,7 @@ int main(int argc, char** argv) {
     p.iterations = 10;
     p.spark = DefaultSpark();
     p.spark.storage_fraction = 0.9;
-    p.mode = Mode::kSpark;
-    LrResult s = RunLogisticRegression(p);
-    p.mode = Mode::kDeca;
-    LrResult d = RunLogisticRegression(p);
-    add_row("LR: 640k", s.run, d.run);
+    add_row("LR: 640k", p, RunLogisticRegression);
   }
   {
     MlParams p;
@@ -62,11 +96,7 @@ int main(int argc, char** argv) {
     p.iterations = 8;
     p.spark = DefaultSpark();
     p.spark.storage_fraction = 0.8;
-    p.mode = Mode::kSpark;
-    KMeansResult s = RunKMeans(p);
-    p.mode = Mode::kDeca;
-    KMeansResult d = RunKMeans(p);
-    add_row("KMeans: 480k", s.run, d.run);
+    add_row("KMeans: 480k", p, RunKMeans);
   }
   {
     GraphParams p;
@@ -76,11 +106,7 @@ int main(int argc, char** argv) {
     p.spark = DefaultSpark();
     p.spark.partitions_per_executor = 4;
     p.spark.storage_fraction = 0.4;
-    p.mode = Mode::kSpark;
-    PageRankResult s = RunPageRank(p);
-    p.mode = Mode::kDeca;
-    PageRankResult d = RunPageRank(p);
-    add_row("PR: 1M edges", s.run, d.run);
+    add_row("PR: 1M edges", p, RunPageRank);
   }
   {
     GraphParams p;
@@ -90,11 +116,7 @@ int main(int argc, char** argv) {
     p.spark = DefaultSpark();
     p.spark.partitions_per_executor = 4;
     p.spark.storage_fraction = 0.4;
-    p.mode = Mode::kSpark;
-    ConnectedComponentsResult s = RunConnectedComponents(p);
-    p.mode = Mode::kDeca;
-    ConnectedComponentsResult d = RunConnectedComponents(p);
-    add_row("CC: 1M edges", s.run, d.run);
+    add_row("CC: 1M edges", p, RunConnectedComponents);
   }
   t.Print();
   std::printf(

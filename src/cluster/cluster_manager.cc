@@ -79,7 +79,7 @@ void ClusterManager::Shutdown() {
   monitor_cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
 
-  std::vector<uint8_t> frame = net::CtrlFrame(net::CtrlType::kShutdown);
+  std::vector<uint8_t> frame = net::BuildMsg(net::CtrlType::kShutdown);
   for (int e = 0; e < config_.num_executors; ++e) {
     Daemon* d = daemons_[static_cast<size_t>(e)].get();
     if (d == nullptr || d->pid < 0) continue;
@@ -112,10 +112,10 @@ void ClusterManager::Shutdown() {
 
 std::vector<uint8_t> ClusterManager::HandleRegistration(
     const std::vector<uint8_t>& frame) {
-  net::CtrlType type = net::CtrlTypeOf(frame);
+  net::CtrlType type = net::MsgTypeOf<net::CtrlType>(frame);
   if (type == net::CtrlType::kHello) {
     HelloMsg hello;
-    net::ReadCtrl(frame, net::CtrlType::kHello, &hello);
+    net::ReadMsg(frame, net::CtrlType::kHello, &hello);
     DECA_CHECK(hello.executor >= 0 && hello.executor < config_.num_executors);
     Daemon* d = daemons_[static_cast<size_t>(hello.executor)].get();
     {
@@ -128,10 +128,10 @@ std::vector<uint8_t> ClusterManager::HandleRegistration(
     spec.config = config_;
     spec.workload = workload_;
     spec.params = params_;
-    return net::CtrlFrame(net::CtrlType::kSpec, spec);
+    return net::BuildMsg(net::CtrlType::kSpec, spec);
   }
   ReadyMsg ready;
-  net::ReadCtrl(frame, net::CtrlType::kReady, &ready);
+  net::ReadMsg(frame, net::CtrlType::kReady, &ready);
   DECA_CHECK(ready.executor >= 0 && ready.executor < config_.num_executors);
   Daemon* d = daemons_[static_cast<size_t>(ready.executor)].get();
   {
@@ -141,7 +141,7 @@ std::vector<uint8_t> ClusterManager::HandleRegistration(
     d->ready = true;
   }
   reg_cv_.notify_all();
-  return net::CtrlFrame(net::CtrlType::kReadyAck);
+  return net::BuildMsg(net::CtrlType::kReadyAck);
 }
 
 std::string ClusterManager::FindExecutord() const {
@@ -236,9 +236,9 @@ void ClusterManager::BroadcastPeers() {
     }
   }
   std::vector<uint8_t> frame =
-      net::CtrlFrame(net::CtrlType::kUpdatePeers, peers);
+      net::BuildMsg(net::CtrlType::kUpdatePeers, peers);
   for (const auto& [e, port] : peers) {
-    net::ReadCtrl(SendOnDispatch(e, -1, frame), net::CtrlType::kPeersAck);
+    net::ReadMsg(SendOnDispatch(e, -1, frame), net::CtrlType::kPeersAck);
   }
 }
 
@@ -264,18 +264,18 @@ exec::RemoteTaskOutcome ClusterManager::RunTask(
                                    "executor marked dead");
   }
   exec::RemoteTaskOutcome outcome;
-  net::ReadCtrl(SendOnDispatch(executor, env.stage,
-                               net::CtrlFrame(net::CtrlType::kLaunchTask, env)),
-                net::CtrlType::kTaskResult, &outcome);
+  net::ReadMsg(SendOnDispatch(executor, env.stage,
+                              net::BuildMsg(net::CtrlType::kLaunchTask, env)),
+               net::CtrlType::kTaskResult, &outcome);
   return outcome;
 }
 
 spark::ExecutorSnapshot ClusterManager::SendStageDone(
     int executor, const StageDoneMsg& msg) {
   spark::ExecutorSnapshot snapshot;
-  net::ReadCtrl(SendOnDispatch(executor, msg.stage,
-                               net::CtrlFrame(net::CtrlType::kStageDone, msg)),
-                net::CtrlType::kStageAck, &snapshot);
+  net::ReadMsg(SendOnDispatch(executor, msg.stage,
+                              net::BuildMsg(net::CtrlType::kStageDone, msg)),
+               net::CtrlType::kStageAck, &snapshot);
   return snapshot;
 }
 
@@ -365,9 +365,9 @@ bool ClusterManager::IsDead(Daemon* d) {
 
 bool ClusterManager::PingOnce(net::RpcClient* client, int deadline_ms) {
   static const std::vector<uint8_t> kPing =
-      net::CtrlFrame(net::CtrlType::kHeartbeat);
+      net::BuildMsg(net::CtrlType::kHeartbeat);
   try {
-    return net::CtrlTypeOf(client->Call(kPing, deadline_ms)) ==
+    return net::MsgTypeOf<net::CtrlType>(client->Call(kPing, deadline_ms)) ==
            net::CtrlType::kHeartbeatAck;
   } catch (const std::exception&) {
     return false;

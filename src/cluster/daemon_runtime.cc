@@ -44,8 +44,8 @@ int DaemonRuntime::Run() {
     hello.executor = executor_;
     hello.generation = generation_;
     hello.control_port = control_->port();
-    net::ReadCtrl(reg.Call(net::CtrlFrame(net::CtrlType::kHello, hello), 20000),
-                  net::CtrlType::kSpec, &spec_);
+    net::ReadMsg(reg.Call(net::BuildMsg(net::CtrlType::kHello, hello), 20000),
+                 net::CtrlType::kSpec, &spec_);
   }
   DECA_CHECK(executor_ >= 0 && executor_ < spec_.config.num_executors);
 
@@ -67,8 +67,8 @@ int DaemonRuntime::Run() {
     ready.executor = executor_;
     ready.generation = generation_;
     ready.data_port = mesh_->port(executor_);
-    net::ReadCtrl(reg.Call(net::CtrlFrame(net::CtrlType::kReady, ready), 20000),
-                  net::CtrlType::kReadyAck);
+    net::ReadMsg(reg.Call(net::BuildMsg(net::CtrlType::kReady, ready), 20000),
+                 net::CtrlType::kReadyAck);
   }
   reg.Close();
 
@@ -96,31 +96,31 @@ void DaemonRuntime::WireConfig(spark::SparkConfig* config) {
 
 std::vector<uint8_t> DaemonRuntime::HandleControl(
     const std::vector<uint8_t>& frame) {
-  const net::CtrlType type = net::CtrlTypeOf(frame);
+  const net::CtrlType type = net::MsgTypeOf<net::CtrlType>(frame);
   switch (type) {
     case net::CtrlType::kHeartbeat:
       // Answered on this connection thread, even mid-task.
-      return net::CtrlFrame(net::CtrlType::kHeartbeatAck);
+      return net::BuildMsg(net::CtrlType::kHeartbeatAck);
     case net::CtrlType::kUpdatePeers: {
       std::vector<std::pair<int, uint16_t>> peers;
-      net::ReadCtrl(frame, type, &peers);
+      net::ReadMsg(frame, type, &peers);
       {
         std::lock_guard<std::mutex> lock(mesh_mu_);
         DECA_CHECK(mesh_ != nullptr) << "peers before Ready";
         mesh_->UpdatePeers(peers);
       }
-      return net::CtrlFrame(net::CtrlType::kPeersAck);
+      return net::BuildMsg(net::CtrlType::kPeersAck);
     }
     case net::CtrlType::kLaunchTask: {
       auto pending = std::make_unique<Pending>();
       pending->cmd.kind = Command::Kind::kTask;
-      net::ReadCtrl(frame, type, &pending->cmd.env);
+      net::ReadMsg(frame, type, &pending->cmd.env);
       pending->wants_reply = true;
       return EnqueueAndWait(std::move(pending));
     }
     case net::CtrlType::kStageDone: {
       StageDoneMsg msg;
-      net::ReadCtrl(frame, type, &msg);
+      net::ReadMsg(frame, type, &msg);
       auto pending = std::make_unique<Pending>();
       pending->cmd.kind = Command::Kind::kStageDone;
       pending->cmd.stage = msg.stage;
@@ -138,7 +138,7 @@ std::vector<uint8_t> DaemonRuntime::HandleControl(
       qcv_.notify_all();
       // Acked immediately: the driver reaps the process, it does not wait
       // for the main thread to unwind.
-      return net::CtrlFrame(net::CtrlType::kShutdownAck);
+      return net::BuildMsg(net::CtrlType::kShutdownAck);
     }
     default:
       DECA_CHECK(false) << "unexpected control type "
@@ -175,14 +175,14 @@ spark::DistWorker::Command DaemonRuntime::NextCommand() {
 void DaemonRuntime::Reply(const exec::RemoteTaskOutcome& outcome) {
   DECA_CHECK(current_ != nullptr && current_->wants_reply);
   current_->reply.set_value(
-      net::CtrlFrame(net::CtrlType::kTaskResult, outcome));
+      net::BuildMsg(net::CtrlType::kTaskResult, outcome));
   current_.reset();
 }
 
 void DaemonRuntime::StageAck(const spark::ExecutorSnapshot& snapshot) {
   DECA_CHECK(current_ != nullptr && current_->wants_reply);
   current_->reply.set_value(
-      net::CtrlFrame(net::CtrlType::kStageAck, snapshot));
+      net::BuildMsg(net::CtrlType::kStageAck, snapshot));
   current_.reset();
 }
 

@@ -10,7 +10,7 @@ namespace {
 [[maybe_unused]] void CheckFieldListCoversEveryMember(spark::SparkConfig& c) {
   [[maybe_unused]] auto& [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
                           s12, s13, s14, s15, s16, s17, s18, s19, s20, s21,
-                          s22, s23, s24, s25, s26] = c;
+                          s22] = c;
   [[maybe_unused]] auto& [h0, h1, h2, h3, h4] = c.heap;
   [[maybe_unused]] auto& [f0, f1, f2, f3, f4, f5] = c.fault;
   [[maybe_unused]] auto& [k0, k1, k2, k3, k4, k5, k6, k7, k8] = c.cluster;

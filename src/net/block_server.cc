@@ -4,17 +4,6 @@
 
 namespace deca::net {
 
-namespace {
-
-std::vector<uint8_t> ErrorResponse(WireStatus status) {
-  ByteWriter body;
-  body.Write<uint8_t>(static_cast<uint8_t>(MsgType::kErrorResponse));
-  body.Write<uint8_t>(static_cast<uint8_t>(status));
-  return FrameMessage(body);
-}
-
-}  // namespace
-
 void BlockServer::Register(int shuffle_id, int reducer, int map_partition,
                            std::vector<uint8_t> frame,
                            uint64_t payload_bytes) {
@@ -57,65 +46,59 @@ std::vector<uint8_t> BlockServer::HandleRequest(
     const std::vector<uint8_t>& request) {
   ByteReader body(nullptr, 0);
   if (!UnframeMessage(request, &body) || body.AtEnd()) {
-    return ErrorResponse(WireStatus::kNotFound);
+    return BuildMsg(MsgType::kErrorResponse, WireStatus::kNotFound);
   }
-  auto type = static_cast<MsgType>(body.Read<uint8_t>());
+  const MsgType type = MsgTypeOf<MsgType>(request);
+  auto read = [&request, type](auto msg) {
+    ReadMsg(request, type, &msg);
+    return msg;
+  };
   switch (type) {
     case MsgType::kIndexRequest:
-      return HandleIndex(&body);
+      return HandleIndex(read(IndexRequest{}));
     case MsgType::kFetchRequest:
-      return HandleFetch(&body);
+      return HandleFetch(read(FetchRequest{}));
     case MsgType::kFailProbe:
       // The doomed probe of an injected fetch failure: the request
       // travels the wire and is always refused, so retry/backoff logic
       // exercises the full transport path deterministically.
-      return ErrorResponse(WireStatus::kInjectedFailure);
+      read(FailProbe{});
+      return BuildMsg(MsgType::kErrorResponse, WireStatus::kInjectedFailure);
     default:
-      return ErrorResponse(WireStatus::kNotFound);
+      return BuildMsg(MsgType::kErrorResponse, WireStatus::kNotFound);
   }
 }
 
-std::vector<uint8_t> BlockServer::HandleIndex(ByteReader* body) {
-  int shuffle_id = static_cast<int>(body->ReadVarU64());
-  int reducer = static_cast<int>(body->ReadVarU64());
-  ByteWriter out;
-  out.Write<uint8_t>(static_cast<uint8_t>(MsgType::kIndexResponse));
+std::vector<uint8_t> BlockServer::HandleIndex(const IndexRequest& request) {
+  const int shuffle_id = static_cast<int>(request.shuffle_id);
+  const int reducer = static_cast<int>(request.reducer);
+  IndexResponse index;
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<int, uint64_t>> entries;
   for (auto it = frames_.lower_bound({shuffle_id, reducer, 0});
        it != frames_.end() && std::get<0>(it->first) == shuffle_id &&
        std::get<1>(it->first) == reducer;
        ++it) {
-    entries.emplace_back(std::get<2>(it->first), it->second.bytes.size());
+    index.emplace_back(static_cast<uint32_t>(std::get<2>(it->first)),
+                       it->second.bytes.size());
   }
-  out.WriteVarU64(entries.size());
-  for (const auto& [map_partition, frame_bytes] : entries) {
-    out.WriteVarU64(static_cast<uint64_t>(map_partition));
-    out.WriteVarU64(frame_bytes);
-  }
-  return FrameMessage(out);
+  return BuildMsg(MsgType::kIndexResponse, index);
 }
 
-std::vector<uint8_t> BlockServer::HandleFetch(ByteReader* body) {
-  int shuffle_id = static_cast<int>(body->ReadVarU64());
-  int reducer = static_cast<int>(body->ReadVarU64());
-  int map_partition = static_cast<int>(body->ReadVarU64());
-  uint64_t offset = body->ReadVarU64();
-  uint64_t max_bytes = body->ReadVarU64();
+std::vector<uint8_t> BlockServer::HandleFetch(const FetchRequest& request) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = frames_.find({shuffle_id, reducer, map_partition});
-  if (it == frames_.end() || offset > it->second.bytes.size()) {
-    return ErrorResponse(WireStatus::kNotFound);
+  auto it = frames_.find({static_cast<int>(request.shuffle_id),
+                          static_cast<int>(request.reducer),
+                          static_cast<int>(request.map_partition)});
+  if (it == frames_.end() || request.offset > it->second.bytes.size()) {
+    return BuildMsg(MsgType::kErrorResponse, WireStatus::kNotFound);
   }
   const std::vector<uint8_t>& frame = it->second.bytes;
-  uint64_t slice = std::min<uint64_t>(max_bytes, frame.size() - offset);
-  ByteWriter out;
-  out.Write<uint8_t>(static_cast<uint8_t>(MsgType::kFetchResponse));
-  out.Write<uint8_t>(static_cast<uint8_t>(WireStatus::kOk));
-  out.WriteVarU64(frame.size());
-  out.WriteVarU64(slice);
-  out.WriteBytes(frame.data() + offset, slice);
-  return FrameMessage(out);
+  const uint8_t* slice = frame.data() + request.offset;
+  const uint64_t n =
+      std::min<uint64_t>(request.max_bytes, frame.size() - request.offset);
+  return BuildMsg(MsgType::kFetchResponse,
+                  FetchResponse{WireStatus::kOk, frame.size(),
+                                std::vector<uint8_t>(slice, slice + n)});
 }
 
 }  // namespace deca::net

@@ -49,8 +49,8 @@ class BlockServer {
   };
   using Key = std::tuple<int, int, int>;  // (shuffle, reducer, map_partition)
 
-  std::vector<uint8_t> HandleIndex(ByteReader* body);
-  std::vector<uint8_t> HandleFetch(ByteReader* body);
+  std::vector<uint8_t> HandleIndex(const IndexRequest& request);
+  std::vector<uint8_t> HandleFetch(const FetchRequest& request);
 
   mutable std::mutex mu_;
   std::map<Key, Frame> frames_;

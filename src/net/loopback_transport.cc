@@ -4,10 +4,8 @@
 
 namespace deca::net {
 
-LoopbackTransport::LoopbackTransport(int num_endpoints,
-                                     LoopbackOptions options, NetStats* stats)
+LoopbackTransport::LoopbackTransport(int num_endpoints, NetStats* stats)
     : num_endpoints_(num_endpoints),
-      options_(options),
       stats_(stats),
       handlers_(static_cast<size_t>(num_endpoints)) {
   links_.reserve(static_cast<size_t>(num_endpoints) * num_endpoints);
@@ -31,17 +29,9 @@ std::vector<uint8_t> LoopbackTransport::Call(
   assert(handler);
   std::vector<uint8_t> response = handler(request);
   if (stats_ != nullptr) {
-    uint64_t bytes = request.size() + response.size();
     stats_->messages.fetch_add(1, std::memory_order_relaxed);
-    stats_->wire_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    uint64_t wire_us = options_.latency_us;
-    if (options_.bandwidth_mbps > 0) {
-      // bytes * 8 bits / (mbps * 1e6 bit/s) seconds -> microseconds.
-      wire_us += bytes * 8 / options_.bandwidth_mbps;
-    }
-    if (wire_us > 0) {
-      stats_->virtual_wire_us.fetch_add(wire_us, std::memory_order_relaxed);
-    }
+    stats_->wire_bytes.fetch_add(request.size() + response.size(),
+                                 std::memory_order_relaxed);
   }
   return response;
 }

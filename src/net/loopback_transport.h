@@ -10,23 +10,13 @@
 
 namespace deca::net {
 
-/// Knobs for the simulated wire. Latency and bandwidth are accounted as
-/// *virtual* time in NetStats::virtual_wire_us — no thread ever sleeps —
-/// so simulated-slow runs finish as fast as unsimulated ones and stay
-/// deterministic.
-struct LoopbackOptions {
-  uint64_t latency_us = 0;       // per message round trip
-  uint64_t bandwidth_mbps = 0;   // 0 = infinite
-};
-
 /// In-process transport: a Call invokes the target endpoint's handler
 /// synchronously on the caller's thread, after serializing on the
 /// (from, to) link mutex. The per-link mutex gives the FIFO ordering the
 /// Transport contract requires while leaving distinct links concurrent.
 class LoopbackTransport : public Transport {
  public:
-  LoopbackTransport(int num_endpoints, LoopbackOptions options,
-                    NetStats* stats);
+  LoopbackTransport(int num_endpoints, NetStats* stats);
 
   void Bind(int endpoint, MessageHandler handler) override;
   std::vector<uint8_t> Call(int from, int to,
@@ -39,7 +29,6 @@ class LoopbackTransport : public Transport {
   };
 
   int num_endpoints_;
-  LoopbackOptions options_;
   NetStats* stats_;
   std::vector<MessageHandler> handlers_;
   std::vector<std::unique_ptr<Link>> links_;  // links_[from * n + to]

@@ -56,8 +56,8 @@ inline void CheckNetStatsSnapshotList(NetStatsSnapshot& s) {
 }
 
 /// Shared counters of one network plane (one per SparkContext): the
-/// transport counts messages/bytes/virtual wire time, the shuffle service
-/// counts codec work and fetch-path events. All fields are atomics so
+/// transport counts messages and bytes, the shuffle service counts codec
+/// work and fetch-path events. All fields are atomics so
 /// worker threads on different executors can report concurrently; every
 /// counter except the two *_ms wall times is deterministic (bit-identical
 /// between sequential and parallel runs of the same seed).
@@ -84,7 +84,7 @@ class NetStats {
   std::atomic<uint64_t> injected_fetch_failures{0};
   /// Times the per-reducer in-flight window forced a smaller slice.
   std::atomic<uint64_t> flow_stalls{0};
-  /// Simulated wire time (latency + bytes/bandwidth), accounted virtually
+  /// Backoff of retried fail probes, accounted virtually (never slept)
   /// so runs stay fast and deterministic.
   std::atomic<uint64_t> virtual_wire_us{0};
   /// Wall time spent encoding/decoding wire frames (codec cost).

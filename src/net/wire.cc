@@ -7,6 +7,24 @@
 
 namespace deca::net {
 
+namespace {
+
+// Tripwires: a member added to a message breaks its binding until it is
+// listed (or counted as off the wire) and the count here is updated.
+[[maybe_unused]] void CheckMessageLists(IndexRequest& i, FetchRequest& q,
+                                        FetchResponse& r, FailProbe& p) {
+  [[maybe_unused]] auto& [i0, i1] = i;
+  static_assert(FieldCount<IndexRequest>() == 2);
+  [[maybe_unused]] auto& [q0, q1, q2, q3, q4] = q;
+  static_assert(FieldCount<FetchRequest>() == 5);
+  [[maybe_unused]] auto& [r0, r1, r2] = r;
+  static_assert(FieldCount<FetchResponse>() == 3);
+  [[maybe_unused]] auto& [p0, p1, p2] = p;
+  static_assert(FieldCount<FailProbe>() == 3);
+}
+
+}  // namespace
+
 std::vector<uint8_t> FrameMessage(const ByteWriter& body) {
   ByteWriter header;
   header.WriteVarU64(body.size());

@@ -127,15 +127,6 @@ struct SparkConfig {
   ShuffleTransport shuffle_transport = ShuffleTransport::kLocal;
   /// Chunk wire codec (network transports only).
   ShuffleWireCodec shuffle_wire_codec = ShuffleWireCodec::kAuto;
-  /// Max bytes per fetch slice request.
-  uint32_t net_fetch_chunk_bytes = 64u << 10;
-  /// Per-reducer in-flight byte window (flow control): a fetch slice is
-  /// clamped so outstanding-but-undecoded bytes never exceed this.
-  uint32_t net_max_inflight_bytes = 256u << 10;
-  /// Simulated per-message wire latency (loopback only; virtual time).
-  uint64_t net_latency_us = 0;
-  /// Simulated wire bandwidth in Mbit/s, 0 = infinite (loopback only).
-  uint64_t net_bandwidth_mbps = 0;
 
   /// Directory for cache swap and shuffle spill files. Each SparkContext
   /// appends a unique per-context suffix (pid + counter) and removes its
@@ -218,10 +209,6 @@ void ForEachSparkField(Config& c, F&& f) {
   DECA_FIELD(admit_policy, "DECA_ADMIT_POLICY");
   DECA_FIELD(shuffle_transport, "DECA_SHUFFLE_TRANSPORT");
   DECA_FIELD(shuffle_wire_codec, nullptr);
-  DECA_FIELD(net_fetch_chunk_bytes, nullptr);
-  DECA_FIELD(net_max_inflight_bytes, nullptr);
-  DECA_FIELD(net_latency_us, "DECA_NET_LATENCY_US");
-  DECA_FIELD(net_bandwidth_mbps, "DECA_NET_BANDWIDTH_MBPS");
   DECA_FIELD(spill_dir, nullptr);
   DECA_FIELD(max_task_failures, nullptr);
   DECA_FIELD(fault.seed, "DECA_FAULT_SEED");

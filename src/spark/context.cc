@@ -148,11 +148,8 @@ SparkContext::SparkContext(const SparkConfig& config)
   } else {
     net_stats_ = std::make_unique<net::NetStats>();
     if (config_.shuffle_transport == ShuffleTransport::kLoopback) {
-      net::LoopbackOptions opts;
-      opts.latency_us = config_.net_latency_us;
-      opts.bandwidth_mbps = config_.net_bandwidth_mbps;
       transport_ = std::make_unique<net::LoopbackTransport>(
-          config_.num_executors, opts, net_stats_.get());
+          config_.num_executors, net_stats_.get());
     } else {
       transport_ = std::make_unique<net::MeshTransport>(
           config_.num_executors, /*local_endpoint=*/-1, net::MeshOptions{},

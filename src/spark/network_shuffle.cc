@@ -33,9 +33,6 @@ NetworkShuffleService::NetworkShuffleService(const SparkConfig& config,
                                              int local_endpoint)
     : num_executors_(config.num_executors),
       codec_(ResolveCodec(config)),
-      fetch_chunk_bytes_(std::max<uint32_t>(1, config.net_fetch_chunk_bytes)),
-      max_inflight_bytes_(
-          std::max(config.net_max_inflight_bytes, config.net_fetch_chunk_bytes)),
       transport_(transport),
       stats_(stats) {
   DECA_CHECK_EQ(transport_->num_endpoints(), num_executors_);
@@ -89,31 +86,20 @@ void NetworkShuffleService::DropMapOutput(int shuffle_id, int map_partition) {
 
 std::vector<std::vector<uint8_t>> NetworkShuffleService::FetchAll(
     int shuffle_id, int reducer) const {
-  int from = ExecutorOf(reducer);
+  const int from = ExecutorOf(reducer);
+  const auto shuffle = static_cast<uint32_t>(shuffle_id);
+  const auto reduce = static_cast<uint32_t>(reducer);
+  const std::vector<uint8_t> index_request = net::BuildMsg(
+      net::MsgType::kIndexRequest, net::IndexRequest{shuffle, reduce});
   // (map_partition, frame bytes) gathered from every executor's server.
   std::vector<std::pair<int, std::vector<uint8_t>>> frames;
   for (int e = 0; e < num_executors_; ++e) {
     // One index round trip per source executor.
-    ByteWriter req;
-    req.Write<uint8_t>(static_cast<uint8_t>(net::MsgType::kIndexRequest));
-    req.WriteVarU64(static_cast<uint64_t>(shuffle_id));
-    req.WriteVarU64(static_cast<uint64_t>(reducer));
-    std::vector<uint8_t> resp_wire =
-        transport_->Call(from, e, net::FrameMessage(req));
+    net::IndexResponse index;
+    net::ReadMsg(transport_->Call(from, e, index_request),
+                 net::MsgType::kIndexResponse, &index);
     if (stats_ != nullptr) {
       stats_->index_requests.fetch_add(1, std::memory_order_relaxed);
-    }
-    ByteReader resp(nullptr, 0);
-    DECA_CHECK(net::UnframeMessage(resp_wire, &resp));
-    DECA_CHECK_EQ(resp.Read<uint8_t>(),
-                  static_cast<uint8_t>(net::MsgType::kIndexResponse));
-    uint64_t count = resp.ReadVarU64();
-    std::vector<std::pair<int, uint64_t>> index;
-    index.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      int mapper = static_cast<int>(resp.ReadVarU64());
-      uint64_t frame_bytes = resp.ReadVarU64();
-      index.emplace_back(mapper, frame_bytes);
     }
 
     for (const auto& [mapper, frame_bytes] : index) {
@@ -124,42 +110,29 @@ std::vector<std::vector<uint8_t>> NetworkShuffleService::FetchAll(
       frame.reserve(frame_bytes);
       uint64_t inflight = 0;
       while (frame.size() < frame_bytes) {
-        if (inflight >= max_inflight_bytes_) {
+        if (inflight >= kMaxInflightBytes) {
           if (stats_ != nullptr) {
             stats_->flow_stalls.fetch_add(1, std::memory_order_relaxed);
           }
           inflight = 0;  // window drained
         }
-        uint64_t budget = max_inflight_bytes_ - inflight;
-        uint64_t ask = std::min<uint64_t>(fetch_chunk_bytes_, budget);
-        ByteWriter freq;
-        freq.Write<uint8_t>(static_cast<uint8_t>(net::MsgType::kFetchRequest));
-        freq.WriteVarU64(static_cast<uint64_t>(shuffle_id));
-        freq.WriteVarU64(static_cast<uint64_t>(reducer));
-        freq.WriteVarU64(static_cast<uint64_t>(mapper));
-        freq.WriteVarU64(frame.size());
-        freq.WriteVarU64(ask);
-        std::vector<uint8_t> slice_wire =
-            transport_->Call(from, e, net::FrameMessage(freq));
+        const net::FetchRequest ask{
+            shuffle, reduce, mapper, frame.size(),
+            std::min(kFetchSliceBytes, kMaxInflightBytes - inflight)};
+        const std::vector<uint8_t> reply = transport_->Call(
+            from, e, net::BuildMsg(net::MsgType::kFetchRequest, ask));
+        net::FetchResponse slice;
+        net::ReadMsg(reply, net::MsgType::kFetchResponse, &slice);
         if (stats_ != nullptr) {
           stats_->slice_requests.fetch_add(1, std::memory_order_relaxed);
         }
-        ByteReader sresp(nullptr, 0);
-        DECA_CHECK(net::UnframeMessage(slice_wire, &sresp));
-        DECA_CHECK_EQ(sresp.Read<uint8_t>(),
-                      static_cast<uint8_t>(net::MsgType::kFetchResponse));
-        DECA_CHECK_EQ(sresp.Read<uint8_t>(),
-                      static_cast<uint8_t>(net::WireStatus::kOk));
-        uint64_t total = sresp.ReadVarU64();
-        DECA_CHECK_EQ(total, frame_bytes);
-        uint64_t slice_len = sresp.ReadVarU64();
-        DECA_CHECK(slice_len > 0) << "empty fetch slice";
-        size_t off = frame.size();
-        frame.resize(off + slice_len);
-        sresp.ReadBytes(frame.data() + off, slice_len);
-        inflight += slice_len;
+        DECA_CHECK(slice.status == net::WireStatus::kOk);
+        DECA_CHECK_EQ(slice.frame_bytes, frame_bytes);
+        DECA_CHECK(!slice.slice.empty()) << "empty fetch slice";
+        frame.insert(frame.end(), slice.slice.begin(), slice.slice.end());
+        inflight += slice.slice.size();
       }
-      frames.emplace_back(mapper, std::move(frame));
+      frames.emplace_back(static_cast<int>(mapper), std::move(frame));
     }
   }
 
@@ -235,20 +208,16 @@ void NetworkShuffleService::InvalidateCache(int shuffle_id) {
 void NetworkShuffleService::FailFetch(int stage, int partition, int attempt) {
   int from = ExecutorOf(partition);
   int to = num_executors_ > 1 ? (from + 1) % num_executors_ : from;
-  ByteWriter probe;
-  probe.Write<uint8_t>(static_cast<uint8_t>(net::MsgType::kFailProbe));
-  probe.WriteVarU64(static_cast<uint64_t>(stage));
-  probe.WriteVarU64(static_cast<uint64_t>(partition));
-  probe.WriteVarU64(static_cast<uint64_t>(attempt));
-  std::vector<uint8_t> wire = net::FrameMessage(probe);
+  const std::vector<uint8_t> probe = net::BuildMsg(
+      net::MsgType::kFailProbe,
+      net::FailProbe{static_cast<uint32_t>(stage),
+                     static_cast<uint32_t>(partition),
+                     static_cast<uint32_t>(attempt)});
   for (int attempt_i = 0; attempt_i <= kFetchRetries; ++attempt_i) {
-    std::vector<uint8_t> resp_wire = transport_->Call(from, to, wire);
-    ByteReader resp(nullptr, 0);
-    DECA_CHECK(net::UnframeMessage(resp_wire, &resp));
-    DECA_CHECK_EQ(resp.Read<uint8_t>(),
-                  static_cast<uint8_t>(net::MsgType::kErrorResponse));
-    DECA_CHECK_EQ(resp.Read<uint8_t>(),
-                  static_cast<uint8_t>(net::WireStatus::kInjectedFailure));
+    net::WireStatus status = net::WireStatus::kOk;
+    net::ReadMsg(transport_->Call(from, to, probe),
+                 net::MsgType::kErrorResponse, &status);
+    DECA_CHECK(status == net::WireStatus::kInjectedFailure);
     if (stats_ != nullptr && attempt_i > 0) {
       stats_->fetch_retries.fetch_add(1, std::memory_order_relaxed);
       // Virtual exponential backoff: 1ms, 2ms, 4ms, ... accounted as

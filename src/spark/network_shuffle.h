@@ -35,6 +35,10 @@ class NetworkShuffleService final : public ShuffleService,
   /// Transport-level retries of a failed fetch before the failure
   /// surfaces to the task layer.
   static constexpr int kFetchRetries = 3;
+  /// Most bytes one fetch slice asks for.
+  static constexpr uint64_t kFetchSliceBytes = 64u << 10;
+  /// Per-reducer in-flight window: slices stop at it until it drains.
+  static constexpr uint64_t kMaxInflightBytes = 256u << 10;
 
   /// `transport` and `stats` are borrowed and must outlive the service.
   /// Binds every transport endpoint to its executor's BlockServer. With
@@ -80,8 +84,6 @@ class NetworkShuffleService final : public ShuffleService,
 
   int num_executors_;
   net::WireCodec codec_;
-  uint32_t fetch_chunk_bytes_;
-  uint32_t max_inflight_bytes_;
   net::Transport* transport_;
   net::NetStats* stats_;
   std::vector<std::unique_ptr<net::BlockServer>> servers_;

@@ -283,19 +283,13 @@ LrResult RunLogisticRegression(const MlParams& params) {
               ObjectGradient(h, types, lp, weights, grad.data());
             });
       });
-      ByteWriter w;
-      for (int j = 0; j < dims; ++j) {
-        w.Write<double>(grad[static_cast<size_t>(j)]);
-      }
-      return w.TakeBuffer();
+      return EncodeBytes(grad);
     });
     std::vector<double> gradient(static_cast<size_t>(dims), 0.0);
-    for (int p = 0; p < parts; ++p) {
-      ByteReader r(blobs[static_cast<size_t>(p)].data(),
-                   blobs[static_cast<size_t>(p)].size());
-      for (int j = 0; j < dims; ++j) {
-        gradient[static_cast<size_t>(j)] += r.Read<double>();
-      }
+    for (const auto& blob : blobs) {
+      const auto grad = DecodeBytes<std::vector<double>>(blob);
+      DECA_CHECK_EQ(grad.size(), gradient.size());
+      for (size_t j = 0; j < grad.size(); ++j) gradient[j] += grad[j];
     }
     double n = static_cast<double>(params.num_points);
     for (int j = 0; j < dims; ++j) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "cluster/scoped_job.h"
 #include "common/clock.h"
@@ -202,18 +203,14 @@ ServeResult RunServeCache(const ServeParams& params) {
                 MixBits(DoubleBits(label) +
                         0x9e3779b97f4a7c15ULL * DoubleBits(feat));
           }
-          ByteWriter w;
-          w.WriteVarU64(d);
-          w.WriteVarU64(lats.size());
-          for (double ms : lats) w.Write<double>(ms);
-          return w.TakeBuffer();
+          return EncodeBytes(std::pair{d, std::move(lats)});
         });
     // Partition-order fold; latency samples merge into one distribution.
     for (const auto& blob : blobs) {
-      ByteReader r(blob.data(), blob.size());
-      digest = digest * 1099511628211ULL ^ r.ReadVarU64();
-      uint64_t n = r.ReadVarU64();
-      for (uint64_t i = 0; i < n; ++i) lat.Add(r.Read<double>());
+      const auto [d, lats] =
+          DecodeBytes<std::pair<uint64_t, std::vector<double>>>(blob);
+      digest = digest * 1099511628211ULL ^ d;
+      for (double ms : lats) lat.Add(ms);
     }
   }
   result.run.exec_ms = exec_sw.ElapsedMillis();

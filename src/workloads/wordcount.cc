@@ -1,5 +1,7 @@
 #include "workloads/wordcount.h"
 
+#include <utility>
+
 #include "analysis/global_classifier.h"
 #include "cluster/scoped_job.h"
 #include "common/clock.h"
@@ -138,19 +140,16 @@ WordCountResult RunWordCount(const WordCountParams& params) {
                          total += static_cast<uint64_t>(count.value);
                          ++distinct;
                        });
-    ByteWriter w;
-    w.WriteVarU64(total);
-    w.WriteVarU64(distinct);
-    return w.TakeBuffer();
+    return EncodeBytes(std::pair<uint64_t, uint64_t>{total, distinct});
   });
   ctx.shuffle()->Release(shuffle_id);
 
   uint64_t total = 0;
   uint64_t distinct = 0;
   for (const auto& blob : blobs) {
-    ByteReader r(blob.data(), blob.size());
-    total += r.ReadVarU64();
-    distinct += r.ReadVarU64();
+    const auto [t, d] = DecodeBytes<std::pair<uint64_t, uint64_t>>(blob);
+    total += t;
+    distinct += d;
   }
 
   result.run.exec_ms = run_sw.ElapsedMillis();

@@ -155,6 +155,10 @@ TEST(BenchEnvDeathTest, UnknownVariableExitsNamingIt) {
               testing::ExitedWithCode(2), "DECA_PROFILE_SAMPLE_BYTES=512");
   EXPECT_EXIT(ParseWith("DECA_PROFILE_SEED", "1"),
               testing::ExitedWithCode(2), "DECA_PROFILE_SEED=1");
+  EXPECT_EXIT(ParseWith("DECA_NET_LATENCY_US", "50"),
+              testing::ExitedWithCode(2), "DECA_NET_LATENCY_US=50");
+  EXPECT_EXIT(ParseWith("DECA_NET_BANDWIDTH_MBPS", "100"),
+              testing::ExitedWithCode(2), "DECA_NET_BANDWIDTH_MBPS=100");
 }
 
 // EXPERIMENTS.md's "Environment knobs" table is the knob documentation:

@@ -169,7 +169,7 @@ std::vector<uint8_t> EchoHandler(const std::vector<uint8_t>& request) {
 
 TEST(LoopbackTransport, EchoAndByteAccounting) {
   NetStats stats;
-  LoopbackTransport t(2, LoopbackOptions{}, &stats);
+  LoopbackTransport t(2, &stats);
   t.Bind(0, EchoHandler);
   t.Bind(1, EchoHandler);
   ByteWriter body;
@@ -182,22 +182,9 @@ TEST(LoopbackTransport, EchoAndByteAccounting) {
   EXPECT_EQ(stats.virtual_wire_us.load(), 0u);
 }
 
-TEST(LoopbackTransport, VirtualLatencyAndBandwidth) {
-  NetStats stats;
-  LoopbackOptions opts;
-  opts.latency_us = 100;
-  opts.bandwidth_mbps = 8;  // 1 byte per microsecond
-  LoopbackTransport t(1, opts, &stats);
-  t.Bind(0, EchoHandler);
-  std::vector<uint8_t> msg(500, 7);
-  t.Call(0, 0, msg);
-  // 100us latency + (500 + 500) bytes * 8 bits / 8 mbps = 1000us.
-  EXPECT_EQ(stats.virtual_wire_us.load(), 1100u);
-}
-
 TEST(LoopbackTransport, ConcurrentCallsAreSerialized) {
   NetStats stats;
-  LoopbackTransport t(2, LoopbackOptions{}, &stats);
+  LoopbackTransport t(2, &stats);
   t.Bind(0, EchoHandler);
   t.Bind(1, EchoHandler);
   constexpr int kCalls = 200;

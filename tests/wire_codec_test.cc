@@ -1,8 +1,8 @@
-// Every control-plane field list round-trips: each listed field, nested
-// lists, strings, blobs and vectors included, is moved to a value of its
-// own, encoded, decoded and compared through the list, and the reader must
-// end exactly where the encoding does. Folded lists fold as their entries
-// say.
+// Every field list that crosses a socket round-trips, control plane and
+// shuffle plane: each listed field, nested lists, strings, blobs and
+// vectors included, is moved to a value of its own, encoded, decoded and
+// compared through the list, and the reader must end exactly where the
+// encoding does. Folded lists fold as their entries say.
 
 #include <gtest/gtest.h>
 
@@ -112,7 +112,7 @@ Leaves LeavesOf(const T& v) {
 
 template <typename T>
 void ExpectRoundTrip() {
-  T sent;
+  T sent{};
   int n = 0;
   Bump(&sent, &n);
   ByteWriter w;
@@ -150,6 +150,15 @@ TEST(WireCodecTest, HandshakeAndBarrierMessagesRoundTrip) {
   ExpectRoundTrip<std::vector<std::pair<int, uint16_t>>>();  // kUpdatePeers
 }
 
+TEST(WireCodecTest, ShuffleMessagesRoundTrip) {
+  ExpectRoundTrip<net::IndexRequest>();
+  ExpectRoundTrip<net::IndexResponse>();
+  ExpectRoundTrip<net::FetchRequest>();
+  ExpectRoundTrip<net::FetchResponse>();
+  ExpectRoundTrip<net::FailProbe>();
+  ExpectRoundTrip<net::WireStatus>();  // kErrorResponse
+}
+
 TEST(WireCodecTest, WorkloadParamsRoundTrip) {
   ExpectRoundTrip<workloads::WordCountParams>();
   ExpectRoundTrip<workloads::MlParams>();
@@ -157,17 +166,23 @@ TEST(WireCodecTest, WorkloadParamsRoundTrip) {
   ExpectRoundTrip<workloads::ProbeParams>();
 }
 
-TEST(WireCodecTest, ControlFrameCarriesTypeAndBody) {
+TEST(WireCodecTest, MessageCarriesTypeAndBody) {
   spark::ExecutorSnapshot sent;
   int n = 0;
   Bump(&sent, &n);
-  std::vector<uint8_t> frame = net::CtrlFrame(net::CtrlType::kStageAck, sent);
-  EXPECT_EQ(net::CtrlTypeOf(frame), net::CtrlType::kStageAck);
+  std::vector<uint8_t> frame = net::BuildMsg(net::CtrlType::kStageAck, sent);
+  EXPECT_EQ(net::MsgTypeOf<net::CtrlType>(frame), net::CtrlType::kStageAck);
   spark::ExecutorSnapshot got;
-  net::ReadCtrl(frame, net::CtrlType::kStageAck, &got);
+  net::ReadMsg(frame, net::CtrlType::kStageAck, &got);
   EXPECT_EQ(LeavesOf(got), LeavesOf(sent));
-  EXPECT_DEATH(net::ReadCtrl(frame, net::CtrlType::kTaskResult, &got),
-               "control frame of type 39 where 37 was expected");
+  EXPECT_DEATH(net::ReadMsg(frame, net::CtrlType::kTaskResult, &got),
+               "message of type 39 where 37 was expected");
+  // A body that does not fill its message exactly.
+  frame = net::BuildMsg(net::MsgType::kIndexRequest, net::IndexRequest{1, 2},
+                        uint8_t{0});
+  net::IndexRequest index;
+  EXPECT_DEATH(net::ReadMsg(frame, net::MsgType::kIndexRequest, &index),
+               "message of type 1: 4 bytes, but its body decoded as 3");
 }
 
 template <typename V>
