@@ -37,15 +37,6 @@ SegPtr PageGroup::Append(uint32_t bytes) {
   return seg;
 }
 
-void PageGroup::EncodeRaw(ByteWriter* out) const {
-  out->Write<uint32_t>(page_count());
-  for (uint32_t i = 0; i < page_count(); ++i) {
-    uint32_t used = used_[i];
-    out->Write<uint32_t>(used);
-    out->WriteBytes(Resolve({i, 0}), used);
-  }
-}
-
 size_t PageGroup::EncodeRawTo(uint8_t* dst) const {
   uint8_t* p = dst;
   StoreRaw<uint32_t>(p, page_count());

@@ -93,16 +93,14 @@ class PageGroup : public memory::PageFootprintSource {
   }
 
   /// Raw page-bytes fast path (paper Appendix C): writes `page count,
-  /// then per page (used bytes, raw data)`. Decomposed segments are
-  /// already GC-free bytes, so demoting or swapping a kDecaPages block is
-  /// a header plus memcpys — no per-record serialization. The format is
-  /// shared by the off-heap tier (T1) and the swap file (T2).
-  void EncodeRaw(ByteWriter* out) const;
-  /// Direct-write variant of EncodeRaw into a caller-sized buffer of at
-  /// least encoded_raw_bytes() (the T1/T2 staging path: no intermediate
-  /// growable vector). Returns the bytes written (== encoded_raw_bytes()).
+  /// then per page (used bytes, raw data)` into a caller-sized buffer of
+  /// at least encoded_raw_bytes() and returns the bytes written.
+  /// Decomposed segments are already GC-free bytes, so demoting or
+  /// swapping a kDecaPages block is a header plus memcpys — no per-record
+  /// serialization. The format is shared by the off-heap tier (T1) and
+  /// the swap file (T2).
   size_t EncodeRawTo(uint8_t* dst) const;
-  /// Rebuilds a group from the EncodeRaw bytes `[data, data+size)`
+  /// Rebuilds a group from the EncodeRawTo bytes `[data, data+size)`
   /// (allocating managed pages on `heap`; charges the execution pool like
   /// any fresh group). Aborts, naming the offset, on a page header that
   /// claims more than `page_bytes` or than the payload holds.
@@ -110,7 +108,7 @@ class PageGroup : public memory::PageFootprintSource {
                                               uint32_t page_bytes,
                                               const uint8_t* data,
                                               size_t size);
-  /// Size EncodeRaw will produce, without materializing it.
+  /// Size EncodeRawTo will write, without materializing it.
   uint64_t encoded_raw_bytes() const;
 
   /// Moves this group's charged footprint to `pool` (and tags future
@@ -172,7 +170,7 @@ class PageScanner {
   uint32_t offset_ = 0;
 };
 
-/// Sequential scanner over EncodeRaw bytes without rebuilding a page
+/// Sequential scanner over EncodeRawTo bytes without rebuilding a page
 /// group: yields each encoded page's (data pointer, used bytes). This is
 /// the zero-copy serving path for demoted kDecaPages blocks — a query
 /// walks fixed-size decomposed records straight out of the packed T1

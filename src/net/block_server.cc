@@ -1,6 +1,7 @@
 #include "net/block_server.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace deca::net {
 
@@ -49,24 +50,32 @@ std::vector<uint8_t> BlockServer::HandleRequest(
     return BuildMsg(MsgType::kErrorResponse, WireStatus::kNotFound);
   }
   const MsgType type = MsgTypeOf<MsgType>(request);
-  auto read = [&request, type](auto msg) {
-    ReadMsg(request, type, &msg);
+  // A body that does not end where its fields do is a peer's stray
+  // bytes: refused like an unknown request, never served.
+  auto read = [&request, type](auto msg) -> std::optional<decltype(msg)> {
+    const auto [size, decoded] = ReadMsgBody(request, type, &msg);
+    if (decoded != size) return std::nullopt;
     return msg;
   };
   switch (type) {
     case MsgType::kIndexRequest:
-      return HandleIndex(read(IndexRequest{}));
+      if (auto index = read(IndexRequest{})) return HandleIndex(*index);
+      break;
     case MsgType::kFetchRequest:
-      return HandleFetch(read(FetchRequest{}));
+      if (auto fetch = read(FetchRequest{})) return HandleFetch(*fetch);
+      break;
     case MsgType::kFailProbe:
       // The doomed probe of an injected fetch failure: the request
       // travels the wire and is always refused, so retry/backoff logic
       // exercises the full transport path deterministically.
-      read(FailProbe{});
-      return BuildMsg(MsgType::kErrorResponse, WireStatus::kInjectedFailure);
+      if (read(FailProbe{})) {
+        return BuildMsg(MsgType::kErrorResponse, WireStatus::kInjectedFailure);
+      }
+      break;
     default:
-      return BuildMsg(MsgType::kErrorResponse, WireStatus::kNotFound);
+      break;
   }
+  return BuildMsg(MsgType::kErrorResponse, WireStatus::kNotFound);
 }
 
 std::vector<uint8_t> BlockServer::HandleIndex(const IndexRequest& request) {

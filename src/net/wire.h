@@ -42,9 +42,12 @@ std::vector<uint8_t> BuildMsg(Type type, const Body&... body) {
 }
 
 /// Reads back a message built by BuildMsg: aborts unless it has type
-/// `want` and its bodies fill it exactly.
+/// `want`. Returns the body's size and the bytes its fields decoded; the
+/// two differ when the body does not end where its fields do, which
+/// ReadMsg aborts on and a server answering peers refuses.
 template <typename Type, typename... Body>
-void ReadMsg(const std::vector<uint8_t>& wire, Type want, Body*... body) {
+std::pair<size_t, size_t> ReadMsgBody(const std::vector<uint8_t>& wire,
+                                      Type want, Body*... body) {
   ByteReader r(nullptr, 0);
   DECA_CHECK(UnframeMessage(wire, &r) && !r.AtEnd()) << "malformed message";
   const size_t size = r.remaining();
@@ -54,9 +57,17 @@ void ReadMsg(const std::vector<uint8_t>& wire, Type want, Body*... body) {
                           << " where " << static_cast<int>(want)
                           << " was expected";
   (Get(&r, body), ...);
-  DECA_CHECK(r.position() == size)
+  return {size, r.position()};
+}
+
+/// ReadMsgBody that also aborts unless the bodies fill the message
+/// exactly.
+template <typename Type, typename... Body>
+void ReadMsg(const std::vector<uint8_t>& wire, Type want, Body*... body) {
+  const auto [size, decoded] = ReadMsgBody(wire, want, body...);
+  DECA_CHECK(decoded == size)
       << "message of type " << static_cast<int>(want) << ": " << size
-      << " bytes, but its body decoded as " << r.position();
+      << " bytes, but its body decoded as " << decoded;
 }
 
 /// The type of a message, for servers that dispatch on it before reading

@@ -95,19 +95,25 @@ void ForEachCachedRecord(TaskContext& tc, const LoadedBlock& block,
       });
 }
 
-/// Caches `count` records of a declared type under `key`: decomposed into
-/// a page group (`decomposed`), or as an Object[] of their object graphs,
-/// which the block store keeps or serializes by its cache level. `gen(R*)`
-/// fills each record in turn; the Object[] is allocated first, then each
-/// record's graph as Build orders it.
+/// Whether a task caches its records decomposed: the context's
+/// cache_level, which the block store also reads. No caller restates it.
+inline bool DecomposedCache(TaskContext& tc) {
+  return tc.context()->config().cache_level == StorageLevel::kDecaPages;
+}
+
+/// Caches `count` records of a declared type under `key` in the form
+/// DecomposedCache picks: decomposed into a page group of the
+/// store's page size (kDecaPages), or as an Object[] of their object
+/// graphs, which the block store keeps or serializes by that level.
+/// `gen(R*)` fills each record in turn; the Object[] is allocated first,
+/// then each record's graph as Build orders it.
 template <typename R, typename Gen>
 void CacheRecords(TaskContext& tc, BlockKey key, const RecordType<R>& type,
-                  bool decomposed, uint32_t page_bytes, uint32_t count,
-                  Gen&& gen) {
+                  uint32_t count, Gen&& gen) {
   jvm::Heap* h = tc.heap();
   R rec = type.Value();
-  if (decomposed) {
-    auto pages = std::make_shared<core::PageGroup>(h, page_bytes);
+  if (DecomposedCache(tc)) {
+    std::shared_ptr<core::PageGroup> pages = tc.cache()->NewPages();
     const uint32_t bytes = type.decomposed_bytes();
     for (uint32_t i = 0; i < count; ++i) {
       gen(&rec);

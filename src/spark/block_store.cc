@@ -225,6 +225,10 @@ void CacheManager::PutObjects(BlockKey key, jvm::ObjRef records,
   EnforceBudget(metrics);
 }
 
+std::shared_ptr<core::PageGroup> CacheManager::NewPages() const {
+  return std::make_shared<core::PageGroup>(heap_, cfg_->deca_page_bytes);
+}
+
 void CacheManager::PutPages(BlockKey key,
                             std::shared_ptr<core::PageGroup> pages,
                             uint32_t count, TaskMetrics* metrics) {
@@ -295,7 +299,7 @@ LoadedBlock CacheManager::GetInternal(BlockKey key, bool lazy,
   if (e.tier == Tier::kT1) {
     t1_hits_.fetch_add(1, std::memory_order_relaxed);
     ++e.accesses_since_demote;
-    PackedBlock packed = t1_.Load(key, metrics);
+    PackedBlock packed = t1_.Load(key);
     DECA_CHECK(packed.valid()) << "T1 entry without off-heap payload";
     if (ShouldAdmit(e.accesses_since_demote)) {
       double ms = 0;
@@ -370,7 +374,7 @@ void CacheManager::DemoteToT1(BlockKey key, Entry* e, TaskMetrics* metrics) {
   e->pages.reset();
   e->reservation.Release();
   memory_bytes_ -= e->charged_bytes;
-  t1_.Store(key, std::move(packed), metrics);
+  t1_.Store(key, std::move(packed));
   memory_bytes_ += psize;
   e->packed_bytes = psize;
   e->charged_bytes = psize;
@@ -388,7 +392,7 @@ void CacheManager::SpillToT2(BlockKey key, Entry* e, TaskMetrics* metrics) {
   if (e->tier == Tier::kT0) {
     packed = Pack(key, *e, metrics);
   } else {
-    packed = t1_.Load(key, metrics);
+    packed = t1_.Load(key);
     DECA_CHECK(packed.valid());
     t1_.Drop(key);
   }
@@ -466,7 +470,7 @@ void CacheManager::PromoteToT1(BlockKey key, Entry* e, PackedBlock* packed,
   EnsureT1Room(psize, metrics);
   t2_.Drop(key);
   disk_bytes_ -= e->charged_bytes;
-  t1_.Store(key, *packed, metrics);
+  t1_.Store(key, *packed);
   uint64_t now = memory_bytes_ += psize;
   if (now > peak_memory_bytes_.load(std::memory_order_relaxed)) {
     peak_memory_bytes_.store(now, std::memory_order_relaxed);

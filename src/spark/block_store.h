@@ -96,6 +96,10 @@ class CacheManager : public jvm::RootProvider {
   void PutObjects(BlockKey key, jvm::ObjRef records, uint32_t count,
                   TaskMetrics* metrics);
 
+  /// An empty page group at the store's page size (deca_page_bytes), the
+  /// size a swapped Deca block reloads at; fill it, then PutPages it.
+  std::shared_ptr<core::PageGroup> NewPages() const;
+
   /// Caches a Deca page-group block.
   void PutPages(BlockKey key, std::shared_ptr<core::PageGroup> pages,
                 uint32_t count, TaskMetrics* metrics);

@@ -45,8 +45,8 @@ enum class ShuffleTransport {
   /// Direct in-memory deposit/fetch (the original single-process path).
   kLocal,
   /// Framed wire messages over in-process loopback channels: real
-  /// encode/frame/fetch protocol, deterministic, optional simulated
-  /// latency/bandwidth. The default for network-mode tests and benches.
+  /// encode/frame/fetch protocol, deterministic. The default for
+  /// network-mode tests and benches.
   kLoopback,
   /// Real TCP sockets on 127.0.0.1 (manual runs; timing not
   /// deterministic, bytes and results still are).
@@ -57,8 +57,8 @@ const char* EnumName(ShuffleTransport t);
 
 /// Wire codec for network shuffle chunks (see net::WireCodec).
 enum class ShuffleWireCodec {
-  /// Follow the workload mode: Deca runs ship pages, JVM runs ship
-  /// per-record serialized frames.
+  /// Follow deca_shuffle: decomposed shuffles ship pages, object
+  /// shuffles ship per-record serialized frames.
   kAuto,
   kPage,    // force zero-copy page transfer
   kRecord,  // force Kryo-like per-record serialization
@@ -94,10 +94,13 @@ struct SparkConfig {
   /// tunes).
   double storage_fraction = 0.5;
 
-  /// Cached-RDD storage level.
+  /// Cached-RDD storage level. kDecaPages makes CacheRecords decompose
+  /// every cached block into pages; the block store serializes object
+  /// blocks under kMemorySerialized.
   StorageLevel cache_level = StorageLevel::kMemoryObjects;
-  /// When true, shuffle buffers with decomposable key/value types use Deca
-  /// page groups with in-place aggregation instead of managed objects.
+  /// When true, every keyed shuffle (spark/keyed_shuffle.h) combines in
+  /// Deca page groups with in-place aggregation instead of managed
+  /// objects, and the wire codec's kAuto ships its chunks as pages.
   bool deca_shuffle = false;
 
   /// Size of Deca's logical memory pages.

@@ -4,10 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <type_traits>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/logging.h"
 #include "jvm/heap.h"
 #include "net/wire.h"
 #include "spark/context.h"
@@ -17,25 +18,31 @@
 
 namespace deca::spark {
 
-/// The form of a keyed shuffle's combine buffer (paper Section 4.2 treats
-/// shuffle buffers as one container class): managed key/value objects, or
-/// decomposed fixed-size entries in pages.
-enum class ShuffleLayout {
-  kObjects,     // ObjectHashShuffleBuffer; pairs are serialized records
-  kDecomposed,  // DecaHashShuffleBuffer; entries ship as raw bytes
-};
+/// Whether a task's keyed shuffle holds decomposed entries: the context's
+/// deca_shuffle (paper Section 4.2 treats shuffle buffers as one container
+/// class), which the wire codec's kAuto also reads. No caller restates it.
+inline bool DecomposedShuffle(TaskContext& tc) {
+  return tc.context()->config().deca_shuffle;
+}
 
-/// A task-local combine buffer of one declared (key, value) pair in
-/// `layout`'s form. Insert takes value structs: it stores the decomposed
-/// entry, or builds the pair's objects (ShuffleType::BuildPair, no
-/// Tuple2). ForEach visits the combined entries as values.
+template <typename K, typename V>
+class KeyedShuffleWriter;
+template <typename K, typename V>
+class KeyedShuffleReader;
+
+/// A task-local combine buffer of one declared (key, value) pair in the
+/// context's form: decomposed fixed-size entries in pages
+/// (DecaHashShuffleBuffer, paged at deca_page_bytes) or managed key/value
+/// objects (ObjectHashShuffleBuffer). Insert takes value structs: it
+/// stores the decomposed entry, or builds the pair's objects
+/// (ShuffleType::BuildPair, no Tuple2). ForEach visits the combined
+/// entries as values.
 template <typename K, typename V>
 class CombineBuffer {
  public:
-  CombineBuffer(TaskContext& tc, const ShuffleType<K, V>& type,
-                ShuffleLayout layout)
+  CombineBuffer(TaskContext& tc, const ShuffleType<K, V>& type)
       : heap_(tc.heap()), type_(type), key_bytes_(type.ops().deca_key_bytes) {
-    if (layout == ShuffleLayout::kDecomposed) {
+    if (DecomposedShuffle(tc)) {
       entries_ = std::make_unique<DecaHashShuffleBuffer>(
           heap_, &type.ops(), tc.context()->config().deca_page_bytes);
       scratch_.resize(key_bytes_ + type.ops().deca_value_bytes);
@@ -45,23 +52,7 @@ class CombineBuffer {
   }
 
   void Insert(const K& key, const V& value) {
-    if (entries_ != nullptr) {
-      type_.key().Store(scratch_.data(), key);
-      type_.value().Store(scratch_.data() + key_bytes_, value);
-      InsertEntry(scratch_.data(), scratch_.data() + key_bytes_);
-      return;
-    }
-    type_.BuildPair(heap_, key, value,
-                    [this](jvm::ObjRef k, jvm::ObjRef v) { InsertPair(k, v); });
-  }
-  /// A decomposed entry's key and value bytes; native memory, since an
-  /// insert may GC.
-  void InsertEntry(const uint8_t* key, const uint8_t* value) {
-    entries_->Insert(key, value);
-  }
-  /// An object pair; both refs rooted by the caller.
-  void InsertPair(jvm::ObjRef key, jvm::ObjRef value) {
-    objects_->Insert(key, value);
+    Add(key, value, /*wrap=*/false, [] {});
   }
 
   /// `visit(const K&, const V&)` for every combined entry, in the
@@ -71,201 +62,245 @@ class CombineBuffer {
   void ForEach(Visitor&& visit) const {
     K k{};
     V v{};
-    if (entries_ != nullptr) {
-      entries_->ForEach([&](const uint8_t* entry) {
-        type_.key().Load(entry, &k);
-        type_.value().Load(entry + key_bytes_, &v);
-        visit(k, v);
-      });
-      return;
-    }
-    objects_->ForEach([&](jvm::ObjRef kr, jvm::ObjRef vr) {
-      type_.key().Read(heap_, kr, &k);
-      type_.value().Read(heap_, vr, &v);
-      visit(k, v);
-    });
+    ForEachStored(
+        [&](const uint8_t* entry) {
+          type_.key().Load(entry, &k);
+          type_.value().Load(entry + key_bytes_, &v);
+          visit(k, v);
+        },
+        [&](jvm::ObjRef kr, jvm::ObjRef vr) {
+          type_.key().Read(heap_, kr, &k);
+          type_.value().Read(heap_, vr, &v);
+          visit(k, v);
+        });
   }
 
  private:
+  friend class KeyedShuffleWriter<K, V>;
+  friend class KeyedShuffleReader<K, V>;
+
+  /// Combines one pair; with `wrap`, its objects come wrapped in the
+  /// map UDF's Tuple2 (BuildPair). `then()` runs after the insert while
+  /// an object pair is still rooted, so a collection that `then()` starts
+  /// (the writer's drain and Clear) keeps the pair alive.
+  template <typename Then>
+  void Add(const K& key, const V& value, bool wrap, Then&& then) {
+    if (entries_ != nullptr) {
+      type_.key().Store(scratch_.data(), key);
+      type_.value().Store(scratch_.data() + key_bytes_, value);
+      entries_->Insert(scratch_.data(), scratch_.data() + key_bytes_);
+      then();
+      return;
+    }
+    type_.BuildPair(
+        heap_, key, value,
+        [&](jvm::ObjRef k, jvm::ObjRef v) {
+          objects_->Insert(k, v);
+          then();
+        },
+        wrap);
+  }
+
+  /// The entries as stored, in ForEach order: `entry(const uint8_t*)`
+  /// gets each decomposed entry (key bytes, then value bytes),
+  /// `pair(ObjRef, ObjRef)` each object pair. Neither may allocate.
+  template <typename Entry, typename Pair>
+  void ForEachStored(Entry&& entry, Pair&& pair) const {
+    if (entries_ != nullptr) {
+      entries_->ForEach(entry);
+    } else {
+      objects_->ForEach(pair);
+    }
+  }
+
+  uint64_t estimated_bytes() const {
+    return entries_ != nullptr ? entries_->estimated_bytes()
+                               : objects_->estimated_bytes();
+  }
+  void Clear() {
+    if (entries_ != nullptr) {
+      entries_->Clear();
+    } else {
+      objects_->Clear();
+    }
+  }
+
   jvm::Heap* heap_;
   const ShuffleType<K, V>& type_;
   uint32_t key_bytes_;
   std::unique_ptr<DecaHashShuffleBuffer> entries_;
   std::unique_ptr<ObjectHashShuffleBuffer> objects_;
-  std::vector<uint8_t> scratch_;
+  std::vector<uint8_t> scratch_;  // one decomposed entry
 };
 
 namespace keyed_internal {
-/// The (key, value) value types a typed pair visitor takes.
-template <typename F>
-struct PairArgs : PairArgs<decltype(&std::remove_cvref_t<F>::operator())> {};
-template <typename C, typename R, typename A, typename B>
-struct PairArgs<R (C::*)(A, B) const> {
-  using Key = std::remove_cvref_t<A>;
-  using Value = std::remove_cvref_t<B>;
-};
-template <typename C, typename R, typename A, typename B>
-struct PairArgs<R (C::*)(A, B)> : PairArgs<R (C::*)(A, B) const> {};
-}  // namespace keyed_internal
 
-/// Map side of one keyed shuffle for one task, modelled on Spark's
-/// Aggregator over an ExternalAppendOnlyMap. The writer owns the task's
-/// combine buffer in `layout` and drains it whenever its footprint
-/// outgrows the context's shuffle_budget_bytes(), and once more at
-/// Finish. A drain hash-partitions every entry into its reducer's chunk:
-/// decomposed entries are copied as they are (a fixed record stride),
-/// object pairs are serialized under `ser_ms` with each record's length
-/// logged, so the wire's record codec can frame them. Finish deposits
-/// every reducer's chunk under `shuffle_write_ms`. Page size, budget and
-/// reducer count come from the task's context.
-class KeyedShuffleWriter {
+/// The untyped map-side output of one keyed shuffle for one task: a byte
+/// chunk per reducer, and the record boundaries the wire codec frames.
+class ChunkWriter {
  public:
-  KeyedShuffleWriter(TaskContext& tc, int shuffle_id, const ShuffleOps* ops,
-                     ShuffleLayout layout);
-  /// A writer of a declared pair, which Emit takes as values.
-  template <typename K, typename V>
-  KeyedShuffleWriter(TaskContext& tc, int shuffle_id,
-                     const ShuffleType<K, V>& type, ShuffleLayout layout)
-      : KeyedShuffleWriter(tc, shuffle_id, &type.ops(), layout) {
-    typed_ = &type;
-    typed_tag_ = &ShuffleType<K, V>::kTag;
-  }
-
-  /// Combines one pair of the writer's declared type: stored as its
-  /// decomposed entry, or built as the map UDF's objects (BuildPair,
-  /// Tuple2 included).
-  template <typename K, typename V>
-  void Emit(const K& key, const V& value) {
-    DECA_DCHECK((typed_tag_ == &ShuffleType<K, V>::kTag));
-    const auto& type = *static_cast<const ShuffleType<K, V>*>(typed_);
-    if (entries_ != nullptr) {
-      uint8_t* v = scratch_.data() + ops_->deca_key_bytes;
-      type.key().Store(scratch_.data(), key);
-      type.value().Store(v, value);
-      Insert(scratch_.data(), v);
-      return;
-    }
-    type.BuildPair(
-        tc_.heap(), key, value,
-        [this](jvm::ObjRef k, jvm::ObjRef v) { Insert(k, v); },
-        /*wrap=*/true);
-  }
-
-  /// Object layout: combines (key, value) into the buffer. Both refs must
-  /// be rooted by the caller.
-  void Insert(jvm::ObjRef key, jvm::ObjRef value);
-  /// Decomposed layout: combines raw key and value bytes, which must not
-  /// live in the managed heap (an insert may move pages).
-  void Insert(const uint8_t* key, const uint8_t* value);
-
-  /// Drains the buffer a last time, frees it, and deposits every
-  /// reducer's chunk. Call once, after the last Insert.
-  void Finish();
+  ChunkWriter(TaskContext& tc, int shuffle_id, const ShuffleOps& ops);
+  /// Copies one decomposed entry as it is into its reducer's chunk.
+  void AddEntry(const uint8_t* entry);
+  /// Serializes one object pair into its reducer's chunk under `ser_ms`
+  /// and logs the record's length.
+  void AddPair(jvm::ObjRef key, jvm::ObjRef value);
+  /// Deposits every reducer's chunk under `shuffle_write_ms`.
+  void Deposit();
 
  private:
-  void Drain();
-
   TaskContext& tc_;
   int shuffle_id_;
-  const ShuffleOps* ops_;
-  size_t budget_;
-  std::unique_ptr<ObjectHashShuffleBuffer> objects_;
-  std::unique_ptr<DecaHashShuffleBuffer> entries_;
+  const ShuffleOps& ops_;
   std::vector<ByteWriter> outs_;
   std::vector<net::ChunkMeta> metas_;
-  std::vector<uint8_t> scratch_;  // one decomposed entry, for Emit
-  const void* typed_ = nullptr;   // the declared ShuffleType, if any
-  const void* typed_tag_ = nullptr;
 };
 
-/// Reduce side of one keyed shuffle for one task: fetches the chunks its
-/// partition receives once, then visits them in map-partition order in
-/// the form the map side wrote.
-class KeyedShuffleReader {
+/// The chunks one reducer receives in one keyed shuffle, fetched once and
+/// walked in map-partition order.
+class ChunkReader {
  public:
-  KeyedShuffleReader(TaskContext& tc, int shuffle_id, const ShuffleOps* ops);
-  /// A reader of a declared pair, whose visitors take values.
-  template <typename K, typename V>
-  KeyedShuffleReader(TaskContext& tc, int shuffle_id,
-                     const ShuffleType<K, V>& type)
-      : KeyedShuffleReader(tc, shuffle_id, &type.ops()) {
-    typed_ = &type;
-    typed_tag_ = &ShuffleType<K, V>::kTag;
-  }
-
-  /// Decomposed chunks: visits every entry's key and value bytes under
-  /// `shuffle_read_ms`. The bytes are native, so `fn` may allocate. Aborts,
-  /// naming the shuffle, reducer and sizes, when the entry width is zero
-  /// or a chunk does not hold a whole number of entries.
+  ChunkReader(TaskContext& tc, int shuffle_id, const ShuffleOps& ops);
+  /// Decomposed chunks: every entry's key and value bytes under
+  /// `shuffle_read_ms`. The bytes are native, so `fn` may allocate.
+  /// Aborts, naming the shuffle, reducer and sizes, when a chunk does not
+  /// hold a whole number of entries.
   void ForEachEntry(
       const std::function<void(const uint8_t* key, const uint8_t* value)>& fn)
       const;
-
   /// Object chunks: deserializes every (key, value) record under
   /// `deser_ms` and visits it while both refs are rooted in the record's
   /// own HandleScope.
   void ForEachRecord(
       const std::function<void(jvm::ObjRef key, jvm::ObjRef value)>& fn) const;
 
-  /// The reduce-side combine of the reader's declared pair: a
-  /// CombineBuffer in `layout`'s form takes every fetched pair as above,
+ private:
+  TaskContext& tc_;
+  int shuffle_id_;
+  const ShuffleOps& ops_;
+  const std::vector<std::vector<uint8_t>>& chunks_;
+};
+
+}  // namespace keyed_internal
+
+/// Map side of one keyed shuffle of a declared pair for one task,
+/// modelled on Spark's Aggregator over an ExternalAppendOnlyMap. The
+/// writer combines every Emit in its own CombineBuffer and drains it
+/// whenever its footprint outgrows the context's shuffle_budget_bytes(),
+/// and once more at Finish. A drain hash-partitions every entry into its
+/// reducer's chunk: decomposed entries are copied as they are (a fixed
+/// record stride), object pairs are serialized under `ser_ms` with each
+/// record's length logged, so the wire's record codec can frame them.
+/// Finish deposits every reducer's chunk under `shuffle_write_ms`. Form,
+/// page size, budget and reducer count come from the task's context.
+template <typename K, typename V>
+class KeyedShuffleWriter {
+ public:
+  KeyedShuffleWriter(TaskContext& tc, int shuffle_id,
+                     const ShuffleType<K, V>& type)
+      : budget_(tc.context()->config().shuffle_budget_bytes()),
+        out_(tc, shuffle_id, type.ops()),
+        buf_(std::in_place, tc, type) {}
+
+  /// Combines one pair: stored as its decomposed entry, or built as the
+  /// map UDF's objects (BuildPair, Tuple2 included).
+  void Emit(const K& key, const V& value) {
+    buf_->Add(key, value, /*wrap=*/true, [this] {
+      if (buf_->estimated_bytes() <= budget_) return;
+      Drain();
+      buf_->Clear();
+    });
+  }
+
+  /// Drains the buffer a last time, frees it, and deposits every
+  /// reducer's chunk. Call once, after the last Emit.
+  void Finish() {
+    Drain();
+    buf_.reset();
+    out_.Deposit();
+  }
+
+ private:
+  void Drain() {
+    buf_->ForEachStored(
+        [this](const uint8_t* entry) { out_.AddEntry(entry); },
+        [this](jvm::ObjRef k, jvm::ObjRef v) { out_.AddPair(k, v); });
+  }
+
+  size_t budget_;
+  keyed_internal::ChunkWriter out_;
+  std::optional<CombineBuffer<K, V>> buf_;
+};
+
+/// Reduce side of one keyed shuffle of a declared pair for one task:
+/// fetches the chunks its partition receives once, then visits them in
+/// map-partition order in the form the map side wrote, the context's.
+template <typename K, typename V>
+class KeyedShuffleReader {
+ public:
+  KeyedShuffleReader(TaskContext& tc, int shuffle_id,
+                     const ShuffleType<K, V>& type)
+      : tc_(tc),
+        type_(type),
+        decomposed_(DecomposedShuffle(tc)),
+        chunks_(tc, shuffle_id, type.ops()) {}
+
+  /// The reduce-side combine: a CombineBuffer takes every fetched pair,
   /// then `visit(const K&, const V&)` gets the combined entries in the
   /// buffer's ForEach order; it may not allocate. The buffer is freed on
   /// return.
   template <typename Visitor>
-  void ForEachCombined(ShuffleLayout layout, Visitor&& visit) const {
-    using Args = keyed_internal::PairArgs<Visitor>;
-    CombineBuffer buf(tc_, Typed<typename Args::Key, typename Args::Value>(),
-                      layout);
-    if (layout == ShuffleLayout::kDecomposed) {
-      ForEachEntry([&](const uint8_t* k, const uint8_t* v) {
-        buf.InsertEntry(k, v);
-      });
-    } else {
-      ForEachRecord(
-          [&](jvm::ObjRef k, jvm::ObjRef v) { buf.InsertPair(k, v); });
-    }
+  void ForEachCombined(Visitor&& visit) const {
+    CombineBuffer<K, V> buf(tc_, type_);
+    ForEachStored(
+        [&](const uint8_t* k, const uint8_t* v) { buf.entries_->Insert(k, v); },
+        [&](jvm::ObjRef k, jvm::ObjRef v) { buf.objects_->Insert(k, v); });
     buf.ForEach(visit);
   }
 
-  /// Every fetched pair of the declared type, uncombined, in the form
-  /// `layout` wrote it: `visit(const K&, const V&)` gets each as values
-  /// and may allocate.
+  /// Every fetched pair, uncombined: `visit(const K&, const V&)` gets each
+  /// as values and may allocate.
   template <typename Visitor>
-  void ForEachPair(ShuffleLayout layout, Visitor&& visit) const {
-    using Args = keyed_internal::PairArgs<Visitor>;
-    typename Args::Key k{};
-    typename Args::Value v{};
-    const auto& type = Typed<typename Args::Key, typename Args::Value>();
-    if (layout == ShuffleLayout::kDecomposed) {
-      ForEachEntry([&](const uint8_t* kp, const uint8_t* vp) {
-        type.key().Load(kp, &k);
-        type.value().Load(vp, &v);
-        visit(k, v);
-      });
-      return;
-    }
+  void ForEachPair(Visitor&& visit) const {
+    K k{};
+    V v{};
     jvm::Heap* h = tc_.heap();
-    ForEachRecord([&](jvm::ObjRef kr, jvm::ObjRef vr) {
-      type.key().Read(h, kr, &k);
-      type.value().Read(h, vr, &v);
-      visit(k, v);
-    });
+    ForEachStored(
+        [&](const uint8_t* kp, const uint8_t* vp) {
+          type_.key().Load(kp, &k);
+          type_.value().Load(vp, &v);
+          visit(k, v);
+        },
+        [&](jvm::ObjRef kr, jvm::ObjRef vr) {
+          type_.key().Read(h, kr, &k);
+          type_.value().Read(h, vr, &v);
+          visit(k, v);
+        });
+  }
+
+  /// Object chunks as the deserialized pairs themselves, each rooted for
+  /// the visit (graph's groupBy feeds them to an ObjectGroupByBuffer).
+  void ForEachRecord(
+      const std::function<void(jvm::ObjRef key, jvm::ObjRef value)>& fn)
+      const {
+    DECA_CHECK(!decomposed_) << "ForEachRecord reads object chunks";
+    chunks_.ForEachRecord(fn);
   }
 
  private:
-  template <typename K, typename V>
-  const ShuffleType<K, V>& Typed() const {
-    DECA_DCHECK((typed_tag_ == &ShuffleType<K, V>::kTag));
-    return *static_cast<const ShuffleType<K, V>*>(typed_);
+  template <typename Entry, typename Pair>
+  void ForEachStored(Entry&& entry, Pair&& pair) const {
+    if (decomposed_) {
+      chunks_.ForEachEntry(entry);
+    } else {
+      chunks_.ForEachRecord(pair);
+    }
   }
 
   TaskContext& tc_;
-  int shuffle_id_;
-  const ShuffleOps* ops_;
-  const std::vector<std::vector<uint8_t>>& chunks_;
-  const void* typed_ = nullptr;  // the declared ShuffleType, if any
-  const void* typed_tag_ = nullptr;
+  const ShuffleType<K, V>& type_;
+  bool decomposed_;
+  keyed_internal::ChunkReader chunks_;
 };
 
 }  // namespace deca::spark

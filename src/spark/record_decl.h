@@ -559,10 +559,6 @@ class ShuffleType {
  public:
   using Combine = void (*)(V* agg, const V& value);
 
-  /// One address per instantiation, so the type-erased shuffle operators
-  /// can check the pair they were built for.
-  static inline const char kTag = 0;
-
   /// `value_length` is the length of V's std::vector arrays.
   ShuffleType(jvm::ClassRegistry* registry, Combine combine,
               Tuple2 tuple2 = Tuple2::kNone, uint32_t value_length = 0)

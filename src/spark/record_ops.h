@@ -28,8 +28,8 @@ struct RecordOps {
 
 /// Operations for shuffle key/value handling (hash-based buffers with
 /// eager combining, paper Section 4.2). A declared (key, value) pair
-/// generates them (spark::ShuffleType); the run's mode flag, through the
-/// shuffle's ShuffleLayout, picks the object or the decomposed half.
+/// generates them (spark::ShuffleType); the context's deca_shuffle picks
+/// the object or the decomposed half.
 struct ShuffleOps {
   // -- object (Spark) mode -------------------------------------------------
   std::function<uint64_t(jvm::Heap*, jvm::ObjRef)> key_hash;

@@ -20,9 +20,7 @@ namespace deca::spark {
 
 // -- OffHeapTier -------------------------------------------------------------
 
-void OffHeapTier::Store(BlockKey key, PackedBlock block,
-                        TaskMetrics* metrics) {
-  (void)metrics;  // native memcpy-speed store; nothing worth attributing
+void OffHeapTier::Store(BlockKey key, PackedBlock block) {
   DECA_CHECK(block.valid());
   Drop(key);
   Slot slot;
@@ -36,15 +34,10 @@ void OffHeapTier::Store(BlockKey key, PackedBlock block,
   AddResident(bytes);
 }
 
-PackedBlock OffHeapTier::Load(BlockKey key, TaskMetrics* metrics) const {
-  (void)metrics;
+PackedBlock OffHeapTier::Load(BlockKey key) const {
   auto it = blocks_.find(key);
   if (it == blocks_.end()) return {};
   return it->second.block;
-}
-
-bool OffHeapTier::Contains(BlockKey key) const {
-  return blocks_.find(key) != blocks_.end();
 }
 
 void OffHeapTier::Drop(BlockKey key) {

@@ -47,7 +47,7 @@ struct BlockKeyHash {
 
 /// One block's payload in packed form: Kryo-serialized records
 /// (kMemoryObjects), the raw serialized byte run (kMemorySerialized), or
-/// raw page bytes (kDecaPages, PageGroup::EncodeRaw). This is the common
+/// raw page bytes (kDecaPages, PageGroup::EncodeRawTo). This is the common
 /// currency of the lower tiers — T1 holds it in an off-heap buffer, T2 in
 /// a swap file — and of the lazy read path (LoadedBlock::packed).
 struct PackedBlock {
@@ -59,26 +59,15 @@ struct PackedBlock {
   uint64_t size() const { return bytes != nullptr ? bytes->size() : 0; }
 };
 
-/// A storage tier below the heap tier (T0): a keyed store of packed block
+/// The payload bytes resident in one storage tier below the heap tier
+/// (T0), and their peak; both tiers below are keyed stores of packed block
 /// payloads. The CacheManager owns the per-block tier state machine and
 /// the representation conversions (it has the heap and the record ops);
-/// backends only hold bytes and account for them. Same concurrency
+/// the tiers only hold bytes and account for them. Same concurrency
 /// contract as the CacheManager: all mutation on the executor's mutator
 /// thread, byte counters are relaxed atomics for driver metric reads.
-class TierBackend {
+class ResidentMeter {
  public:
-  virtual ~TierBackend() = default;
-
-  virtual const char* name() const = 0;
-  virtual void Store(BlockKey key, PackedBlock block,
-                     TaskMetrics* metrics) = 0;
-  /// Loads a block's packed payload; `bytes == nullptr` when absent.
-  virtual PackedBlock Load(BlockKey key, TaskMetrics* metrics) const = 0;
-  virtual bool Contains(BlockKey key) const = 0;
-  virtual void Drop(BlockKey key) = 0;
-  virtual void DropAll() = 0;
-  virtual uint64_t block_count() const = 0;
-
   /// Payload bytes currently resident in this tier.
   uint64_t resident_bytes() const {
     return resident_.load(std::memory_order_relaxed);
@@ -109,18 +98,17 @@ class TierBackend {
 /// the storage pool through an explicit reservation per block, but
 /// invisible to GC root scans — a full collection traces zero references
 /// into this tier no matter how many blocks it holds.
-class OffHeapTier : public TierBackend {
+class OffHeapTier : public ResidentMeter {
  public:
   /// Every held block reserves its bytes from `mm`'s storage pool.
   explicit OffHeapTier(memory::ExecutorMemoryManager* mm) : mm_(mm) {}
 
-  const char* name() const override { return "offheap"; }
-  void Store(BlockKey key, PackedBlock block, TaskMetrics* metrics) override;
-  PackedBlock Load(BlockKey key, TaskMetrics* metrics) const override;
-  bool Contains(BlockKey key) const override;
-  void Drop(BlockKey key) override;
-  void DropAll() override;
-  uint64_t block_count() const override { return blocks_.size(); }
+  /// Holds the payload at memcpy speed, so no task time is charged.
+  void Store(BlockKey key, PackedBlock block);
+  /// The block's packed payload; `bytes == nullptr` when absent.
+  PackedBlock Load(BlockKey key) const;
+  void Drop(BlockKey key);
+  void DropAll();
 
   /// Sum of the live per-block storage reservations (accounting identity
   /// checks).
@@ -148,7 +136,7 @@ class OffHeapTier : public TierBackend {
 /// its extent: Drop defers freeing it, and the cut to length zero, until
 /// the view's last reference is released. Payload bytes only, the
 /// CacheManager keeps level/count in its entry.
-class DiskTier : public TierBackend {
+class DiskTier : public ResidentMeter {
  public:
   /// Address space reserved for the mapping: the most bytes the swap file
   /// can hold. A Store past it fails loudly.
@@ -160,24 +148,24 @@ class DiskTier : public TierBackend {
       : path_(dir + "/swap_e" + std::to_string(executor_id)) {}
   /// Unlinks the swap file. Views still alive keep the mapping (and so
   /// their bytes) until they are released.
-  ~DiskTier() override;
+  ~DiskTier();
 
   DiskTier(const DiskTier&) = delete;
   DiskTier& operator=(const DiskTier&) = delete;
 
-  const char* name() const override { return "disk"; }
   /// Copies the payload into a free extent of the swap file (disk time
   /// charged to the task's spill bucket).
-  void Store(BlockKey key, PackedBlock block, TaskMetrics* metrics) override;
+  void Store(BlockKey key, PackedBlock block, TaskMetrics* metrics);
   /// A view of the block's extent, after checking the file still covers
   /// it; the extent stays allocated until Drop and its last view.
-  PackedBlock Load(BlockKey key, TaskMetrics* metrics) const override;
-  bool Contains(BlockKey key) const override;
+  /// `bytes == nullptr` when absent.
+  PackedBlock Load(BlockKey key, TaskMetrics* metrics) const;
+  bool Contains(BlockKey key) const;
   /// Frees the block's extent once no view pins it; the file is cut to
   /// length zero when no extent is left.
-  void Drop(BlockKey key) override;
-  void DropAll() override;
-  uint64_t block_count() const override { return blocks_.size(); }
+  void Drop(BlockKey key);
+  void DropAll();
+  uint64_t block_count() const { return blocks_.size(); }
 
  private:
   struct Slot {

@@ -201,7 +201,6 @@ uint64_t BuildAdjacency(spark::SparkContext* ctx, const GraphParams& params,
   int scale = ScaleFor(params.num_vertices);
   uint64_t per_part = params.num_edges / static_cast<uint64_t>(parts);
   int edge_shuffle = ctx->shuffle()->RegisterShuffle(parts);
-  const spark::SparkConfig& cfg = ctx->config();
 
   ctx->RunStage("edges", [&](spark::TaskContext& tc) {
     // The one hand-written map side: edges are emitted uncombined, with
@@ -258,13 +257,10 @@ uint64_t BuildAdjacency(spark::SparkContext* ctx, const GraphParams& params,
     spark::ObjectGroupByBuffer groups(h, &types.edges.ops());
     spark::KeyedShuffleReader in(tc, edge_shuffle, types.edges);
     if (deca) {
-      in.ForEachPair(spark::ShuffleLayout::kDecomposed,
-                     [&](const spark::Long& src, const spark::Long& dst) {
-                       types.edges.BuildPair(
-                           h, src, dst, [&](ObjRef k, ObjRef v) {
-                             groups.Insert(k, v);
-                           });
-                     });
+      in.ForEachPair([&](const spark::Long& src, const spark::Long& dst) {
+        types.edges.BuildPair(
+            h, src, dst, [&](ObjRef k, ObjRef v) { groups.Insert(k, v); });
+      });
     } else {
       in.ForEachRecord([&](ObjRef k, ObjRef v) { groups.Insert(k, v); });
     }
@@ -275,17 +271,16 @@ uint64_t BuildAdjacency(spark::SparkContext* ctx, const GraphParams& params,
       // MB keep materialization interleaved with eviction.
       int sub = 0;
       uint32_t sub_count = 0;
-      auto pages = std::make_shared<core::PageGroup>(h, cfg.deca_page_bytes);
+      std::shared_ptr<core::PageGroup> pages = tc.cache()->NewPages();
       auto flush = [&]() {
         if (sub_count == 0) return;
         tc.cache()->PutPages({kLinksRddId, tc.partition() * 1024 + sub},
                              pages, sub_count, &tc.metrics());
-        pages = std::make_shared<core::PageGroup>(h, cfg.deca_page_bytes);
+        pages = tc.cache()->NewPages();
         sub_count = 0;
         ++sub;
       };
-      uint32_t max_per_rec =
-          (cfg.deca_page_bytes - kAdjHeaderBytes) / 8;
+      uint32_t max_per_rec = (pages->page_bytes() - kAdjHeaderBytes) / 8;
       groups.ForEach([&](ObjRef key, ObjRef values, uint32_t n) {
         // Page appends may trigger GC; hold the group refs in handles.
         HandleScope inner(h);
@@ -390,8 +385,6 @@ PageRankResult RunPageRank(const GraphParams& params) {
   GraphTypes types(ctx.registry());
   ctx.RegisterCachedRdd(kLinksRddId, &types.links_ops);
   bool deca = params.mode == Mode::kDeca;
-  spark::ShuffleLayout layout = deca ? spark::ShuffleLayout::kDecomposed
-                                     : spark::ShuffleLayout::kObjects;
 
   PageRankResult result;
   result.run.mode = params.mode;
@@ -413,10 +406,9 @@ PageRankResult RunPageRank(const GraphParams& params) {
       std::unordered_map<int64_t, double> ranks;
       if (prev_shuffle >= 0) {
         spark::KeyedShuffleReader in(tc, prev_shuffle, types.contribs);
-        in.ForEachCombined(
-            layout, [&](const spark::Long& v, const spark::Double& sum) {
-              ranks[v.value] = 0.15 + 0.85 * sum.value;
-            });
+        in.ForEachCombined([&](const spark::Long& v, const spark::Double& sum) {
+          ranks[v.value] = 0.15 + 0.85 * sum.value;
+        });
       }
       auto rank_of = [&](int64_t v) -> double {
         if (iter == 0) return 1.0;
@@ -425,7 +417,7 @@ PageRankResult RunPageRank(const GraphParams& params) {
       };
 
       // 2. Scan the cached adjacency sub-blocks and emit contributions.
-      spark::KeyedShuffleWriter out(tc, next_shuffle, types.contribs, layout);
+      spark::KeyedShuffleWriter out(tc, next_shuffle, types.contribs);
       auto emit_record = [&](const uint8_t* p) {
         int64_t id = LoadRaw<int64_t>(p);
         uint32_t degree = LoadRaw<uint32_t>(p + 8);
@@ -472,11 +464,10 @@ PageRankResult RunPageRank(const GraphParams& params) {
     double& rank_sum = part_rank_sum[static_cast<size_t>(tc.partition())];
     uint64_t& ranked = part_ranked[static_cast<size_t>(tc.partition())];
     spark::KeyedShuffleReader in(tc, prev_shuffle, types.contribs);
-    in.ForEachCombined(layout,
-                       [&](const spark::Long&, const spark::Double& sum) {
-                         rank_sum += 0.15 + 0.85 * sum.value;
-                         ++ranked;
-                       });
+    in.ForEachCombined([&](const spark::Long&, const spark::Double& sum) {
+      rank_sum += 0.15 + 0.85 * sum.value;
+      ++ranked;
+    });
   });
   ctx.shuffle()->Release(prev_shuffle);
 
@@ -501,8 +492,6 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
   GraphTypes types(ctx.registry());
   ctx.RegisterCachedRdd(kLinksRddId, &types.links_ops);
   bool deca = params.mode == Mode::kDeca;
-  spark::ShuffleLayout layout = deca ? spark::ShuffleLayout::kDecomposed
-                                     : spark::ShuffleLayout::kObjects;
 
   ConnectedComponentsResult result;
   result.run.mode = params.mode;
@@ -536,16 +525,15 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
       // 1. Apply incoming label minima.
       if (prev_shuffle >= 0) {
         spark::KeyedShuffleReader in(tc, prev_shuffle, types.labels);
-        in.ForEachCombined(
-            layout, [&](const spark::Long& v, const spark::Long& l) {
-              if (l.value < label_of(p, v.value)) {
-                labels[static_cast<size_t>(p)][v.value] = l.value;
-                ++updates;
-              }
-            });
+        in.ForEachCombined([&](const spark::Long& v, const spark::Long& l) {
+          if (l.value < label_of(p, v.value)) {
+            labels[static_cast<size_t>(p)][v.value] = l.value;
+            ++updates;
+          }
+        });
       }
       // 2. Propagate labels along edges (over all adjacency sub-blocks).
-      spark::KeyedShuffleWriter out(tc, next_shuffle, types.labels, layout);
+      spark::KeyedShuffleWriter out(tc, next_shuffle, types.labels);
       auto emit_record = [&](const uint8_t* rec) {
         int64_t id = LoadRaw<int64_t>(rec);
         uint32_t n = LoadRaw<uint32_t>(rec + 12);
@@ -588,7 +576,7 @@ ConnectedComponentsResult RunConnectedComponents(const GraphParams& params) {
   ctx.RunStage("cc-final", [&](spark::TaskContext& tc) {
     int p = tc.partition();
     spark::KeyedShuffleReader in(tc, prev_shuffle, types.labels);
-    in.ForEachPair(layout, [&](const spark::Long& v, const spark::Long& l) {
+    in.ForEachPair([&](const spark::Long& v, const spark::Long& l) {
       if (l.value < label_of(p, v.value)) {
         labels[static_cast<size_t>(p)][v.value] = l.value;
         ++final_updates[static_cast<size_t>(p)];

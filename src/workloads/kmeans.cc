@@ -46,8 +46,6 @@ KMeansResult RunKMeans(const MlParams& params) {
   ctx.RegisterCachedRdd(kPointsRddId, &types.ops());
 
   bool deca = params.mode == Mode::kDeca;
-  spark::ShuffleLayout layout = deca ? spark::ShuffleLayout::kDecomposed
-                                     : spark::ShuffleLayout::kObjects;
   KMeansResult result;
   result.run.mode = params.mode;
   int parts = ctx.num_partitions();
@@ -94,7 +92,7 @@ KMeansResult RunKMeans(const MlParams& params) {
 
     // Map: assign points to centers, eagerly combining per-cluster sums.
     ctx.RunStage("assign", [&](spark::TaskContext& tc) {
-      spark::KeyedShuffleWriter out(tc, shuffle_id, stats, layout);
+      spark::KeyedShuffleWriter out(tc, shuffle_id, stats);
       ClusterStat stat = stats.value().Value();
       stat.count = 1;
       ForEachPointBlock(tc, kPointsRddId, [&](const spark::LoadedBlock& block) {
@@ -123,15 +121,14 @@ KMeansResult RunKMeans(const MlParams& params) {
     std::vector<int64_t> counts(static_cast<size_t>(k), 0);
     ctx.RunStage("update", [&](spark::TaskContext& tc) {
       spark::KeyedShuffleReader in(tc, shuffle_id, stats);
-      in.ForEachCombined(
-          layout, [&](const spark::Long& c, const ClusterStat& stat) {
-            size_t row = static_cast<size_t>(c.value);
-            counts[row] += stat.count;
-            for (int j = 0; j < dims; ++j) {
-              new_centers[row][static_cast<size_t>(j)] +=
-                  stat.sums[static_cast<size_t>(j)];
-            }
-          });
+      in.ForEachCombined([&](const spark::Long& c, const ClusterStat& stat) {
+        size_t row = static_cast<size_t>(c.value);
+        counts[row] += stat.count;
+        for (int j = 0; j < dims; ++j) {
+          new_centers[row][static_cast<size_t>(j)] +=
+              stat.sums[static_cast<size_t>(j)];
+        }
+      });
     });
     ctx.shuffle()->Release(shuffle_id);
     for (int c = 0; c < k; ++c) {

@@ -112,6 +112,12 @@ jvm::ObjRef LrTypes::NewLabeledPoint(jvm::Heap* heap, double label,
 void CachePoints(spark::TaskContext& tc, const LrTypes& types, int rdd_id,
                  bool deca, uint32_t page_bytes, uint64_t count,
                  const std::function<double(double* feats)>& gen) {
+  const bool decomposed = spark::DecomposedCache(tc);
+  const uint32_t context_page_bytes = tc.context()->config().deca_page_bytes;
+  DECA_CHECK(deca == decomposed && page_bytes == context_page_bytes)
+      << "CachePoints: deca=" << deca << " page_bytes=" << page_bytes
+      << " disagree with the context's decomposed cache=" << decomposed
+      << " deca_page_bytes=" << context_page_bytes;
   jvm::Heap* h = tc.heap();
   uint64_t obj_bytes_per_point =
       types.ops().managed_bytes(h, jvm::kNullRef) + 4;
@@ -122,8 +128,8 @@ void CachePoints(spark::TaskContext& tc, const LrTypes& types, int rdd_id,
   while (done < count) {
     uint32_t n = static_cast<uint32_t>(std::min(per_sub, count - done));
     spark::CacheRecords(
-        tc, {rdd_id, tc.partition() * 1024 + sub}, types.point(), deca,
-        page_bytes, n, [&](LabeledPoint* point) {
+        tc, {rdd_id, tc.partition() * 1024 + sub}, types.point(), n,
+        [&](LabeledPoint* point) {
           point->label = gen(point->features.data.data());
         });
     done += n;

@@ -125,8 +125,10 @@ struct LrResult {
 inline constexpr uint64_t kPointSubBlockBytes = 4u << 20;
 
 /// Generates and caches `count` points for this task's partition as
-/// sub-blocks under `rdd_id`. `gen` fills the feature buffer and returns
-/// the label. Used by both LR and KMeans.
+/// sub-blocks under `rdd_id`, in the context's form (CacheRecords). `gen`
+/// fills the feature buffer and returns the label. Used by both LR and
+/// KMeans. `deca` and `page_bytes` restate the context's form and page
+/// size; the process aborts, naming both values, when they disagree.
 void CachePoints(spark::TaskContext& tc, const LrTypes& types, int rdd_id,
                  bool deca, uint32_t page_bytes, uint64_t count,
                  const std::function<double(double* feats)>& gen);

@@ -128,7 +128,6 @@ ServeResult RunServeCache(const ServeParams& params) {
   spark::SparkContext ctx(cfg);
   LrTypes types(ctx.registry(), params.record_doubles);
   ctx.RegisterCachedRdd(kServeRddId, &types.ops());
-  bool deca = params.mode == Mode::kDeca;
 
   ServeResult result;
   result.run.mode = params.mode;
@@ -141,8 +140,7 @@ ServeResult RunServeCache(const ServeParams& params) {
   // -- build: cache the user table in kServeSubBlockRecords-record
   // sub-blocks. Registered as the RDD's lineage so a crash-wiped
   // executor's partitions reload deterministically before the next stage.
-  auto load_task = [&types, &params, deca, dims, per_part,
-                    page_bytes = cfg.deca_page_bytes](spark::TaskContext& tc) {
+  auto load_task = [&types, &params, dims, per_part](spark::TaskContext& tc) {
     Rng rng(params.seed + static_cast<uint64_t>(tc.partition()));
     uint64_t done = 0;
     int sub = 0;
@@ -150,8 +148,8 @@ ServeResult RunServeCache(const ServeParams& params) {
       uint32_t n = static_cast<uint32_t>(
           std::min<uint64_t>(kServeSubBlockRecords, per_part - done));
       spark::CacheRecords(
-          tc, {kServeRddId, tc.partition() * 1024 + sub}, types.point(), deca,
-          page_bytes, n, [&](LabeledPoint* point) {
+          tc, {kServeRddId, tc.partition() * 1024 + sub}, types.point(), n,
+          [&](LabeledPoint* point) {
             for (int j = 0; j < dims; ++j) {
               point->features.data[static_cast<size_t>(j)] =
                   rng.NextDouble(-1.0, 1.0);

@@ -114,12 +114,17 @@ const char* SqlEngineName(SqlEngine e) {
 
 SqlResult RunSqlQueries(const SqlParams& params) {
   spark::SparkConfig cfg = params.spark;
-  // Only the Deca engine ships decomposed pages: SparkSQL's byte-form
-  // aggregate still crosses a wire as Kryo-like records.
+  // Spark SQL (Tungsten) and Deca both aggregate over decomposed bytes,
+  // but only the Deca engine caches pages and ships them as pages:
+  // SparkSQL's frames still cross a wire as Kryo-like records.
   const bool deca = params.engine == SqlEngine::kDeca;
   cfg.cache_level = deca ? spark::StorageLevel::kDecaPages
                          : spark::StorageLevel::kMemoryObjects;
-  cfg.deca_shuffle = deca;
+  cfg.deca_shuffle = params.engine != SqlEngine::kSparkRdd;
+  if (params.engine == SqlEngine::kSparkSql &&
+      cfg.shuffle_wire_codec == spark::ShuffleWireCodec::kAuto) {
+    cfg.shuffle_wire_codec = spark::ShuffleWireCodec::kRecord;
+  }
   RejectCrashWipe(cfg, "SQL",
                   "its cached tables register no lineage, and SparkSQL's "
                   "columnar tables live in a root provider outside the "
@@ -149,16 +154,16 @@ SqlResult RunSqlQueries(const SqlParams& params) {
       case SqlEngine::kSparkRdd:
       case SqlEngine::kDeca: {
         spark::CacheRecords(
-            tc, {kRankingsRddId, tc.partition()}, types.rankings, deca,
-            cfg.deca_page_bytes, static_cast<uint32_t>(ranks_per_part),
+            tc, {kRankingsRddId, tc.partition()}, types.rankings,
+            static_cast<uint32_t>(ranks_per_part),
             [&](Ranking* r) {
               FillUrl(&rng, r->pageURL.data());
               r->pageRank = static_cast<int32_t>(rng.NextBounded(1000));
               r->avgDuration = static_cast<int32_t>(rng.NextBounded(100));
             });
         spark::CacheRecords(
-            tc, {kVisitsRddId, tc.partition()}, types.visits, deca,
-            cfg.deca_page_bytes, static_cast<uint32_t>(visits_per_part),
+            tc, {kVisitsRddId, tc.partition()}, types.visits,
+            static_cast<uint32_t>(visits_per_part),
             [&](UserVisit* v) {
               FillIp(&rng, v->sourceIP.data());
               FillUrl(&rng, v->destURL.data());
@@ -277,14 +282,9 @@ SqlResult RunSqlQueries(const SqlParams& params) {
   gc0 = ctx.TotalGcPauseMs();
   Stopwatch q2_sw;
   int shuffle_id = ctx.shuffle()->RegisterShuffle(parts);
-  // Spark SQL (Tungsten) and Deca both aggregate over serialized /
-  // decomposed bytes.
-  spark::ShuffleLayout layout = params.engine != SqlEngine::kSparkRdd
-                                    ? spark::ShuffleLayout::kDecomposed
-                                    : spark::ShuffleLayout::kObjects;
   ctx.RunStage("q2-map", [&](spark::TaskContext& tc) {
     jvm::Heap* h = tc.heap();
-    spark::KeyedShuffleWriter out(tc, shuffle_id, types.revenue, layout);
+    spark::KeyedShuffleWriter out(tc, shuffle_id, types.revenue);
     if (params.engine == SqlEngine::kSparkSql) {
       size_t p = static_cast<size_t>(tc.partition());
       size_t base = columnar.visits_base[p];
@@ -316,11 +316,10 @@ SqlResult RunSqlQueries(const SqlParams& params) {
     uint64_t& groups = part_groups[static_cast<size_t>(tc.partition())];
     double& revenue = part_revenue[static_cast<size_t>(tc.partition())];
     spark::KeyedShuffleReader in(tc, shuffle_id, types.revenue);
-    in.ForEachCombined(layout,
-                       [&](const spark::RawLong&, const spark::Double& sum) {
-                         ++groups;
-                         revenue += sum.value;
-                       });
+    in.ForEachCombined([&](const spark::RawLong&, const spark::Double& sum) {
+      ++groups;
+      revenue += sum.value;
+    });
   });
   ctx.shuffle()->Release(shuffle_id);
   result.q2_exec_ms = q2_sw.ElapsedMillis();

@@ -33,7 +33,6 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
     ctx.RegisterCachedRdd(kStreamRddBase + slot, &types.rows.ops());
   }
 
-  const bool deca = params.mode == Mode::kDeca;
   const int parts = ctx.num_partitions();
   const uint64_t per_part =
       std::max<uint64_t>(1, params.records_per_epoch /
@@ -52,15 +51,12 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
     // -- map: per-user visit partials for this epoch. Each epoch spans
     // 1000 time units; the active-user subset rotates each epoch so users
     // naturally go quiet and reappear, splitting sessions at the gap.
-    auto map_fn = [&types, &params, deca, per_part, e,
-                   sid](spark::TaskContext& tc) {
+    auto map_fn = [&types, &params, per_part, e, sid](spark::TaskContext& tc) {
       Rng rng(Mix64(params.seed ^ (0x5e55ULL + static_cast<uint64_t>(e))) +
               static_cast<uint64_t>(tc.partition()));
       const uint64_t keys = std::max<uint64_t>(2, params.distinct_keys);
       const uint64_t rotate = e * std::max<uint64_t>(1, keys / 8);
-      spark::KeyedShuffleWriter out(tc, sid, types.partials,
-                                    deca ? spark::ShuffleLayout::kDecomposed
-                                         : spark::ShuffleLayout::kObjects);
+      spark::KeyedShuffleWriter out(tc, sid, types.partials);
       for (uint64_t i = 0; i < per_part; ++i) {
         int64_t ip = static_cast<int64_t>(
             (rotate + rng.NextBounded(keys / 2)) % keys);
@@ -78,23 +74,18 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
     // block. An ip hashes to one reducer, so a user's whole window history
     // lives in one partition — the stitcher never needs cross-partition
     // state.
-    auto reduce_fn = [&types, &stream, deca, e, sid,
-                      page_bytes =
-                          cfg.deca_page_bytes](spark::TaskContext& tc) {
+    auto reduce_fn = [&types, &stream, e, sid](spark::TaskContext& tc) {
       int p = tc.partition();
       spark::KeyedShuffleReader in(tc, sid, types.partials);
       spark::BlockKey key{StreamRdd(e), p};
       // The combined rows are copied out as values, so the combine buffer
       // is freed before the epoch's block is built.
       std::vector<SessionRow> rows;
-      in.ForEachCombined(deca ? spark::ShuffleLayout::kDecomposed
-                              : spark::ShuffleLayout::kObjects,
-                         [&](const spark::Long& ip, const SessionAgg& a) {
-                           rows.push_back(
-                               {ip.value, a.first, a.last, a.visits, a.cents});
-                         });
+      in.ForEachCombined([&](const spark::Long& ip, const SessionAgg& a) {
+        rows.push_back({ip.value, a.first, a.last, a.visits, a.cents});
+      });
       size_t next = 0;
-      spark::CacheRecords(tc, key, types.rows, deca, page_bytes,
+      spark::CacheRecords(tc, key, types.rows,
                           static_cast<uint32_t>(rows.size()),
                           [&](SessionRow* row) { *row = rows[next++]; });
       if (stream::EpochRegion* region = stream.region(e)) {

@@ -47,8 +47,8 @@ StreamResult RunStreamSlidingAgg(const StreamParams& params) {
     // One stage: aggregate this epoch's values into a per-partition
     // partial and cache it as the epoch's block. Doubles as the block's
     // lineage (pure regeneration — no shuffle input).
-    auto agg_fn = [&ctx, &types, &params, &stream, deca, per_part, e,
-                   page_bytes = cfg.deca_page_bytes](spark::TaskContext& tc) {
+    auto agg_fn = [&ctx, &types, &params, &stream, deca, per_part,
+                   e](spark::TaskContext& tc) {
       jvm::Heap* h = tc.heap();
       Rng rng(Mix64(params.seed ^ (0x511dEULL + static_cast<uint64_t>(e))) +
               static_cast<uint64_t>(tc.partition()));
@@ -78,7 +78,7 @@ StreamResult RunStreamSlidingAgg(const StreamParams& params) {
         types.partial.Read(h, agg.get(), &acc);
       }
       spark::BlockKey key{StreamRdd(e), tc.partition()};
-      spark::CacheRecords(tc, key, types.partial, deca, page_bytes, 1,
+      spark::CacheRecords(tc, key, types.partial, 1,
                           [&](AggPartial* rec) { *rec = acc; });
       if (stream::EpochRegion* region = stream.region(e)) {
         region->AdoptBlock(tc.executor()->id(), key);

@@ -33,7 +33,6 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
     ctx.RegisterCachedRdd(kStreamRddBase + slot, &types.pair.ops());
   }
 
-  const bool deca = params.mode == Mode::kDeca;
   const int parts = ctx.num_partitions();
   const uint64_t per_part =
       std::max<uint64_t>(1, params.records_per_epoch /
@@ -50,13 +49,10 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
     region.AdoptShuffle(sid);
 
     // -- map: hash-combine this epoch's words, deposit per-reducer chunks.
-    auto map_fn = [&types, &params, deca, per_part, e,
-                   sid](spark::TaskContext& tc) {
+    auto map_fn = [&types, &params, per_part, e, sid](spark::TaskContext& tc) {
       Rng rng(Mix64(params.seed ^ static_cast<uint64_t>(e)) +
               static_cast<uint64_t>(tc.partition()));
-      spark::KeyedShuffleWriter out(tc, sid, types.counts,
-                                    deca ? spark::ShuffleLayout::kDecomposed
-                                         : spark::ShuffleLayout::kObjects);
+      spark::KeyedShuffleWriter out(tc, sid, types.counts);
       for (uint64_t i = 0; i < per_part; ++i) {
         // Per-record Tuple2 + boxed key/value churn in object mode,
         // exactly as the batch workload models the Scala UDF.
@@ -72,22 +68,18 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
     // table, cached as the epoch's block (and adopted by the region).
     // Doubles as the block's lineage: chunks outlive the block (both are
     // region-owned), so a replay re-reads them deterministically.
-    auto reduce_fn = [&types, &stream, deca, e, sid,
-                      page_bytes =
-                          cfg.deca_page_bytes](spark::TaskContext& tc) {
+    auto reduce_fn = [&types, &stream, e, sid](spark::TaskContext& tc) {
       int p = tc.partition();
       spark::KeyedShuffleReader in(tc, sid, types.counts);
       spark::BlockKey key{StreamRdd(e), p};
       // The combined rows are copied out as values, so the combine buffer
       // is freed before the epoch's block is built.
       std::vector<WcPair> rows;
-      in.ForEachCombined(deca ? spark::ShuffleLayout::kDecomposed
-                              : spark::ShuffleLayout::kObjects,
-                         [&](const spark::Long& word, const spark::Long& n) {
-                           rows.push_back({word.value, n.value});
-                         });
+      in.ForEachCombined([&](const spark::Long& word, const spark::Long& n) {
+        rows.push_back({word.value, n.value});
+      });
       size_t next = 0;
-      spark::CacheRecords(tc, key, types.pair, deca, page_bytes,
+      spark::CacheRecords(tc, key, types.pair,
                           static_cast<uint32_t>(rows.size()),
                           [&](WcPair* row) { *row = rows[next++]; });
       if (stream::EpochRegion* region = stream.region(e)) {
@@ -110,9 +102,7 @@ StreamResult RunStreamWordCount(const StreamParams& params) {
       uint64_t checksum = 0;
       // The window merge combines cached records, not shuffle chunks, so
       // it keeps a buffer of its own.
-      spark::CombineBuffer merge(tc, types.counts,
-                                 deca ? spark::ShuffleLayout::kDecomposed
-                                      : spark::ShuffleLayout::kObjects);
+      spark::CombineBuffer merge(tc, types.counts);
       for (int ep = w.start; ep < w.end; ++ep) {
         spark::LoadedBlock b =
             tc.cache()->Get({StreamRdd(ep), p}, &tc.metrics());

@@ -73,8 +73,6 @@ WordCountResult RunWordCount(const WordCountParams& params) {
     DECA_CHECK(StaticTupleSizeType(counts) == SizeType::kStaticFixed)
         << "WordCount Tuple2 must classify as SFST";
   }
-  spark::ShuffleLayout layout = deca ? spark::ShuffleLayout::kDecomposed
-                                     : spark::ShuffleLayout::kObjects;
   // Heap profiling needs the mutating heap in this process; in process
   // mode executor 0's mutator lives in a daemon, so the profile is off.
   bool profile = params.profile && ctx.role() == spark::DistRole::kLocal;
@@ -110,7 +108,7 @@ WordCountResult RunWordCount(const WordCountParams& params) {
       return static_cast<int64_t>(
           zipf ? zipf->Next() : word_rng->NextBounded(params.distinct_keys));
     };
-    spark::KeyedShuffleWriter out(tc, shuffle_id, counts, layout);
+    spark::KeyedShuffleWriter out(tc, shuffle_id, counts);
     for (uint64_t i = 0; i < per_part; ++i) {
       // The map UDF emits a Tuple2 per word (paper Figure 8a tracks
       // these); the buffer then keeps only key/value.
@@ -135,11 +133,10 @@ WordCountResult RunWordCount(const WordCountParams& params) {
     uint64_t total = 0;
     uint64_t distinct = 0;
     spark::KeyedShuffleReader in(tc, shuffle_id, counts);
-    in.ForEachCombined(layout,
-                       [&](const spark::Long&, const spark::Long& count) {
-                         total += static_cast<uint64_t>(count.value);
-                         ++distinct;
-                       });
+    in.ForEachCombined([&](const spark::Long&, const spark::Long& count) {
+      total += static_cast<uint64_t>(count.value);
+      ++distinct;
+    });
     return EncodeBytes(std::pair<uint64_t, uint64_t>{total, distinct});
   });
   ctx.shuffle()->Release(shuffle_id);

@@ -337,6 +337,8 @@ TEST(BlockServer, UnservableRequestsAreNotFound) {
   EXPECT_EQ(server.HandleRequest({3, 1, 5}), kNotFoundResponse);
   // A type no request has.
   EXPECT_EQ(server.HandleRequest({1, 9}), kNotFoundResponse);
+  // An index request (shuffle 5, reducer 1) with one byte past its body.
+  EXPECT_EQ(server.HandleRequest({4, 1, 5, 1, 0}), kNotFoundResponse);
   // A mapper with no frame, then an offset past mapper 3's 300 bytes.
   EXPECT_EQ(server.HandleRequest({6, 3, 5, 1, 9, 0, 4}), kNotFoundResponse);
   EXPECT_EQ(server.HandleRequest({7, 3, 5, 1, 3, 0xAD, 0x02, 4}),

@@ -400,12 +400,18 @@ struct MiniWcOutcome {
   uint64_t shuffle_bytes = 0;
 };
 
+/// The mini job's declared pair: (word, count) longs, summed.
+ShuffleType<Long, Long> MiniCounts(jvm::ClassRegistry* registry) {
+  return ShuffleType<Long, Long>(
+      registry, [](Long* agg, const Long& n) { agg->value += n.value; });
+}
+
 MiniWcOutcome RunMiniWordCount(bool deca, int worker_threads,
                                SparkConfig cfg = SmallConfig()) {
   cfg.deca_shuffle = deca;
   cfg.num_worker_threads = worker_threads;
   SparkContext ctx(cfg);
-  SumShuffleModel model(ctx.registry());
+  const ShuffleType<Long, Long> counts = MiniCounts(ctx.registry());
   const int reducers = ctx.num_partitions();
   int shuffle_id = ctx.shuffle()->RegisterShuffle(reducers);
   const int kWordsPerTask = 20000;
@@ -414,27 +420,11 @@ MiniWcOutcome RunMiniWordCount(bool deca, int worker_threads,
   // Map stage: count words with eager combining; the writer drains its
   // buffer into per-reducer chunks.
   ctx.RunStage("map", [&](TaskContext& tc) {
-    jvm::Heap* h = tc.heap();
     Rng rng(100 + static_cast<uint64_t>(tc.partition()));
-    KeyedShuffleWriter out(
-        tc, shuffle_id, &model.ops,
-        deca ? ShuffleLayout::kDecomposed : ShuffleLayout::kObjects);
+    KeyedShuffleWriter out(tc, shuffle_id, counts);
     for (int i = 0; i < kWordsPerTask; ++i) {
-      int64_t word = static_cast<int64_t>(rng.NextBounded(kDistinct));
-      if (deca) {
-        int64_t one = 1;
-        out.Insert(reinterpret_cast<const uint8_t*>(&word),
-                   reinterpret_cast<const uint8_t*>(&one));
-      } else {
-        jvm::HandleScope scope(h);
-        jvm::Handle k = scope.Make(
-            h->AllocateInstance(h->registry()->boxed_long_class()));
-        h->SetField<int64_t>(k.get(), 0, word);
-        jvm::Handle v = scope.Make(
-            h->AllocateInstance(h->registry()->boxed_long_class()));
-        h->SetField<int64_t>(v.get(), 0, 1);
-        out.Insert(k.get(), v.get());
-      }
+      out.Emit(Long{static_cast<int64_t>(rng.NextBounded(kDistinct))},
+               Long{1});
     }
     out.Finish();
   });
@@ -444,24 +434,12 @@ MiniWcOutcome RunMiniWordCount(bool deca, int worker_threads,
   std::vector<std::map<int64_t, int64_t>> part_totals(
       static_cast<size_t>(reducers));
   ctx.RunStage("reduce", [&](TaskContext& tc) {
-    jvm::Heap* h = tc.heap();
     std::map<int64_t, int64_t>& totals =
         part_totals[static_cast<size_t>(tc.partition())];
-    KeyedShuffleReader in(tc, shuffle_id, &model.ops);
-    if (deca) {
-      DecaHashShuffleBuffer buf(h, &model.ops, cfg.deca_page_bytes);
-      in.ForEachEntry(
-          [&](const uint8_t* k, const uint8_t* v) { buf.Insert(k, v); });
-      buf.ForEach([&](const uint8_t* entry) {
-        totals[LoadRaw<int64_t>(entry)] += LoadRaw<int64_t>(entry + 8);
-      });
-    } else {
-      ObjectHashShuffleBuffer buf(h, &model.ops);
-      in.ForEachRecord([&](jvm::ObjRef k, jvm::ObjRef v) { buf.Insert(k, v); });
-      buf.ForEach([&](jvm::ObjRef k, jvm::ObjRef v) {
-        totals[h->GetField<int64_t>(k, 0)] += h->GetField<int64_t>(v, 0);
-      });
-    }
+    KeyedShuffleReader in(tc, shuffle_id, counts);
+    in.ForEachCombined([&](const Long& word, const Long& n) {
+      totals[word.value] += n.value;
+    });
   });
 
   MiniWcOutcome outcome;
@@ -516,24 +494,20 @@ TEST_P(MiniWordCountTest, BudgetedDrainsKeepTotals) {
 
 /// A decomposed chunk that lost bytes on its way (15 of a 16-byte entry)
 /// aborts the reader, naming the shuffle, reducer and sizes, instead of
-/// reading past the chunk's end; so does an entry width of zero.
+/// reading past the chunk's end.
 TEST(KeyedShuffleReaderTest, PartialEntryFailsLoudly) {
-  SparkContext ctx(SmallConfig());
-  SumShuffleModel model(ctx.registry());
+  SparkConfig cfg = SmallConfig();
+  cfg.deca_shuffle = true;
+  SparkContext ctx(cfg);
+  const ShuffleType<Long, Long> counts = MiniCounts(ctx.registry());
   int shuffle_id = ctx.shuffle()->RegisterShuffle(ctx.num_partitions());
   ctx.shuffle()->PutChunk(shuffle_id, 1, 0, std::vector<uint8_t>(15, 0));
   TaskContext tc(&ctx, ctx.executor_for_partition(1), 1,
                  ctx.num_partitions());
-  KeyedShuffleReader in(tc, shuffle_id, &model.ops);
-  auto visit = [](const uint8_t*, const uint8_t*) {};
-  EXPECT_DEATH(in.ForEachEntry(visit),
+  KeyedShuffleReader in(tc, shuffle_id, counts);
+  EXPECT_DEATH(in.ForEachPair([](const Long&, const Long&) {}),
                "shuffle 0 reducer 1: a 15-byte chunk does not hold whole "
                "16-byte entries");
-  ShuffleOps widthless = model.ops;
-  widthless.deca_key_bytes = 0;
-  widthless.deca_value_bytes = 0;
-  KeyedShuffleReader blind(tc, shuffle_id, &widthless);
-  EXPECT_DEATH(blind.ForEachEntry(visit), "does not hold whole 0-byte");
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MiniWordCountTest, ::testing::Bool(),

@@ -64,6 +64,28 @@ TEST(LrTypesTest, RecordOpsRoundTrips) {
   }
 }
 
+/// CachePoints' `deca` and `page_bytes` restate the context's cache form
+/// and page size; a call that contradicts either dies naming both values.
+TEST(CachePointsTest, ArgumentsTheContextContradictsDie) {
+  MlParams p = SmallParams(Mode::kSpark);
+  spark::SparkConfig cfg = p.spark;
+  ApplyMode(p.mode, &cfg);
+  spark::SparkContext ctx(cfg);
+  LrTypes types(ctx.registry(), p.dims);
+  ctx.RegisterCachedRdd(1, &types.ops());
+  spark::TaskContext tc(&ctx, ctx.executor_for_partition(0), 0,
+                        ctx.num_partitions());
+  auto gen = [](double*) { return 1.0; };
+  EXPECT_DEATH(CachePoints(tc, types, 1, /*deca=*/true, 65536, 8, gen),
+               "CachePoints: deca=1 page_bytes=65536 disagree with the "
+               "context's decomposed cache=0 deca_page_bytes=65536");
+  EXPECT_DEATH(CachePoints(tc, types, 1, /*deca=*/false, 4096, 8, gen),
+               "deca=0 page_bytes=4096 disagree with the context's "
+               "decomposed cache=0 deca_page_bytes=65536");
+  CachePoints(tc, types, 1, /*deca=*/false, 65536, 8, gen);
+  EXPECT_TRUE(tc.cache()->Get({1, 0}, &tc.metrics()).valid());
+}
+
 TEST(LrWorkloadTest, AllModesComputeIdenticalWeights) {
   LrResult spark = RunLogisticRegression(SmallParams(Mode::kSpark));
   LrResult ser = RunLogisticRegression(SmallParams(Mode::kSparkSer));
